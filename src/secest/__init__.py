@@ -27,7 +27,6 @@ from .designer import (
     TradeoffCurve,
     TradeoffPoint,
     design_p_star,
-    evaluate_tradeoff,
     sweep_tradeoff,
 )
 from .errors import ConfigError, InconclusiveError, NumericalError, ValidationError
@@ -90,7 +89,6 @@ __all__ = [
     "critical_rates",
     "design_p_star",
     "effective_rates",
-    "evaluate_tradeoff",
     "expected_error_curve",
     "feasibility_check",
     "filter_step",

@@ -33,7 +33,7 @@ import numpy as np
 from .channel import ChannelParams
 from .errors import InconclusiveError, NumericalError, ValidationError
 from .kalman import riccati_map
-from .linmodel import LinearSystem, solve_discounted_lyapunov, spectral_radius
+from .linmodel import LinearSystem
 
 # Spec'd iteration defaults: convergence is relative change below 1e-9, the
 # divergence cutoff scales with the initial condition.
@@ -94,8 +94,8 @@ class SecrecyInterval:
 
 
 def p_lower(sys: LinearSystem) -> float:
-    """Open-loop divergence threshold 1 - 1/rho(A)^2."""
-    rho = spectral_radius(sys.A)
+    """Open-loop divergence threshold 1 - 1/rho(A)^2, rho from the plant's Schur factor."""
+    rho = sys.schur.rho
     if rho <= 1.0:
         raise ValidationError(
             f"rho(A) = {rho:.6g} <= 1: the reception-rate threshold is only "
@@ -107,8 +107,9 @@ def p_lower(sys: LinearSystem) -> float:
 def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     """Eavesdropper's asymptotic error floor at withholding probability p.
 
-    Solves S = (1 - p*p2) A S A' + Q when the effective rate clears the
-    open-loop threshold; otherwise the floor is infinite.
+    Solves S = (1 - p*p2) A S A' + Q on the plant's cached Schur factor
+    when the effective rate clears the open-loop threshold; otherwise the
+    floor is infinite.
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
@@ -116,7 +117,7 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     if rate <= p_lower(sys):
         return BoundValue.infinite()
     try:
-        S = solve_discounted_lyapunov(sys.A, sys.Q, 1.0 - rate)
+        S = sys.schur.discounted_lyapunov(1.0 - rate)
     except NumericalError:
         # Within solver resolution of the threshold; the floor is effectively
         # unbounded there.
@@ -154,7 +155,7 @@ def feasibility_check(lam: float, sys: LinearSystem,
     # (and sometimes beyond). Sufficient, never necessary, so failures just
     # fall through to the iteration.
     try:
-        base = solve_discounted_lyapunov(sys.A, sys.Q, 1.0 - lam)
+        base = sys.schur.discounted_lyapunov(1.0 - lam)
     except NumericalError:
         base = None
     if base is not None:

@@ -78,7 +78,9 @@ def design_p_star(sys: LinearSystem, ch: ChannelParams, M: float,
 
     Returns the feasible end of the final bracket, so the returned p always
     satisfies Tr S(p) >= M. The result also carries the receiver ceiling at
-    the optimum, the critical-rate bracket, and the secrecy interval.
+    the optimum (infinite, ``trV_infinite``, when meeting the target forces
+    the effective rate below the receiver's own transition), the
+    critical-rate bracket, and the secrecy interval.
     """
     if not M > 0.0:
         raise ValidationError(f"target M must be positive, got {M}")
@@ -116,17 +118,6 @@ def design_p_star(sys: LinearSystem, ch: ChannelParams, M: float,
     )
 
 
-def evaluate_tradeoff(sys: LinearSystem, ch: ChannelParams, M: float,
-                      epsilon: float = 1e-6) -> DesignResult:
-    """Design for one target and report the price paid by the receiver.
-
-    Identical to :func:`design_p_star`; the receiver ceiling can come out
-    infinite (``trV_infinite``) when meeting the target forces the effective
-    rate below the receiver's own transition.
-    """
-    return design_p_star(sys, ch, M, epsilon)
-
-
 def sweep_tradeoff(sys: LinearSystem, ch: ChannelParams, M_grid,
                    epsilon: float = 1e-6, threads: int = 1) -> TradeoffCurve:
     """Evaluate the tradeoff across increasing targets.
@@ -137,6 +128,15 @@ def sweep_tradeoff(sys: LinearSystem, ch: ChannelParams, M_grid,
     increase with M, the receiver ceiling cannot decrease, and once it turns
     infinite it stays infinite; any violation raises
     :class:`NumericalError` rather than returning a misleading curve.
+
+    On a correct floor solve the checks cannot fire, however fine the grid.
+    Every design bisects [0, 1] from the same start, so two targets M < M'
+    probe the same dyadic points until the first probe p where
+    Tr S(p) >= M but Tr S(p) < M'; from there p*(M') < p <= p*(M). Thus p*
+    is exactly non-increasing in M. Equal p* give bit-identical ceilings,
+    and distinct p* lie more than epsilon / 2 apart, far beyond the ceiling
+    solver's tolerance. A root finder would probe target-dependent points
+    and lose this.
     """
     grid = [float(M) for M in M_grid]
     if len(grid) == 0:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .channel import _check_probability
 from .errors import ValidationError
 from .linmodel import LinearSystem
 
@@ -49,13 +50,6 @@ class ScalarSystem:
     def to_linear(self, sigma0: float = 1.0) -> LinearSystem:
         """Embed as a 1x1 LinearSystem for cross-checking the matrix route."""
         return LinearSystem(A=self.a, C=self.c, Q=self.q, R=self.r, Sigma0=sigma0)
-
-
-def _check_probability(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValidationError(f"{name} must lie in [0, 1], got {value}")
-    return value
 
 
 def scalar_critical(s: ScalarSystem) -> float:

@@ -7,7 +7,6 @@ from secest import (
     ChannelParams,
     ValidationError,
     design_p_star,
-    evaluate_tradeoff,
     scalar_critical,
     solve_S,
     sweep_tradeoff,
@@ -58,7 +57,7 @@ class TestDesign:
 
     def test_secrecy_can_cost_receiver_boundedness(self, scalar_sys):
         # weak user link: meeting the target drags the user below transition
-        res = evaluate_tradeoff(scalar_sys, ChannelParams(0.5, 0.7), M=10.0)
+        res = design_p_star(scalar_sys, ChannelParams(0.5, 0.7), M=10.0)
         assert res.trV_infinite
         assert res.trV_at_p_star == math.inf
         assert res.p_star == pytest.approx(0.5357142857142857, abs=1e-5)
@@ -103,3 +102,19 @@ class TestSweep:
         flags = [math.isinf(pt.trV) for pt in curve.points]
         assert flags == sorted(flags)
         assert flags[-1]
+
+
+@pytest.mark.parametrize("a", [1.2, 1.5])
+@pytest.mark.parametrize("channel", [(0.8, 0.7), (0.9, 0.6)])
+def test_fine_grid_sweep_is_exactly_monotone(a, channel):
+    # Targets 1e-3 apart cross only a few bisection steps each, so neighbouring
+    # p* are often equal or one dyadic step apart. Shared probes keep p* and
+    # trV exactly monotone, and sweep_tradeoff's own check must not fire.
+    grid = 85.0 + 1e-3 * np.arange(400)
+    curve = sweep_tradeoff(ScalarSystem(a, 1.0, 1.0, 1.0).to_linear(),
+                           ChannelParams(*channel), grid)
+    ps = [pt.p_star for pt in curve.points]
+    vs = [pt.trV for pt in curve.points]
+    assert all(y <= x for x, y in zip(ps, ps[1:]))
+    assert all(y >= x for x, y in zip(vs, vs[1:]))
+    assert len(set(ps)) > 10

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from secest import (
+    ChannelParams,
     LinearSystem,
     NumericalError,
     ValidationError,
     is_positive_definite,
+    solve_S,
     solve_discounted_lyapunov,
     spectral_radius,
     validate_system,
@@ -84,7 +86,12 @@ def test_validate_system_failures_and_warnings():
 
 
 class TestDiscountedLyapunov:
-    """X = alpha A X A' + Q, solved through the Kronecker-vectorized form."""
+    """X = alpha A X A' + Q, solved by back substitution on the complex Schur
+    form of A: n triangular solves of size n, O(n^3), after one O(n^3)
+    factor. It replaced the O(n^6) Kronecker-vectorized solve, which the
+    oracle cases below keep as the reference, and was preferred to scipy's
+    bilinear route, whose residual fails the 1e-13 bound near the threshold
+    with a negative real unstable eigenvalue."""
 
     def test_scalar_closed_form(self):
         S = solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), 0.625)
@@ -129,3 +136,80 @@ class TestDiscountedLyapunov:
             solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), -0.1)
         with pytest.raises(ValidationError):
             solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), 1.1)
+
+
+def kron_reference(A, Q, alpha):
+    """Independent route: (I - alpha A kron A) vec(S) = vec(Q), O(n^6)."""
+    n = A.shape[0]
+    vec = np.linalg.solve(np.eye(n * n) - alpha * np.kron(A, A), Q.ravel(order="F"))
+    S = vec.reshape((n, n), order="F")
+    return 0.5 * (S + S.T)
+
+
+def rotation_case():
+    th = 0.7
+    A = 1.1 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    return A, np.array([[1.0, 0.3], [0.3, 2.0]])
+
+
+def jordan_case():
+    A = 1.1 * np.eye(3) + np.diag([1.0, 1.0], k=1)
+    return A, np.diag([1.0, 2.0, 0.5])
+
+
+def negative_unstable_case():
+    # n = 12, rho(A) = 1.1 from the eigenvalue -1.1, the rest inside (-1, 1)
+    rng = np.random.default_rng(12)
+    V = np.eye(12) + 0.3 * rng.standard_normal((12, 12)) / np.sqrt(12)
+    eig = np.concatenate([[-1.1], np.linspace(-0.85, 0.9, 11)])
+    G = rng.standard_normal((12, 12))
+    return V @ np.diag(eig) @ np.linalg.inv(V), G @ G.T / 12 + 0.5 * np.eye(12)
+
+
+def seeded_case(seed):
+    rng = np.random.default_rng(seed)
+    A = 1.3 * rng.standard_normal((30, 30)) / np.sqrt(30)
+    G = rng.standard_normal((30, 30))
+    return A, G @ G.T / 30 + 0.5 * np.eye(30)
+
+
+ORACLE_CASES = {
+    "rotation": rotation_case,
+    "jordan": jordan_case,
+    "negative-n12": negative_unstable_case,
+    "seeded-n30-a": lambda: seeded_case(30),
+    "seeded-n30-b": lambda: seeded_case(31),
+}
+
+
+@pytest.mark.parametrize("margin", [0.5, 1e-2, 1e-6, 1e-8])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_floor_against_kronecker_oracle(case, margin):
+    # margin = 1 - alpha rho^2: the solution norm grows like 1 / margin, and
+    # so does the conditioning of the Kronecker route, which is trusted only
+    # at margin >= 1e-2. The residual bound holds at every margin.
+    A, Q = ORACLE_CASES[case]()
+    rho = spectral_radius(A)
+    alpha = (1.0 - margin) / rho**2
+    sys = LinearSystem(A=A, C=np.eye(len(A)), Q=Q, R=np.eye(len(A)), Sigma0=Q)
+    p = 1.0 - alpha  # at p2 = 1 the floor's discount is 1 - p
+    floors = {
+        "solve_discounted_lyapunov": solve_discounted_lyapunov(A, Q, 1.0 - p),
+        "solve_S": solve_S(p, ChannelParams(1.0, 1.0), sys).matrix,
+    }
+    ref = kron_reference(A, Q, 1.0 - p) if margin >= 1e-2 else None
+    for route, S in floors.items():
+        residual = np.max(np.abs(S - (1.0 - p) * A @ S @ A.T - Q)) / np.max(np.abs(S))
+        assert residual <= 1e-13, (route, residual)
+        if ref is not None:
+            assert np.max(np.abs(S - ref)) <= 1e-10 * np.max(np.abs(ref)), route
+
+
+def test_schur_factor_is_cached_and_reads_rho():
+    A, Q = negative_unstable_case()
+    sys = LinearSystem(A=A, C=np.eye(12), Q=Q, R=np.eye(12), Sigma0=Q)
+    factor = sys.schur
+    assert sys.schur is factor
+    assert factor.rho == pytest.approx(1.1, rel=1e-12)
+    assert np.allclose(factor.U @ factor.T @ factor.U.conj().T, A, atol=1e-13)
+    assert np.allclose(np.tril(factor.T, -1), 0.0)
