@@ -30,15 +30,7 @@ from .designer import (
     sweep_tradeoff,
 )
 from .errors import ConfigError, InconclusiveError, NumericalError, ValidationError
-from .kalman import (
-    FilterState,
-    ReceptionFlag,
-    batch_covariance_oracle,
-    filter_step,
-    kalman_gain,
-    measurement_update,
-    riccati_map,
-)
+from .kalman import batch_covariance_oracle, filter_errors, kalman_gain, riccati_map
 from .linmodel import (
     LinearSystem,
     ValidationReport,
@@ -69,13 +61,11 @@ __all__ = [
     "CriticalRates",
     "DesignResult",
     "ExpectedErrorCurve",
-    "FilterState",
     "InconclusiveError",
     "LinearSystem",
     "Mechanism",
     "NumericalError",
     "PhaseCriteria",
-    "ReceptionFlag",
     "RngStream",
     "ScalarSystem",
     "SecrecyInterval",
@@ -91,10 +81,9 @@ __all__ = [
     "effective_rates",
     "expected_error_curve",
     "feasibility_check",
-    "filter_step",
+    "filter_errors",
     "is_positive_definite",
     "kalman_gain",
-    "measurement_update",
     "meets_divergence_criterion",
     "meets_plateau_criterion",
     "p_lower",

@@ -41,6 +41,14 @@ _FEAS_CONVERGENCE_RTOL = 1e-9
 _FEAS_DEFAULT_MAX_ITERS = 100_000
 _DIV_THRESHOLD_SCALE = 1e12
 
+# Width of the final p_upper bisection bracket; critical_rates calls the
+# bracket exact once it closes to within 10x this width.
+_P_UPPER_TOL = 1e-6
+
+# solve_V stops once an iteration moves no entry by more than this, relative
+# to the iterate's largest entry, within the feasibility iteration budget.
+_V_TOL = 1e-10
+
 # Per-probe iteration budget inside the p_upper bisection. The witness
 # certificate classifies feasible probes in a handful of steps, so a probe
 # that burns the whole budget is treated as infeasible, which can only push
@@ -133,22 +141,20 @@ def _certificate_holds(X: np.ndarray, sys: LinearSystem, lam: float) -> bool:
 
 
 def feasibility_check(lam: float, sys: LinearSystem,
-                      max_iters: int = _FEAS_DEFAULT_MAX_ITERS,
-                      div_threshold: float | None = None) -> bool:
+                      max_iters: int = _FEAS_DEFAULT_MAX_ITERS) -> bool:
     """Decide whether some X >= g_lam(X) exists, i.e. whether the averaged
     Riccati iteration admits a bounded fixed point at rate lam.
 
     Iterates X_{k+1} = g_lam(X_k) from Sigma0. Convergence of the iteration
     or an explicit witness certificate (a scaled iterate X with
     X >= g_lam(X), checked directly) proves feasibility; the trace crossing
-    ``div_threshold`` signals divergence. If the budget runs out with
+    1e12 times Tr Sigma0 signals divergence. If the budget runs out with
     neither, an :class:`InconclusiveError` is raised so the caller can widen
     brackets conservatively.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lam must lie in [0, 1], got {lam}")
-    if div_threshold is None:
-        div_threshold = _DIV_THRESHOLD_SCALE * float(np.trace(sys.Sigma0))
+    div_threshold = _DIV_THRESHOLD_SCALE * float(np.trace(sys.Sigma0))
     # Closed-form witness ladder: whenever (1-lam) rho(A)^2 < 1 the
     # discounted Lyapunov solution exists, and large multiples of it satisfy
     # the certificate for every feasible lam when C has full column rank
@@ -194,22 +200,20 @@ def _probe_feasible(lam: float, sys: LinearSystem, max_iters: int) -> bool:
         return False
 
 
-_p_upper_cache: "weakref.WeakKeyDictionary[LinearSystem, dict]" = weakref.WeakKeyDictionary()
+_p_upper_cache: "weakref.WeakKeyDictionary[LinearSystem, float]" = weakref.WeakKeyDictionary()
 
 
-def p_upper(sys: LinearSystem, tol: float = 1e-6) -> float:
+def p_upper(sys: LinearSystem) -> float:
     """Bisect for the smallest rate admitting a bounded fixed point.
 
-    Runs on [p_lower(sys), 1] and returns the feasible end of the final
-    bracket, so the result errs on the high (conservative) side and always
-    satisfies result >= p_lower - tol. Results are cached per system
-    instance; the bracketing feasibility probes dominate the cost.
+    Runs on [p_lower(sys), 1] down to a bracket of width 1e-6 and returns
+    its feasible end, so the result errs on the high (conservative) side
+    and always satisfies result >= p_lower - 1e-6. Results are cached per
+    system instance; the bracketing feasibility probes dominate the cost.
     """
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
-    per_sys = _p_upper_cache.setdefault(sys, {})
-    if tol in per_sys:
-        return per_sys[tol]
+    cached = _p_upper_cache.get(sys)
+    if cached is not None:
+        return cached
 
     lo = p_lower(sys)
     hi = 1.0
@@ -227,18 +231,17 @@ def p_upper(sys: LinearSystem, tol: float = 1e-6) -> float:
                 "no bounded fixed point even at full reception; the system "
                 "violates the solver's assumptions"
             )
-    while hi - lo > tol:
+    while hi - lo > _P_UPPER_TOL:
         mid = 0.5 * (lo + hi)
         if _probe_feasible(mid, sys, _PROBE_MAX_ITERS):
             hi = mid
         else:
             lo = mid
-    per_sys[tol] = hi
+    _p_upper_cache[sys] = hi
     return hi
 
 
-def solve_V(p: float, ch: ChannelParams, sys: LinearSystem,
-            tol: float = 1e-10, max_iters: int = _FEAS_DEFAULT_MAX_ITERS) -> BoundValue:
+def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     """Intended receiver's asymptotic error ceiling at withholding probability p.
 
     Iterates V <- g_{p*p1}(V) from Sigma0 to the fixed point when the
@@ -248,19 +251,17 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem,
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
-    if tol <= 0.0:
-        raise ValidationError(f"tol must be positive, got {tol}")
     rate = p * ch.p1
     if rate <= p_upper(sys):
         return BoundValue.infinite()
 
     V = sys.Sigma0.copy()
     delta_prev = None
-    for _ in range(int(max_iters)):
+    for _ in range(_FEAS_DEFAULT_MAX_ITERS):
         Vn = riccati_map(V, sys, rate)
         D = Vn - V
         step = float(np.max(np.abs(D)))
-        if step <= tol * (1.0 + np.max(np.abs(Vn))):
+        if step <= _V_TOL * (1.0 + np.max(np.abs(Vn))):
             candidate = Vn
             if delta_prev is not None and delta_prev > 0.0:
                 ratio = float(np.linalg.norm(D)) / delta_prev
@@ -274,24 +275,23 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem,
         delta_prev = float(np.linalg.norm(D))
         V = Vn
     raise NumericalError(
-        f"fixed-point iteration did not converge in {max_iters} iterations at "
+        f"fixed-point iteration did not converge in {_FEAS_DEFAULT_MAX_ITERS} iterations at "
         f"effective rate {rate:.9g} although a bounded fixed point was predicted"
     )
 
 
-def critical_rates(sys: LinearSystem, tol: float = 1e-6) -> CriticalRates:
+def critical_rates(sys: LinearSystem) -> CriticalRates:
     """Bracket the critical rate; flags the bracket as exact when it closes."""
     lo = p_lower(sys)
-    hi = p_upper(sys, tol)
-    return CriticalRates(p_lower=lo, p_upper=hi, exact=bool(hi - lo <= 10.0 * tol))
+    hi = p_upper(sys)
+    return CriticalRates(p_lower=lo, p_upper=hi, exact=bool(hi - lo <= 10.0 * _P_UPPER_TOL))
 
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den > 0.0 else math.inf
 
 
-def secrecy_interval(sys: LinearSystem, ch: ChannelParams,
-                     tol: float = 1e-6) -> SecrecyInterval:
+def secrecy_interval(sys: LinearSystem, ch: ChannelParams) -> SecrecyInterval:
     """Range of withholding probabilities achieving secrecy.
 
     With the critical rate known exactly (closed bracket) the interval is
@@ -300,7 +300,7 @@ def secrecy_interval(sys: LinearSystem, ch: ChannelParams,
     An empty interval means no single withholding probability can separate
     the two receivers, e.g. when p1 <= p2.
     """
-    rates = critical_rates(sys, tol)
+    rates = critical_rates(sys)
     if rates.exact:
         pc = rates.p_lower
         lower = _safe_div(pc, ch.p1)

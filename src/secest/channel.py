@@ -71,13 +71,12 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {seed}")
         if self.stream_id < 0:
             raise ValidationError(f"stream_id must be nonnegative, got {stream_id}")
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(ss))
-
-    def uniform(self) -> float:
-        return float(self._gen.random())
 
     def uniforms(self, size) -> np.ndarray:
         return self._gen.random(size)
@@ -87,17 +86,6 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
-
-
-def mechanism_draw(mech: Mechanism, rng: RngStream) -> bool:
-    """One transmit/withhold decision; True means the packet is sent."""
-    return rng.uniform() < mech.p
-
-
-def erasure_draw(rate: float, rng: RngStream) -> bool:
-    """One link-level reception draw at the given rate."""
-    rate = _check_probability(rate, "rate")
-    return rng.uniform() < rate
 
 
 def effective_rates(mech: Mechanism, ch: ChannelParams) -> tuple[float, float]:

@@ -21,7 +21,7 @@ numbers are accepted as 1x1.
     }
 
 Everything below "channel" is optional; command-line flags override the
-config. SECRECY_THREADS caps the worker threads used by sweep evaluation.
+config.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys as _sys
 from dataclasses import dataclass, replace
 
@@ -111,7 +110,7 @@ def _get_number(doc: dict, key: str, pointer: str, default=None,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("expected a number", pointer)
     if integer:
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ConfigError("expected an integer", pointer)
         return int(value)
     return float(value)
@@ -310,8 +309,8 @@ def _sweep_grid(cfg: RunConfig, args) -> tuple:
     )
 
 
-def _cmd_sweep(cfg: RunConfig, grid, threads: int):
-    curve = sweep_tradeoff(cfg.system, cfg.channel, grid, cfg.epsilon, threads=threads)
+def _cmd_sweep(cfg: RunConfig, grid):
+    curve = sweep_tradeoff(cfg.system, cfg.channel, grid, cfg.epsilon)
     rows = [[pt.M, pt.p_star, pt.trS, pt.trV] for pt in curve.points]
     payload = {
         "channel": {"p1": curve.channel.p1, "p2": curve.channel.p2},
@@ -404,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "remote state estimation.",
         epilog="Defaults when neither flag nor config sets a value: "
                f"epsilon={_DEFAULTS['epsilon']}, seed={_DEFAULTS['seed']}, "
-               f"steps={_DEFAULTS['T']}, runs={_DEFAULTS['runs']}. "
-               "SECRECY_THREADS caps sweep parallelism (default 1).",
+               f"steps={_DEFAULTS['T']}, runs={_DEFAULTS['runs']}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     specs = {
@@ -453,14 +451,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("SECRECY_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"SECRECY_THREADS must be an integer, got {raw!r}")
-
-
 def _emit_error(exc: Exception):
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     pointer = getattr(exc, "pointer", None)
@@ -482,7 +472,7 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "sweep":
-            payload, header, rows = _cmd_sweep(cfg, _sweep_grid(cfg, args), _thread_cap())
+            payload, header, rows = _cmd_sweep(cfg, _sweep_grid(cfg, args))
         else:
             handler = {
                 "bounds": _cmd_bounds,

@@ -17,7 +17,6 @@ endpoint the bisection brackets to width epsilon, returning the feasible
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import (
@@ -119,15 +118,14 @@ def design_p_star(sys: LinearSystem, ch: ChannelParams, M: float,
 
 
 def sweep_tradeoff(sys: LinearSystem, ch: ChannelParams, M_grid,
-                   epsilon: float = 1e-6, threads: int = 1) -> TradeoffCurve:
+                   epsilon: float = 1e-6) -> TradeoffCurve:
     """Evaluate the tradeoff across increasing targets.
 
     The grid must be strictly increasing and positive. Points are evaluated
-    independently (optionally on a small thread pool) and aggregated in grid
-    order. The resulting curve must be internally consistent: p* cannot
-    increase with M, the receiver ceiling cannot decrease, and once it turns
-    infinite it stays infinite; any violation raises
-    :class:`NumericalError` rather than returning a misleading curve.
+    independently, in grid order. The resulting curve must be internally
+    consistent: p* cannot increase with M, the receiver ceiling cannot
+    decrease, and once it turns infinite it stays infinite; any violation
+    raises :class:`NumericalError` rather than returning a misleading curve.
 
     On a correct floor solve the checks cannot fire, however fine the grid.
     Every design bisects [0, 1] from the same start, so two targets M < M'
@@ -151,11 +149,7 @@ def sweep_tradeoff(sys: LinearSystem, ch: ChannelParams, M_grid,
         return TradeoffPoint(M=M, p_star=res.p_star, trS=res.trS_at_p_star,
                              trV=res.trV_at_p_star)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            points = tuple(pool.map(solve_one, grid))
-    else:
-        points = tuple(solve_one(M) for M in grid)
+    points = tuple(solve_one(M) for M in grid)
 
     for prev, cur in zip(points, points[1:]):
         if cur.p_star > prev.p_star + epsilon:

@@ -12,42 +12,19 @@ propagates open loop (lam = 0). Intermediate values of lam appear when the
 recursion is averaged over the reception process, which is how the bound
 solvers elsewhere in the package use this map.
 
-Convention: a :class:`FilterState` holds the prediction pair, i.e. xhat is
-the estimate of x(k) given data through k-1 and P is its error covariance.
+:func:`filter_errors` is the one stepped filter: it propagates the
+estimation error and the prediction covariance over a whole reception
+sequence. :func:`batch_covariance_oracle` is an independent route to the
+same covariances, kept for cross-checking.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericalError, ValidationError
 from .linmodel import LinearSystem
-
-
-@dataclass
-class FilterState:
-    """Prediction pair (xhat, P) at step k."""
-
-    xhat: np.ndarray
-    P: np.ndarray
-    k: int = 0
-
-
-@dataclass
-class ReceptionFlag:
-    """Whether a measurement arrived this step, and its value if it did."""
-
-    gamma: bool
-    payload: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.gamma and self.payload is None:
-            raise ValidationError("a received measurement needs a payload")
-        if not self.gamma and self.payload is not None:
-            raise ValidationError("a missed measurement cannot carry a payload")
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
@@ -99,35 +76,45 @@ def kalman_gain(P, sys: LinearSystem) -> np.ndarray:
         raise NumericalError(f"innovation covariance solve failed: {exc}") from exc
 
 
-def measurement_update(state: FilterState, flag: ReceptionFlag,
-                       sys: LinearSystem) -> np.ndarray:
-    """Filtered estimate of x(k): the prediction corrected by y(k) if it arrived."""
-    xhat = np.asarray(state.xhat, dtype=float).reshape(-1)
-    if xhat.shape != (sys.n,):
-        raise ValidationError(f"xhat must have shape ({sys.n},), got {state.xhat!r}")
-    if not flag.gamma:
-        return xhat.copy()
-    y = np.asarray(flag.payload, dtype=float).reshape(-1)
-    if y.shape != (sys.m,):
-        raise ValidationError(f"payload must have shape ({sys.m},), got {flag.payload!r}")
-    K = kalman_gain(state.P, sys)
-    return xhat + K @ (y - sys.C @ xhat)
+def filter_errors(sys: LinearSystem, gammas, e0, w, v):
+    """Run the intermittent Kalman filter over a reception sequence, in error form.
 
+    With e(k) the prediction error xhat(k|k-1) - x(k) and P(k) its
+    covariance, step k applies
 
-def filter_step(state: FilterState, flag: ReceptionFlag,
-                sys: LinearSystem) -> FilterState:
-    """Advance the prediction pair one step.
+        e_f(k) = e(k) + gamma(k) K(k) (v(k) - C e(k)),   K(k) = kalman_gain(P(k)),
+        e(k+1) = A e_f(k) - w(k),                        P(k+1) = g_gamma(k)(P(k)),
 
-    On reception: measurement-update the estimate with the gain built from
-    the current P, then time-update; the covariance becomes g_1(P). On a
-    miss: propagate open loop; the covariance becomes g_0(P).
+    from e(0) = e0 and P(0) = Sigma0. Returns the filtered errors e_f(k) for
+    k = 0..N-1 as an (N, n) array and the prediction covariances P(k) for
+    k = 0..N as an (N+1, n, n) array, N = len(gammas). ``w`` must broadcast
+    to (N, n) and ``v`` to (N, m).
+
+    The recursion is linear, so the same call runs the estimator in absolute
+    coordinates: with e0 the prior mean, w = 0 and the measurements y in
+    place of v, the returned rows are the filtered estimates xhat(k|k).
     """
-    P = np.asarray(state.P, dtype=float)
-    if P.shape != (sys.n, sys.n):
-        raise ValidationError(f"P must be {sys.n}x{sys.n}, got {P.shape}")
-    x_filtered = measurement_update(state, flag, sys)
-    P_next = riccati_map(P, sys, 1.0 if flag.gamma else 0.0)
-    return FilterState(xhat=sys.A @ x_filtered, P=P_next, k=state.k + 1)
+    gammas = np.asarray(gammas, dtype=bool).reshape(-1)
+    N, n = gammas.shape[0], sys.n
+    e = np.asarray(e0, dtype=float).reshape(-1)
+    if e.shape != (n,):
+        raise ValidationError(f"e0 must have shape ({n},), got {np.shape(e0)}")
+    try:
+        w = np.broadcast_to(np.asarray(w, dtype=float), (N, n))
+        v = np.broadcast_to(np.asarray(v, dtype=float), (N, sys.m))
+    except ValueError as exc:
+        raise ValidationError(f"w and v must cover {N} steps: {exc}") from exc
+    A, C = sys.A, sys.C
+    E = np.empty((N, n))
+    P = np.empty((N + 1, n, n))
+    P[0] = sys.Sigma0
+    for k, got in enumerate(gammas):
+        if got:
+            e = e + kalman_gain(P[k], sys) @ (v[k] - C @ e)
+        E[k] = e
+        e = A @ e - w[k]
+        P[k + 1] = riccati_map(P[k], sys, 1.0 if got else 0.0)
+    return E, P
 
 
 def batch_covariance_oracle(sys: LinearSystem, gammas) -> np.ndarray:

@@ -36,7 +36,7 @@ from .channel import (
     RngStream,
 )
 from .errors import ValidationError
-from .kalman import kalman_gain, riccati_map
+from .kalman import filter_errors, riccati_map
 from .linmodel import LinearSystem
 
 _RECEIVERS = ("user", "eavesdropper")
@@ -134,38 +134,24 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
 
     x = np.empty((steps, n))
     y = np.empty((steps, m))
-    xhat = [np.empty((steps, n)), np.empty((steps, n))]
-    trP = [np.empty(steps), np.empty(steps)]
-    err = [np.empty(steps), np.empty(steps)]
-
-    # The plant is unstable, so x and xhat both blow up exponentially while
-    # their difference stays moderate; subtracting them in absolute
-    # coordinates loses every significant digit once rho(A)^k ~ 1/eps.
-    # The estimation error is therefore propagated by its own recursion:
-    #   e_f = e_p + gamma K (v - C e_p),   e_p' = A e_f - w,
-    # with e_p(0) = xhat(0) - x(0) = -x(0). This is the filter's error in
-    # exact arithmetic; the recorded xhat is reconstructed as x + e_f.
-    errs = [-x0.copy(), -x0.copy()]
-    covs = [sys.Sigma0.copy(), sys.Sigma0.copy()]
-    gammas = (gamma1, gamma2)
     x_cur = x0
     for k in range(steps):
         x[k] = x_cur
         y[k] = sys.C @ x_cur + v[k]
-        for i in range(2):
-            got = bool(gammas[i][k])
-            e_f = errs[i]
-            if got:
-                K = kalman_gain(covs[i], sys)
-                e_f = e_f + K @ (v[k] - sys.C @ e_f)
-            xhat[i][k] = x_cur + e_f
-            trP[i][k] = np.trace(covs[i])
-            err[i][k] = np.linalg.norm(e_f)
-            if k < T:
-                errs[i] = sys.A @ e_f - w[k]
-                covs[i] = riccati_map(covs[i], sys, 1.0 if got else 0.0)
-        if k < T:
-            x_cur = sys.A @ x_cur + w[k]
+        x_cur = sys.A @ x_cur + w[k]
+
+    # The plant is unstable, so x and xhat both blow up exponentially while
+    # their difference stays moderate; subtracting them in absolute
+    # coordinates loses every significant digit once rho(A)^k ~ 1/eps.
+    # Each receiver's filter therefore runs on the estimation error, from
+    # e(0) = xhat(0) - x(0) = -x(0), and the recorded xhat is x + e_f.
+    xhat, trP, err = [], [], []
+    for gammas in (gamma1, gamma2):
+        e_f, P = filter_errors(sys, gammas, -x0, w, v)
+        xhat.append(x + e_f)
+        trP.append(np.trace(P[:steps], axis1=1, axis2=2))
+        # Row by row: norm(..., axis=1) rounds differently in the last bit.
+        err.append(np.array([np.linalg.norm(e) for e in e_f]))
 
     return SimulationTrace(
         k=np.arange(steps), x=x, y=y, sent=sent,

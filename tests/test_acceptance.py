@@ -14,15 +14,13 @@ from scipy.optimize import brentq
 
 from secest import (
     ChannelParams,
-    FilterState,
     Mechanism,
-    ReceptionFlag,
     ScalarSystem,
     batch_covariance_oracle,
     collapse_events,
     design_p_star,
     expected_error_curve,
-    filter_step,
+    filter_errors,
     meets_divergence_criterion,
     meets_plateau_criterion,
     p_lower,
@@ -194,11 +192,9 @@ def test_criterion_5_filter_equivalence_oracle():
     for _ in range(100):
         gammas = rng.random(50) < 0.5
         oracle = batch_covariance_oracle(lin, gammas)
-        state = FilterState(xhat=np.zeros(2), P=lin.Sigma0.copy())
-        for t, g in enumerate(gammas):
-            flag = ReceptionFlag(bool(g), np.zeros(1) if g else None)
-            state = filter_step(state, flag, lin)
-            worst = max(worst, float(np.max(np.abs(state.P - oracle[t]))))
+        _, P = filter_errors(lin, gammas, np.zeros(2), 0.0, np.zeros((50, 1)))
+        for t in range(50):
+            worst = max(worst, float(np.max(np.abs(P[t + 1] - oracle[t]))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed < 5.0
     record_acceptance(

@@ -238,16 +238,6 @@ class TestCliSuccess:
         assert rows[0] == ["M", "p_star", "trS", "trV"]
         assert len(rows) == 6
 
-    def test_sweep_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SECRECY_THREADS", "4")
-        code, out4, _ = run_cli(capsys, "sweep", "--config", SCALAR_CFG,
-                                "--m-min", "2", "--m-max", "10", "--m-points", "4")
-        monkeypatch.setenv("SECRECY_THREADS", "1")
-        code1, out1, _ = run_cli(capsys, "sweep", "--config", SCALAR_CFG,
-                                 "--m-min", "2", "--m-max", "10", "--m-points", "4")
-        assert code == 0 and code1 == 0
-        assert out4["result"]["points"] == out1["result"]["points"]
-
 
 class TestCliFailure:
     def test_stable_plant_reports_failures(self, capsys, tmp_path):
@@ -304,12 +294,33 @@ class TestCliFailure:
         assert code == 1
         assert "together" in err["error"]["message"]
 
-    def test_bad_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SECRECY_THREADS", "many")
-        code, _, err = run_cli(capsys, "sweep", "--config", SCALAR_CFG,
-                               "--m-min", "2", "--m-max", "10", "--m-points", "3")
-        assert code == 1
-        assert "SECRECY_THREADS" in err["error"]["message"]
+    def test_infinite_horizon_is_config_error(self, capsys, tmp_path):
+        doc = dict(base_doc(), p=0.5, T=float("inf"))
+        code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path, doc))
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["pointer"] == "/T"
+
+    def test_nan_seed_is_config_error(self, capsys, tmp_path):
+        doc = dict(base_doc(), p=0.5, seed=float("nan"))
+        code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path, doc))
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["pointer"] == "/seed"
+
+    def test_negative_seed_flag_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--config", SCALAR_CFG,
+                                 "--p", "0.5", "--steps", "5", "--seed", "-1")
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ValidationError"
+        assert "seed" in err["error"]["message"]
+
+    def test_negative_seed_in_config_rejected(self, capsys, tmp_path):
+        doc = dict(base_doc(), p=0.5, T=5, seed=-1)
+        code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path, doc))
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ValidationError"
+        assert "seed" in err["error"]["message"]
 
     def test_scalar_command_rejects_matrix_system(self, capsys):
         code, _, err = run_cli(capsys, "scalar", "--config", SECOND_CFG)

@@ -88,12 +88,6 @@ class TestSweep:
         finite_v = [pt.trV for pt in curve.points if not math.isinf(pt.trV)]
         assert all(b >= a - 1e-6 for a, b in zip(finite_v, finite_v[1:]))
 
-    def test_thread_pool_equivalence(self, scalar_sys, channel_97):
-        grid = list(np.linspace(2.0, 40.0, 8))
-        serial = sweep_tradeoff(scalar_sys, channel_97, grid, threads=1)
-        pooled = sweep_tradeoff(scalar_sys, channel_97, grid, threads=4)
-        assert serial.points == pooled.points
-
     def test_infinite_tail_is_sticky(self, scalar_sys):
         # weak user link turns the ceiling infinite for large targets and it
         # must stay infinite from there on

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+import secest
 from secest import (
-    FilterState,
-    ReceptionFlag,
+    LinearSystem,
     ValidationError,
     batch_covariance_oracle,
-    filter_step,
+    filter_errors,
     kalman_gain,
-    measurement_update,
     riccati_map,
 )
 
@@ -74,42 +73,66 @@ def test_kalman_gain_scalar(scalar_sys):
     assert kalman_gain(np.array([[2.0]]), scalar_sys)[0, 0] == pytest.approx(2.0 / 3.0)
 
 
-def test_reception_flag_payload_consistency():
-    ReceptionFlag(True, np.zeros(1))
-    ReceptionFlag(False, None)
-    with pytest.raises(ValidationError):
-        ReceptionFlag(True, None)
-    with pytest.raises(ValidationError):
-        ReceptionFlag(False, np.zeros(1))
-
-
 class TestFilterStep:
-    def test_open_loop(self, scalar_sys):
-        state = FilterState(xhat=np.array([1.0]), P=np.array([[2.0]]))
-        nxt = filter_step(state, ReceptionFlag(False, None), scalar_sys)
-        assert nxt.xhat[0] == pytest.approx(1.2)
-        assert nxt.P[0, 0] == pytest.approx(3.88)  # 1.44*2 + 1
-        assert nxt.k == 1
+    @pytest.fixture
+    def sys_p2(self):
+        # a = 1.2, c = q = r = 1 started from P(0) = 2
+        return LinearSystem(A=1.2, C=1.0, Q=1.0, R=1.0, Sigma0=2.0)
 
-    def test_reception(self, scalar_sys):
-        state = FilterState(xhat=np.array([1.0]), P=np.array([[2.0]]))
-        nxt = filter_step(state, ReceptionFlag(True, np.array([2.0])), scalar_sys)
+    def test_open_loop(self, sys_p2):
+        xf, P = filter_errors(sys_p2, [False, False], [1.0], 0.0, [[2.0], [0.0]])
+        assert xf[1, 0] == pytest.approx(1.2)
+        assert P[1, 0, 0] == pytest.approx(3.88)  # 1.44*2 + 1
+
+    def test_reception(self, sys_p2):
+        xf, P = filter_errors(sys_p2, [True, False], [1.0], 0.0, [[2.0], [0.0]])
         # gain 2/3, filtered 1 + 2/3, then times a
-        assert nxt.xhat[0] == pytest.approx(1.2 * (1.0 + 2.0 / 3.0))
-        assert nxt.P[0, 0] == pytest.approx(1.96)  # g_1(2) = 3.88 - 1.44*4/3
+        assert xf[0, 0] == pytest.approx(1.0 + 2.0 / 3.0)
+        assert xf[1, 0] == pytest.approx(1.2 * (1.0 + 2.0 / 3.0))
+        assert P[1, 0, 0] == pytest.approx(1.96)  # g_1(2) = 3.88 - 1.44*4/3
 
     def test_measurement_update_identity_when_missed(self, second_order_sys):
-        state = FilterState(xhat=np.array([0.5, -0.5]), P=second_order_sys.Sigma0)
-        filtered = measurement_update(state, ReceptionFlag(False, None), second_order_sys)
-        assert np.array_equal(filtered, state.xhat)
+        e0 = np.array([0.5, -0.5])
+        E, _ = filter_errors(second_order_sys, [False], e0, 0.0, [[3.0]])
+        assert np.array_equal(E[0], e0)
+
+    def test_shapes_and_validation(self, second_order_sys):
+        E, P = filter_errors(second_order_sys, [True, False, True], np.zeros(2),
+                             0.0, np.zeros((3, 1)))
+        assert E.shape == (3, 2) and P.shape == (4, 2, 2)
+        assert np.array_equal(P[0], second_order_sys.Sigma0)
+        E, P = filter_errors(second_order_sys, [], np.zeros(2), 0.0, 0.0)
+        assert E.shape == (0, 2) and P.shape == (1, 2, 2)
+        with pytest.raises(ValidationError):
+            filter_errors(second_order_sys, [True], np.zeros(3), 0.0, 0.0)
+        with pytest.raises(ValidationError):
+            filter_errors(second_order_sys, [True, False], np.zeros(2), 0.0, np.zeros((3, 1)))
 
     def test_covariance_matches_riccati(self, second_order_sys):
-        state = FilterState(xhat=np.zeros(2), P=second_order_sys.Sigma0)
-        for got in (True, False, True, True, False):
-            flag = ReceptionFlag(got, np.zeros(1) if got else None)
-            expected = riccati_map(state.P, second_order_sys, 1.0 if got else 0.0)
-            state = filter_step(state, flag, second_order_sys)
-            assert np.max(np.abs(state.P - expected)) < 1e-12
+        gammas = [True, False, True, True, False]
+        _, P = filter_errors(second_order_sys, gammas, np.zeros(2), 0.0, np.zeros((5, 1)))
+        for k, got in enumerate(gammas):
+            expected = riccati_map(P[k], second_order_sys, 1.0 if got else 0.0)
+            assert np.max(np.abs(P[k + 1] - expected)) < 1e-12
+
+    def test_error_form_equals_absolute_estimate(self, second_order_sys):
+        """Error form on (-x0, w, v) is the estimate on (0, 0, y) minus x."""
+        sys, T = second_order_sys, 20
+        rng = np.random.default_rng(17)
+        gammas = rng.random(T) < 0.6
+        x0 = rng.normal(size=2)
+        w = rng.normal(size=(T, 2))
+        v = rng.normal(size=(T, 1))
+        x = np.empty((T, 2))
+        x_cur = x0
+        for k in range(T):
+            x[k] = x_cur
+            x_cur = sys.A @ x_cur + w[k]
+        y = x @ sys.C.T + v
+        e_f, P_err = filter_errors(sys, gammas, -x0, w, v)
+        xhat, P_abs = filter_errors(sys, gammas, np.zeros(2), 0.0, y)
+        assert np.max(np.abs(e_f - (xhat - x))) < 1e-10
+        assert np.array_equal(P_err, P_abs)
 
 
 def test_batch_oracle_agrees_with_stepped_filter(second_order_sys):
@@ -118,11 +141,13 @@ def test_batch_oracle_agrees_with_stepped_filter(second_order_sys):
     for _ in range(30):
         gammas = rng.random(40) < rng.uniform(0.2, 0.9)
         oracle = batch_covariance_oracle(second_order_sys, gammas)
-        state = FilterState(xhat=np.zeros(2), P=second_order_sys.Sigma0)
-        for k, got in enumerate(gammas):
-            flag = ReceptionFlag(bool(got), np.zeros(1) if got else None)
-            state = filter_step(state, flag, second_order_sys)
-            assert np.max(np.abs(state.P - oracle[k])) < 1e-9
+        _, P = filter_errors(second_order_sys, gammas, np.zeros(2), 0.0, np.zeros((40, 1)))
+        assert np.max(np.abs(P[1:] - oracle)) < 1e-9
+
+
+def test_public_names_resolve():
+    for name in secest.__all__:
+        assert getattr(secest, name) is not None, name
 
 
 def test_batch_oracle_empty_sequence(second_order_sys):
