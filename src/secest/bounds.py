@@ -2,12 +2,15 @@
 
 For an unstable plant observed through Bernoulli receptions at rate lam,
 boundedness of the expected prediction covariance has a phase transition at
-a critical rate p_c. That rate is bracketed by two computable quantities:
+a critical rate p_c, the threshold of the modified Riccati equation
+(Sinopoli et al., IEEE TAC 2004). Two quantities bracket it:
 
 * ``p_lower`` = 1 - 1/rho(A)^2, from the open-loop growth argument;
-* ``p_upper`` = the smallest lam for which some X satisfies X >= g_lam(X),
-  where g_lam is the averaged Riccati map from :mod:`secest.kalman`. The two
-  coincide for scalar plants and whenever C is square and invertible.
+* ``p_upper`` = p_c to within 1e-6 above, bisected on a two-sided
+  certificate on A's unstable Schur block (:func:`feasibility_check`). It
+  meets ``p_lower`` whenever C sees the unstable subspace with full column
+  rank, e.g. for scalar plants and square invertible C; for a single output
+  it is 1 - 1/prod|lambda_u|^2 (Schenato et al., Proc. IEEE 2007).
 
 On top of the bracket sit the two quantities the withholding designer
 trades off, evaluated at the receivers' effective rates:
@@ -29,31 +32,29 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .channel import ChannelParams
 from .errors import InconclusiveError, NumericalError, ValidationError
 from .kalman import riccati_map
-from .linmodel import LinearSystem
-
-# Spec'd iteration defaults: convergence is relative change below 1e-9, the
-# divergence cutoff scales with the initial condition.
-_FEAS_CONVERGENCE_RTOL = 1e-9
-_FEAS_DEFAULT_MAX_ITERS = 100_000
-_DIV_THRESHOLD_SCALE = 1e12
+from .linmodel import LinearSystem, triangular_stein
 
 # Width of the final p_upper bisection bracket; critical_rates calls the
 # bracket exact once it closes to within 10x this width.
 _P_UPPER_TOL = 1e-6
 
-# solve_V stops once an iteration moves no entry by more than this, relative
-# to the iterate's largest entry, within the feasibility iteration budget.
-_V_TOL = 1e-10
+# The one budget of the feasibility certificate loop. Probes a bisection
+# bracket width from the threshold settle within a few hundred steps.
+_CERT_MAX_ITERS = 10_000
 
-# Per-probe iteration budget inside the p_upper bisection. The witness
-# certificate classifies feasible probes in a handful of steps, so a probe
-# that burns the whole budget is treated as infeasible, which can only push
-# the returned rate upward (the conservative direction).
-_PROBE_MAX_ITERS = 3000
+# Weight of the previous iterate in the certificate loop; it damps the
+# period-2 orbit a quarter-turn rotation sets up in the plain normalized map.
+_CERT_DAMPING = 0.1
+
+# solve_V stops once an iteration moves no entry by more than this, relative
+# to the iterate's largest entry, within _V_MAX_ITERS iterations.
+_V_TOL = 1e-10
+_V_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -133,107 +134,93 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     return BoundValue.from_matrix(S)
 
 
-def _certificate_holds(X: np.ndarray, sys: LinearSystem, lam: float) -> bool:
-    # X is a witness iff X - g_lam(X) is PSD (up to scaled roundoff slack).
-    gap = X - riccati_map(X, sys, lam)
-    slack = _FEAS_CONVERGENCE_RTOL * (1.0 + float(np.max(np.abs(X))))
-    return bool(np.linalg.eigvalsh(0.5 * (gap + gap.T))[0] >= -slack)
+def feasibility_check(lam: float, sys: LinearSystem) -> bool:
+    """Decide whether the averaged Riccati iteration stays bounded at rate lam.
 
+    The question only concerns A's unstable block: with the sorted Schur
+    factor A = U T U^H, T_u = T[:k, :k] and W an orthonormal basis of the row
+    space of C U[:, :k], let
 
-def feasibility_check(lam: float, sys: LinearSystem,
-                      max_iters: int = _FEAS_DEFAULT_MAX_ITERS) -> bool:
-    """Decide whether some X >= g_lam(X) exists, i.e. whether the averaged
-    Riccati iteration admits a bounded fixed point at rate lam.
+        h(X) = T_u (X - lam X W^H (W X W^H)^-1 W X) T_u^H,
 
-    Iterates X_{k+1} = g_lam(X_k) from Sigma0. Convergence of the iteration
-    or an explicit witness certificate (a scaled iterate X with
-    X >= g_lam(X), checked directly) proves feasibility; the trace crossing
-    1e12 times Tr Sigma0 signals divergence. If the budget runs out with
-    neither, an :class:`InconclusiveError` is raised so the caller can widen
-    brackets conservatively.
+    the noise-free Riccati map of that block. For any X > 0,
+
+    * max eig(h(X), X) < 1 proves lam feasible: the gain X W^H (W X W^H)^-1
+      makes the second-moment operator of the error a contraction;
+    * min eig(h(X), X) > 1 proves lam infeasible: g_lam >= h and h is
+      monotone and homogeneous, so the iterates grow without bound.
+
+    Starting from the Stein solution of X = (1 - lam) T_u X T_u^H + I, the
+    loop applies X <- h(X)/tr h(X) + 0.1 X/tr X until one of the two
+    certificates holds. Rates at or below ``p_lower`` are infeasible and a
+    plant without unstable modes is feasible, both without iterating. An
+    :class:`InconclusiveError` is raised if neither certificate holds within
+    the budget, which happens at rates within roundoff of the threshold and
+    for plants whose unstable modes are not all observed.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lam must lie in [0, 1], got {lam}")
-    div_threshold = _DIV_THRESHOLD_SCALE * float(np.trace(sys.Sigma0))
-    # Closed-form witness ladder: whenever (1-lam) rho(A)^2 < 1 the
-    # discounted Lyapunov solution exists, and large multiples of it satisfy
-    # the certificate for every feasible lam when C has full column rank
-    # (and sometimes beyond). Sufficient, never necessary, so failures just
-    # fall through to the iteration.
-    try:
-        base = sys.schur.discounted_lyapunov(1.0 - lam)
-    except NumericalError:
-        base = None
-    if base is not None:
-        for t in (1e2, 1e5, 1e8, 1e11):
-            if _certificate_holds(t * base, sys, lam):
-                return True
-    X = sys.Sigma0.copy()
-    tr = float(np.trace(X))
-    for it in range(int(max_iters)):
-        Xn = riccati_map(X, sys, lam)
-        if np.max(np.abs(Xn - X)) <= _FEAS_CONVERGENCE_RTOL * (1.0 + np.max(np.abs(X))):
-            return True
-        tr = float(np.trace(Xn))
-        if tr > div_threshold:
-            return False
-        # Scale the fresh iterate up to the divergence cutoff and test it as
-        # an explicit witness. Near the transition the fixed point is huge,
-        # so convergence is slow, but the iterate's shape settles quickly and
-        # the scaled copy certifies feasibility long before convergence.
-        scale = div_threshold / max(tr, np.finfo(float).tiny)
-        if scale > 1.0 and _certificate_holds(scale * Xn, sys, lam):
-            return True
-        X = Xn
-    raise InconclusiveError(
-        f"feasibility at rate {lam:.9g} undecided after {max_iters} iterations "
-        f"(trace {tr:.6g} vs cutoff {div_threshold:.6g})",
-        iterations=int(max_iters), last_trace=tr,
-    )
-
-
-def _probe_feasible(lam: float, sys: LinearSystem, max_iters: int) -> bool:
-    # Unknown counts as infeasible: that can only widen the bracket upward.
-    try:
-        return feasibility_check(lam, sys, max_iters=max_iters)
-    except InconclusiveError:
+    schur = sys.schur
+    k = schur.k
+    if k == 0:
+        return True
+    if lam <= p_lower(sys):
         return False
+    Tu = schur.T[:k, :k]
+    _, s, Vh = np.linalg.svd(sys.C @ schur.U[:, :k])
+    W = Vh[:int(np.sum(s > max(sys.m, k) * np.finfo(float).eps * s[0]))]
+    X = triangular_stein(Tu, np.eye(k), 1.0 - lam)
+    for it in range(1, _CERT_MAX_ITERS + 1):
+        XW = X @ W.conj().T
+        try:
+            H = Tu @ (X - lam * XW @ np.linalg.solve(W @ XW, XW.conj().T)) @ Tu.conj().T
+            H = 0.5 * (H + H.conj().T)
+            mu = sla.eigh(H, X, eigvals_only=True)
+        except ValueError:  # X turned singular or non-finite; LinAlgError included
+            break
+        if mu[-1] < 1.0:
+            return True
+        if mu[0] > 1.0:
+            return False
+        X = H / np.trace(H).real + _CERT_DAMPING * X / np.trace(X).real
+    raise InconclusiveError(f"feasibility at rate {lam:.9g} undecided after {it} iterations",
+                            iterations=it)
 
 
 _p_upper_cache: "weakref.WeakKeyDictionary[LinearSystem, float]" = weakref.WeakKeyDictionary()
 
 
 def p_upper(sys: LinearSystem) -> float:
-    """Bisect for the smallest rate admitting a bounded fixed point.
+    """Bisect for the smallest rate at which the averaged Riccati iteration
+    stays bounded, with :func:`feasibility_check` deciding each probe.
 
     Runs on [p_lower(sys), 1] down to a bracket of width 1e-6 and returns
-    its feasible end, so the result errs on the high (conservative) side
-    and always satisfies result >= p_lower - 1e-6. Results are cached per
-    system instance; the bracketing feasibility probes dominate the cost.
+    its feasible end, so the result lies within 1e-6 above the critical
+    rate. An undecided probe counts as infeasible, which can only push the
+    result upward. Raises :class:`NumericalError` when full reception is
+    not certified feasible (e.g. an unstable mode C does not see). Results
+    are cached per system instance.
     """
     cached = _p_upper_cache.get(sys)
     if cached is not None:
         return cached
 
+    def feasible(lam: float) -> bool:
+        try:
+            return feasibility_check(lam, sys)
+        except InconclusiveError:
+            return False
+
     lo = p_lower(sys)
     hi = 1.0
-    if not _probe_feasible(hi, sys, _PROBE_MAX_ITERS):
-        # The classical filter should admit a fixed point; escalate to the
-        # full budget before giving up.
-        try:
-            top_ok = feasibility_check(hi, sys)
-        except InconclusiveError as exc:
-            raise NumericalError(
-                f"feasibility undecided on the whole bracket [{lo:.9g}, 1]"
-            ) from exc
-        if not top_ok:
-            raise NumericalError(
-                "no bounded fixed point even at full reception; the system "
-                "violates the solver's assumptions"
-            )
+    if not feasible(hi):
+        raise NumericalError(
+            "no bounded fixed point certified even at full reception; the "
+            "system violates the solver's assumptions (is (A, C) detectable?)"
+        )
     while hi - lo > _P_UPPER_TOL:
         mid = 0.5 * (lo + hi)
-        if _probe_feasible(mid, sys, _PROBE_MAX_ITERS):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
@@ -248,16 +235,21 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     effective rate clears ``p_upper``; otherwise the ceiling is infinite.
     The final iterate is polished with one geometric-tail extrapolation,
     which matters near the transition where plain iteration stalls.
+
+    Within about 1e-4 of ``p_upper`` the iteration still moves after its
+    100 000-iteration budget, and a :class:`NumericalError` naming the rate,
+    ``p_upper`` and the budget is raised (the CLI exits 2).
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
     rate = p * ch.p1
-    if rate <= p_upper(sys):
+    pu = p_upper(sys)
+    if rate <= pu:
         return BoundValue.infinite()
 
     V = sys.Sigma0.copy()
     delta_prev = None
-    for _ in range(_FEAS_DEFAULT_MAX_ITERS):
+    for _ in range(_V_MAX_ITERS):
         Vn = riccati_map(V, sys, rate)
         D = Vn - V
         step = float(np.max(np.abs(D)))
@@ -275,8 +267,9 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
         delta_prev = float(np.linalg.norm(D))
         V = Vn
     raise NumericalError(
-        f"fixed-point iteration did not converge in {_FEAS_DEFAULT_MAX_ITERS} iterations at "
-        f"effective rate {rate:.9g} although a bounded fixed point was predicted"
+        f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "
+        f"effective rate {rate:.9g}, {rate - pu:.3g} above p_upper = {pu:.9g}; "
+        "the fixed point is bounded but too slow to reach there"
     )
 
 

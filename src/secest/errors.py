@@ -28,14 +28,11 @@ class NumericalError(RuntimeError):
 
 
 class InconclusiveError(NumericalError):
-    """An iteration neither converged nor diverged within its budget.
+    """An iteration reached no verdict within its budget.
 
-    Carries enough context for the caller to widen brackets or retry with a
-    larger budget.
+    ``iterations`` holds how many steps were spent.
     """
 
-    def __init__(self, message: str, iterations: int | None = None,
-                 last_trace: float | None = None):
+    def __init__(self, message: str, iterations: int | None = None):
         super().__init__(message)
         self.iterations = iterations
-        self.last_trace = last_trace

@@ -31,6 +31,19 @@ def _sym(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.T)
 
 
+def _innovation_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """S^(-1) B for the innovation covariance S = C X C' + R, by a PD solve."""
+    if S.shape == (1, 1):
+        s = S[0, 0]
+        if not s > 0.0:
+            raise NumericalError("innovation variance is not positive")
+        return B / s
+    try:
+        return sla.solve(S, B, assume_a="pos")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"innovation covariance solve failed: {exc}") from exc
+
+
 def riccati_map(X, sys: LinearSystem, lam: float) -> np.ndarray:
     """Apply g_lam once. Requires lam in [0, 1] and X symmetric PSD-ish.
 
@@ -45,35 +58,15 @@ def riccati_map(X, sys: LinearSystem, lam: float) -> np.ndarray:
     if lam == 0.0:
         return _sym(open_loop)
     AXC = A @ X @ C.T
-    S = C @ X @ C.T + R
-    if S.shape == (1, 1):
-        s = S[0, 0]
-        if not s > 0.0:
-            raise NumericalError("innovation variance is not positive")
-        corr = AXC @ (AXC.T / s)
-    else:
-        try:
-            corr = AXC @ sla.solve(S, AXC.T, assume_a="pos")
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"innovation covariance solve failed: {exc}") from exc
+    corr = AXC @ _innovation_solve(C @ X @ C.T + R, AXC.T)
     return _sym(open_loop - lam * corr)
 
 
 def kalman_gain(P, sys: LinearSystem) -> np.ndarray:
     """K = P C' (C P C' + R)^(-1), computed with a PD solve."""
     P = _sym(np.asarray(P, dtype=float))
-    C, R = sys.C, sys.R
-    PC = P @ C.T
-    S = C @ PC + R
-    if S.shape == (1, 1):
-        s = S[0, 0]
-        if not s > 0.0:
-            raise NumericalError("innovation variance is not positive")
-        return PC / s
-    try:
-        return sla.solve(S, PC.T, assume_a="pos").T
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"innovation covariance solve failed: {exc}") from exc
+    PC = P @ sys.C.T
+    return _innovation_solve(sys.C @ PC + sys.R, PC.T).T
 
 
 def filter_errors(sys: LinearSystem, gammas, e0, w, v):

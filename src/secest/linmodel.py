@@ -19,8 +19,11 @@ and the discounted Lyapunov (Stein) solve
 
 Each :class:`LinearSystem` computes one complex Schur factorization
 A = U T U^H (T upper triangular, the eigenvalues of A on its diagonal) on
-first use and keeps it; the plant's spectral radius and all its Stein solves
-read off that factor. In the Schur basis the Stein equation becomes
+first use and keeps it, sorted so that the k eigenvalues with |lambda| > 1
+come first: T[:k, :k] is A on its unstable invariant subspace, which the
+critical-rate certificate in :mod:`secest.bounds` works on alone. The
+spectral radius and all Stein solves read off the same factor. In the Schur
+basis the Stein equation becomes
 X = alpha T X T^H + U^H Q U, solved column by column from the last: column j
 is one n x n triangular solve against I - alpha conj(T_jj) T, whose
 right-hand side only involves the columns already found (Kitagawa, Int. J.
@@ -73,24 +76,43 @@ def _maybe_symmetrize(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def triangular_stein(T: np.ndarray, F: np.ndarray, alpha: float) -> np.ndarray:
+    """Solve X = alpha T X T^H + F for upper triangular T with
+    alpha * max|T_jj|^2 < 1, column by column."""
+    n = T.shape[0]
+    aTh = alpha * T.conj()  # row j is alpha * (column j of T^H)
+    eye = np.eye(n)
+    X = np.empty((n, n), dtype=complex)
+    # Column j of X = alpha T X T^H + F couples X[:, j] only to the later
+    # columns, and the diagonal 1 - alpha conj(T_jj) T_ii stays at least
+    # 1 - alpha rho^2 away from zero.
+    for j in range(n - 1, -1, -1):
+        rhs = F[:, j] + T @ (X[:, j + 1:] @ aTh[j, j + 1:])
+        X[:, j] = _trtrs(eye - aTh[j, j] * T, rhs)[0]
+    return X
+
+
 @dataclass(frozen=True, eq=False)
 class SchurFactor:
-    """Complex Schur form A = U T U^H, with Q carried into the same basis.
+    """Sorted complex Schur form A = U T U^H, with Q carried into the same basis.
 
     ``T`` is upper triangular and holds the eigenvalues of A on its
-    diagonal, so ``rho`` is read off it; ``QU`` is U^H Q U.
+    diagonal, the ``k`` of modulus greater than one first, so ``T[:k, :k]``
+    is the unstable block and ``U[:, :k]`` spans its invariant subspace;
+    ``rho`` is read off the diagonal and ``QU`` is U^H Q U.
     """
 
     T: np.ndarray
     U: np.ndarray
     QU: np.ndarray
     rho: float
+    k: int
 
     @classmethod
     def of(cls, A: np.ndarray, Q: np.ndarray) -> "SchurFactor":
-        T, U = sla.schur(A, output="complex")
+        T, U, k = sla.schur(A, output="complex", sort="ouc")
         return cls(T=T, U=U, QU=U.conj().T @ Q @ U,
-                   rho=float(np.max(np.abs(np.diag(T)))))
+                   rho=float(np.max(np.abs(np.diag(T)))), k=int(k))
 
     def discounted_lyapunov(self, alpha: float) -> np.ndarray:
         """Solve S = alpha * A S A' + Q; see :func:`solve_discounted_lyapunov`.
@@ -101,17 +123,7 @@ class SchurFactor:
             raise NumericalError(
                 f"no bounded solution: alpha * rho(A)^2 = {alpha * self.rho * self.rho:.12g} >= 1"
             )
-        T = self.T
-        n = T.shape[0]
-        aTh = alpha * T.conj()  # row j is alpha * (column j of T^H)
-        eye = np.eye(n)
-        X = np.empty((n, n), dtype=complex)
-        # Column j of X = alpha T X T^H + QU couples X[:, j] only to the later
-        # columns, and the diagonal 1 - alpha conj(T_jj) T_ii stays at least
-        # 1 - alpha rho^2 away from zero.
-        for j in range(n - 1, -1, -1):
-            rhs = self.QU[:, j] + T @ (X[:, j + 1:] @ aTh[j, j + 1:])
-            X[:, j] = _trtrs(eye - aTh[j, j] * T, rhs)[0]
+        X = triangular_stein(self.T, self.QU, alpha)
         S = (self.U @ X @ self.U.conj().T).real
         return 0.5 * (S + S.T)
 

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from secest import ChannelParams, LinearSystem, ScalarSystem
+
+# Property tests draw the same examples on every run and leave no example
+# database behind; the example count keeps them to a few seconds.
+settings.register_profile("secest", derandomize=True, database=None, deadline=None,
+                          max_examples=40)
+settings.load_profile("secest")
 
 ACCEPTANCE_LINES = []
 

@@ -3,12 +3,17 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from secest import (
     ChannelParams,
     LinearSystem,
+    NumericalError,
     ScalarSystem,
     ValidationError,
+    bounds,
     critical_rates,
     feasibility_check,
     p_lower,
@@ -20,6 +25,36 @@ from secest import (
 )
 
 P_CRIT = 1.0 - 1.0 / 1.44  # 11/36 for the a=1.2 scalar plant
+
+# p_upper returns the feasible end of a bracket of width 1e-6.
+EXACT_TOL = 2e-6
+
+
+def single_output_threshold(A) -> float:
+    """1 - 1/prod|lambda_u|^2: the critical rate for rank-one C (Schenato et
+    al., Proc. IEEE 2007), computed from the eigenvalues alone."""
+    mags = np.abs(np.linalg.eigvals(A))
+    return 1.0 - 1.0 / float(np.prod(mags[mags > 1.0])) ** 2
+
+
+def rotation(theta: float) -> np.ndarray:
+    return np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+
+
+def seeded_plant(seed: int, n: int, unstable, m: int) -> LinearSystem:
+    """A = V diag(eig) V^-1 with the given unstable eigenvalues and n - k
+    stable ones in (-0.8, 0.8); C is m x n Gaussian."""
+    rng = np.random.default_rng(seed)
+    eig = np.concatenate([unstable, rng.uniform(-0.8, 0.8, n - len(unstable))])
+    V = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+    A = V @ np.diag(eig) @ np.linalg.inv(V)
+    C = rng.standard_normal((m, n))
+    return LinearSystem(A=A, C=C, Q=np.eye(n), R=np.eye(m), Sigma0=np.eye(n))
+
+
+def observed_plant(A, C) -> LinearSystem:
+    n, m = np.shape(A)[0], np.shape(C)[0]
+    return LinearSystem(A=A, C=C, Q=np.eye(n), R=np.eye(m), Sigma0=np.eye(n))
 
 
 def test_p_lower_scalar(scalar_sys):
@@ -98,7 +133,6 @@ class TestCriticalUpper:
     def test_partial_observation_sits_above_lower(self, second_order_sys):
         pu = p_upper(second_order_sys)
         assert p_lower(second_order_sys) < pu < 1.0
-        # one-sided: rates above pu are certified bounded
         assert feasibility_check(pu + 1e-3, second_order_sys)
 
     def test_cached_per_system(self, second_order_sys):
@@ -107,6 +141,120 @@ class TestCriticalUpper:
     def test_critical_rates_exactness_flag(self, scalar_sys, second_order_sys):
         assert critical_rates(scalar_sys).exact
         assert not critical_rates(second_order_sys).exact
+
+
+class TestCriticalRateExactness:
+    """p_upper against the rank-one closed form and the closed bracket."""
+
+    def test_second_order_matches_closed_form(self, second_order_sys):
+        cf = single_output_threshold(second_order_sys.A)
+        assert cf <= p_upper(second_order_sys) <= cf + EXACT_TOL
+
+    @pytest.mark.parametrize("seed, n, unstable", [
+        (1, 3, (1.2, 1.1)),
+        (2, 3, (1.3,)),
+        (3, 4, (1.15, -1.25)),
+        (4, 4, (1.1, 1.2, -1.3)),
+    ])
+    def test_seeded_single_output_matches_closed_form(self, seed, n, unstable):
+        sys = seeded_plant(seed, n, unstable, m=1)
+        cf = single_output_threshold(sys.A)
+        assert cf <= p_upper(sys) <= cf + EXACT_TOL
+
+    @pytest.mark.parametrize("A", [
+        1.1 * rotation(math.pi / 2),
+        1.1 * rotation(0.7),
+        1.1 * np.eye(3) + np.diag([1.0, 1.0], 1),
+    ], ids=["rot-quarter-turn", "rot-0.7", "jordan-3"])
+    def test_complex_and_defective_modes_match_closed_form(self, A):
+        # The quarter turn sets up a period-2 orbit in the undamped map; the
+        # Jordan block is observed at its head, the only observable entry.
+        C = np.eye(1, A.shape[0])
+        sys = observed_plant(A, C)
+        cf = single_output_threshold(A)
+        assert cf <= p_upper(sys) <= cf + EXACT_TOL
+
+    @pytest.mark.parametrize("seed, n, unstable, m", [
+        (5, 4, (1.2, 1.1), 2),
+        (6, 5, (1.25, -1.1), 2),
+        (7, 5, (1.3, 1.15, -1.05), 3),
+    ])
+    def test_enough_outputs_close_the_bracket(self, seed, n, unstable, m):
+        # With C U_u of full column rank every rate above p_lower is feasible.
+        sys = seeded_plant(seed, n, unstable, m)
+        assert p_upper(sys) - p_lower(sys) <= EXACT_TOL
+
+    def test_undetectable_plant_raises(self, second_order_sys):
+        # C = [0, 1] never sees the mode at 1.2.
+        sys = observed_plant(second_order_sys.A, [[0.0, 1.0]])
+        with pytest.raises(NumericalError):
+            p_upper(sys)
+
+    def test_infeasible_rate_is_certified(self, second_order_sys):
+        pu = p_upper(second_order_sys)
+        assert not feasibility_check(pu - 1e-4, second_order_sys)
+        assert feasibility_check(pu + 1e-4, second_order_sys)
+
+    def test_ceiling_just_above_threshold(self, second_order_sys):
+        sys = second_order_sys
+        rate = single_output_threshold(sys.A) + 1e-3
+        V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
+        assert V.finite
+        A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
+        X = V.matrix
+        AXC = A @ X @ C.T
+        G = A @ X @ A.T + Q - rate * AXC @ np.linalg.inv(C @ X @ C.T + R) @ AXC.T
+        assert np.max(np.abs(X - G)) / np.max(np.abs(X)) <= 1e-7
+        # The fixed point's gain stabilizes the error in mean square, checked
+        # on the vectorized second-moment operator.
+        K = AXC @ np.linalg.inv(C @ X @ C.T + R)
+        L = (1.0 - rate) * np.kron(A, A) + rate * np.kron(A - K @ C, A - K @ C)
+        assert np.max(np.abs(np.linalg.eigvals(L))) < 1.0
+
+    def test_ceiling_budget_exhaustion_names_rate_and_threshold(self, second_order_sys,
+                                                                monkeypatch):
+        monkeypatch.setattr(bounds, "_V_MAX_ITERS", 10)
+        rate = p_upper(second_order_sys) + 1e-3
+        with pytest.raises(NumericalError, match=r"in 10 iterations.*0\.42707.*p_upper = 0\.42607"):
+            solve_V(rate, ChannelParams(1.0, 1.0), second_order_sys)
+
+
+@st.composite
+def single_output_plants(draw):
+    """Single-output plants, n <= 4, with real and complex eigenvalues kept
+    apart from each other and from the unit circle, and a C that sees every
+    mode."""
+    n = draw(st.integers(1, 4))
+    modulus = st.one_of(st.floats(0.1, 0.9), st.floats(1.05, 1.5))
+    blocks, eig = [], []
+    for _ in range(draw(st.integers(0, n // 2))):
+        r, theta = draw(modulus), draw(st.floats(0.3, math.pi - 0.3))
+        blocks.append(r * rotation(theta))
+        eig += [r * complex(math.cos(theta), math.sin(theta)),
+                r * complex(math.cos(theta), -math.sin(theta))]
+    while len(eig) < n:
+        x = draw(modulus) * draw(st.sampled_from((-1.0, 1.0)))
+        blocks.append(np.array([[x]]))
+        eig.append(x)
+    eig = np.array(eig)
+    assume(np.any(np.abs(eig) > 1.0))
+    assume(all(abs(a - b) >= 0.1 for i, a in enumerate(eig) for b in eig[i + 1:]))
+    V = np.eye(n) + draw(arrays(float, (n, n), elements=st.floats(-0.3, 0.3)))
+    assume(np.linalg.cond(V) < 10.0)
+    A = V @ sla.block_diag(*blocks) @ np.linalg.inv(V)
+    C = draw(arrays(float, (1, n), elements=st.floats(-2.0, 2.0)))
+    # PBH margin: every unit eigenvector shows up in the output.
+    _, vecs = np.linalg.eig(A)
+    assume(np.min(np.abs(C @ vecs)) >= 0.1)
+    return observed_plant(A, C)
+
+
+@given(single_output_plants())
+def test_p_upper_matches_rank_one_closed_form(sys):
+    cf = single_output_threshold(sys.A)
+    # p_lower reads rho off the Schur factor and cf off numpy's eigenvalues;
+    # with one unstable mode the two agree only to roundoff.
+    assert p_lower(sys) - 1e-12 <= cf <= p_upper(sys) <= cf + EXACT_TOL
 
 
 class TestUserCeiling:
