@@ -1,14 +1,15 @@
-"""Asymptotic error bounds and critical reception rates.
+"""Asymptotic error bounds and reception-rate thresholds.
 
 For an unstable plant observed through Bernoulli receptions at rate lam,
 boundedness of the expected prediction covariance has a phase transition at
-a critical rate p_c, the threshold of the modified Riccati equation
-(Sinopoli et al., IEEE TAC 2004). Two quantities bracket it:
+a critical rate lambda_c, which lies in [p_lower, p_upper] (Mo & Sinopoli,
+IEEE TAC 2012):
 
 * ``p_lower`` = 1 - 1/rho(A)^2, from the open-loop growth argument;
-* ``p_upper`` = p_c to within 1e-6 above, bisected on a two-sided
-  certificate on A's unstable Schur block (:func:`feasibility_check`). It
-  meets ``p_lower`` whenever C sees the unstable subspace with full column
+* ``p_upper``, the threshold of the modified Riccati equation (MARE;
+  Sinopoli et al., IEEE TAC 2004) to within 1e-6 above, bisected on a
+  two-sided certificate on A's unstable Schur block (:func:`feasibility_check`).
+  It meets ``p_lower`` whenever C sees the unstable subspace with full column
   rank, e.g. for scalar plants and square invertible C; for a single output
   it is 1 - 1/prod|lambda_u|^2 (Schenato et al., Proc. IEEE 2007).
 
@@ -51,10 +52,14 @@ _CERT_MAX_ITERS = 10_000
 # period-2 orbit a quarter-turn rotation sets up in the plain normalized map.
 _CERT_DAMPING = 0.1
 
-# solve_V stops once an iteration moves no entry by more than this, relative
-# to the iterate's largest entry, within _V_MAX_ITERS iterations.
-_V_TOL = 1e-10
-_V_MAX_ITERS = 100_000
+# solve_V stops once a step moves no entry by more than _V_TOL relative to
+# the iterate's largest entry, or once a step below _V_FLOOR stops shrinking:
+# the Stein solve amplifies roundoff by 1/(1 - (1 - rate) rho^2). A step
+# costs about 2.7 riccati_map calls at n = 2; the budget reaches second_order
+# down to about 1.1e-4 above p_upper and ends a failing call there in ~1 s.
+_V_TOL = 1e-13
+_V_FLOOR = 1e-9
+_V_MAX_ITERS = 40_000
 
 
 @dataclass(frozen=True)
@@ -231,14 +236,18 @@ def p_upper(sys: LinearSystem) -> float:
 def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     """Intended receiver's asymptotic error ceiling at withholding probability p.
 
-    Iterates V <- g_{p*p1}(V) from Sigma0 to the fixed point when the
-    effective rate clears ``p_upper``; otherwise the ceiling is infinite.
-    The final iterate is polished with one geometric-tail extrapolation,
-    which matters near the transition where plain iteration stalls.
+    When the effective rate lam = p*p1 clears ``p_upper``, iterates the
+    Stein split V <- X, X = (1-lam) A X A' + (1-lam) Q + lam g_1(V), from
+    Sigma0 to g_lam's fixed point, one Schur solve per step; otherwise the
+    ceiling is infinite. The split converges at least as fast as
+    V <- g_lam(V) (regular splitting; Varga, Matrix Iterative Analysis, ch.
+    3), and its solve absorbs the open-loop direction, the near-critical one
+    when ``p_upper`` = ``p_lower`` (scalar and invertible-C plants).
 
-    Within about 1e-4 of ``p_upper`` the iteration still moves after its
-    100 000-iteration budget, and a :class:`NumericalError` naming the rate,
-    ``p_upper`` and the budget is raised (the CLI exits 2).
+    Elsewhere (e.g. one output), within about 1e-4 of ``p_upper`` the
+    iteration still moves after its 40 000-step budget, and a
+    :class:`NumericalError` naming the rate, ``p_upper`` and the budget is
+    raised (the CLI exits 2).
     """
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"p must lie in [0, 1], got {p}")
@@ -247,25 +256,13 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     if rate <= pu:
         return BoundValue.infinite()
 
-    V = sys.Sigma0.copy()
-    delta_prev = None
+    alpha, V, prev = 1.0 - rate, sys.Sigma0, math.inf
     for _ in range(_V_MAX_ITERS):
-        Vn = riccati_map(V, sys, rate)
-        D = Vn - V
-        step = float(np.max(np.abs(D)))
-        if step <= _V_TOL * (1.0 + np.max(np.abs(Vn))):
-            candidate = Vn
-            if delta_prev is not None and delta_prev > 0.0:
-                ratio = float(np.linalg.norm(D)) / delta_prev
-                if 0.0 < ratio < 1.0:
-                    extrapolated = Vn + (ratio / (1.0 - ratio)) * D
-                    res_plain = np.max(np.abs(Vn - riccati_map(Vn, sys, rate)))
-                    res_extra = np.max(np.abs(extrapolated - riccati_map(extrapolated, sys, rate)))
-                    if res_extra < res_plain:
-                        candidate = extrapolated
-            return BoundValue.from_matrix(0.5 * (candidate + candidate.T))
-        delta_prev = float(np.linalg.norm(D))
-        V = Vn
+        Vn = sys.schur.discounted_lyapunov(alpha, alpha * sys.Q + rate * riccati_map(V, sys, 1.0))
+        step = float(np.max(np.abs(Vn - V)) / np.max(np.abs(Vn)))
+        if step <= _V_TOL or prev <= step <= _V_FLOOR:
+            return BoundValue.from_matrix(Vn)
+        prev, V = step, Vn
     raise NumericalError(
         f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "
         f"effective rate {rate:.9g}, {rate - pu:.3g} above p_upper = {pu:.9g}; "
@@ -274,7 +271,7 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
 
 
 def critical_rates(sys: LinearSystem) -> CriticalRates:
-    """Bracket the critical rate; flags the bracket as exact when it closes."""
+    """Bracket lambda_c by [p_lower, p_upper], p_upper the MARE (ceiling) threshold."""
     lo = p_lower(sys)
     hi = p_upper(sys)
     return CriticalRates(p_lower=lo, p_upper=hi, exact=bool(hi - lo <= 10.0 * _P_UPPER_TOL))

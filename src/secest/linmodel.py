@@ -114,8 +114,9 @@ class SchurFactor:
         return cls(T=T, U=U, QU=U.conj().T @ Q @ U,
                    rho=float(np.max(np.abs(np.diag(T)))), k=int(k))
 
-    def discounted_lyapunov(self, alpha: float) -> np.ndarray:
-        """Solve S = alpha * A S A' + Q; see :func:`solve_discounted_lyapunov`.
+    def discounted_lyapunov(self, alpha: float, B: np.ndarray | None = None) -> np.ndarray:
+        """Solve S = alpha * A S A' + B for a symmetric B, by default Q; see
+        :func:`solve_discounted_lyapunov`.
 
         Raises :class:`NumericalError` once alpha * rho^2 >= 1 - 1e-12.
         """
@@ -123,7 +124,8 @@ class SchurFactor:
             raise NumericalError(
                 f"no bounded solution: alpha * rho(A)^2 = {alpha * self.rho * self.rho:.12g} >= 1"
             )
-        X = triangular_stein(self.T, self.QU, alpha)
+        F = self.QU if B is None else self.U.conj().T @ B @ self.U
+        X = triangular_stein(self.T, F, alpha)
         S = (self.U @ X @ self.U.conj().T).real
         return 0.5 * (S + S.T)
 

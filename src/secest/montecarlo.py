@@ -176,8 +176,8 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     empirical reception fraction. Sample paths individually hit astronomical
     covariances only on vanishing-probability long miss runs, so a mean of
     per-path traces is a uselessly noisy estimate of the expected curve;
-    averaging the map instead keeps the variance bounded and reproduces the
-    boundedness threshold exactly. Returns the trace at each step k = 0..T.
+    averaging the map keeps the variance bounded and reproduces the MARE
+    threshold ``p_upper`` exactly. Returns the trace at each step k = 0..T.
     """
     if receiver not in _RECEIVERS:
         raise ValidationError(f"receiver must be one of {_RECEIVERS}, got {receiver!r}")

@@ -31,8 +31,8 @@ EXACT_TOL = 2e-6
 
 
 def single_output_threshold(A) -> float:
-    """1 - 1/prod|lambda_u|^2: the critical rate for rank-one C (Schenato et
-    al., Proc. IEEE 2007), computed from the eigenvalues alone."""
+    """1 - 1/prod|lambda_u|^2: the MARE threshold for rank-one C (Schenato
+    et al., Proc. IEEE 2007), computed from the eigenvalues alone."""
     mags = np.abs(np.linalg.eigvals(A))
     return 1.0 - 1.0 / float(np.prod(mags[mags > 1.0])) ** 2
 
@@ -55,6 +55,24 @@ def seeded_plant(seed: int, n: int, unstable, m: int) -> LinearSystem:
 def observed_plant(A, C) -> LinearSystem:
     n, m = np.shape(A)[0], np.shape(C)[0]
     return LinearSystem(A=A, C=C, Q=np.eye(n), R=np.eye(m), Sigma0=np.eye(n))
+
+
+def explicit_riccati(X, sys: LinearSystem, rate: float) -> np.ndarray:
+    """g_rate(X) by an explicit inverse in Joseph form: with K the gain
+    A X C' (C X C' + R)^-1 and F = A - K C,
+
+        g_rate(X) = (1 - rate) A X A' + rate (F X F' + K R K') + Q,
+
+    a sum of PSD terms. The subtractive form cancels the large entries of X
+    and loses about cond(C X C' + R) ulps near the threshold."""
+    A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
+    K = A @ X @ C.T @ np.linalg.inv(C @ X @ C.T + R)
+    F = A - K @ C
+    return (1.0 - rate) * A @ X @ A.T + rate * (F @ X @ F.T + K @ R @ K.T) + Q
+
+
+def rel_residual(V, sys: LinearSystem, rate: float) -> float:
+    return float(np.max(np.abs(V - explicit_riccati(V, sys, rate))) / np.max(np.abs(V)))
 
 
 def test_p_lower_scalar(scalar_sys):
@@ -250,6 +268,17 @@ def single_output_plants(draw):
 
 
 @given(single_output_plants())
+def test_ceiling_against_explicit_map(sys):
+    pu = p_upper(sys)
+    rates = [min(pu + d, 1.0) for d in (0.05, 0.2)]
+    ceilings = [solve_V(rate, ChannelParams(1.0, 1.0), sys) for rate in rates]
+    for rate, V in zip(rates, ceilings):
+        assert V.finite
+        assert rel_residual(V.matrix, sys, rate) <= 1e-12
+    assert ceilings[1].trace <= ceilings[0].trace
+
+
+@given(single_output_plants())
 def test_p_upper_matches_rank_one_closed_form(sys):
     cf = single_output_threshold(sys.A)
     # p_lower reads rho off the Schur factor and cf off numpy's eigenvalues;
@@ -265,10 +294,10 @@ class TestUserCeiling:
             assert V.trace == pytest.approx(scalar_V(0.9 * p, s), abs=1e-8)
 
     def test_classical_limit_matches_dare(self, second_order_sys):
-        V = solve_V(1.0, ChannelParams(1.0, 1.0), second_order_sys)
-        P = sla.solve_discrete_are(second_order_sys.A.T, second_order_sys.C.T,
-                                   second_order_sys.Q, second_order_sys.R)
-        assert np.max(np.abs(V.matrix - P)) < 1e-8
+        for sys in (second_order_sys, seeded_plant(8, 20, (1.12, 1.05), m=20)):
+            V = solve_V(1.0, ChannelParams(1.0, 1.0), sys)
+            P = sla.solve_discrete_are(sys.A.T, sys.C.T, sys.Q, sys.R)
+            assert np.max(np.abs(V.matrix - P)) < 1e-8
 
     def test_infinite_below_gate(self, scalar_sys):
         V = solve_V(0.3, ChannelParams(0.9, 0.6), scalar_sys)  # rate 0.27
@@ -279,6 +308,29 @@ class TestUserCeiling:
         rate = P_CRIT + 0.01
         V = solve_V(rate, ChannelParams(1.0, 1.0), scalar_sys)
         assert V.trace == pytest.approx(scalar_V(rate, s), abs=1e-8)
+
+    @pytest.mark.parametrize("a", [1.2, 1.5, 2.0])
+    @pytest.mark.parametrize("offset", [1e-5, 1e-6])
+    def test_scalar_reaches_threshold(self, a, offset):
+        # The open-loop direction is the near-critical one; the Stein solve
+        # absorbs it, so the ceiling is reached right up to the threshold.
+        s = ScalarSystem(a, 1.0, 1.0, 1.0)
+        sys = s.to_linear()
+        rate = p_upper(sys) + offset
+        V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
+        assert V.finite
+        assert V.trace == pytest.approx(scalar_V(rate, s), rel=1e-9)
+
+    def test_invertible_output_reaches_threshold(self):
+        sys = seeded_plant(8, 20, (1.12, 1.05), m=20)
+        rate = p_upper(sys) + 1e-5
+        V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
+        assert V.finite and math.isfinite(V.trace)
+        assert rel_residual(V.matrix, sys, rate) <= 1e-12
+        A, C, X = sys.A, sys.C, V.matrix
+        F = A - A @ X @ C.T @ np.linalg.inv(C @ X @ C.T + sys.R) @ C
+        L = (1.0 - rate) * np.kron(A, A) + rate * np.kron(F, F)
+        assert np.max(np.abs(np.linalg.eigvals(L))) < 1.0
 
     def test_fixed_point_property(self, second_order_sys):
         from secest import riccati_map

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from secest import design_p_star
+from secest import design_p_star, p_upper
 from secest.cli import load_config, main
 from secest.errors import ConfigError
 
@@ -136,6 +136,14 @@ class TestCliSuccess:
         assert res["trS"] == pytest.approx(13.498920086393062, abs=1e-9)
         assert res["trV"] == pytest.approx(7.149983950917283, abs=1e-9)
         assert res["trS_finite"] and res["trV_finite"]
+
+    def test_bounds_just_above_threshold(self, capsys):
+        # The user's effective rate p * p1 lies 1e-5 above the threshold.
+        cfg = load_config(SCALAR_CFG)
+        p = (p_upper(cfg.system) + 1e-5) / cfg.channel.p1
+        code, out, _ = run_cli(capsys, "bounds", "--config", SCALAR_CFG, "--p", repr(p))
+        assert code == 0
+        assert out["result"]["trV_finite"]
 
     def test_bounds_infinite_encoded_as_string(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--config", SCALAR_CFG, "--p", "0.3")
