@@ -55,8 +55,9 @@ _CERT_DAMPING = 0.1
 # solve_V stops once a step moves no entry by more than _V_TOL relative to
 # the iterate's largest entry, or once a step below _V_FLOOR stops shrinking:
 # the Stein solve amplifies roundoff by 1/(1 - (1 - rate) rho^2). A step
-# costs about 2.7 riccati_map calls at n = 2; the budget reaches second_order
-# down to about 1.1e-4 above p_upper and ends a failing call there in ~1 s.
+# costs about 2.6 single-output riccati_map calls at n = 2 and 3.2 at n = 8;
+# the budget reaches second_order down to about 1.1e-4 above p_upper and ends
+# a failing call in about 1.1 s there and 1.3 s on a seeded n = 8 plant.
 _V_TOL = 1e-13
 _V_FLOOR = 1e-9
 _V_MAX_ITERS = 40_000
@@ -133,8 +134,10 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     try:
         S = sys.schur.discounted_lyapunov(1.0 - rate)
     except NumericalError:
-        # Within solver resolution of the threshold; the floor is effectively
-        # unbounded there.
+        # Within solver resolution of the threshold, or on a strongly
+        # non-normal A a floor so large (measured: 1e22 x Q and up) that the
+        # Cayley solve's Sylvester step loses its diagonal to roundoff; the
+        # floor is effectively unbounded there.
         return BoundValue.infinite()
     return BoundValue.from_matrix(S)
 
@@ -159,9 +162,10 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     loop applies X <- h(X)/tr h(X) + 0.1 X/tr X until one of the two
     certificates holds. Rates at or below ``p_lower`` are infeasible and a
     plant without unstable modes is feasible, both without iterating. An
-    :class:`InconclusiveError` is raised if neither certificate holds within
-    the budget, which happens at rates within roundoff of the threshold and
-    for plants whose unstable modes are not all observed.
+    :class:`InconclusiveError` is raised if the start solve fails or neither
+    certificate holds within the budget, which happens at rates within
+    roundoff of the threshold and for plants whose unstable modes are not all
+    observed.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lam must lie in [0, 1], got {lam}")
@@ -174,7 +178,11 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     Tu = schur.T[:k, :k]
     _, s, Vh = np.linalg.svd(sys.C @ schur.U[:, :k])
     W = Vh[:int(np.sum(s > max(sys.m, k) * np.finfo(float).eps * s[0]))]
-    X = triangular_stein(Tu, np.eye(k), 1.0 - lam)
+    try:
+        X = triangular_stein(Tu, np.eye(k), 1.0 - lam, schur.sigma)
+    except NumericalError as exc:  # lam within roundoff of p_lower, or T_u far from normal
+        raise InconclusiveError(f"feasibility at rate {lam:.9g} undecided: {exc}",
+                                iterations=0) from exc
     for it in range(1, _CERT_MAX_ITERS + 1):
         XW = X @ W.conj().T
         try:

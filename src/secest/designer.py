@@ -90,20 +90,22 @@ def design_p_star(sys: LinearSystem, ch: ChannelParams, M: float,
         return solve_S(p, ch, sys).trace
 
     iterations = 0
-    if floor_trace(1.0) >= M:
+    trS = floor_trace(1.0)
+    if trS >= M:
         p_star = 1.0
     else:
-        lo, hi = 0.0, 1.0  # floor_trace(0) is infinite, so lo is feasible
+        # floor_trace(0) is infinite, so lo is feasible; trS tracks floor_trace(lo)
+        lo, hi, trS = 0.0, 1.0, math.inf
         while hi - lo >= epsilon:
             mid = 0.5 * (lo + hi)
             iterations += 1
-            if floor_trace(mid) < M:
+            tr = floor_trace(mid)
+            if tr < M:
                 hi = mid
             else:
-                lo = mid
+                lo, trS = mid, tr
         p_star = lo
 
-    trS = floor_trace(p_star)
     trV = solve_V(p_star, ch, sys).trace
     return DesignResult(
         p_star=p_star,

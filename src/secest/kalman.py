@@ -20,11 +20,15 @@ same covariances, kept for cross-checking.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericalError, ValidationError
 from .linmodel import LinearSystem
+
+_posv = sla.get_lapack_funcs("posv", dtype=np.float64)
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
@@ -38,10 +42,12 @@ def _innovation_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
         if not s > 0.0:
             raise NumericalError("innovation variance is not positive")
         return B / s
-    try:
-        return sla.solve(S, B, assume_a="pos")
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"innovation covariance solve failed: {exc}") from exc
+    c, X, info = _posv(S, B)
+    # a NaN anywhere in S's upper triangle reaches the factor's last pivot
+    if info != 0 or not math.isfinite(c[-1, -1]):
+        raise NumericalError("innovation covariance is not finite and positive definite "
+                             f"(posv info {info})")
+    return X
 
 
 def riccati_map(X, sys: LinearSystem, lam: float) -> np.ndarray:

@@ -23,17 +23,29 @@ first use and keeps it, sorted so that the k eigenvalues with |lambda| > 1
 come first: T[:k, :k] is A on its unstable invariant subspace, which the
 critical-rate certificate in :mod:`secest.bounds` works on alone. The
 spectral radius and all Stein solves read off the same factor. In the Schur
-basis the Stein equation becomes
-X = alpha T X T^H + U^H Q U, solved column by column from the last: column j
-is one n x n triangular solve against I - alpha conj(T_jj) T, whose
-right-hand side only involves the columns already found (Kitagawa, Int. J.
-Control 1977; Barraud, IEEE TAC 1977).
-That is O(n^3) time and O(n^2) memory per solve, after an O(n^3) factor paid
-once per plant. The Kronecker-vectorized route costs O(n^6) time and O(n^4)
-memory per solve, and scipy's ``solve_discrete_lyapunov`` switches to a
-bilinear transform for n >= 10 that loses digits near alpha * rho^2 = 1
-when A has a negative real eigenvalue outside the unit circle; the Schur
-recursion keeps the residual at roundoff there.
+basis the Stein equation becomes X = B X B^H + F with B = sqrt(alpha) T and
+F = U^H Q U. A Cayley transform with a unit shift sigma,
+
+    Ac = (B + sigma I)^-1 (B - sigma I) = I - 2 sigma (B + sigma I)^-1,
+
+turns it into the continuous Lyapunov equation
+Ac X + X Ac^H = -2 (B + sigma I)^-1 F (B + sigma I)^-H, whose coefficient is
+still upper triangular, so one triangular inverse and one Bartels-Stewart
+call (LAPACK ``ztrsyl``; Bartels & Stewart, CACM 1972) solve it with no
+Python loop. That is O(n^3) time and O(n^2) memory per solve, after an
+O(n^3) factor paid once per plant; the Kronecker-vectorized route costs
+O(n^6) time and O(n^4) memory.
+
+The transform is only as accurate as B + sigma I is far from singular.
+scipy's ``solve_discrete_lyapunov`` uses the same transform for n >= 10 with
+the fixed shift sigma = 1, and loses digits near alpha * rho^2 = 1 when A has
+a negative real eigenvalue outside the unit circle, because sqrt(alpha)
+lambda then approaches -1. Here sigma is chosen once per plant, from the
+eigenvalues alone: for every admissible alpha each sqrt(alpha) lambda_i lies
+on the segment [0, lambda_i / rho], so the root of unity whose negative is
+farthest from all those segments keeps the diagonal of B + sigma I bounded
+away from zero at every alpha, up to the threshold. A zero eigenvalue of A
+is harmless, unlike in a route through T^-1.
 """
 
 from __future__ import annotations
@@ -56,6 +68,10 @@ _SYM_RTOL = 1e-9
 _STEIN_MARGIN = 1e-12
 
 _trtrs = sla.get_lapack_funcs("trtrs", dtype=np.complex128)
+_trsyl = sla.get_lapack_funcs("trsyl", dtype=np.complex128)
+
+# Candidate Cayley shifts for the Stein solve: the 64th roots of unity.
+_SHIFTS = np.exp(2j * np.pi * np.arange(64) / 64)
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -76,20 +92,44 @@ def _maybe_symmetrize(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def triangular_stein(T: np.ndarray, F: np.ndarray, alpha: float) -> np.ndarray:
+def cayley_shift(eigs: np.ndarray) -> complex:
+    """Unit shift for :func:`triangular_stein` on a plant with these eigenvalues.
+
+    Of the 64th roots of unity, returns the sigma whose negative lies
+    farthest from every segment [0, lambda_i / rho]; ties go to the first,
+    sigma = 1. For alpha * rho^2 < 1 every sqrt(alpha) lambda_i lies on its
+    segment, so |sqrt(alpha) lambda_i + sigma| is at least that distance.
+    """
+    rho = float(np.max(np.abs(eigs)))
+    z = eigs / rho if rho > 0.0 else np.zeros_like(eigs)
+    # squared distance from -sigma to [0, z] is 1 - 2 t c + t^2 |z|^2 at the
+    # nearest point t z, with c = Re(conj(z) (-sigma)); exactly 1 when t = 0
+    c = -(np.conj(z)[None, :] * _SHIFTS[:, None]).real
+    zz = np.abs(z) ** 2
+    t = np.clip(np.divide(c, zz, out=np.zeros_like(c), where=zz > 0.0), 0.0, 1.0)
+    dist2 = 1.0 - 2.0 * t * c + t * t * zz
+    return complex(_SHIFTS[np.argmax(dist2.min(axis=1))])
+
+
+def triangular_stein(T: np.ndarray, F: np.ndarray, alpha: float, sigma: complex) -> np.ndarray:
     """Solve X = alpha T X T^H + F for upper triangular T with
-    alpha * max|T_jj|^2 < 1, column by column."""
-    n = T.shape[0]
-    aTh = alpha * T.conj()  # row j is alpha * (column j of T^H)
-    eye = np.eye(n)
-    X = np.empty((n, n), dtype=complex)
-    # Column j of X = alpha T X T^H + F couples X[:, j] only to the later
-    # columns, and the diagonal 1 - alpha conj(T_jj) T_ii stays at least
-    # 1 - alpha rho^2 away from zero.
-    for j in range(n - 1, -1, -1):
-        rhs = F[:, j] + T @ (X[:, j + 1:] @ aTh[j, j + 1:])
-        X[:, j] = _trtrs(eye - aTh[j, j] * T, rhs)[0]
-    return X
+    alpha * max|T_jj|^2 < 1, by the Cayley transform with shift ``sigma``
+    (from :func:`cayley_shift` of T's diagonal or of a superset of it) and
+    one triangular Sylvester solve.
+
+    Raises :class:`NumericalError` if LAPACK reports a singular shifted
+    factor or a near-singular Sylvester operator.
+    """
+    eye = np.eye(T.shape[0])
+    N, info_n = _trtrs(np.sqrt(alpha) * T + sigma * eye, eye)
+    Ac = eye - 2.0 * sigma * N
+    X, scale, info = _trsyl(Ac, Ac, N @ F @ N.conj().T, tranb="C")
+    if info_n or info:
+        raise NumericalError(
+            f"Cayley-transformed Stein solve failed (trtrs info {info_n}, trsyl info {info}) "
+            f"at alpha = {alpha:.12g}, shift {sigma:.6g}"
+        )
+    return X * (-2.0 / scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +139,8 @@ class SchurFactor:
     ``T`` is upper triangular and holds the eigenvalues of A on its
     diagonal, the ``k`` of modulus greater than one first, so ``T[:k, :k]``
     is the unstable block and ``U[:, :k]`` spans its invariant subspace;
-    ``rho`` is read off the diagonal and ``QU`` is U^H Q U.
+    ``rho`` is read off the diagonal, ``QU`` is U^H Q U and ``sigma`` is the
+    Cayley shift every Stein solve on this factor uses (:func:`cayley_shift`).
     """
 
     T: np.ndarray
@@ -107,12 +148,14 @@ class SchurFactor:
     QU: np.ndarray
     rho: float
     k: int
+    sigma: complex
 
     @classmethod
     def of(cls, A: np.ndarray, Q: np.ndarray) -> "SchurFactor":
         T, U, k = sla.schur(A, output="complex", sort="ouc")
-        return cls(T=T, U=U, QU=U.conj().T @ Q @ U,
-                   rho=float(np.max(np.abs(np.diag(T)))), k=int(k))
+        eigs = np.diag(T)
+        return cls(T=T, U=U, QU=U.conj().T @ Q @ U, rho=float(np.max(np.abs(eigs))),
+                   k=int(k), sigma=cayley_shift(eigs))
 
     def discounted_lyapunov(self, alpha: float, B: np.ndarray | None = None) -> np.ndarray:
         """Solve S = alpha * A S A' + B for a symmetric B, by default Q; see
@@ -125,7 +168,7 @@ class SchurFactor:
                 f"no bounded solution: alpha * rho(A)^2 = {alpha * self.rho * self.rho:.12g} >= 1"
             )
         F = self.QU if B is None else self.U.conj().T @ B @ self.U
-        X = triangular_stein(self.T, F, alpha)
+        X = triangular_stein(self.T, F, alpha, self.sigma)
         S = (self.U @ X @ self.U.conj().T).real
         return 0.5 * (S + S.T)
 
@@ -277,11 +320,11 @@ def validate_system(sys: LinearSystem) -> ValidationReport:
 
 
 def solve_discounted_lyapunov(A, Q, alpha: float) -> np.ndarray:
-    """Solve S = alpha * A S A' + Q by the complex-Schur Stein recursion.
+    """Solve S = alpha * A S A' + Q on the complex Schur form of A.
 
     Factors A afresh on every call; a :class:`LinearSystem` keeps its factor
     (``sys.schur``) so that repeated solves at different alpha cost one
-    O(n^3) back substitution each.
+    O(n^3) Cayley-transformed triangular Sylvester solve each.
 
     Parameters
     ----------

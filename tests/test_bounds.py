@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from secest import (
     ChannelParams,
+    InconclusiveError,
     LinearSystem,
     NumericalError,
     ScalarSystem,
@@ -136,6 +137,18 @@ class TestFeasibility:
     def test_range_checked(self, scalar_sys):
         with pytest.raises(ValidationError):
             feasibility_check(-0.2, scalar_sys)
+
+    def test_within_roundoff_of_lower_is_decided_or_undecided(self, scalar_sys,
+                                                               second_order_sys):
+        # one ulp above p_lower the start Stein solve is beyond working
+        # precision; the probe gives a verdict or InconclusiveError, which
+        # p_upper counts as infeasible, never a bare NumericalError
+        for sys in (scalar_sys, second_order_sys):
+            try:
+                verdict = feasibility_check(np.nextafter(p_lower(sys), 1.0), sys)
+            except InconclusiveError:
+                continue
+            assert isinstance(verdict, bool)
 
 
 class TestCriticalUpper:

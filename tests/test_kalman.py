@@ -4,6 +4,7 @@ import pytest
 import secest
 from secest import (
     LinearSystem,
+    NumericalError,
     ValidationError,
     batch_covariance_oracle,
     filter_errors,
@@ -66,6 +67,20 @@ class TestRiccatiMap:
             gap = beta * riccati_map(X, second_order_sys, lam) \
                 - riccati_map(beta * X, second_order_sys, lam)
             assert np.linalg.eigvalsh(gap).min() > -1e-8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_innovation_solve_failures_raise(m):
+    # R = -5 I makes C X C' + R negative definite at X = I, and a NaN in X
+    # reaches it through C X C'; the 1x1 branch and the Cholesky solve must
+    # both refuse either
+    for R, X in ((-5.0 * np.eye(m), np.eye(2)), (np.eye(m), np.full((2, 2), np.nan))):
+        sys = LinearSystem(A=1.2 * np.eye(2), C=np.eye(2)[:m], Q=np.eye(2), R=R,
+                           Sigma0=np.eye(2))
+        with pytest.raises(NumericalError):
+            riccati_map(X, sys, 1.0)
+        with pytest.raises(NumericalError):
+            kalman_gain(X, sys)
 
 
 def test_kalman_gain_scalar(scalar_sys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from secest import (
     ChannelParams,
@@ -86,12 +87,16 @@ def test_validate_system_failures_and_warnings():
 
 
 class TestDiscountedLyapunov:
-    """X = alpha A X A' + Q, solved by back substitution on the complex Schur
-    form of A: n triangular solves of size n, O(n^3), after one O(n^3)
-    factor. It replaced the O(n^6) Kronecker-vectorized solve, which the
-    oracle cases below keep as the reference, and was preferred to scipy's
-    bilinear route, whose residual fails the 1e-13 bound near the threshold
-    with a negative real unstable eigenvalue."""
+    """X = alpha A X A' + Q on the complex Schur form of A: a Cayley transform
+    with the plant's unit shift sigma and one triangular Sylvester solve,
+    O(n^3) with no Python loop, after one O(n^3) factor. It replaced the
+    O(n^6) Kronecker-vectorized solve, which the oracle cases below keep as
+    the reference. scipy's bilinear route is the same transform with
+    sigma = 1 and fails the 1e-13 residual bound near the threshold with a
+    negative real unstable eigenvalue. The oracle cases below cover what a
+    fixed shift or a route through T^-1 would fail: unstable eigenvalues of
+    both signs, unstable ones spread round the circle, a singular A and a
+    strongly non-normal one."""
 
     def test_scalar_closed_form(self):
         S = solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), 0.625)
@@ -173,12 +178,55 @@ def seeded_case(seed):
     return A, G @ G.T / 30 + 0.5 * np.eye(30)
 
 
+def plus_minus_case():
+    # +1.1 and -1.1 on one plant: a fixed real Cayley shift sits next to one
+    # of them at the threshold, whichever sign it takes
+    rng = np.random.default_rng(6)
+    A = np.diag([1.1, -1.1, 0.6, -0.4, 0.2, 0.9]) + np.triu(rng.standard_normal((6, 6)), 1)
+    return A, np.diag([1.0, 2.0, 0.5, 1.5, 1.0, 3.0])
+
+
+def circle_case():
+    # n = 24: 12 unstable eigenvalues evenly spread at radius 1.08 (six
+    # rotation blocks and their conjugates) and 12 stable ones, in a mixed basis
+    rng = np.random.default_rng(24)
+    blocks = [1.08 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+              for th in np.pi * (2 * np.arange(6) + 1) / 12]
+    D = sla.block_diag(*blocks, np.diag(np.linspace(-0.9, 0.95, 12)))
+    V = np.eye(24) + 0.3 * rng.standard_normal((24, 24)) / np.sqrt(24)
+    G = rng.standard_normal((24, 24))
+    return V @ D @ np.linalg.inv(V), G @ G.T / 24 + 0.5 * np.eye(24)
+
+
+def singular_case():
+    # a 3x3 nilpotent block (A singular) next to 1.2: a route through T^-1 fails
+    A = sla.block_diag(np.diag([1.0, 1.0], k=1), [[1.2]])
+    A[:3, 3] = [0.5, -0.3, 0.2]
+    return A, np.diag([1.0, 0.5, 2.0, 1.0])
+
+
+def scalar_case():
+    return np.array([[-1.3]]), np.array([[0.7]])
+
+
+def non_normal_case():
+    # upper triangular with off-diagonal entries ~10x the spectral radius
+    rng = np.random.default_rng(10)
+    A = np.diag(np.linspace(-1.15, 1.2, 10)) + 12.0 * np.triu(rng.standard_normal((10, 10)), 1)
+    return A, np.eye(10)
+
+
 ORACLE_CASES = {
     "rotation": rotation_case,
     "jordan": jordan_case,
     "negative-n12": negative_unstable_case,
     "seeded-n30-a": lambda: seeded_case(30),
     "seeded-n30-b": lambda: seeded_case(31),
+    "plus-minus-1.1": plus_minus_case,
+    "circle-n24": circle_case,
+    "singular": singular_case,
+    "scalar": scalar_case,
+    "non-normal": non_normal_case,
 }
 
 
@@ -213,3 +261,14 @@ def test_schur_factor_is_cached_and_reads_rho():
     assert factor.rho == pytest.approx(1.1, rel=1e-12)
     assert np.allclose(factor.U @ factor.T @ factor.U.conj().T, A, atol=1e-13)
     assert np.allclose(np.tril(factor.T, -1), 0.0)
+
+
+def test_cayley_shift_clears_both_signs():
+    # at margin 1e-8 the shifted diagonal sqrt(alpha) lambda + sigma stays
+    # away from zero at +1.1 and at -1.1, where sigma = +-1 would come within 1e-8
+    A, Q = plus_minus_case()
+    sys = LinearSystem(A=A, C=np.eye(6), Q=Q, R=np.eye(6), Sigma0=Q)
+    factor = sys.schur
+    alpha = (1.0 - 1e-8) / factor.rho**2
+    assert abs(factor.sigma) == pytest.approx(1.0, abs=1e-15)
+    assert np.min(np.abs(np.sqrt(alpha) * np.diag(factor.T) + factor.sigma)) >= 0.5
