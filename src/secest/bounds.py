@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .channel import ChannelParams
+from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
 from .kalman import riccati_map
 from .linmodel import LinearSystem, triangular_stein
@@ -126,8 +126,7 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     when the effective rate clears the open-loop threshold; otherwise the
     floor is infinite.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
+    _check_probability(p, "p")
     rate = p * ch.p2
     if rate <= p_lower(sys):
         return BoundValue.infinite()
@@ -167,8 +166,7 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     roundoff of the threshold and for plants whose unstable modes are not all
     observed.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {lam}")
+    _check_probability(lam, "lam")
     schur = sys.schur
     k = schur.k
     if k == 0:
@@ -257,8 +255,7 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     :class:`NumericalError` naming the rate, ``p_upper`` and the budget is
     raised (the CLI exits 2).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"p must lie in [0, 1], got {p}")
+    _check_probability(p, "p")
     rate = p * ch.p1
     pu = p_upper(sys)
     if rate <= pu:

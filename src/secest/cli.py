@@ -3,9 +3,11 @@
 Subcommands: bounds, interval, design, sweep, simulate, montecarlo, scalar.
 Every invocation reads a JSON run configuration, prints a JSON document on
 stdout (including the config hash so results are traceable to their
-inputs), and optionally writes a CSV artifact via --out. Exit codes: 0 on
-success, 1 for configuration or validation problems, 2 for numerical
-failures; errors go to stderr as JSON.
+inputs), and ``sweep``, ``simulate`` and ``montecarlo`` write a CSV artifact
+when ``out`` is set. Exit codes: 0 on success, 1 for configuration,
+validation or usage problems (an unknown flag, a bad flag value, an
+unwritable artifact path), 2 for numerical failures; errors go to stderr as
+JSON.
 
 Config schema (version 1): matrices are row-major nested lists, bare
 numbers are accepted as 1x1.
@@ -20,8 +22,17 @@ numbers are accepted as 1x1.
       "M_grid": [2.0, 5.0, 10.0], "out": "artifact.csv"
     }
 
-Everything below "channel" is optional; command-line flags override the
-config.
+Everything below "channel" is optional, and every subcommand accepts every
+key. Each scalar key has one flag (``_FIELDS``) that overrides it, and a
+subcommand accepts only the flags of the keys it reads (``_COMMANDS``):
+
+    bounds      --p
+    interval    (none)
+    design      --secrecy-floor --tol
+    sweep       --tol --out --m-min --m-max --m-points
+    simulate    --p --steps --seed --out
+    montecarlo  --p --steps --runs --seed --out
+    scalar      --p --secrecy-floor
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ import hashlib
 import json
 import math
 import sys as _sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,12 +55,19 @@ from .linmodel import LinearSystem, validate_system
 from .montecarlo import expected_error_curve, simulate_trace, time_average_error
 from .scalar import ScalarSystem, scalar_S, scalar_V, scalar_critical, scalar_p_star
 
-_DEFAULTS = {"epsilon": 1e-6, "seed": 0, "T": 200, "runs": 200}
-
-_KNOWN_KEYS = {
-    "schema_version", "system", "channel", "p", "M", "epsilon",
-    "seed", "T", "runs", "M_grid", "out",
+# Scalar config key -> (flag, type, default, help). A default of None means
+# the key is unset unless the config or the flag gives it.
+_FIELDS = {
+    "p": ("--p", float, None, "withholding probability"),
+    "M": ("--secrecy-floor", float, None, "secrecy floor"),
+    "epsilon": ("--tol", float, 1e-6, "bisection tolerance"),
+    "seed": ("--seed", int, 0, "RNG seed"),
+    "T": ("--steps", int, 200, "simulation horizon"),
+    "runs": ("--runs", int, 200, "Monte Carlo replications"),
+    "out": ("--out", str, None, "CSV artifact path"),
 }
+
+_KNOWN_KEYS = {"schema_version", "system", "channel", "M_grid", *_FIELDS}
 
 
 class SystemValidationError(ValidationError):
@@ -176,23 +194,23 @@ def load_config(path: str) -> RunConfig:
             _get_number({"v": v}, "v", f"/M_grid/{i}") for i, v in enumerate(doc["M_grid"])
         )
 
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("expected a string path", "/out")
+    fields = {}
+    for key, (_, kind, default, _) in _FIELDS.items():
+        if kind is str:
+            value = doc.get(key, default)
+            if value is not None and not isinstance(value, str):
+                raise ConfigError("expected a string path", f"/{key}")
+        else:
+            value = _get_number(doc, key, f"/{key}", default, integer=kind is int)
+        fields[key] = value
 
     return RunConfig(
         system=system,
         channel=channel,
-        p=_get_number(doc, "p", "/p"),
-        M=_get_number(doc, "M", "/M"),
-        epsilon=_get_number(doc, "epsilon", "/epsilon", _DEFAULTS["epsilon"]),
-        seed=_get_number(doc, "seed", "/seed", _DEFAULTS["seed"], integer=True),
-        T=_get_number(doc, "T", "/T", _DEFAULTS["T"], integer=True),
-        runs=_get_number(doc, "runs", "/runs", _DEFAULTS["runs"], integer=True),
         M_grid=M_grid,
-        out=out,
         source=str(path),
         sha256=hashlib.sha256(raw).hexdigest(),
+        **fields,
     )
 
 
@@ -228,28 +246,16 @@ def _csv_cell(value):
     return value
 
 
-def _require(cfg_value, flag_help: str):
-    if cfg_value is None:
-        raise ConfigError(flag_help)
-    return cfg_value
+def _require(cfg: RunConfig, key: str):
+    value = getattr(cfg, key)
+    if value is None:
+        flag, _, _, help_text = _FIELDS[key]
+        raise ConfigError(f"{help_text} required: set \"{key}\" or pass {flag}")
+    return value
 
 
-def _interval_payload(interval) -> dict:
-    return {
-        "lower_exclusive": interval.lower_exclusive,
-        "upper_inclusive": interval.upper_inclusive,
-        "empty": interval.empty,
-        "conservative": interval.conservative,
-        "user_nominal_bounded": interval.user_nominal_bounded,
-    }
-
-
-def _rates_payload(rates) -> dict:
-    return {"p_lower": rates.p_lower, "p_upper": rates.p_upper, "exact": rates.exact}
-
-
-def _cmd_bounds(cfg: RunConfig):
-    p = _require(cfg.p, "withholding probability required: set \"p\" or pass --p")
+def _cmd_bounds(cfg: RunConfig, args):
+    p = _require(cfg, "p")
     mech = Mechanism(p)
     rate_user, rate_eav = effective_rates(mech, cfg.channel)
     S = bounds_mod.solve_S(p, cfg.channel, cfg.system)
@@ -269,17 +275,16 @@ def _cmd_bounds(cfg: RunConfig):
     return payload, None, None
 
 
-def _cmd_interval(cfg: RunConfig):
+def _cmd_interval(cfg: RunConfig, args):
     rates = bounds_mod.critical_rates(cfg.system)
     interval = bounds_mod.secrecy_interval(cfg.system, cfg.channel)
-    payload = _interval_payload(interval)
-    payload["exact"] = rates.exact
-    payload.update(p_lower=rates.p_lower, p_upper=rates.p_upper)
+    payload = asdict(interval)
+    payload.update(exact=rates.exact, p_lower=rates.p_lower, p_upper=rates.p_upper)
     return payload, None, None
 
 
-def _cmd_design(cfg: RunConfig):
-    M = _require(cfg.M, "secrecy floor required: set \"M\" or pass --secrecy-floor")
+def _cmd_design(cfg: RunConfig, args):
+    M = _require(cfg, "M")
     res = design_p_star(cfg.system, cfg.channel, M, cfg.epsilon)
     payload = {
         "p_star": res.p_star,
@@ -289,8 +294,8 @@ def _cmd_design(cfg: RunConfig):
         "M": res.M,
         "epsilon": res.epsilon,
         "iterations": res.iterations,
-        "rates": _rates_payload(res.rates),
-        "interval": _interval_payload(res.interval),
+        "rates": asdict(res.rates),
+        "interval": asdict(res.interval),
     }
     return payload, None, None
 
@@ -309,22 +314,19 @@ def _sweep_grid(cfg: RunConfig, args) -> tuple:
     )
 
 
-def _cmd_sweep(cfg: RunConfig, grid):
-    curve = sweep_tradeoff(cfg.system, cfg.channel, grid, cfg.epsilon)
+def _cmd_sweep(cfg: RunConfig, args):
+    curve = sweep_tradeoff(cfg.system, cfg.channel, _sweep_grid(cfg, args), cfg.epsilon)
     rows = [[pt.M, pt.p_star, pt.trS, pt.trV] for pt in curve.points]
     payload = {
-        "channel": {"p1": curve.channel.p1, "p2": curve.channel.p2},
+        "channel": asdict(curve.channel),
         "epsilon": cfg.epsilon,
-        "points": [
-            {"M": pt.M, "p_star": pt.p_star, "trS": pt.trS, "trV": pt.trV}
-            for pt in curve.points
-        ],
+        "points": [asdict(pt) for pt in curve.points],
     }
     return payload, ["M", "p_star", "trS", "trV"], rows
 
 
-def _cmd_simulate(cfg: RunConfig):
-    p = _require(cfg.p, "withholding probability required: set \"p\" or pass --p")
+def _cmd_simulate(cfg: RunConfig, args):
+    p = _require(cfg, "p")
     trace = simulate_trace(cfg.system, Mechanism(p), cfg.channel, cfg.T, cfg.seed)
     n = cfg.system.n
     header = ["k", "sent", "gamma1", "gamma2", "trP1", "trP2", "err1", "err2"]
@@ -350,8 +352,8 @@ def _cmd_simulate(cfg: RunConfig):
     return payload, header, rows
 
 
-def _cmd_montecarlo(cfg: RunConfig):
-    p = _require(cfg.p, "withholding probability required: set \"p\" or pass --p")
+def _cmd_montecarlo(cfg: RunConfig, args):
+    p = _require(cfg, "p")
     mech = Mechanism(p)
     user = expected_error_curve(cfg.system, mech, cfg.channel.p1, cfg.T,
                                 cfg.runs, cfg.seed, receiver="user")
@@ -373,7 +375,7 @@ def _cmd_montecarlo(cfg: RunConfig):
     return payload, header, rows
 
 
-def _cmd_scalar(cfg: RunConfig):
+def _cmd_scalar(cfg: RunConfig, args):
     sysm = cfg.system
     if sysm.n != 1 or sysm.m != 1:
         raise ValidationError(
@@ -396,59 +398,51 @@ def _cmd_scalar(cfg: RunConfig):
     return payload, None, None
 
 
+# Subcommand -> (handler, config keys whose flags it accepts, help).
+_COMMANDS = {
+    "bounds": (_cmd_bounds, ("p",), "error floor/ceiling and critical rates at one p"),
+    "interval": (_cmd_interval, (), "withholding probabilities that achieve secrecy"),
+    "design": (_cmd_design, ("M", "epsilon"), "largest p meeting a secrecy floor"),
+    "sweep": (_cmd_sweep, ("epsilon", "out"), "design across a grid of secrecy floors"),
+    "simulate": (_cmd_simulate, ("p", "T", "seed", "out"), "one closed-loop sample path"),
+    "montecarlo": (_cmd_montecarlo, ("p", "T", "runs", "seed", "out"),
+                   "averaged covariance curves for both receivers"),
+    "scalar": (_cmd_scalar, ("p", "M"), "closed-form answers for 1x1 systems"),
+}
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors as ConfigError, so main reports them as JSON."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    defaults = ", ".join(
+        f"{flag} ({key}) = {default}"
+        for key, (flag, _, default, _) in _FIELDS.items() if default is not None
+    )
+    parser = _ArgumentParser(
         prog="secest",
         description="Design and evaluate packet-withholding secrecy for "
                     "remote state estimation.",
-        epilog="Defaults when neither flag nor config sets a value: "
-               f"epsilon={_DEFAULTS['epsilon']}, seed={_DEFAULTS['seed']}, "
-               f"steps={_DEFAULTS['T']}, runs={_DEFAULTS['runs']}.",
+        epilog=f"Defaults when neither flag nor config sets a value: {defaults}.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "bounds": "error floor/ceiling and critical rates at one p",
-        "interval": "withholding probabilities that achieve secrecy",
-        "design": "largest p meeting a secrecy floor",
-        "sweep": "design across a grid of secrecy floors",
-        "simulate": "one closed-loop sample path",
-        "montecarlo": "averaged covariance curves for both receivers",
-        "scalar": "closed-form answers for 1x1 systems",
-    }
-    for name, help_text in specs.items():
+    for name, (_, keys, help_text) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="run configuration JSON")
-        sp.add_argument("--out", help="CSV artifact path (overrides config)")
-        sp.add_argument("--seed", type=int, help="RNG seed (overrides config)")
-        sp.add_argument("--p", type=float, help="withholding probability")
-        sp.add_argument("--steps", type=int, help="simulation horizon T")
-        sp.add_argument("--runs", type=int, help="Monte Carlo replications")
-        sp.add_argument("--secrecy-floor", type=float, dest="secrecy_floor",
-                        help="confusion target M")
-        sp.add_argument("--tol", type=float, help="bisection tolerance epsilon")
-        sp.add_argument("--m-min", type=float, dest="m_min")
-        sp.add_argument("--m-max", type=float, dest="m_max")
-        sp.add_argument("--m-points", type=int, dest="m_points")
+        for key in keys:
+            flag, kind, _, field_help = _FIELDS[key]
+            sp.add_argument(flag, type=kind, dest=key,
+                            help=f'{field_help} (overrides config "{key}")')
+        if name == "sweep":
+            sp.add_argument("--m-min", type=float,
+                            help='smallest M of a linear grid (replaces config "M_grid")')
+            sp.add_argument("--m-max", type=float, help="largest M of the grid")
+            sp.add_argument("--m-points", type=int, help="number of grid points")
     return parser
-
-
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    updates = {}
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.p is not None:
-        updates["p"] = args.p
-    if args.steps is not None:
-        updates["T"] = args.steps
-    if args.runs is not None:
-        updates["runs"] = args.runs
-    if args.secrecy_floor is not None:
-        updates["M"] = args.secrecy_floor
-    if args.tol is not None:
-        updates["epsilon"] = args.tol
-    return replace(cfg, **updates) if updates else cfg
 
 
 def _emit_error(exc: Exception):
@@ -468,33 +462,29 @@ def _emit_error(exc: Exception):
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        cfg = _apply_overrides(load_config(args.config), args)
-        if args.command == "sweep":
-            payload, header, rows = _cmd_sweep(cfg, _sweep_grid(cfg, args))
-        else:
-            handler = {
-                "bounds": _cmd_bounds,
-                "interval": _cmd_interval,
-                "design": _cmd_design,
-                "simulate": _cmd_simulate,
-                "montecarlo": _cmd_montecarlo,
-                "scalar": _cmd_scalar,
-            }[args.command]
-            payload, header, rows = handler(cfg)
-        if rows is not None and cfg.out:
-            with open(cfg.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows([[_csv_cell(cell) for cell in row] for row in rows])
+        args = build_parser().parse_args(argv)
+        handler, keys, _ = _COMMANDS[args.command]
+        cfg = replace(load_config(args.config), **{
+            key: getattr(args, key) for key in keys if getattr(args, key) is not None
+        })
+        payload, header, rows = handler(cfg, args)
+        artifact = cfg.out if rows is not None else None
+        if artifact:
+            try:
+                with open(artifact, "w", newline="") as fh:
+                    writer = csv.writer(fh)
+                    writer.writerow(header)
+                    writer.writerows([[_csv_cell(cell) for cell in row] for row in rows])
+            except OSError as exc:
+                raise ConfigError(f"cannot write artifact: {exc}", "/out") from exc
         doc = {
             "command": args.command,
             "config": {"path": cfg.source, "sha256": cfg.sha256},
             "result": payload,
         }
-        if rows is not None and cfg.out:
-            doc["artifact"] = cfg.out
+        if artifact:
+            doc["artifact"] = artifact
         print(json.dumps(_jsonable(doc), indent=2))
         return 0
     except (ConfigError, ValidationError) as exc:

@@ -25,6 +25,7 @@ import math
 import numpy as np
 import scipy.linalg as sla
 
+from .channel import _check_probability
 from .errors import NumericalError, ValidationError
 from .linmodel import LinearSystem
 
@@ -56,8 +57,7 @@ def riccati_map(X, sys: LinearSystem, lam: float) -> np.ndarray:
     The inner inverse is never formed; the correction uses a positive
     definite solve against C X C' + R.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lam must lie in [0, 1], got {lam}")
+    _check_probability(lam, "lam")
     X = _sym(np.asarray(X, dtype=float))
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
     open_loop = A @ X @ A.T + Q

@@ -34,6 +34,7 @@ from .channel import (
     ChannelParams,
     Mechanism,
     RngStream,
+    _check_probability,
 )
 from .errors import ValidationError
 from .kalman import filter_errors, riccati_map
@@ -183,8 +184,7 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
         raise ValidationError(f"receiver must be one of {_RECEIVERS}, got {receiver!r}")
     if T < 0 or runs <= 0:
         raise ValidationError("T must be nonnegative and runs positive")
-    if not 0.0 <= rate <= 1.0:
-        raise ValidationError(f"rate must lie in [0, 1], got {rate}")
+    _check_probability(rate, "rate")
     effective = mech.p * rate
 
     gammas = np.empty((runs, T), dtype=bool)

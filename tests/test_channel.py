@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from secest import ChannelParams, Mechanism, RngStream, ValidationError, effective_rates
+from secest import (
+    ChannelParams,
+    Mechanism,
+    RngStream,
+    ValidationError,
+    effective_rates,
+    expected_error_curve,
+    feasibility_check,
+    riccati_map,
+    solve_S,
+    solve_V,
+)
 from secest.channel import (
     STREAM_EAVESDROPPER_ERASURE,
     STREAM_MC_RUN_BASE,
@@ -10,7 +21,15 @@ from secest.channel import (
 )
 
 
-def test_probability_ranges_enforced():
+def test_probability_ranges_enforced(scalar_sys, channel_96):
+    # Every entry point that takes a probability rejects it by name.
+    named_checks = [
+        ("p", lambda v: solve_S(v, channel_96, scalar_sys)),
+        ("p", lambda v: solve_V(v, channel_96, scalar_sys)),
+        ("lam", lambda v: feasibility_check(v, scalar_sys)),
+        ("lam", lambda v: riccati_map(scalar_sys.Q, scalar_sys, v)),
+        ("rate", lambda v: expected_error_curve(scalar_sys, Mechanism(0.5), v, 2, 2, 0)),
+    ]
     for bad in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValidationError):
             Mechanism(bad)
@@ -18,6 +37,9 @@ def test_probability_ranges_enforced():
             ChannelParams(bad, 0.5)
         with pytest.raises(ValidationError):
             ChannelParams(0.5, bad)
+        for name, check in named_checks:
+            with pytest.raises(ValidationError, match=rf"^{name} must lie in \[0, 1\]"):
+                check(bad)
     Mechanism(0.0)
     Mechanism(1.0)
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from secest import design_p_star, p_upper
-from secest.cli import load_config, main
+from secest.cli import _COMMANDS, load_config, main
 from secest.errors import ConfigError
 
 _CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -26,6 +26,22 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# The flags each subcommand accepts besides --config, and the config key
+# each field flag overrides.
+ACCEPTED = {
+    "bounds": ("--p",),
+    "interval": (),
+    "design": ("--secrecy-floor", "--tol"),
+    "sweep": ("--tol", "--out", "--m-min", "--m-max", "--m-points"),
+    "simulate": ("--p", "--steps", "--seed", "--out"),
+    "montecarlo": ("--p", "--steps", "--runs", "--seed", "--out"),
+    "scalar": ("--p", "--secrecy-floor"),
+}
+FLAG_KEYS = {"--p": "p", "--secrecy-floor": "M", "--tol": "epsilon", "--seed": "seed",
+             "--steps": "T", "--runs": "runs", "--out": "out"}
+ALL_FLAGS = (*FLAG_KEYS, "--m-min", "--m-max", "--m-points")
 
 
 def base_doc():
@@ -149,20 +165,24 @@ class TestCliSuccess:
         code, out, _ = run_cli(capsys, "bounds", "--config", SCALAR_CFG, "--p", "0.3")
         assert code == 0
         res = out["result"]
+        assert res["p"] == 0.3
         assert res["trS"] == "inf" and res["trV"] == "inf"
         assert not res["trS_finite"] and not res["trV_finite"]
 
     def test_design_matches_library(self, capsys):
-        code, out, _ = run_cli(capsys, "design", "--config", SCALAR_CFG)
-        assert code == 0
         cfg = load_config(SCALAR_CFG)
-        res = design_p_star(cfg.system, cfg.channel, cfg.M, cfg.epsilon)
-        got = out["result"]
-        assert got["p_star"] == res.p_star
-        assert got["trS_at_p_star"] == res.trS_at_p_star
-        assert got["iterations"] == res.iterations
-        assert got["rates"]["exact"] is True
-        assert not got["trV_infinite"]
+        for flags, M, epsilon in [([], cfg.M, cfg.epsilon),
+                                  (["--secrecy-floor", "25", "--tol", "1e-4"], 25.0, 1e-4)]:
+            code, out, _ = run_cli(capsys, "design", "--config", SCALAR_CFG, *flags)
+            assert code == 0
+            res = design_p_star(cfg.system, cfg.channel, M, epsilon)
+            got = out["result"]
+            assert got["M"] == M and got["epsilon"] == epsilon
+            assert got["p_star"] == res.p_star
+            assert got["trS_at_p_star"] == res.trS_at_p_star
+            assert got["iterations"] == res.iterations
+            assert got["rates"]["exact"] is True
+            assert not got["trV_infinite"]
 
     def test_interval(self, capsys):
         code, out, _ = run_cli(capsys, "interval", "--config", SCALAR_96_CFG)
@@ -234,8 +254,9 @@ class TestCliSuccess:
         out_path = str(tmp_path / "sweep.csv")
         code, out, _ = run_cli(capsys, "sweep", "--config", SCALAR_CFG,
                                "--m-min", "2", "--m-max", "10", "--m-points", "5",
-                               "--out", out_path)
+                               "--tol", "1e-4", "--out", out_path)
         assert code == 0
+        assert out["result"]["epsilon"] == 1e-4
         pts = out["result"]["points"]
         assert len(pts) == 5
         assert [pt["M"] for pt in pts] == [2.0, 4.0, 6.0, 8.0, 10.0]
@@ -245,6 +266,66 @@ class TestCliSuccess:
             rows = list(csv.reader(fh))
         assert rows[0] == ["M", "p_star", "trS", "trV"]
         assert len(rows) == 6
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, flags in ACCEPTED.items()
+        for flag in flags if flag in FLAG_KEYS
+    ])
+    def test_flag_overrides_config(self, capsys, tmp_path, command, flag):
+        key = FLAG_KEYS[flag]
+        doc = dict(base_doc(), p=0.51, M=10.0, epsilon=1e-6, seed=42, T=5, runs=3,
+                   M_grid=[10.0], out=str(tmp_path / "cfg.csv"))
+        given = {"p": 0.62, "M": 12.5, "epsilon": 1e-4, "seed": 7, "T": 4, "runs": 2,
+                 "out": str(tmp_path / "flag.csv")}[key]
+        code, out, _ = run_cli(capsys, command, "--config", write_cfg(tmp_path, doc),
+                               flag, str(given))
+        assert code == 0
+        got = out["artifact"] if key == "out" else out["result"][{"T": "steps"}.get(key, key)]
+        assert got == given
+
+
+class TestCliUsage:
+    def test_table_covers_every_subcommand(self):
+        assert set(_COMMANDS) == set(ACCEPTED)
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_unread_flags_rejected(self, capsys, command):
+        for flag in ALL_FLAGS:
+            if flag in ACCEPTED[command]:
+                continue
+            code, out, err = run_cli(capsys, command, "--config", SCALAR_CFG, flag, "1")
+            assert code == 1 and out is None, flag
+            assert err["error"]["type"] == "ConfigError"
+            assert flag in err["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--config", SCALAR_CFG, "--bogus"],
+        ["simulate", "--config", SCALAR_CFG, "--steps", "x"],
+        ["simulate", "--p", "0.5"],
+        ["nosuch", "--config", SCALAR_CFG],
+        [],
+    ])
+    def test_usage_errors_return_1_as_json(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+
+    def test_help_exits_0_and_names_defaults(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--steps (T) = 200" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "--runs" not in capsys.readouterr().out
+
+    def test_unwritable_out_is_config_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "simulate", "--config", SCALAR_CFG, "--steps", "3",
+                                 "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["pointer"] == "/out"
 
 
 class TestCliFailure:
