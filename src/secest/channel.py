@@ -13,6 +13,12 @@ erasures, and 5+k the k-th Monte Carlo replication. Fixing (seed, stream_id)
 fixes the draw sequence bit-for-bit, independent of platform and of how many
 other streams are consumed, which is what lets a simulation replay the same
 noise and erasure sample while only the withholding probability changes.
+
+A stream's Philox key is numpy's ``SeedSequence(seed,
+spawn_key=(stream_id,))``. The Monte Carlo replications keep their streams
+5+k, but derive all of their keys in one vectorized pass of the same
+algorithm and re-key a single Philox generator per replication, instead of
+building one ``RngStream`` each.
 """
 
 from __future__ import annotations
@@ -86,6 +92,98 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _hash(word: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """One SeedSequence hash step on uint32 words; returns (hashed, next const).
+
+    The constant sequence depends on no data, so it stays a Python int; the
+    words are uint32 arrays, which wrap mod 2**32 like the C code.
+    """
+    nxt = (const * mult) & _MASK32
+    word = (word ^ np.uint32(const)) * np.uint32(nxt)
+    return word ^ (word >> np.uint32(16)), nxt
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    word = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return word ^ (word >> np.uint32(16))
+
+
+def _philox_keys(seed: int, first_stream: int, count: int) -> np.ndarray:
+    """Philox keys of streams first_stream..first_stream+count-1, shape (count, 2).
+
+    Row r equals ``SeedSequence(seed, spawn_key=(first_stream + r,))
+    .generate_state(2, np.uint64)``, computed for every stream at once: each
+    hash step is one array operation, and the seed's words broadcast against
+    the stream ids. Stream ids must be below 2**32 (one spawn-key word).
+    """
+    words = [seed & _MASK32]
+    while seed >> 32 * len(words):
+        words.append((seed >> 32 * len(words)) & _MASK32)
+    # A spawn key pads the seed's words with zeros to the pool size.
+    words += [0] * (_POOL_SIZE - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(first_stream, first_stream + count, dtype=np.uint32))
+
+    const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        word, const = _hash(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            word, const = _hash(extra, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+
+    const = _INIT_B
+    state = []
+    for word in pool:
+        word, const = _hash(word, const, _MULT_B)
+        state.append(word)
+    state = np.stack(np.broadcast_arrays(*state), axis=1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _replication_uniforms(seed: int, first_stream: int, count: int, size: int):
+    """Yield ``RngStream(seed, first_stream + r).uniforms(size)`` for r < count.
+
+    Philox is counter-based, so a stream is fixed by its key alone: all keys
+    come from one vectorized pass (:func:`_philox_keys`), and one generator
+    is re-keyed per row with a zero counter and an empty buffer, where
+    RngStream would build a SeedSequence, a Philox and a Generator each.
+    Arguments are checked when the first row is requested.
+    """
+    seed, first_stream = int(seed), int(first_stream)
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    if first_stream < 0 or first_stream + count > 2**32:
+        raise ValidationError(
+            f"stream ids must lie in [0, 2**32), got {first_stream}..{first_stream + count - 1}"
+        )
+    keys = _philox_keys(seed, first_stream, count)
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    zeros = np.zeros(4, dtype=np.uint64)
+    for key in keys:
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": zeros, "key": key},
+                        "buffer": zeros, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        yield gen.random(size)
 
 
 def effective_rates(mech: Mechanism, ch: ChannelParams) -> tuple[float, float]:

@@ -35,6 +35,7 @@ from .channel import (
     Mechanism,
     RngStream,
     _check_probability,
+    _replication_uniforms,
 )
 from .errors import ValidationError
 from .kalman import filter_errors, riccati_map
@@ -151,8 +152,9 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
         e_f, P = filter_errors(sys, gammas, -x0, w, v)
         xhat.append(x + e_f)
         trP.append(np.trace(P[:steps], axis1=1, axis2=2))
-        # Row by row: norm(..., axis=1) rounds differently in the last bit.
-        err.append(np.array([np.linalg.norm(e) for e in e_f]))
+        # A stacked (1, n) @ (n, 1) dot per row rounds like norm(e) of each
+        # row; norm(..., axis=1), einsum and sum differ in the last bit.
+        err.append(np.sqrt((e_f[:, None, :] @ e_f[:, :, None])[:, 0, 0]))
 
     return SimulationTrace(
         k=np.arange(steps), x=x, y=y, sent=sent,
@@ -188,8 +190,7 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     effective = mech.p * rate
 
     gammas = np.empty((runs, T), dtype=bool)
-    for r in range(runs):
-        u = RngStream(seed, STREAM_MC_RUN_BASE + r).uniforms(T)
+    for r, u in enumerate(_replication_uniforms(seed, STREAM_MC_RUN_BASE, runs, T)):
         gammas[r] = u < effective
     received_fraction = gammas.mean(axis=0) if T else np.empty(0)
 

@@ -18,6 +18,7 @@ from secest.channel import (
     STREAM_MC_RUN_BASE,
     STREAM_MECHANISM,
     STREAM_PROCESS_NOISE,
+    _replication_uniforms,
 )
 
 
@@ -89,3 +90,30 @@ def test_different_seeds_differ():
     a = RngStream(1, STREAM_MECHANISM).uniforms(16)
     b = RngStream(2, STREAM_MECHANISM).uniforms(16)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 3,
+                                  2**63 + 11, 2**70 + 3])
+def test_replication_uniforms_match_rng_streams(seed):
+    # The one-pass key derivation must reproduce SeedSequence exactly,
+    # including seeds of two and three 32-bit words.
+    for count in (1, 257):
+        for size in (0, 1, 7, 300):
+            rows = list(_replication_uniforms(seed, 5, count, size))
+            assert len(rows) == count
+            for r, u in enumerate(rows):
+                want = RngStream(seed, 5 + r).uniforms(size)
+                assert u.shape == want.shape and np.array_equal(u, want)
+
+
+def test_replication_uniforms_validation(scalar_sys):
+    for T in (0, 3):
+        with pytest.raises(ValidationError, match="seed must be nonnegative"):
+            expected_error_curve(scalar_sys, Mechanism(0.5), 0.5, T, 2, -1)
+    # Stream ids of two spawn-key words are outside the one-pass derivation.
+    with pytest.raises(ValidationError, match="stream ids"):
+        list(_replication_uniforms(0, 2**32 - 1, 2, 3))
+    with pytest.raises(ValidationError, match="stream ids"):
+        list(_replication_uniforms(0, -1, 1, 3))
+    (last,) = _replication_uniforms(0, 2**32 - 1, 1, 3)
+    assert np.array_equal(last, RngStream(0, 2**32 - 1).uniforms(3))

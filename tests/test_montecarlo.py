@@ -5,12 +5,14 @@ from secest import (
     ChannelParams,
     Mechanism,
     PhaseCriteria,
+    RngStream,
     ValidationError,
     batch_covariance_oracle,
     collapse_events,
     expected_error_curve,
     meets_divergence_criterion,
     meets_plateau_criterion,
+    montecarlo,
     riccati_map,
     simulate_trace,
     time_average_error,
@@ -52,6 +54,21 @@ class TestExpectedErrorCurve:
         # every step multiplies by a^2 and adds q
         assert curve.mean_trP[5] == pytest.approx(
             1.44 * curve.mean_trP[4] + 1.0, rel=1e-12)
+
+    def test_pinned_to_replication_streams(self, second_order_sys):
+        # Replication r draws its receptions from stream 5 + r; the curve is
+        # the Riccati recursion on the per-step reception fraction.
+        mech, rate, T, runs, seed = Mechanism(0.8), 0.55, 60, 37, 2**40 + 3
+        curve = expected_error_curve(second_order_sys, mech, rate, T, runs, seed)
+        received = np.array([RngStream(seed, 5 + r).uniforms(T) < mech.p * rate
+                             for r in range(runs)])
+        fraction = received.mean(axis=0)
+        P = second_order_sys.Sigma0.copy()
+        expect = [np.trace(P)]
+        for k in range(T):
+            P = riccati_map(P, second_order_sys, float(fraction[k]))
+            expect.append(np.trace(P))
+        assert np.array_equal(curve.mean_trP, expect)
 
     def test_validation(self, scalar_sys):
         mech = Mechanism(0.5)
@@ -97,6 +114,25 @@ class TestSimulateTrace:
         tr = simulate_trace(second_order_sys, Mechanism(0.6), channel_96, T=60, seed=5)
         direct = np.linalg.norm(tr.xhat1 - tr.x, axis=1)
         assert np.max(np.abs(direct - tr.err1)) < 1e-9
+
+    @pytest.mark.parametrize("plant", ["second_order_sys", "scalar_sys"])
+    def test_error_norms_match_per_row_norm(self, plant, request, channel_96, monkeypatch):
+        # xhat - x cancels on an unstable plant, so compare with the filter's
+        # own error rows, captured on their way into the trace.
+        sys = request.getfixturevalue(plant)
+        errors = []
+        filter_errors = montecarlo.filter_errors
+
+        def recording(*args):
+            result = filter_errors(*args)
+            errors.append(result[0])
+            return result
+
+        monkeypatch.setattr(montecarlo, "filter_errors", recording)
+        tr = simulate_trace(sys, Mechanism(0.51), channel_96, T=300, seed=7)
+        assert len(errors) == 2
+        for err, e_f in zip((tr.err1, tr.err2), errors):
+            assert np.array_equal(err, [np.linalg.norm(e) for e in e_f])
 
     def test_silence_means_open_loop(self, scalar_sys, channel_96):
         tr = simulate_trace(scalar_sys, Mechanism(0.0), channel_96, T=30, seed=2)
