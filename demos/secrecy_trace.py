@@ -24,7 +24,7 @@ print(f"user received {int(trace.gamma1.sum())}, eavesdropper {int(trace.gamma2.
 print(f"\ntime-averaged covariance trace, user:         {np.mean(trace.trP1[1:]):10.2f}")
 print(f"time-averaged covariance trace, eavesdropper: {np.mean(trace.trP2[1:]):10.2f}")
 
-events = collapse_events(trace, min_misses=10, window=3)
+events = collapse_events(trace)
 print(f"\ninterceptions after >= 10 consecutive misses: {len(events)}")
 for k, before, after in events:
     print(f"  step {k:3d}: trP2 {before:12.1f} -> {after:8.3f}  "

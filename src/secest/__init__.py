@@ -36,12 +36,10 @@ from .linmodel import (
     ValidationReport,
     is_positive_definite,
     solve_discounted_lyapunov,
-    spectral_radius,
     validate_system,
 )
 from .montecarlo import (
     ExpectedErrorCurve,
-    PhaseCriteria,
     SimulationTrace,
     collapse_events,
     expected_error_curve,
@@ -65,7 +63,6 @@ __all__ = [
     "LinearSystem",
     "Mechanism",
     "NumericalError",
-    "PhaseCriteria",
     "RngStream",
     "ScalarSystem",
     "SecrecyInterval",
@@ -98,7 +95,6 @@ __all__ = [
     "solve_S",
     "solve_V",
     "solve_discounted_lyapunov",
-    "spectral_radius",
     "sweep_tradeoff",
     "time_average_error",
     "validate_system",

@@ -238,12 +238,7 @@ def _jsonable(value):
 def _csv_cell(value):
     if isinstance(value, (bool, np.bool_)):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        return repr(value)
-    return value
+    return _jsonable(value)
 
 
 def _require(cfg: RunConfig, key: str):
@@ -355,10 +350,8 @@ def _cmd_simulate(cfg: RunConfig, args):
 def _cmd_montecarlo(cfg: RunConfig, args):
     p = _require(cfg, "p")
     mech = Mechanism(p)
-    user = expected_error_curve(cfg.system, mech, cfg.channel.p1, cfg.T,
-                                cfg.runs, cfg.seed, receiver="user")
-    eav = expected_error_curve(cfg.system, mech, cfg.channel.p2, cfg.T,
-                               cfg.runs, cfg.seed, receiver="eavesdropper")
+    user = expected_error_curve(cfg.system, mech, cfg.channel.p1, cfg.T, cfg.runs, cfg.seed)
+    eav = expected_error_curve(cfg.system, mech, cfg.channel.p2, cfg.T, cfg.runs, cfg.seed)
     header = ["k", "mean_trP_user", "mean_trP_eav"]
     rows = [[int(k), user.mean_trP[k], eav.mean_trP[k]] for k in range(cfg.T + 1)]
     rate_user, rate_eav = effective_rates(mech, cfg.channel)
@@ -452,12 +445,7 @@ def _emit_error(exc: Exception):
         doc["error"]["pointer"] = pointer
     report = getattr(exc, "report", None)
     if report is not None:
-        doc["error"]["report"] = {
-            "ok": report.ok,
-            "spectral_radius": report.spectral_radius,
-            "failures": list(report.failures),
-            "warnings": list(report.warnings),
-        }
+        doc["error"]["report"] = asdict(report)
     print(json.dumps(_jsonable(doc)), file=_sys.stderr)
 
 

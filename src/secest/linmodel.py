@@ -12,8 +12,8 @@ estimation error stays bounded is decided by how often measurements get
 through.
 
 This module owns the container for (A, C, Q, R, Sigma0), its validity
-checks, and two primitives everything else builds on: the spectral radius
-and the discounted Lyapunov (Stein) solve
+checks, and the primitive everything else builds on, the discounted
+Lyapunov (Stein) solve
 
     S = alpha * A S A' + Q,    0 <= alpha,  alpha * rho(A)^2 < 1.
 
@@ -22,9 +22,10 @@ A = U T U^H (T upper triangular, the eigenvalues of A on its diagonal) on
 first use and keeps it, sorted so that the k eigenvalues with |lambda| > 1
 come first: T[:k, :k] is A on its unstable invariant subspace, which the
 critical-rate certificate in :mod:`secest.bounds` works on alone. The
-spectral radius and all Stein solves read off the same factor. In the Schur
-basis the Stein equation becomes X = B X B^H + F with B = sqrt(alpha) T and
-F = U^H Q U. A Cayley transform with a unit shift sigma,
+spectral radius, for validation and every solver alike, and all Stein
+solves read off the same factor. In the Schur basis the Stein equation
+becomes X = B X B^H + F with B = sqrt(alpha) T and F = U^H Q U. A Cayley
+transform with a unit shift sigma,
 
     Ac = (B + sigma I)^-1 (B - sigma I) = I - 2 sigma (B + sigma I)^-1,
 
@@ -62,6 +63,10 @@ from .errors import NumericalError, ValidationError
 # that is symmetric up to floating-point noise. Grossly asymmetric inputs are
 # left untouched so validation can reject them.
 _SYM_RTOL = 1e-9
+
+# A covariance counts as positive definite when its smallest eigenvalue
+# exceeds this multiple of max(1, |trace|).
+_PD_TOL = 1e-10
 
 # The Stein solve refuses alpha * rho(A)^2 within this margin of 1, where the
 # solution is unbounded or beyond working precision.
@@ -243,29 +248,21 @@ class ValidationReport:
     warnings: list = field(default_factory=list)
 
 
-def spectral_radius(A) -> float:
-    """Largest eigenvalue magnitude of a square matrix."""
-    A = _as_matrix(A, "A")
-    if A.shape[0] != A.shape[1]:
-        raise ValidationError(f"spectral radius needs a square matrix, got {A.shape}")
-    return float(np.max(np.abs(np.linalg.eigvals(A))))
-
-
-def is_positive_definite(X, tol: float = 1e-10) -> bool:
-    """True iff X is symmetric (within tolerance) with min eigenvalue > tol.
+def is_positive_definite(X) -> bool:
+    """True iff X is symmetric (within tolerance) with min eigenvalue > 1e-10.
 
     Symmetry is judged relative to the largest entry; definiteness is judged
-    against ``tol`` scaled by the trace so that the check is meaningful for
+    against 1e-10 scaled by the trace so that the check is meaningful for
     matrices far from unit scale.
     """
     X = _as_matrix(X, "X")
     if X.shape[0] != X.shape[1]:
         raise ValidationError(f"definiteness needs a square matrix, got {X.shape}")
     scale = 1.0 + np.max(np.abs(X))
-    if np.max(np.abs(X - X.T)) > max(tol, _SYM_RTOL) * scale:
+    if np.max(np.abs(X - X.T)) > _SYM_RTOL * scale:
         return False
     w = np.linalg.eigvalsh(0.5 * (X + X.T))
-    return bool(w[0] > tol * max(1.0, abs(float(np.trace(X)))))
+    return bool(w[0] > _PD_TOL * max(1.0, abs(float(np.trace(X)))))
 
 
 def _psd_sqrt(X: np.ndarray) -> np.ndarray:
@@ -278,13 +275,14 @@ def validate_system(sys: LinearSystem) -> ValidationReport:
 
     Never raises; every problem lands in the report. Failures: Q, R, Sigma0
     not positive definite, or rho(A) <= 1 (a stable plant makes the secrecy
-    question trivial and several bounds meaningless). Warnings: (A, C) not
-    observable or (A, Q^(1/2)) not controllable by rank test; the fixed-point
-    solvers may still run but their limits can depend on initial conditions.
+    question trivial and several bounds meaningless), with rho read off
+    ``sys.schur`` as every solver reads it. Warnings: (A, C) not observable
+    or (A, Q^(1/2)) not controllable by rank test; the fixed-point solvers
+    may still run but their limits can depend on initial conditions.
     """
     failures = []
     warnings = []
-    rho = spectral_radius(sys.A)
+    rho = sys.schur.rho
 
     for name, arr in (("Q", sys.Q), ("R", sys.R), ("Sigma0", sys.Sigma0)):
         if not is_positive_definite(arr):

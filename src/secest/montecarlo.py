@@ -13,9 +13,11 @@ Two levels of fidelity:
   to be simulated; each step applies the update map averaged across the
   replications' draws.
 
-Divergence/plateau judgments on the averaged curves are made against
-:class:`PhaseCriteria`, a small config object, so reviewers can tighten the
-factors and windows without touching code.
+A curve is divergent when its mean trace at k = 300 exceeds 10 times the
+value at k = 30, and plateaued when the value at k = 300 is at most 1.2
+times the value at k = 150. A collapse event is an eavesdropper reception
+after at least 10 consecutive misses, scored by the smallest trace within
+the 3 steps that follow.
 """
 
 from __future__ import annotations
@@ -42,6 +44,15 @@ from .kalman import filter_errors, riccati_map
 from .linmodel import LinearSystem
 
 _RECEIVERS = ("user", "eavesdropper")
+
+# Phase judgments on averaged curves: (k0, k1) windows and the factor
+# bounding mean_trP[k1] / mean_trP[k0].
+_DIVERGENCE_WINDOW, _DIVERGENCE_FACTOR = (30, 300), 10.0
+_PLATEAU_WINDOW, _PLATEAU_FACTOR = (150, 300), 1.2
+
+# Collapse events: the miss run an interception must follow, and how many
+# steps after it to look for the smallest trace.
+_COLLAPSE_MIN_MISSES, _COLLAPSE_WINDOW = 10, 3
 
 
 @dataclass
@@ -81,23 +92,6 @@ class ExpectedErrorCurve:
     k: np.ndarray
     mean_trP: np.ndarray
     runs: int
-    receiver: str
-
-
-@dataclass(frozen=True)
-class PhaseCriteria:
-    """Thresholds for calling a curve divergent or plateaued.
-
-    Divergent: mean trace at step ``divergence_window[1]`` exceeds
-    ``divergence_factor`` times the value at ``divergence_window[0]``.
-    Plateaued: the value at ``plateau_window[1]`` is within
-    ``plateau_factor`` times the value at ``plateau_window[0]``.
-    """
-
-    divergence_factor: float = 10.0
-    divergence_window: tuple = (30, 300)
-    plateau_factor: float = 1.2
-    plateau_window: tuple = (150, 300)
 
 
 def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
@@ -167,8 +161,7 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
 
 
 def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
-                         T: int, runs: int, seed: int,
-                         receiver: str = "user") -> ExpectedErrorCurve:
+                         T: int, runs: int, seed: int) -> ExpectedErrorCurve:
     """Average the covariance recursion over independent reception draws.
 
     Each replication r draws its reception pattern from stream 5+r as
@@ -182,17 +175,15 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     averaging the map keeps the variance bounded and reproduces the MARE
     threshold ``p_upper`` exactly. Returns the trace at each step k = 0..T.
     """
-    if receiver not in _RECEIVERS:
-        raise ValidationError(f"receiver must be one of {_RECEIVERS}, got {receiver!r}")
     if T < 0 or runs <= 0:
         raise ValidationError("T must be nonnegative and runs positive")
     _check_probability(rate, "rate")
     effective = mech.p * rate
 
-    gammas = np.empty((runs, T), dtype=bool)
-    for r, u in enumerate(_replication_uniforms(seed, STREAM_MC_RUN_BASE, runs, T)):
-        gammas[r] = u < effective
-    received_fraction = gammas.mean(axis=0) if T else np.empty(0)
+    received = np.zeros(T)
+    for u in _replication_uniforms(seed, STREAM_MC_RUN_BASE, runs, T):
+        received += u < effective
+    received_fraction = received / runs
 
     P = np.array(sys.Sigma0, dtype=float)
     curve = np.empty(T + 1)
@@ -201,10 +192,7 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
         P = riccati_map(P, sys, float(received_fraction[k]))
         curve[k + 1] = np.trace(P)
 
-    return ExpectedErrorCurve(
-        k=np.arange(T + 1), mean_trP=curve,
-        runs=runs, receiver=receiver,
-    )
+    return ExpectedErrorCurve(k=np.arange(T + 1), mean_trP=curve, runs=runs)
 
 
 def time_average_error(trace: SimulationTrace, receiver: str) -> float:
@@ -217,18 +205,16 @@ def time_average_error(trace: SimulationTrace, receiver: str) -> float:
     return float(np.mean(err[1:]))
 
 
-def meets_divergence_criterion(curve: ExpectedErrorCurve,
-                               criteria: PhaseCriteria = PhaseCriteria()) -> bool:
-    k0, k1 = criteria.divergence_window
+def meets_divergence_criterion(curve: ExpectedErrorCurve) -> bool:
+    k0, k1 = _DIVERGENCE_WINDOW
     _require_coverage(curve, k1)
-    return bool(curve.mean_trP[k1] > criteria.divergence_factor * curve.mean_trP[k0])
+    return bool(curve.mean_trP[k1] > _DIVERGENCE_FACTOR * curve.mean_trP[k0])
 
 
-def meets_plateau_criterion(curve: ExpectedErrorCurve,
-                            criteria: PhaseCriteria = PhaseCriteria()) -> bool:
-    k0, k1 = criteria.plateau_window
+def meets_plateau_criterion(curve: ExpectedErrorCurve) -> bool:
+    k0, k1 = _PLATEAU_WINDOW
     _require_coverage(curve, k1)
-    return bool(curve.mean_trP[k1] <= criteria.plateau_factor * curve.mean_trP[k0])
+    return bool(curve.mean_trP[k1] <= _PLATEAU_FACTOR * curve.mean_trP[k0])
 
 
 def _require_coverage(curve: ExpectedErrorCurve, k: int):
@@ -238,14 +224,12 @@ def _require_coverage(curve: ExpectedErrorCurve, k: int):
         )
 
 
-def collapse_events(trace: SimulationTrace, min_misses: int = 10,
-                    window: int = 3) -> list:
+def collapse_events(trace: SimulationTrace) -> list:
     """Interceptions preceded by a long miss run, and how far trP2 fell.
 
     Returns one (k, trace_before, min_trace_after) triple per step k where
-    the eavesdropper received following at least ``min_misses`` consecutive
-    misses; ``min_trace_after`` is the smallest trP2 within ``window`` steps
-    after k.
+    the eavesdropper received following at least 10 consecutive misses;
+    ``min_trace_after`` is the smallest trP2 within the 3 steps after k.
     """
     events = []
     misses = 0
@@ -253,8 +237,8 @@ def collapse_events(trace: SimulationTrace, min_misses: int = 10,
     last = len(trace) - 1
     for k in range(len(trace)):
         if trace.gamma2[k]:
-            if misses >= min_misses and k < last:
-                stop = min(k + window, last)
+            if misses >= _COLLAPSE_MIN_MISSES and k < last:
+                stop = min(k + _COLLAPSE_WINDOW, last)
                 events.append((k, float(trP2[k]), float(np.min(trP2[k + 1:stop + 1]))))
             misses = 0
         else:

@@ -39,6 +39,24 @@ def second_order_sys():
 
 
 @pytest.fixture
+def near_unit_plants():
+    """Seeded n = 2, 3 plants with A scaled to rho(A) = 1 + k ulp, |k| <= 3.
+
+    Different eigenvalue routes round rho differently in the last bit, so
+    the instability verdict on these plants is decided by roundoff.
+    """
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(20161018)
+    plants = []
+    for i in range(200):
+        n = 2 + i % 2
+        A = rng.standard_normal((n, n))
+        A *= (1.0 + int(rng.integers(-3, 4)) * eps) / np.max(np.abs(np.linalg.eigvals(A)))
+        plants.append(LinearSystem(A=A, C=np.eye(n)[:1], Q=np.eye(n), R=1.0, Sigma0=np.eye(n)))
+    return plants
+
+
+@pytest.fixture
 def channel_96():
     return ChannelParams(0.9, 0.6)
 

@@ -380,10 +380,8 @@ def test_criterion_8_secrecy_demonstration():
     interval = secrecy_interval(lin, ch)
     inside = interval.lower_exclusive < 0.45 <= interval.upper_inclusive
     mech = Mechanism(0.45)
-    user = expected_error_curve(lin, mech, ch.p1, T=300, runs=2000, seed=42,
-                                receiver="user")
-    eav = expected_error_curve(lin, mech, ch.p2, T=300, runs=2000, seed=42,
-                               receiver="eavesdropper")
+    user = expected_error_curve(lin, mech, ch.p1, T=300, runs=2000, seed=42)
+    eav = expected_error_curve(lin, mech, ch.p2, T=300, runs=2000, seed=42)
     user_ok = meets_plateau_criterion(user)
     eav_ok = meets_divergence_criterion(eav)
     u_ratio = user.mean_trP[300] / user.mean_trP[150]
@@ -418,7 +416,7 @@ def test_criterion_9_sample_path_secrecy_signatures():
         e51.append(float(np.mean(t51.trP2[1:])))
         u1.append(float(np.mean(t100.trP1[1:])))
         e1.append(float(np.mean(t100.trP2[1:])))
-        events = collapse_events(t51, min_misses=10, window=3)
+        events = collapse_events(t51)
         if events:
             runs_with_events += 1
         all_events.extend(events)

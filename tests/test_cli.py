@@ -340,6 +340,22 @@ class TestCliFailure:
         assert report["spectral_radius"] == pytest.approx(0.9)
         assert any("spectral radius" in f for f in report["failures"])
 
+    def test_near_unit_rho_fails_only_in_validation(self, capsys, tmp_path, near_unit_plants):
+        # A plant that validation passes must not then fail the solvers'
+        # own instability check: bounds succeeds, or validation rejects the
+        # plant with its report.
+        for i, sys in enumerate(near_unit_plants[:40]):
+            doc = base_doc()
+            doc["system"] = {name: getattr(sys, name).tolist()
+                             for name in ("A", "C", "Q", "R", "Sigma0")}
+            path = write_cfg(tmp_path, doc, name=f"cfg{i}.json")
+            code, out, err = run_cli(capsys, "bounds", "--config", path, "--p", "0.5")
+            if code == 0:
+                assert out["result"]["p_lower"] >= 0.0
+            else:
+                assert code == 1 and "report" in err["error"], err
+                assert not err["error"]["report"]["ok"]
+
     def test_indefinite_noise_reports_failures(self, capsys, tmp_path):
         doc = base_doc()
         doc["system"]["Q"] = [[1.0, 0.0], [0.0, 0.0]]

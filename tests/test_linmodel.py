@@ -8,22 +8,43 @@ from secest import (
     NumericalError,
     ValidationError,
     is_positive_definite,
+    p_lower,
     solve_S,
     solve_discounted_lyapunov,
-    spectral_radius,
     validate_system,
 )
 
 
+def reported_rho(A) -> float:
+    """rho(A) as validation reports it, for a plant with identity noise."""
+    n = len(A)
+    sys = LinearSystem(A=A, C=np.eye(n), Q=np.eye(n), R=np.eye(n), Sigma0=np.eye(n))
+    return validate_system(sys).spectral_radius
+
+
 def test_spectral_radius_triangular():
     A = np.array([[1.2, 1.0], [0.0, 1.1]])
-    assert spectral_radius(A) == pytest.approx(1.2, abs=1e-12)
+    assert reported_rho(A) == pytest.approx(1.2, abs=1e-12)
 
 
 def test_spectral_radius_rotation():
     # complex pair, modulus 2
     A = 2.0 * np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert spectral_radius(A) == pytest.approx(2.0, abs=1e-12)
+    assert reported_rho(A) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_one_instability_verdict_near_unit_rho(near_unit_plants):
+    # Validation and every solver read rho off the same Schur factor, so a
+    # plant that validates always has a reception-rate threshold.
+    for sys in near_unit_plants:
+        report = validate_system(sys)
+        try:
+            p_lower(sys)
+            has_threshold = True
+        except ValidationError:
+            has_threshold = False
+        assert report.ok == has_threshold, sys.A.tolist()
+        assert report.spectral_radius == sys.schur.rho
 
 
 def test_positive_definite_classification():
@@ -237,7 +258,7 @@ def test_floor_against_kronecker_oracle(case, margin):
     # so does the conditioning of the Kronecker route, which is trusted only
     # at margin >= 1e-2. The residual bound holds at every margin.
     A, Q = ORACLE_CASES[case]()
-    rho = spectral_radius(A)
+    rho = np.max(np.abs(np.linalg.eigvals(A)))
     alpha = (1.0 - margin) / rho**2
     sys = LinearSystem(A=A, C=np.eye(len(A)), Q=Q, R=np.eye(len(A)), Sigma0=Q)
     p = 1.0 - alpha  # at p2 = 1 the floor's discount is 1 - p

@@ -3,8 +3,8 @@ import pytest
 
 from secest import (
     ChannelParams,
+    ExpectedErrorCurve,
     Mechanism,
-    PhaseCriteria,
     RngStream,
     ValidationError,
     batch_covariance_oracle,
@@ -42,10 +42,10 @@ class TestExpectedErrorCurve:
 
     def test_shapes_and_metadata(self, scalar_sys):
         curve = expected_error_curve(scalar_sys, Mechanism(0.5), 0.6,
-                                     T=30, runs=5, seed=0, receiver="eavesdropper")
+                                     T=30, runs=5, seed=0)
         assert curve.k.shape == (31,)
         assert curve.mean_trP.shape == (31,)
-        assert curve.runs == 5 and curve.receiver == "eavesdropper"
+        assert curve.runs == 5
         assert curve.mean_trP[0] == pytest.approx(1.0)
 
     def test_zero_rate_grows_open_loop(self, scalar_sys):
@@ -78,9 +78,6 @@ class TestExpectedErrorCurve:
             expected_error_curve(scalar_sys, mech, 0.5, T=10, runs=0, seed=0)
         with pytest.raises(ValidationError):
             expected_error_curve(scalar_sys, mech, 1.5, T=10, runs=5, seed=0)
-        with pytest.raises(ValidationError):
-            expected_error_curve(scalar_sys, mech, 0.5, T=10, runs=5, seed=0,
-                                 receiver="attacker")
 
 
 class TestSimulateTrace:
@@ -169,26 +166,34 @@ class TestSimulateTrace:
             time_average_error(tr, "nobody")
 
 
+def _curve(points: dict) -> ExpectedErrorCurve:
+    """A 301-step curve at 1.0 except at the given steps."""
+    mean_trP = np.ones(301)
+    for k, value in points.items():
+        mean_trP[k] = value
+    return ExpectedErrorCurve(k=np.arange(301), mean_trP=mean_trP, runs=1)
+
+
 class TestPhaseJudgments:
-    def test_defaults(self):
-        crit = PhaseCriteria()
-        assert crit.divergence_factor == 10.0
-        assert crit.divergence_window == (30, 300)
-        assert crit.plateau_factor == 1.2
-        assert crit.plateau_window == (150, 300)
+    def test_thresholds_pinned_at_boundaries(self):
+        # divergent iff mean_trP[300] > 10 * mean_trP[30]
+        assert not meets_divergence_criterion(_curve({30: 3.0, 300: 30.0}))
+        assert meets_divergence_criterion(_curve({30: 3.0, 300: np.nextafter(30.0, np.inf)}))
+        # plateaued iff mean_trP[300] <= 1.2 * mean_trP[150]
+        assert meets_plateau_criterion(_curve({150: 5.0, 300: 6.0}))
+        assert not meets_plateau_criterion(_curve({150: 5.0, 300: np.nextafter(6.0, np.inf)}))
+        # no other step enters either judgment
+        assert not meets_divergence_criterion(_curve({29: 1e-9, 31: 1e-9, 299: 1e9}))
+        assert meets_plateau_criterion(_curve({149: 1e-9, 151: 1e-9, 299: 1e9}))
 
     def test_judgments_on_synthetic_curves(self, scalar_sys):
-        from secest.montecarlo import ExpectedErrorCurve
         k = np.arange(301)
-        growing = ExpectedErrorCurve(k=k, mean_trP=np.exp(0.05 * k), runs=1,
-                                     receiver="eavesdropper")
-        flat = ExpectedErrorCurve(k=k, mean_trP=np.full(301, 2.0), runs=1,
-                                  receiver="user")
-        crit = PhaseCriteria()
-        assert meets_divergence_criterion(growing, crit)
-        assert not meets_divergence_criterion(flat, crit)
-        assert meets_plateau_criterion(flat, crit)
-        assert not meets_plateau_criterion(growing, crit)
+        growing = ExpectedErrorCurve(k=k, mean_trP=np.exp(0.05 * k), runs=1)
+        flat = ExpectedErrorCurve(k=k, mean_trP=np.full(301, 2.0), runs=1)
+        assert meets_divergence_criterion(growing)
+        assert not meets_divergence_criterion(flat)
+        assert meets_plateau_criterion(flat)
+        assert not meets_plateau_criterion(growing)
 
     def test_short_curve_rejected(self, scalar_sys):
         curve = expected_error_curve(scalar_sys, Mechanism(0.5), 0.9,
@@ -203,7 +208,7 @@ class TestCollapseEvents:
     def test_seed42_second_order_event(self, second_order_sys, channel_96):
         tr = simulate_trace(second_order_sys, Mechanism(0.51), channel_96,
                             T=200, seed=42)
-        events = collapse_events(tr, min_misses=10, window=3)
+        events = collapse_events(tr)
         assert events
         ks = [k for k, _, _ in events]
         assert 73 in ks
@@ -213,6 +218,23 @@ class TestCollapseEvents:
         assert after == pytest.approx(49.086, rel=1e-3)
         for _, b, a in events:
             assert b / a > 10.0
+
+    def test_thresholds_on_synthetic_trace(self, scalar_sys, channel_96):
+        # An event needs at least 10 misses before the reception, and its
+        # min_trace_after looks exactly 3 steps ahead, clipped at the last.
+        tr = simulate_trace(scalar_sys, Mechanism(1.0), channel_96, T=39, seed=0)
+        tr.gamma2 = np.ones(40, dtype=bool)
+        tr.gamma2[1:10] = False   # 9 misses before k = 10: no event
+        tr.gamma2[11:21] = False  # 10 misses before k = 21
+        tr.gamma2[28:38] = False  # 10 misses before k = 38; k = 39 is last
+        tr.trP2 = 100.0 + np.arange(40)
+        tr.trP2[24] = 2.0         # third step after k = 21
+        tr.trP2[25] = 1.0         # fourth step: outside the window
+        assert collapse_events(tr) == [(21, 121.0, 2.0), (38, 138.0, 139.0)]
+        # a reception at the last step has nothing after it
+        tr.gamma2[39] = True
+        tr.gamma2[29:39] = False
+        assert collapse_events(tr) == [(21, 121.0, 2.0)]
 
     def test_no_events_without_receptions(self, scalar_sys, channel_96):
         tr = simulate_trace(scalar_sys, Mechanism(0.0), channel_96, T=100, seed=0)
