@@ -13,9 +13,11 @@ recursion is averaged over the reception process, which is how the bound
 solvers elsewhere in the package use this map.
 
 :func:`filter_errors` is the one stepped filter: it propagates the
-estimation error and the prediction covariance over a whole reception
-sequence. :func:`batch_covariance_oracle` is an independent route to the
-same covariances, kept for cross-checking.
+estimation error and the prediction covariance over whole reception
+sequences, several at once when they share the noise (both receivers of a
+simulated trace), forming each step's gain once for both updates.
+:func:`batch_covariance_oracle` is an independent route to the same
+covariances, kept for cross-checking.
 """
 
 from __future__ import annotations
@@ -75,44 +77,90 @@ def kalman_gain(P, sys: LinearSystem) -> np.ndarray:
     return _innovation_solve(sys.C @ PC + sys.R, PC.T).T
 
 
+def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
+    """Stacked gains K = XC S^(-1) of the rows that received, zero elsewhere.
+
+    XC is (B, n, m) and S = C X C' + R is (B, m, m). Only receiving rows are
+    checked and solved, so a row's gain never depends on its neighbours: for
+    m = 1 by one division, for m >= 2 by the PD solve per receiving row.
+    """
+    if S.shape[-1] == 1:
+        s = np.where(got, S[:, 0, 0], 1.0)
+        if not (s > 0.0).all():
+            raise NumericalError("innovation variance is not positive")
+        return XC * (got / s)[:, None, None]
+    K = np.zeros_like(XC)
+    for r in np.flatnonzero(got):
+        K[r] = _innovation_solve(S[r], XC[r].T).T
+    return K
+
+
 def filter_errors(sys: LinearSystem, gammas, e0, w, v):
-    """Run the intermittent Kalman filter over a reception sequence, in error form.
+    """Run the intermittent Kalman filter over reception sequences, in error form.
 
     With e(k) the prediction error xhat(k|k-1) - x(k) and P(k) its
     covariance, step k applies
 
-        e_f(k) = e(k) + gamma(k) K(k) (v(k) - C e(k)),   K(k) = kalman_gain(P(k)),
-        e(k+1) = A e_f(k) - w(k),                        P(k+1) = g_gamma(k)(P(k)),
+        X C' = P(k) C',   K(k) = X C' (C X C' + R)^(-1),
+        e_f(k) = e(k) + gamma(k) K(k) (v(k) - C e(k)),
+        P_f(k) = P(k) - gamma(k) K(k) (X C')',
+        e(k+1) = A e_f(k) - w(k),   P(k+1) = sym(A P_f(k) A' + Q),
 
-    from e(0) = e0 and P(0) = Sigma0. Returns the filtered errors e_f(k) for
-    k = 0..N-1 as an (N, n) array and the prediction covariances P(k) for
-    k = 0..N as an (N+1, n, n) array, N = len(gammas). ``w`` must broadcast
-    to (N, n) and ``v`` to (N, m).
+    from e(0) = e0 and P(0) = Sigma0, so P(k+1) = g_gamma(k)(P(k)). The gain
+    is formed once per step and serves both updates; a step at which no row
+    receives forms none. A receiving row whose innovation covariance
+    C X C' + R is not finite and positive definite raises
+    :class:`NumericalError`.
+
+    ``gammas`` of shape (N,) returns the filtered errors e_f(k), k = 0..N-1,
+    as an (N, n) array and the prediction covariances P(k), k = 0..N, as an
+    (N+1, n, n) array. B stacked reception sequences, shape (B, N), are
+    stepped together and return (B, N, n) and (B, N+1, n, n). A row that
+    misses a step gets a zero gain there, so while the covariances stay
+    finite row b equals the (N,) call on ``gammas[b]`` bit for bit. ``e0``
+    has shape (n,), ``w`` must broadcast to (N, n) and ``v`` to (N, m); all
+    rows share them.
 
     The recursion is linear, so the same call runs the estimator in absolute
     coordinates: with e0 the prior mean, w = 0 and the measurements y in
     place of v, the returned rows are the filtered estimates xhat(k|k).
     """
-    gammas = np.asarray(gammas, dtype=bool).reshape(-1)
-    N, n = gammas.shape[0], sys.n
+    gammas = np.asarray(gammas, dtype=bool)
+    single = gammas.ndim <= 1
+    G = gammas.reshape(1, -1) if single else gammas
+    if G.ndim != 2:
+        raise ValidationError(f"gammas must have shape (N,) or (B, N), got {gammas.shape}")
+    rows, N = G.shape
+    n = sys.n
     e = np.asarray(e0, dtype=float).reshape(-1)
     if e.shape != (n,):
         raise ValidationError(f"e0 must have shape ({n},), got {np.shape(e0)}")
     try:
-        w = np.broadcast_to(np.asarray(w, dtype=float), (N, n))
-        v = np.broadcast_to(np.asarray(v, dtype=float), (N, sys.m))
+        w = np.broadcast_to(np.asarray(w, dtype=float), (N, n))[..., None]
+        v = np.broadcast_to(np.asarray(v, dtype=float), (N, sys.m))[..., None]
     except ValueError as exc:
         raise ValidationError(f"w and v must cover {N} steps: {exc}") from exc
-    A, C = sys.A, sys.C
-    E = np.empty((N, n))
-    P = np.empty((N + 1, n, n))
-    P[0] = sys.Sigma0
-    for k, got in enumerate(gammas):
-        if got:
-            e = e + kalman_gain(P[k], sys) @ (v[k] - C @ e)
-        E[k] = e
+    A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
+    At, Ct = A.T, C.T
+    E = np.empty((rows, N, n))
+    P = np.empty((rows, N + 1, n, n))
+    P[:, 0] = sys.Sigma0
+    # errors are stacked column vectors, (B, n, 1)
+    e = np.repeat(e[None, :, None], rows, axis=0)
+    for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
+        X = P[:, k]
+        if some:
+            XC = X @ Ct
+            K = _gains(XC, C @ XC + R, got)
+            e = e + K @ (v[k] - C @ e)
+            X = X - K @ XC.transpose(0, 2, 1)
+        E[:, k] = e[..., 0]
         e = A @ e - w[k]
-        P[k + 1] = riccati_map(P[k], sys, 1.0 if got else 0.0)
+        X = A @ X @ At + Q
+        X += X.transpose(0, 2, 1)
+        np.multiply(X, 0.5, out=P[:, k + 1])
+    if single:
+        return E[0], P[0]
     return E, P
 
 

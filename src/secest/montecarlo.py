@@ -3,15 +3,17 @@
 Two levels of fidelity:
 
 * :func:`simulate_trace` runs the full closed loop once: true state, noisy
-  measurement, the withholding coin, both erasure links, and one
-  intermittent Kalman filter per receiver. Draws are organized so that the
+  measurement, the withholding coin, both erasure links, and the
+  intermittent Kalman filter of both receivers, stepped together in one
+  stacked pass over the shared noise. Draws are organized so that the
   same seed replays the identical noise and erasure sample while only the
   withholding probability changes.
 * :func:`expected_error_curve` averages the covariance recursion
   P <- g_gamma(P) over many reception draws. The covariance never depends
   on the measurement values given the reception pattern, so no state needs
   to be simulated; each step applies the update map averaged across the
-  replications' draws.
+  replications' draws. The draws are counted in blocks of at most 64
+  replications, so memory does not grow with the number of runs.
 
 A curve is divergent when its mean trace at k = 300 exceeds 10 times the
 value at k = 30, and plateaued when the value at k = 300 is at most 1.2
@@ -42,8 +44,6 @@ from .channel import (
 from .errors import ValidationError
 from .kalman import filter_errors, riccati_map
 from .linmodel import LinearSystem
-
-_RECEIVERS = ("user", "eavesdropper")
 
 # Phase judgments on averaged curves: (k0, k1) windows and the factor
 # bounding mean_trP[k1] / mean_trP[k0].
@@ -139,16 +139,15 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     # The plant is unstable, so x and xhat both blow up exponentially while
     # their difference stays moderate; subtracting them in absolute
     # coordinates loses every significant digit once rho(A)^k ~ 1/eps.
-    # Each receiver's filter therefore runs on the estimation error, from
-    # e(0) = xhat(0) - x(0) = -x(0), and the recorded xhat is x + e_f.
-    xhat, trP, err = [], [], []
-    for gammas in (gamma1, gamma2):
-        e_f, P = filter_errors(sys, gammas, -x0, w, v)
-        xhat.append(x + e_f)
-        trP.append(np.trace(P[:steps], axis1=1, axis2=2))
-        # A stacked (1, n) @ (n, 1) dot per row rounds like norm(e) of each
-        # row; norm(..., axis=1), einsum and sum differ in the last bit.
-        err.append(np.sqrt((e_f[:, None, :] @ e_f[:, :, None])[:, 0, 0]))
+    # The filter therefore runs on the estimation error, from
+    # e(0) = xhat(0) - x(0) = -x(0), both receivers in one stacked pass over
+    # the shared noise, and the recorded xhat is x + e_f.
+    e_f, P = filter_errors(sys, np.stack([gamma1, gamma2]), -x0, w, v)
+    xhat = x + e_f
+    trP = np.trace(P[:, :steps], axis1=2, axis2=3)
+    # A stacked (1, n) @ (n, 1) dot per row rounds like norm(e) of each
+    # row; norm(..., axis=-1), einsum and sum differ in the last bit.
+    err = np.sqrt((e_f[..., None, :] @ e_f[..., :, None])[..., 0, 0])
 
     return SimulationTrace(
         k=np.arange(steps), x=x, y=y, sent=sent,
@@ -180,9 +179,9 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     _check_probability(rate, "rate")
     effective = mech.p * rate
 
-    received = np.zeros(T)
-    for u in _replication_uniforms(seed, STREAM_MC_RUN_BASE, runs, T):
-        received += u < effective
+    received = np.zeros(T, dtype=np.int64)
+    for block in _replication_uniforms(seed, STREAM_MC_RUN_BASE, runs, T):
+        received += np.count_nonzero(block < effective, axis=0)
     received_fraction = received / runs
 
     P = np.array(sys.Sigma0, dtype=float)
@@ -197,9 +196,10 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
 
 def time_average_error(trace: SimulationTrace, receiver: str) -> float:
     """Mean estimation error over steps k >= 1 of one run."""
-    if receiver not in _RECEIVERS:
-        raise ValidationError(f"receiver must be one of {_RECEIVERS}, got {receiver!r}")
-    err = trace.err1 if receiver == "user" else trace.err2
+    errors = {"user": trace.err1, "eavesdropper": trace.err2}
+    if receiver not in errors:
+        raise ValidationError(f"receiver must be one of {tuple(errors)}, got {receiver!r}")
+    err = errors[receiver]
     if err.shape[0] < 2:
         raise ValidationError("the trace needs at least one step past k = 0")
     return float(np.mean(err[1:]))

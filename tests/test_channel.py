@@ -18,6 +18,7 @@ from secest.channel import (
     STREAM_MC_RUN_BASE,
     STREAM_MECHANISM,
     STREAM_PROCESS_NOISE,
+    _BLOCK_ROWS,
     _replication_uniforms,
 )
 
@@ -96,14 +97,18 @@ def test_different_seeds_differ():
                                   2**63 + 11, 2**70 + 3])
 def test_replication_uniforms_match_rng_streams(seed):
     # The one-pass key derivation must reproduce SeedSequence exactly,
-    # including seeds of two and three 32-bit words.
-    for count in (1, 257):
+    # including seeds of two and three 32-bit words, and the blocks must
+    # hold the rows in order: one count below the block size, one that
+    # leaves a one-row last block.
+    for count in (1, _BLOCK_ROWS + 1):
         for size in (0, 1, 7, 300):
-            rows = list(_replication_uniforms(seed, 5, count, size))
-            assert len(rows) == count
+            blocks = [block.copy() for block in _replication_uniforms(seed, 5, count, size)]
+            assert [len(b) for b in blocks] == [min(_BLOCK_ROWS, count - lo)
+                                                for lo in range(0, count, _BLOCK_ROWS)]
+            rows = np.concatenate(blocks)
+            assert rows.shape == (count, size)
             for r, u in enumerate(rows):
-                want = RngStream(seed, 5 + r).uniforms(size)
-                assert u.shape == want.shape and np.array_equal(u, want)
+                assert np.array_equal(u, RngStream(seed, 5 + r).uniforms(size))
 
 
 def test_replication_uniforms_validation(scalar_sys):
@@ -115,5 +120,5 @@ def test_replication_uniforms_validation(scalar_sys):
         list(_replication_uniforms(0, 2**32 - 1, 2, 3))
     with pytest.raises(ValidationError, match="stream ids"):
         list(_replication_uniforms(0, -1, 1, 3))
-    (last,) = _replication_uniforms(0, 2**32 - 1, 1, 3)
+    ((last,),) = _replication_uniforms(0, 2**32 - 1, 1, 3)
     assert np.array_equal(last, RngStream(0, 2**32 - 1).uniforms(3))

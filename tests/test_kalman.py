@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import secest
 from secest import (
@@ -73,14 +76,22 @@ class TestRiccatiMap:
 def test_innovation_solve_failures_raise(m):
     # R = -5 I makes C X C' + R negative definite at X = I, and a NaN in X
     # reaches it through C X C'; the 1x1 branch and the Cholesky solve must
-    # both refuse either
+    # both refuse either, in the map, the gain and the stepped filter
     for R, X in ((-5.0 * np.eye(m), np.eye(2)), (np.eye(m), np.full((2, 2), np.nan))):
         sys = LinearSystem(A=1.2 * np.eye(2), C=np.eye(2)[:m], Q=np.eye(2), R=R,
                            Sigma0=np.eye(2))
+        # the constructor rejects a non-finite Sigma0; plant X as the prior
+        # directly, as a covariance that went non-finite would be
+        object.__setattr__(sys, "Sigma0", X)
         with pytest.raises(NumericalError):
             riccati_map(X, sys, 1.0)
         with pytest.raises(NumericalError):
             kalman_gain(X, sys)
+        for gammas in ([True], [[False], [True]]):
+            with pytest.raises(NumericalError):
+                filter_errors(sys, gammas, np.zeros(2), 0.0, 0.0)
+        # no row receives, so no innovation is formed
+        filter_errors(sys, [[False], [False]], np.zeros(2), 0.0, 0.0)
 
 
 def test_kalman_gain_scalar(scalar_sys):
@@ -158,6 +169,62 @@ def test_batch_oracle_agrees_with_stepped_filter(second_order_sys):
         oracle = batch_covariance_oracle(second_order_sys, gammas)
         _, P = filter_errors(second_order_sys, gammas, np.zeros(2), 0.0, np.zeros((40, 1)))
         assert np.max(np.abs(P[1:] - oracle)) < 1e-9
+
+
+# The conftest second-order plant (m = 1), and an m = 2 plant: n = 3,
+# outputs that mix the states, correlated R.
+PLANTS = {
+    "second_order": LinearSystem(A=np.array([[1.2, 1.0], [0.0, 1.1]]), C=np.array([[1.0, 0.0]]),
+                                 Q=np.array([[1.0, 0.5], [0.5, 2.0]]), R=1.0,
+                                 Sigma0=np.array([[1.0, 0.5], [0.5, 2.0]])),
+    "m2": LinearSystem(A=np.array([[1.1, 0.3, 0.0], [0.0, 0.9, 0.5], [0.2, 0.0, 1.05]]),
+                       C=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
+                       Q=np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 2.0]]),
+                       R=np.array([[1.0, 0.3], [0.3, 0.5]]), Sigma0=np.eye(3)),
+}
+
+
+@given(plant=st.sampled_from(sorted(PLANTS)),
+       gammas=st.integers(1, 4).flatmap(
+           lambda rows: st.integers(0, 40).flatmap(
+               lambda N: arrays(bool, (rows, N)))),
+       seed=st.integers(0, 2**32 - 1))
+@example(plant="m2", gammas=np.zeros((2, 0), dtype=bool), seed=0)
+@example(plant="second_order", gammas=np.zeros((3, 0), dtype=bool), seed=0)
+@example(plant="second_order", gammas=np.array([[True] * 40, [False] * 40]), seed=1)
+@example(plant="m2", gammas=np.array([[False] * 40, [True, False] * 20, [True] * 40]),
+         seed=2)
+def test_stacked_rows_equal_single_rows(plant, gammas, seed):
+    """Row r of a stacked call is the (N,) call on gammas[r], bit for bit.
+
+    A row's arithmetic never reads another row, and a row that misses a step
+    at which another receives gets a zero gain, so the equality is exact.
+    Its covariances also match the Joseph-form oracle within 1e-8 of each
+    step's scale.
+    """
+    sys = PLANTS[plant]
+    rows, N = gammas.shape
+    rng = np.random.default_rng(seed)
+    e0 = rng.standard_normal(sys.n)
+    w = rng.standard_normal((N, sys.n))
+    v = rng.standard_normal((N, sys.m))
+    E, P = filter_errors(sys, gammas, e0, w, v)
+    assert E.shape == (rows, N, sys.n) and P.shape == (rows, N + 1, sys.n, sys.n)
+    for r in range(rows):
+        E_r, P_r = filter_errors(sys, gammas[r], e0, w, v)
+        assert np.array_equal(E[r], E_r) and np.array_equal(P[r], P_r)
+        oracle = batch_covariance_oracle(sys, gammas[r])
+        gap = np.abs(P[r, 1:] - oracle).max(axis=(1, 2), initial=0.0)
+        scale = np.maximum(1.0, np.abs(oracle).max(axis=(1, 2), initial=0.0))
+        assert np.all(gap <= 1e-8 * scale)
+
+
+def test_stacked_gammas_validation(second_order_sys):
+    with pytest.raises(ValidationError):
+        filter_errors(second_order_sys, np.zeros((2, 3, 1), dtype=bool), np.zeros(2), 0.0, 0.0)
+    with pytest.raises(ValidationError):
+        filter_errors(second_order_sys, np.zeros((2, 3), dtype=bool), np.zeros(2), 0.0,
+                      np.zeros((4, 1)))
 
 
 def test_public_names_resolve():

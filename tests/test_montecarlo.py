@@ -57,18 +57,20 @@ class TestExpectedErrorCurve:
 
     def test_pinned_to_replication_streams(self, second_order_sys):
         # Replication r draws its receptions from stream 5 + r; the curve is
-        # the Riccati recursion on the per-step reception fraction.
-        mech, rate, T, runs, seed = Mechanism(0.8), 0.55, 60, 37, 2**40 + 3
-        curve = expected_error_curve(second_order_sys, mech, rate, T, runs, seed)
-        received = np.array([RngStream(seed, 5 + r).uniforms(T) < mech.p * rate
-                             for r in range(runs)])
-        fraction = received.mean(axis=0)
-        P = second_order_sys.Sigma0.copy()
-        expect = [np.trace(P)]
-        for k in range(T):
-            P = riccati_map(P, second_order_sys, float(fraction[k]))
-            expect.append(np.trace(P))
-        assert np.array_equal(curve.mean_trP, expect)
+        # the Riccati recursion on the per-step reception fraction. 257 runs
+        # span several count blocks, the last of one row.
+        mech, rate, seed = Mechanism(0.8), 0.55, 2**40 + 3
+        for T, runs in ((60, 37), (17, 257)):
+            curve = expected_error_curve(second_order_sys, mech, rate, T, runs, seed)
+            received = np.array([RngStream(seed, 5 + r).uniforms(T) < mech.p * rate
+                                 for r in range(runs)])
+            fraction = received.mean(axis=0)
+            P = second_order_sys.Sigma0.copy()
+            expect = [np.trace(P)]
+            for k in range(T):
+                P = riccati_map(P, second_order_sys, float(fraction[k]))
+                expect.append(np.trace(P))
+            assert np.array_equal(curve.mean_trP, expect)
 
     def test_validation(self, scalar_sys):
         mech = Mechanism(0.5)
@@ -115,19 +117,23 @@ class TestSimulateTrace:
     @pytest.mark.parametrize("plant", ["second_order_sys", "scalar_sys"])
     def test_error_norms_match_per_row_norm(self, plant, request, channel_96, monkeypatch):
         # xhat - x cancels on an unstable plant, so compare with the filter's
-        # own error rows, captured on their way into the trace.
+        # own error rows, captured on their way into the trace: one stacked
+        # call whose two rows are the user's and the eavesdropper's.
         sys = request.getfixturevalue(plant)
-        errors = []
+        calls = []
         filter_errors = montecarlo.filter_errors
 
         def recording(*args):
             result = filter_errors(*args)
-            errors.append(result[0])
+            calls.append((args[1], result[0]))
             return result
 
         monkeypatch.setattr(montecarlo, "filter_errors", recording)
         tr = simulate_trace(sys, Mechanism(0.51), channel_96, T=300, seed=7)
-        assert len(errors) == 2
+        assert len(calls) == 1
+        gammas, errors = calls[0]
+        assert np.array_equal(gammas, [tr.gamma1, tr.gamma2])
+        assert errors.shape == (2, 301, sys.n)
         for err, e_f in zip((tr.err1, tr.err2), errors):
             assert np.array_equal(err, [np.linalg.norm(e) for e in e_f])
 
