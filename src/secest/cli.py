@@ -311,7 +311,7 @@ def _sweep_grid(cfg: RunConfig, args) -> tuple:
 
 def _cmd_sweep(cfg: RunConfig, args):
     curve = sweep_tradeoff(cfg.system, cfg.channel, _sweep_grid(cfg, args), cfg.epsilon)
-    rows = [[pt.M, pt.p_star, pt.trS, pt.trV] for pt in curve.points]
+    rows = ([pt.M, pt.p_star, pt.trS, pt.trV] for pt in curve.points)
     payload = {
         "channel": asdict(curve.channel),
         "epsilon": cfg.epsilon,
@@ -328,12 +328,12 @@ def _cmd_simulate(cfg: RunConfig, args):
     header += [f"x_{i}" for i in range(n)]
     header += [f"xhat1_{i}" for i in range(n)]
     header += [f"xhat2_{i}" for i in range(n)]
-    rows = []
-    for k in range(len(trace)):
-        row = [int(trace.k[k]), trace.sent[k], trace.gamma1[k], trace.gamma2[k],
-               trace.trP1[k], trace.trP2[k], trace.err1[k], trace.err2[k]]
-        row += list(trace.x[k]) + list(trace.xhat1[k]) + list(trace.xhat2[k])
-        rows.append(row)
+    rows = (
+        [int(trace.k[k]), trace.sent[k], trace.gamma1[k], trace.gamma2[k],
+         trace.trP1[k], trace.trP2[k], trace.err1[k], trace.err2[k],
+         *trace.x[k], *trace.xhat1[k], *trace.xhat2[k]]
+        for k in range(len(trace))
+    )
     payload = {
         "p": p,
         "steps": cfg.T,
@@ -353,7 +353,7 @@ def _cmd_montecarlo(cfg: RunConfig, args):
     user = expected_error_curve(cfg.system, mech, cfg.channel.p1, cfg.T, cfg.runs, cfg.seed)
     eav = expected_error_curve(cfg.system, mech, cfg.channel.p2, cfg.T, cfg.runs, cfg.seed)
     header = ["k", "mean_trP_user", "mean_trP_eav"]
-    rows = [[int(k), user.mean_trP[k], eav.mean_trP[k]] for k in range(cfg.T + 1)]
+    rows = ([int(k), user.mean_trP[k], eav.mean_trP[k]] for k in range(cfg.T + 1))
     rate_user, rate_eav = effective_rates(mech, cfg.channel)
     payload = {
         "p": p,
@@ -463,7 +463,7 @@ def main(argv=None) -> int:
                 with open(artifact, "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(header)
-                    writer.writerows([[_csv_cell(cell) for cell in row] for row in rows])
+                    writer.writerows([_csv_cell(cell) for cell in row] for row in rows)
             except OSError as exc:
                 raise ConfigError(f"cannot write artifact: {exc}", "/out") from exc
         doc = {

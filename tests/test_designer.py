@@ -2,16 +2,77 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import secest.designer
 from secest import (
     ChannelParams,
+    LinearSystem,
     ValidationError,
     design_p_star,
     scalar_critical,
     solve_S,
+    solve_V,
     sweep_tradeoff,
 )
 from secest.scalar import ScalarSystem
+
+
+def plain_bisection(sys, ch, M, epsilon):
+    """The reference design: the same dyadic bisection with one floor solve
+    per probe. Returns (p_star, trS_at_p_star, trV_at_p_star, iterations)."""
+    iterations = 0
+    trS = solve_S(1.0, ch, sys).trace
+    if trS >= M:
+        p_star = 1.0
+    else:
+        lo, hi, trS = 0.0, 1.0, math.inf
+        while hi - lo >= epsilon:
+            mid = 0.5 * (lo + hi)
+            iterations += 1
+            tr = solve_S(mid, ch, sys).trace
+            if tr < M:
+                hi = mid
+            else:
+                lo, trS = mid, tr
+        p_star = lo
+    return p_star, trS, solve_V(p_star, ch, sys).trace, iterations
+
+
+def assert_matches_plain_bisection(sys, ch, M, epsilon=1e-6):
+    res = design_p_star(sys, ch, M, epsilon)
+    got = (res.p_star, res.trS_at_p_star, res.trV_at_p_star, res.iterations)
+    assert got == plain_bisection(sys, ch, M, epsilon)
+    return res
+
+
+def invertible_output_plant(seed: int, n: int) -> LinearSystem:
+    """A = V diag(eig) V^-1 with unstable eigenvalues 1.12 and 1.05 and the
+    rest in (-0.8, 0.8); square invertible C, so p_upper = p_lower."""
+    rng = np.random.default_rng(seed)
+    eig = np.concatenate([[1.12, 1.05], rng.uniform(-0.8, 0.8, n - 2)])
+    V = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / math.sqrt(n)
+    A = V @ np.diag(eig) @ np.linalg.inv(V)
+    C = np.eye(n) + 0.2 * rng.standard_normal((n, n)) / math.sqrt(n)
+    return LinearSystem(A=A, C=C, Q=np.eye(n), R=np.eye(n), Sigma0=np.eye(n))
+
+
+@st.composite
+def small_plants(draw):
+    """n <= 4 plants with rho(A) in [1.02, 1.6], a positive definite Q and a
+    well-conditioned square C."""
+    n = draw(st.integers(1, 4))
+    A = draw(arrays(float, (n, n), elements=st.floats(-2.0, 2.0)))
+    rho = np.max(np.abs(np.linalg.eigvals(A)))
+    if rho < 0.1:
+        A, rho = A + np.eye(n), np.max(np.abs(np.linalg.eigvals(A + np.eye(n))))
+    A = A * draw(st.floats(1.02, 1.6)) / rho
+    B = draw(arrays(float, (n, n), elements=st.floats(-1.0, 1.0)))
+    Q = B @ B.T + 0.1 * np.eye(n)
+    C = np.eye(n) + draw(arrays(float, (n, n), elements=st.floats(-0.2, 0.2)))
+    return LinearSystem(A=A, C=C, Q=Q, R=np.eye(n), Sigma0=Q)
 
 
 class TestDesign:
@@ -112,3 +173,71 @@ def test_fine_grid_sweep_is_exactly_monotone(a, channel):
     assert all(y <= x for x, y in zip(ps, ps[1:]))
     assert all(y >= x for x, y in zip(vs, vs[1:]))
     assert len(set(ps)) > 10
+
+
+class TestMatchesPlainBisection:
+    """Probes decided from the floor's secant bounds must reach exactly the
+    result of solving every probe."""
+
+    @given(sys=small_plants(),
+           p1=st.floats(0.3, 1.0), p2=st.sampled_from((0.2, 0.45, 0.6, 0.9, 1.0)),
+           log10_factor=st.floats(0.0, 12.0),
+           epsilon=st.sampled_from((1e-6, 1e-9)))
+    def test_property_plants(self, sys, p1, p2, log10_factor, epsilon):
+        ch = ChannelParams(p1, p2)
+        tr1 = solve_S(1.0, ch, sys).trace
+        M = tr1 * 10.0 ** log10_factor if math.isfinite(tr1) else 10.0
+        assert_matches_plain_bisection(sys, ch, M, epsilon)
+
+    @pytest.mark.parametrize("n", [8, 13])
+    def test_seeded_invertible_output_plants(self, n):
+        sys = invertible_output_plant(1200 + n, n)
+        ch = ChannelParams(0.9, 0.6)
+        tr1 = solve_S(1.0, ch, sys).trace
+        for factor in (1.0 + 1e-9, 1.003, 2.0, 50.0, 1e3, 1e6, 1e9, 1e12):
+            res = assert_matches_plain_bisection(sys, ch, tr1 * factor)
+            assert res.trS_at_p_star >= tr1 * factor
+        assert_matches_plain_bisection(sys, ch, tr1 * 7.0, epsilon=1e-9)
+
+    def test_infinite_target_gives_secrecy_edge(self, second_order_sys, channel_96):
+        res = assert_matches_plain_bisection(second_order_sys, channel_96, math.inf)
+        assert res.p_star == pytest.approx(0.5092592, abs=1e-6)
+        assert res.trS_at_p_star == math.inf
+
+    @pytest.mark.parametrize("p2", [0.0, 1.0])
+    def test_edge_eavesdropper_rates(self, second_order_sys, p2):
+        # p2 = 0: the floor is infinite at every p; p2 = 1: p = 1 has
+        # alpha = 1 - p p2 = 0, a floor (Tr Q) with no place on the log scale.
+        ch = ChannelParams(0.9, p2)
+        for M in (2.0, 3.0 + 1e-9, 40.0, 1e8, math.inf):
+            for epsilon in (1e-6, 1e-9):
+                assert_matches_plain_bisection(second_order_sys, ch, M, epsilon)
+
+
+@given(sys=small_plants(), fractions=st.lists(st.floats(0.01, 0.99), min_size=3,
+                                              max_size=3, unique=True))
+def test_log_floor_is_convex_in_log_alpha(sys, fractions):
+    # The premise of the designer's secant bounds: with alpha = 1 - rate,
+    # log Tr S is convex in log alpha, so the middle of three points lies
+    # on or below the chord through the other two.
+    lo = secest.bounds.p_lower(sys)
+    rates = sorted(lo + f * (1.0 - lo) for f in fractions)
+    ch = ChannelParams(1.0, 1.0)
+    s = [math.log1p(-rate) for rate in rates]
+    f = [math.log(solve_S(rate, ch, sys).trace) for rate in rates]
+    chord = f[0] + (f[2] - f[0]) * (s[1] - s[0]) / (s[2] - s[0])
+    assert f[1] <= chord + 1e-12
+
+
+def test_floor_solve_budget(monkeypatch):
+    # The bounds decide about half the probes of a seeded n = 8 sweep (about
+    # 10 floor solves per design, against 21 for plain bisection).
+    calls = []
+    monkeypatch.setattr(secest.designer, "solve_S",
+                        lambda p, ch, sys: calls.append(p) or solve_S(p, ch, sys))
+    sys = invertible_output_plant(1208, 8)
+    ch = ChannelParams(0.9, 0.6)
+    tr1 = solve_S(1.0, ch, sys).trace
+    grid = tr1 * np.geomspace(1.01, 50.0, 8)
+    sweep_tradeoff(sys, ch, grid)
+    assert len(calls) <= 12 * len(grid)
