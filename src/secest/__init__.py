@@ -30,12 +30,11 @@ from .designer import (
     sweep_tradeoff,
 )
 from .errors import ConfigError, InconclusiveError, NumericalError, ValidationError
-from .kalman import batch_covariance_oracle, filter_errors, kalman_gain, riccati_map
+from .kalman import batch_covariance_oracle, filter_errors, riccati_map
 from .linmodel import (
     LinearSystem,
     ValidationReport,
     is_positive_definite,
-    solve_discounted_lyapunov,
     validate_system,
 )
 from .montecarlo import (
@@ -80,7 +79,6 @@ __all__ = [
     "feasibility_check",
     "filter_errors",
     "is_positive_definite",
-    "kalman_gain",
     "meets_divergence_criterion",
     "meets_plateau_criterion",
     "p_lower",
@@ -94,7 +92,6 @@ __all__ = [
     "simulate_trace",
     "solve_S",
     "solve_V",
-    "solve_discounted_lyapunov",
     "sweep_tradeoff",
     "time_average_error",
     "validate_system",

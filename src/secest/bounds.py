@@ -38,7 +38,7 @@ import scipy.linalg as sla
 from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
 from .kalman import riccati_map
-from .linmodel import LinearSystem, triangular_stein
+from .linmodel import LinearSystem, _describe_modes, triangular_stein
 
 # Width of the final p_upper bisection bracket; critical_rates calls the
 # bracket exact once it closes to within 10x this width.
@@ -159,14 +159,17 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
 
     Starting from the Stein solution of X = (1 - lam) T_u X T_u^H + I, the
     loop applies X <- h(X)/tr h(X) + 0.1 X/tr X until one of the two
-    certificates holds. Rates at or below ``p_lower`` are infeasible and a
-    plant without unstable modes is feasible, both without iterating. An
-    :class:`InconclusiveError` is raised if the start solve fails or neither
-    certificate holds within the budget, which happens at rates within
-    roundoff of the threshold and for plants whose unstable modes are not all
-    observed.
+    certificates holds. Without iterating, every rate is infeasible on a
+    plant C does not detect (``sys.unseen_modes`` nonempty: an unseen mode
+    with |lambda| >= 1 grows open loop), rates at or below ``p_lower`` are
+    infeasible, and any rate is feasible on a plant without unstable modes.
+    An :class:`InconclusiveError` is raised if the start solve fails or
+    neither certificate holds within the budget, which happens at rates
+    within roundoff of the threshold.
     """
     _check_probability(lam, "lam")
+    if sys.unseen_modes:
+        return False
     schur = sys.schur
     k = schur.k
     if k == 0:
@@ -209,8 +212,9 @@ def p_upper(sys: LinearSystem) -> float:
     its feasible end, so the result lies within 1e-6 above the critical
     rate. An undecided probe counts as infeasible, which can only push the
     result upward. Raises :class:`NumericalError` when full reception is
-    not certified feasible (e.g. an unstable mode C does not see). Results
-    are cached per system instance.
+    not certified feasible, at once and naming the modes when C does not
+    see an eigenvalue of modulus at least one (``sys.unseen_modes``).
+    Results are cached per system instance.
     """
     cached = _p_upper_cache.get(sys)
     if cached is not None:
@@ -225,10 +229,12 @@ def p_upper(sys: LinearSystem) -> float:
     lo = p_lower(sys)
     hi = 1.0
     if not feasible(hi):
-        raise NumericalError(
-            "no bounded fixed point certified even at full reception; the "
-            "system violates the solver's assumptions (is (A, C) detectable?)"
-        )
+        if sys.unseen_modes:
+            reason = ("(A, C) is not detectable: C does not see the eigenvalue(s) "
+                      + _describe_modes(sys.unseen_modes))
+        else:
+            reason = "the feasibility certificate is undecided there"
+        raise NumericalError(f"no bounded fixed point certified even at full reception; {reason}")
     while hi - lo > _P_UPPER_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):

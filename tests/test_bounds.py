@@ -23,6 +23,7 @@ from secest import (
     secrecy_interval,
     solve_S,
     solve_V,
+    validate_system,
 )
 
 P_CRIT = 1.0 - 1.0 / 1.44  # 11/36 for the a=1.2 scalar plant
@@ -248,6 +249,65 @@ class TestCriticalRateExactness:
         rate = p_upper(second_order_sys) + 1e-3
         with pytest.raises(NumericalError, match=r"in 10 iterations.*0\.42707.*p_upper = 0\.42607"):
             solve_V(rate, ChannelParams(1.0, 1.0), second_order_sys)
+
+
+def unseen_diagonal_plant(seed: int) -> LinearSystem:
+    """S diag(1.2, 1.1, 0.5) S^-1 with C = [0, 1, 1] S^-1: C misses the mode 1.2."""
+    S = np.random.default_rng(seed).standard_normal((3, 3))
+    Si = np.linalg.inv(S)
+    return observed_plant(S @ np.diag([1.2, 1.1, 0.5]) @ Si, np.array([[0.0, 1.0, 1.0]]) @ Si)
+
+
+def unseen_jordan_plant(seed: int) -> LinearSystem:
+    """S J S^-1, J the 3x3 Jordan block at 1.1, with C = [0, 0, 1] S^-1: C
+    sees the tail of the chain but not its eigenvector."""
+    S = np.random.default_rng(seed).standard_normal((3, 3))
+    Si = np.linalg.inv(S)
+    J = 1.1 * np.eye(3) + np.diag([1.0, 1.0], 1)
+    return observed_plant(S @ J @ Si, np.array([[0.0, 0.0, 1.0]]) @ Si)
+
+
+def unseen_rotation_plant(seed: int) -> LinearSystem:
+    """S diag(1.1 rot(0.7), 0.5) S^-1 with C = [0, 0, 1] S^-1: C misses the
+    complex pair 1.1 exp(+-0.7i)."""
+    S = np.random.default_rng(seed).standard_normal((3, 3))
+    Si = np.linalg.inv(S)
+    return observed_plant(S @ sla.block_diag(1.1 * rotation(0.7), 0.5) @ Si,
+                          np.array([[0.0, 0.0, 1.0]]) @ Si)
+
+
+class TestUndetectable:
+    """One detectability verdict, ``LinearSystem.unseen_modes``, read by
+    validation, the feasibility probe and p_upper alike."""
+
+    RATES = (0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0)
+
+    @pytest.mark.parametrize("plant, modulus, count", [
+        (unseen_diagonal_plant, 1.2, 1),
+        (unseen_jordan_plant, 1.1, 3),
+        (unseen_rotation_plant, 1.1, 2),
+    ], ids=["diag", "jordan", "rotation"])
+    def test_every_reader_reports_the_unseen_mode(self, plant, modulus, count):
+        for seed in range(20):
+            sys = plant(seed)
+            unseen = sys.unseen_modes
+            assert len(unseen) == count, (seed, unseen)
+            assert all(abs(abs(lam) - modulus) < 1e-3 for lam in unseen), (seed, unseen)
+            assert validate_system(sys).warnings == [
+                "(A, C) not detectable: C does not see the eigenvalue(s) "
+                + ", ".join(f"{lam:.6g}" for lam in unseen)], seed
+            # a certified verdict at every rate, never InconclusiveError
+            assert not any(feasibility_check(rate, sys) for rate in self.RATES), seed
+            with pytest.raises(NumericalError, match="not detectable"):
+                p_upper(sys)
+
+    def test_unseen_mode_on_the_unit_circle_is_unbounded(self):
+        sys = observed_plant(np.diag([1.2, 1.0]), [[1.0, 0.0]])
+        assert not feasibility_check(1.0, sys)
+        with pytest.raises(NumericalError, match=r"eigenvalue\(s\) 1$"):
+            p_upper(sys)
+        stable_unseen = observed_plant(np.diag([1.2, 0.5]), [[1.0, 0.0]])
+        assert p_upper(stable_unseen) - p_lower(stable_unseen) <= EXACT_TOL
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -11,7 +13,6 @@ from secest import (
     ValidationError,
     batch_covariance_oracle,
     filter_errors,
-    kalman_gain,
     riccati_map,
 )
 
@@ -76,7 +77,7 @@ class TestRiccatiMap:
 def test_innovation_solve_failures_raise(m):
     # R = -5 I makes C X C' + R negative definite at X = I, and a NaN in X
     # reaches it through C X C'; the 1x1 branch and the Cholesky solve must
-    # both refuse either, in the map, the gain and the stepped filter
+    # both refuse either, in the map and the stepped filter
     for R, X in ((-5.0 * np.eye(m), np.eye(2)), (np.eye(m), np.full((2, 2), np.nan))):
         sys = LinearSystem(A=1.2 * np.eye(2), C=np.eye(2)[:m], Q=np.eye(2), R=R,
                            Sigma0=np.eye(2))
@@ -85,8 +86,6 @@ def test_innovation_solve_failures_raise(m):
         object.__setattr__(sys, "Sigma0", X)
         with pytest.raises(NumericalError):
             riccati_map(X, sys, 1.0)
-        with pytest.raises(NumericalError):
-            kalman_gain(X, sys)
         for gammas in ([True], [[False], [True]]):
             with pytest.raises(NumericalError):
                 filter_errors(sys, gammas, np.zeros(2), 0.0, 0.0)
@@ -95,8 +94,11 @@ def test_innovation_solve_failures_raise(m):
 
 
 def test_kalman_gain_scalar(scalar_sys):
-    assert kalman_gain(np.array([[1.0]]), scalar_sys)[0, 0] == pytest.approx(0.5)
-    assert kalman_gain(np.array([[2.0]]), scalar_sys)[0, 0] == pytest.approx(2.0 / 3.0)
+    # from e(0) = 0 with v(0) = 1 one received step gives e_f(0) = K = P/(P + r)
+    for P, K in ((1.0, 0.5), (2.0, 2.0 / 3.0)):
+        sys = dataclasses.replace(scalar_sys, Sigma0=P)
+        e_f, _ = filter_errors(sys, [True], [0.0], 0.0, [[1.0]])
+        assert e_f[0, 0] == pytest.approx(K)
 
 
 class TestFilterStep:

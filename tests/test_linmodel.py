@@ -10,9 +10,9 @@ from secest import (
     is_positive_definite,
     p_lower,
     solve_S,
-    solve_discounted_lyapunov,
     validate_system,
 )
+from secest.linmodel import SchurFactor
 
 
 def reported_rho(A) -> float:
@@ -97,14 +97,13 @@ def test_validate_system_failures_and_warnings():
     sys = LinearSystem(A=A, C=np.array([[0.0, 1.0]]), Q=np.eye(2), R=1.0,
                        Sigma0=np.eye(2))
     report = validate_system(sys)
-    assert report.ok  # observability loss is a warning, not a failure
-    assert any("observability" in w for w in report.warnings)
+    assert report.ok  # an unseen mode is a warning, not a failure
+    assert any("not detectable" in w for w in report.warnings)
 
     sys = LinearSystem(A=A, C=np.array([[1.0, 0.0]]), Q=np.diag([1.0, 0.0]),
                        R=1.0, Sigma0=np.eye(2))
     report = validate_system(sys)
     assert any("Q positive definite" in f for f in report.failures)
-    assert any("controllability" in w for w in report.warnings)
 
 
 class TestDiscountedLyapunov:
@@ -120,13 +119,13 @@ class TestDiscountedLyapunov:
     strongly non-normal one."""
 
     def test_scalar_closed_form(self):
-        S = solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), 0.625)
+        S = SchurFactor.of(np.array([[1.2]]), np.array([[1.0]])).discounted_lyapunov(0.625)
         # 1 / (1 - 0.625 * 1.44) = 10
         assert S[0, 0] == pytest.approx(10.0, abs=1e-10)
 
     def test_diagonal_closed_form(self):
         A = np.diag([1.2, 1.1])
-        S = solve_discounted_lyapunov(A, np.eye(2), 0.5)
+        S = SchurFactor.of(A, np.eye(2)).discounted_lyapunov(0.5)
         assert S[0, 0] == pytest.approx(1.0 / (1.0 - 0.5 * 1.44), abs=1e-10)
         assert S[1, 1] == pytest.approx(1.0 / (1.0 - 0.5 * 1.21), abs=1e-10)
         assert S[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -135,7 +134,7 @@ class TestDiscountedLyapunov:
         A = np.array([[1.2, 1.0], [0.0, 1.1]])
         Q = np.array([[1.0, 0.5], [0.5, 2.0]])
         alpha = 0.5
-        S = solve_discounted_lyapunov(A, Q, alpha)
+        S = SchurFactor.of(A, Q).discounted_lyapunov(alpha)
         X = np.zeros((2, 2))
         for _ in range(2000):
             X = alpha * A @ X @ A.T + Q
@@ -144,24 +143,18 @@ class TestDiscountedLyapunov:
     def test_monotone_in_alpha(self):
         A = np.array([[1.2, 1.0], [0.0, 1.1]])
         Q = np.array([[1.0, 0.5], [0.5, 2.0]])
-        traces = [np.trace(solve_discounted_lyapunov(A, Q, a))
-                  for a in (0.0, 0.2, 0.4, 0.6)]
+        factor = SchurFactor.of(A, Q)
+        traces = [np.trace(factor.discounted_lyapunov(a)) for a in (0.0, 0.2, 0.4, 0.6)]
         assert all(t1 > t0 for t0, t1 in zip(traces, traces[1:]))
 
     def test_alpha_zero_returns_Q(self):
         Q = np.array([[1.0, 0.5], [0.5, 2.0]])
-        S = solve_discounted_lyapunov(np.array([[1.2, 1.0], [0.0, 1.1]]), Q, 0.0)
+        S = SchurFactor.of(np.array([[1.2, 1.0], [0.0, 1.1]]), Q).discounted_lyapunov(0.0)
         assert np.allclose(S, Q, atol=1e-14)
 
     def test_divergent_alpha_raises(self):
         with pytest.raises(NumericalError):
-            solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), 0.7)
-
-    def test_alpha_range_checked(self):
-        with pytest.raises(ValidationError):
-            solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), -0.1)
-        with pytest.raises(ValidationError):
-            solve_discounted_lyapunov(np.array([[1.2]]), np.array([[1.0]]), 1.1)
+            SchurFactor.of(np.array([[1.2]]), np.array([[1.0]])).discounted_lyapunov(0.7)
 
 
 def kron_reference(A, Q, alpha):
@@ -263,7 +256,7 @@ def test_floor_against_kronecker_oracle(case, margin):
     sys = LinearSystem(A=A, C=np.eye(len(A)), Q=Q, R=np.eye(len(A)), Sigma0=Q)
     p = 1.0 - alpha  # at p2 = 1 the floor's discount is 1 - p
     floors = {
-        "solve_discounted_lyapunov": solve_discounted_lyapunov(A, Q, 1.0 - p),
+        "SchurFactor.of": SchurFactor.of(A, Q).discounted_lyapunov(1.0 - p),
         "solve_S": solve_S(p, ChannelParams(1.0, 1.0), sys).matrix,
     }
     ref = kron_reference(A, Q, 1.0 - p) if margin >= 1e-2 else None
@@ -293,3 +286,46 @@ def test_cayley_shift_clears_both_signs():
     alpha = (1.0 - 1e-8) / factor.rho**2
     assert abs(factor.sigma) == pytest.approx(1.0, abs=1e-15)
     assert np.min(np.abs(np.sqrt(alpha) * np.diag(factor.T) + factor.sigma)) >= 0.5
+
+
+def spread_plant(seed: int, n: int) -> LinearSystem:
+    """Single output, eigenvalues 1.2, 1.1 and n - 2 stable ones spread over
+    (-0.8, 0.8), in a basis T near the identity; C is 1 x n Gaussian. C sees
+    every mode, but the Krylov matrix [C; CA; ...; CA^(n-1)] reads rank < n
+    on most of these plants at n = 27 and on all at n = 30."""
+    rng = np.random.default_rng(seed)
+    width = 1.6 / (n - 2)
+    left = -0.8 + width * np.arange(n - 2)
+    eig = np.concatenate([[1.2, 1.1], rng.uniform(left + 0.1 * width, left + 0.9 * width)])
+    T = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    A = T @ np.diag(eig) @ np.linalg.inv(T)
+    return LinearSystem(A=A, C=rng.standard_normal((1, n)), Q=np.eye(n), R=1.0, Sigma0=np.eye(n))
+
+
+@pytest.mark.parametrize("n", [27, 30])
+def test_seen_modes_raise_no_warning_at_scale(n):
+    for seed in range(5):
+        sys = spread_plant(seed, n)
+        assert sys.unseen_modes == ()
+        assert validate_system(sys).warnings == [], seed
+
+
+def test_seen_modes_far_apart_raise_no_warning():
+    # eigenvalues 0.5 to 3 seen through C = ones: CA^19 outgrows C by 3^19
+    n = 20
+    sys = LinearSystem(A=np.diag(np.linspace(0.5, 3.0, n)), C=np.ones((1, n)), Q=np.eye(n),
+                       R=1.0, Sigma0=np.eye(n))
+    assert validate_system(sys).warnings == []
+
+
+def test_unseen_mode_on_the_unit_circle_warns():
+    # a mode with |lambda| = 1 that C does not see grows open loop too; a
+    # stable unseen mode decays and is no concern
+    C = np.array([[1.0, 0.0]])
+    sys = LinearSystem(A=np.diag([1.2, 1.0]), C=C, Q=np.eye(2), R=1.0, Sigma0=np.eye(2))
+    assert sys.unseen_modes == (1.0,)
+    assert validate_system(sys).warnings == [
+        "(A, C) not detectable: C does not see the eigenvalue(s) 1"]
+    sys = LinearSystem(A=np.diag([1.2, 0.5]), C=C, Q=np.eye(2), R=1.0, Sigma0=np.eye(2))
+    assert sys.unseen_modes == ()
+    assert validate_system(sys).warnings == []

@@ -4,6 +4,7 @@ import pytest
 from secest import (
     ChannelParams,
     ExpectedErrorCurve,
+    LinearSystem,
     Mechanism,
     RngStream,
     ValidationError,
@@ -136,6 +137,26 @@ class TestSimulateTrace:
         assert errors.shape == (2, 301, sys.n)
         for err, e_f in zip((tr.err1, tr.err2), errors):
             assert np.array_equal(err, [np.linalg.norm(e) for e in e_f])
+
+    def test_measurements_match_per_step_product(self, channel_96, monkeypatch):
+        # y is formed after the state loop, and must round like C x(k) + v(k)
+        # formed step by step; on this n = 13 plant x @ C' does not.
+        rng = np.random.default_rng(13)
+        n = 13
+        V = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+        A = V @ np.diag(np.linspace(-0.8, 1.2, n)) @ np.linalg.inv(V)
+        sys = LinearSystem(A=A, C=rng.standard_normal((2, n)), Q=np.eye(n), R=np.eye(2),
+                           Sigma0=np.eye(n))
+        noise = []
+        filter_errors = montecarlo.filter_errors
+
+        def recording(*args):
+            noise.append(args[4])
+            return filter_errors(*args)
+
+        monkeypatch.setattr(montecarlo, "filter_errors", recording)
+        tr = simulate_trace(sys, Mechanism(0.8), channel_96, T=300, seed=3)
+        assert np.array_equal(tr.y, [sys.C @ x + v for x, v in zip(tr.x, noise[0])])
 
     def test_silence_means_open_loop(self, scalar_sys, channel_96):
         tr = simulate_trace(scalar_sys, Mechanism(0.0), channel_96, T=30, seed=2)
