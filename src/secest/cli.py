@@ -7,7 +7,9 @@ inputs), and ``sweep``, ``simulate`` and ``montecarlo`` write a CSV artifact
 when ``out`` is set. Exit codes: 0 on success, 1 for configuration,
 validation or usage problems (an unknown flag, a bad flag value, an
 unwritable artifact path), 2 for numerical failures; errors go to stderr as
-JSON.
+JSON. A plant that passes validation with warnings (an undetectable mode)
+runs as usual, with each warning first printed to stderr as one JSON line,
+``{"warning": "..."}``.
 
 Config schema (version 1): matrices are row-major nested lists, bare
 numbers are accepted as 1x1.
@@ -92,6 +94,7 @@ class RunConfig:
     out: str | None
     source: str
     sha256: str
+    warnings: tuple
 
 
 def _parse_matrix(obj, pointer: str) -> list:
@@ -210,6 +213,7 @@ def load_config(path: str) -> RunConfig:
         M_grid=M_grid,
         source=str(path),
         sha256=hashlib.sha256(raw).hexdigest(),
+        warnings=tuple(report.warnings),
         **fields,
     )
 
@@ -456,6 +460,8 @@ def main(argv=None) -> int:
         cfg = replace(load_config(args.config), **{
             key: getattr(args, key) for key in keys if getattr(args, key) is not None
         })
+        for warning in cfg.warnings:
+            print(json.dumps({"warning": warning}), file=_sys.stderr)
         payload, header, rows = handler(cfg, args)
         artifact = cfg.out if rows is not None else None
         if artifact:

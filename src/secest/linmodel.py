@@ -17,10 +17,9 @@ Lyapunov (Stein) solve
 
     S = alpha * A S A' + Q,    0 <= alpha,  alpha * rho(A)^2 < 1.
 
-Each :class:`LinearSystem` computes one complex Schur factorization
-A = U T U^H (T upper triangular, the eigenvalues of A on its diagonal) on
-first use and keeps it, sorted so that the k eigenvalues with |lambda| > 1
-come first: T[:k, :k] is A on its unstable invariant subspace, which the
+Each :class:`LinearSystem` computes one Schur factorization A = U T U^H
+(T upper triangular, the eigenvalues of A on its diagonal) on first use and
+keeps it, sorted so that the k eigenvalues with |lambda| > 1 come first: T[:k, :k] is A on its unstable invariant subspace, which the
 critical-rate certificate in :mod:`secest.bounds` works on alone. The
 spectral radius, for validation and every solver alike, and all Stein
 solves read off the same factor.
@@ -42,7 +41,7 @@ sigma,
 turns it into the continuous Lyapunov equation
 Ac X + X Ac^H = -2 (B + sigma I)^-1 F (B + sigma I)^-H, whose coefficient is
 still upper triangular, so one triangular inverse and one Bartels-Stewart
-call (LAPACK ``ztrsyl``; Bartels & Stewart, CACM 1972) solve it with no
+call (LAPACK ``trsyl``; Bartels & Stewart, CACM 1972) solve it with no
 Python loop. That is O(n^3) time and O(n^2) memory per solve, after an
 O(n^3) factor paid once per plant; the Kronecker-vectorized route costs
 O(n^6) time and O(n^4) memory.
@@ -57,6 +56,18 @@ on the segment [0, lambda_i / rho], so the root of unity whose negative is
 farthest from all those segments keeps the diagonal of B + sigma I bounded
 away from zero at every alpha, up to the threshold. A zero eigenvalue of A
 is harmless, unlike in a route through T^-1.
+
+The factor and every solve on it run in real arithmetic when they can:
+``dtrsyl`` costs a fraction of ``ztrsyl``, and the triangular inverse and
+the basis changes become real too (at n = 27 a real solve takes about a
+fifth of the time of a complex one). Each plant first takes the sorted real
+Schur form. When it has no 2x2 block, every eigenvalue is real, and when
+the real shift sigma = +1 or -1 also keeps -sigma at least 1/8 from every
+segment [0, lambda_i / rho], the factor stays real (``dtrtrs``,
+``dtrsyl``). Otherwise, for complex eigenvalues or real ones near both
+ends of [-rho, rho], the plant takes the complex Schur form and the
+root-of-unity shift (``ztrtrs``, ``ztrsyl``). The Stein solve is the same
+code on either dtype.
 """
 
 from __future__ import annotations
@@ -82,11 +93,20 @@ _PD_TOL = 1e-10
 # solution is unbounded or beyond working precision.
 _STEIN_MARGIN = 1e-12
 
-_trtrs = sla.get_lapack_funcs("trtrs", dtype=np.complex128)
-_trsyl = sla.get_lapack_funcs("trsyl", dtype=np.complex128)
+# The triangular solve and Bartels-Stewart routine for each factor dtype.
+_STEIN_LAPACK = {np.dtype(dtype): sla.get_lapack_funcs(("trtrs", "trsyl"), dtype=dtype)
+                 for dtype in (np.float64, np.complex128)}
 
-# Candidate Cayley shifts for the Stein solve: the 64th roots of unity.
+# Candidate Cayley shifts for the Stein solve on a complex factor: the 64th
+# roots of unity.
 _SHIFTS = np.exp(2j * np.pi * np.arange(64) / 64)
+
+# A real factor takes the shift +1 or -1 only when -sigma lies at least this
+# far from every segment [0, lambda_i / rho]: every diagonal entry of
+# B + sigma I then stays at least 1/8 from zero at every admissible alpha.
+# A plant whose real eigenvalues crowd both ends of [-rho, rho] takes the
+# complex factor, where a root of unity off the real axis stands farther off.
+_REAL_SHIFT_MIN = 0.125
 
 # C does not see the eigenvalue lambda when [lambda I - A; C] has
 # sigma_min <= _PBH_RTOL * sigma_max (the PBH test).
@@ -112,12 +132,14 @@ def _maybe_symmetrize(arr: np.ndarray) -> np.ndarray:
 
 
 def cayley_shift(eigs: np.ndarray) -> complex:
-    """Unit shift for :func:`triangular_stein` on a plant with these eigenvalues.
+    """Unit shift for :func:`triangular_stein` on a complex factor with these
+    eigenvalues.
 
     Of the 64th roots of unity, returns the sigma whose negative lies
     farthest from every segment [0, lambda_i / rho]; ties go to the first,
     sigma = 1. For alpha * rho^2 < 1 every sqrt(alpha) lambda_i lies on its
     segment, so |sqrt(alpha) lambda_i + sigma| is at least that distance.
+    A real factor uses :func:`real_cayley_shift` instead.
     """
     rho = float(np.max(np.abs(eigs)))
     z = eigs / rho if rho > 0.0 else np.zeros_like(eigs)
@@ -130,19 +152,41 @@ def cayley_shift(eigs: np.ndarray) -> complex:
     return complex(_SHIFTS[np.argmax(dist2.min(axis=1))])
 
 
+def real_cayley_shift(eigs: np.ndarray) -> float | None:
+    """Real unit shift for :func:`triangular_stein` on a real factor with
+    these real eigenvalues, or None when neither sign will do.
+
+    The distance from -sigma to the segments [0, lambda_i / rho] is
+    1 - max(0, -lambda_min) / rho for sigma = +1 and
+    1 - max(0, lambda_max) / rho for sigma = -1. The larger one wins, ties
+    going to +1, and it must reach ``_REAL_SHIFT_MIN``.
+    """
+    rho = float(np.max(np.abs(eigs)))
+    if rho == 0.0:
+        return 1.0
+    plus = 1.0 - max(0.0, -float(np.min(eigs))) / rho
+    minus = 1.0 - max(0.0, float(np.max(eigs))) / rho
+    sigma, dist = (1.0, plus) if plus >= minus else (-1.0, minus)
+    return sigma if dist >= _REAL_SHIFT_MIN else None
+
+
 def triangular_stein(T: np.ndarray, F: np.ndarray, alpha: float, sigma: complex) -> np.ndarray:
     """Solve X = alpha T X T^H + F for upper triangular T with
     alpha * max|T_jj|^2 < 1, by the Cayley transform with shift ``sigma``
-    (from :func:`cayley_shift` of T's diagonal or of a superset of it) and
-    one triangular Sylvester solve.
+    (from :func:`cayley_shift` or :func:`real_cayley_shift` of T's diagonal
+    or of a superset of it) and one triangular Sylvester solve.
 
-    Raises :class:`NumericalError` if LAPACK reports a singular shifted
-    factor or a near-singular Sylvester operator.
+    Runs in the arithmetic of sqrt(alpha) T + sigma I: LAPACK ``dtrtrs`` and
+    ``dtrsyl`` for a real T and shift, ``ztrtrs`` and ``ztrsyl`` otherwise,
+    with F of the same dtype. Raises :class:`NumericalError` if LAPACK
+    reports a singular shifted factor or a near-singular Sylvester operator.
     """
     eye = np.eye(T.shape[0])
-    N, info_n = _trtrs(np.sqrt(alpha) * T + sigma * eye, eye)
+    shifted = np.sqrt(alpha) * T + sigma * eye
+    trtrs, trsyl = _STEIN_LAPACK[shifted.dtype]
+    N, info_n = trtrs(shifted, eye)
     Ac = eye - 2.0 * sigma * N
-    X, scale, info = _trsyl(Ac, Ac, N @ F @ N.conj().T, tranb="C")
+    X, scale, info = trsyl(Ac, Ac, N @ F @ N.conj().T, tranb="C")
     if info_n or info:
         raise NumericalError(
             f"Cayley-transformed Stein solve failed (trtrs info {info_n}, trsyl info {info}) "
@@ -153,13 +197,19 @@ def triangular_stein(T: np.ndarray, F: np.ndarray, alpha: float, sigma: complex)
 
 @dataclass(frozen=True, eq=False)
 class SchurFactor:
-    """Sorted complex Schur form A = U T U^H, with Q carried into the same basis.
+    """Sorted Schur form A = U T U^H, with Q carried into the same basis.
 
     ``T`` is upper triangular and holds the eigenvalues of A on its
     diagonal, the ``k`` of modulus greater than one first, so ``T[:k, :k]``
     is the unstable block and ``U[:, :k]`` spans its invariant subspace;
     ``rho`` is read off the diagonal, ``QU`` is U^H Q U and ``sigma`` is the
-    Cayley shift every Stein solve on this factor uses (:func:`cayley_shift`).
+    Cayley shift every Stein solve on this factor uses.
+
+    The factor is real (``T``, ``U``, ``QU`` float64, ``sigma`` +1 or -1,
+    :func:`real_cayley_shift`) when the real Schur form of A has no 2x2 block
+    and a real shift clears ``_REAL_SHIFT_MIN``; otherwise it is the complex
+    Schur form with a root-of-unity shift (:func:`cayley_shift`). Every
+    reader works on either dtype.
     """
 
     T: np.ndarray
@@ -167,14 +217,18 @@ class SchurFactor:
     QU: np.ndarray
     rho: float
     k: int
-    sigma: complex
+    sigma: complex | float
 
     @classmethod
     def of(cls, A: np.ndarray, Q: np.ndarray) -> "SchurFactor":
-        T, U, k = sla.schur(A, output="complex", sort="ouc")
-        eigs = np.diag(T)
-        return cls(T=T, U=U, QU=U.conj().T @ Q @ U, rho=float(np.max(np.abs(eigs))),
-                   k=int(k), sigma=cayley_shift(eigs))
+        T, U, k = sla.schur(A, output="real", sort="ouc")
+        # no 2x2 block: every eigenvalue is real and on the diagonal
+        sigma = None if np.any(np.diag(T, -1)) else real_cayley_shift(np.diag(T))
+        if sigma is None:
+            T, U, k = sla.schur(A, output="complex", sort="ouc")
+            sigma = cayley_shift(np.diag(T))
+        return cls(T=T, U=U, QU=U.conj().T @ Q @ U, rho=float(np.max(np.abs(np.diag(T)))),
+                   k=int(k), sigma=sigma)
 
     def discounted_lyapunov(self, alpha: float, B: np.ndarray | None = None) -> np.ndarray:
         """Solve S = alpha * A S A' + B for a symmetric B, by default Q.

@@ -328,6 +328,41 @@ class TestCliUsage:
         assert err["error"]["pointer"] == "/out"
 
 
+def undetectable_doc():
+    """C = [1, 0] misses the eigenvalue 1 of A = diag(1.2, 1.0): validation
+    passes with a warning, and no reception rate bounds the user's error."""
+    doc = base_doc()
+    doc["system"] = {"A": [[1.2, 0.0], [0.0, 1.0]], "C": [[1.0, 0.0]],
+                     "Q": [[1.0, 0.0], [0.0, 1.0]], "R": 1.0,
+                     "Sigma0": [[1.0, 0.0], [0.0, 1.0]]}
+    return dict(doc, p=0.5, T=20, runs=10)
+
+
+UNDETECTABLE_WARNING = {"warning": "(A, C) not detectable: C does not see the eigenvalue(s) 1"}
+
+
+class TestCliWarnings:
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_warning_goes_to_stderr_as_json_line(self, capsys, tmp_path, command):
+        code = main([command, "--config", write_cfg(tmp_path, undetectable_doc())])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["command"] == command
+        assert [json.loads(line) for line in captured.err.splitlines()] == [UNDETECTABLE_WARNING]
+
+    def test_warning_precedes_a_numerical_failure(self, capsys, tmp_path):
+        code = main(["bounds", "--config", write_cfg(tmp_path, undetectable_doc())])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        warning, error = [json.loads(line) for line in captured.err.splitlines()]
+        assert warning == UNDETECTABLE_WARNING
+        assert "not detectable" in error["error"]["message"]
+
+    def test_clean_plant_writes_nothing_to_stderr(self, capsys):
+        assert main(["simulate", "--config", SECOND_CFG, "--steps", "5"]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestCliFailure:
     def test_stable_plant_reports_failures(self, capsys, tmp_path):
         doc = base_doc()

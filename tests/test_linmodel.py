@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -12,7 +14,8 @@ from secest import (
     solve_S,
     validate_system,
 )
-from secest.linmodel import SchurFactor
+from secest.cli import load_config
+from secest.linmodel import SchurFactor, cayley_shift, triangular_stein
 
 
 def reported_rho(A) -> float:
@@ -31,6 +34,13 @@ def test_spectral_radius_rotation():
     # complex pair, modulus 2
     A = 2.0 * np.array([[0.0, -1.0], [1.0, 0.0]])
     assert reported_rho(A) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_spectral_radius_nilpotent():
+    # rho = 0: the real factor's shift must not divide by rho
+    A = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert reported_rho(A) == 0.0
+    assert SchurFactor.of(A, np.eye(2)).sigma == 1.0
 
 
 def test_one_instability_verdict_near_unit_rho(near_unit_plants):
@@ -107,16 +117,20 @@ def test_validate_system_failures_and_warnings():
 
 
 class TestDiscountedLyapunov:
-    """X = alpha A X A' + Q on the complex Schur form of A: a Cayley transform
-    with the plant's unit shift sigma and one triangular Sylvester solve,
-    O(n^3) with no Python loop, after one O(n^3) factor. It replaced the
-    O(n^6) Kronecker-vectorized solve, which the oracle cases below keep as
-    the reference. scipy's bilinear route is the same transform with
-    sigma = 1 and fails the 1e-13 residual bound near the threshold with a
-    negative real unstable eigenvalue. The oracle cases below cover what a
-    fixed shift or a route through T^-1 would fail: unstable eigenvalues of
-    both signs, unstable ones spread round the circle, a singular A and a
-    strongly non-normal one."""
+    """X = alpha A X A' + Q on the Schur form of A: a Cayley transform with the
+    plant's unit shift sigma and one triangular Sylvester solve, O(n^3) with
+    no Python loop, after one O(n^3) factor. The factor and the solve are
+    real (``dtrsyl``, sigma = +-1) on a plant with real eigenvalues that a
+    real shift keeps at least 1/8 from -sigma, and complex (``ztrsyl``,
+    sigma a root of unity) otherwise. The solve replaced the O(n^6)
+    Kronecker-vectorized one, which the oracle cases below keep as the
+    reference. scipy's bilinear route is the same transform with sigma = 1
+    and fails the 1e-13 residual bound near the threshold with a negative
+    real unstable eigenvalue. The oracle cases below cover what a fixed
+    shift or a route through T^-1 would fail: unstable eigenvalues of both
+    signs, unstable ones spread round the circle, a singular A, a strongly
+    non-normal one, and real spectra just either side of the real shift's
+    cut."""
 
     def test_scalar_closed_form(self):
         S = SchurFactor.of(np.array([[1.2]]), np.array([[1.0]])).discounted_lyapunov(0.625)
@@ -230,6 +244,17 @@ def non_normal_case():
     return A, np.eye(10)
 
 
+def real_shift_case(distance):
+    # n = 5 in a non-normal basis, eigenvalues 1.2 and -(1 - distance) 1.2
+    # among three stable ones: the real shift +1 keeps -1 exactly
+    # ``distance`` from the segments [0, lambda_i / rho]
+    rng = np.random.default_rng(5)
+    eig = np.array([1.2, -(1.0 - distance) * 1.2, 0.5, -0.3, 0.9])
+    V = np.eye(5) + 0.3 * rng.standard_normal((5, 5)) / np.sqrt(5)
+    G = rng.standard_normal((5, 5))
+    return V @ np.diag(eig) @ np.linalg.inv(V), G @ G.T / 5 + 0.5 * np.eye(5)
+
+
 ORACLE_CASES = {
     "rotation": rotation_case,
     "jordan": jordan_case,
@@ -241,6 +266,8 @@ ORACLE_CASES = {
     "singular": singular_case,
     "scalar": scalar_case,
     "non-normal": non_normal_case,
+    "real-shift-above-cut": lambda: real_shift_case(0.13),
+    "real-shift-below-cut": lambda: real_shift_case(0.12),
 }
 
 
@@ -286,6 +313,67 @@ def test_cayley_shift_clears_both_signs():
     alpha = (1.0 - 1e-8) / factor.rho**2
     assert abs(factor.sigma) == pytest.approx(1.0, abs=1e-15)
     assert np.min(np.abs(np.sqrt(alpha) * np.diag(factor.T) + factor.sigma)) >= 0.5
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.stem)
+def test_shipped_configs_take_the_real_factor(path):
+    factor = load_config(str(path)).system.schur
+    assert {factor.T.dtype, factor.U.dtype, factor.QU.dtype} == {np.dtype(np.float64)}
+    assert factor.sigma in (1.0, -1.0)
+
+
+@pytest.mark.parametrize("n", [8, 27])
+def test_real_spectra_take_the_real_factor(n):
+    # held-sweep-style plants: 1.2 and 1.1 with stable eigenvalues spread over
+    # (-0.8, 0.8), so sigma = +1 keeps -1 at least 1/3 from every segment
+    for seed in range(5):
+        factor = spread_plant(seed, n).schur
+        assert {factor.T.dtype, factor.U.dtype, factor.QU.dtype} == {np.dtype(np.float64)}
+        assert factor.sigma == 1.0 and factor.k == 2, seed
+    # -1.1 outside and (-0.85, 0.9) inside the unit circle: only sigma = -1 clears the cut
+    assert SchurFactor.of(*negative_unstable_case()).sigma == -1.0
+    assert SchurFactor.of(*ORACLE_CASES["real-shift-above-cut"]()).sigma == 1.0
+
+
+@pytest.mark.parametrize("case", ["rotation", "circle-n24", "plus-minus-1.1",
+                                  "real-shift-below-cut"])
+def test_complex_or_crowded_spectra_keep_the_complex_factor(case):
+    A, Q = ORACLE_CASES[case]()
+    factor = SchurFactor.of(A, Q)
+    assert factor.T.dtype == factor.QU.dtype == np.dtype(np.complex128)
+    assert isinstance(factor.sigma, complex)
+    assert factor.sigma == cayley_shift(np.diag(factor.T))
+
+
+@pytest.mark.parametrize("margin", [0.5, 1e-2, 1e-6, 1e-8])
+@pytest.mark.parametrize("case", ["real-shift-above-cut", "negative-n12", "seeded-n27"])
+def test_real_solve_matches_complex_arithmetic(case, margin):
+    # The real route is the complex one run in real arithmetic: with T, F and
+    # sigma cast to complex, ztrsyl returns the same X to roundoff at every
+    # margin. With the shift 1j instead both stay backward stable, but the
+    # solution's relative condition number in alpha is about 1 / margin, so
+    # they agree to about eps / margin, not to 1e-13, near the threshold.
+    if case == "seeded-n27":
+        plant = spread_plant(0, 27)
+        factor = SchurFactor.of(plant.A, plant.Q)
+    else:
+        factor = SchurFactor.of(*ORACLE_CASES[case]())
+    assert factor.T.dtype == np.dtype(np.float64)
+    T, F = factor.T, factor.QU
+    alpha = (1.0 - margin) / factor.rho**2
+    X = triangular_stein(T, F, alpha, factor.sigma)
+    same = triangular_stein(T.astype(complex), F.astype(complex), alpha, complex(factor.sigma))
+    other = triangular_stein(T.astype(complex), F.astype(complex), alpha, 1j)
+    scale = np.max(np.abs(X))
+    assert X.dtype == np.dtype(np.float64)
+    assert np.max(np.abs(X - same)) <= 1e-13 * scale
+    assert np.max(np.abs(X - other)) <= max(1e-13, 16.0 * np.finfo(float).eps / margin) * scale
+    for Y in (X, other):
+        residual = np.max(np.abs(Y - alpha * T @ Y @ T.conj().T - F)) / np.max(np.abs(Y))
+        assert residual <= 1e-13, residual
 
 
 def spread_plant(seed: int, n: int) -> LinearSystem:
