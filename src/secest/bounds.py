@@ -37,8 +37,8 @@ import scipy.linalg as sla
 
 from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
-from .kalman import riccati_map
-from .linmodel import LinearSystem, _describe_modes, triangular_stein
+from .kalman import Coefficients, riccati_map
+from .linmodel import LinearSystem, _describe_modes, prepare_stein
 
 # Width of the final p_upper bisection bracket; critical_rates calls the
 # bracket exact once it closes to within 10x this width.
@@ -55,9 +55,10 @@ _CERT_DAMPING = 0.1
 # solve_V stops once a step moves no entry by more than _V_TOL relative to
 # the iterate's largest entry, or once a step below _V_FLOOR stops shrinking:
 # the Stein solve amplifies roundoff by 1/(1 - (1 - rate) rho^2). A step
-# costs about 2.6 single-output riccati_map calls at n = 2 and 3.2 at n = 8;
-# the budget reaches second_order down to about 1.1e-4 above p_upper and ends
-# a failing call in about 1.1 s there and 1.3 s on a seeded n = 8 plant.
+# costs 1.5-2.0 single-output riccati_map calls at n = 2 and n = 8; the
+# budget reaches second_order down to about 1.1e-4 above p_upper and ends a
+# failing call in about 0.64 s there and 0.71 s on a seeded n = 8 plant
+# (2-core Xeon, one BLAS thread, where one riccati_map call takes 10 us).
 _V_TOL = 1e-13
 _V_FLOOR = 1e-9
 _V_MAX_ITERS = 40_000
@@ -163,6 +164,9 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     plant C does not detect (``sys.unseen_modes`` nonempty: an unseen mode
     with |lambda| >= 1 grows open loop), rates at or below ``p_lower`` are
     infeasible, and any rate is feasible on a plant without unstable modes.
+    When C U[:, :k] has full column rank (scalar plants, square invertible
+    C), W is unitary and h(X) = (1 - lam) T_u X T_u^H, so every rate above
+    ``p_lower`` is feasible, also without iterating.
     An :class:`InconclusiveError` is raised if the start solve fails or
     neither certificate holds within the budget, which happens at rates
     within roundoff of the threshold.
@@ -179,8 +183,10 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     Tu = schur.T[:k, :k]
     _, s, Vh = np.linalg.svd(sys.C @ schur.U[:, :k])
     W = Vh[:int(np.sum(s > max(sys.m, k) * np.finfo(float).eps * s[0]))]
+    if len(W) == k:  # W unitary: h(X) = (1 - lam) T_u X T_u^H, a contraction above p_lower
+        return True
     try:
-        X = triangular_stein(Tu, np.eye(k), 1.0 - lam, schur.sigma)
+        X = prepare_stein(Tu, 1.0 - lam, schur.sigma)(np.eye(k))
     except NumericalError as exc:  # lam within roundoff of p_lower, or T_u far from normal
         raise InconclusiveError(f"feasibility at rate {lam:.9g} undecided: {exc}",
                                 iterations=0) from exc
@@ -250,11 +256,21 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
 
     When the effective rate lam = p*p1 clears ``p_upper``, iterates the
     Stein split V <- X, X = (1-lam) A X A' + (1-lam) Q + lam g_1(V), from
-    Sigma0 to g_lam's fixed point, one Schur solve per step; otherwise the
-    ceiling is infinite. The split converges at least as fast as
-    V <- g_lam(V) (regular splitting; Varga, Matrix Iterative Analysis, ch.
-    3), and its solve absorbs the open-loop direction, the near-critical one
-    when ``p_upper`` = ``p_lower`` (scalar and invertible-C plants).
+    Sigma0 to g_lam's fixed point; otherwise the ceiling is infinite. The
+    split converges at least as fast as V <- g_lam(V) (regular splitting;
+    Varga, Matrix Iterative Analysis, ch. 3), and its solve absorbs the
+    open-loop direction, the near-critical one when ``p_upper`` = ``p_lower``
+    (scalar and invertible-C plants).
+
+    The iterate lives in the coordinates of the plant's Schur factor
+    A = U T U^H: W = U^H V U, with g_1 the one Riccati formula
+    :func:`~secest.kalman.riccati_map` on (T, C U, U^H Q U, R), so a step is
+    W <- Stein(alpha U^H Q U + lam g_1(W)), alpha = 1 - lam, in the factor's
+    dtype. The Stein solve's Cayley factor depends on alpha alone and is
+    formed once per call (:meth:`~secest.linmodel.SchurFactor.stein`). The
+    stop rule, a step max|W_next - W| / max|W_next| of at most 1e-13, or one
+    below 1e-9 that no longer shrinks, is read on W; the ceiling
+    sym(Re(U W U^H)) is formed once, at the end.
 
     Elsewhere (e.g. one output), within about 1e-4 of ``p_upper`` the
     iteration still moves after its 40 000-step budget, and a
@@ -267,13 +283,19 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     if rate <= pu:
         return BoundValue.infinite()
 
-    alpha, V, prev = 1.0 - rate, sys.Sigma0, math.inf
+    schur = sys.schur
+    U, Uh = schur.U, schur.U.conj().T
+    alpha = 1.0 - rate
+    stein = schur.stein(alpha)
+    coords, aQU = Coefficients(schur.T, sys.C @ U, schur.QU, sys.R), alpha * schur.QU
+    W, prev = Uh @ sys.Sigma0 @ U, math.inf
     for _ in range(_V_MAX_ITERS):
-        Vn = sys.schur.discounted_lyapunov(alpha, alpha * sys.Q + rate * riccati_map(V, sys, 1.0))
-        step = float(np.max(np.abs(Vn - V)) / np.max(np.abs(Vn)))
+        Wn = stein(aQU + rate * riccati_map(W, coords, 1.0))
+        step = float(np.abs(Wn - W).max() / np.abs(Wn).max())
         if step <= _V_TOL or prev <= step <= _V_FLOOR:
-            return BoundValue.from_matrix(Vn)
-        prev, V = step, Vn
+            V = (U @ Wn @ Uh).real
+            return BoundValue.from_matrix(0.5 * (V + V.T))
+        prev, W = step, Wn
     raise NumericalError(
         f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "
         f"effective rate {rate:.9g}, {rate - pu:.3g} above p_upper = {pu:.9g}; "

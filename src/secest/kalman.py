@@ -9,8 +9,15 @@ Riccati recursion P(k+1) = g_{gamma(k)}(P(k)) with
 
 so a reception applies the full measurement correction (lam = 1) and a miss
 propagates open loop (lam = 0). Intermediate values of lam appear when the
-recursion is averaged over the reception process, which is how the bound
-solvers elsewhere in the package use this map.
+recursion is averaged over the reception process (the averaged-map curve in
+:mod:`secest.montecarlo`, the ceiling threshold ``p_upper``).
+
+:func:`riccati_map` is that formula, the one route to it. It reads
+(A, C, Q, R) off its second argument: the plant itself, or the plant in
+other coordinates (:class:`Coefficients`). The user ceiling
+(:func:`secest.bounds.solve_V`) applies it at lam = 1 inside its Stein
+split, in the coordinates of the plant's Schur factor A = U T U^H, on
+(T, C U, U^H Q U, R) and in that factor's real or complex arithmetic.
 
 :func:`filter_errors` is the one stepped filter: it propagates the
 estimation error and the prediction covariance over whole reception
@@ -23,6 +30,7 @@ covariances, kept for cross-checking.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,42 +39,64 @@ from .channel import _check_probability
 from .errors import NumericalError, ValidationError
 from .linmodel import LinearSystem
 
-_posv = sla.get_lapack_funcs("posv", dtype=np.float64)
+# The positive definite solve for each innovation covariance dtype.
+_POSV = {np.dtype(dtype): sla.get_lapack_funcs("posv", dtype=dtype)
+         for dtype in (np.float64, np.complex128)}
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
-    return 0.5 * (X + X.T)
+    """Hermitian part of X; the symmetric part of a real X."""
+    return 0.5 * (X + X.conj().T)
 
 
 def _innovation_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """S^(-1) B for the innovation covariance S = C X C' + R, by a PD solve."""
+    """S^(-1) B for the innovation covariance S = C X C^H + R, by a PD solve."""
     if S.shape == (1, 1):
-        s = S[0, 0]
+        s = S[0, 0].real
         if not s > 0.0:
             raise NumericalError("innovation variance is not positive")
         return B / s
-    c, X, info = _posv(S, B)
+    c, X, info = _POSV[S.dtype](S, B)
     # a NaN anywhere in S's upper triangle reaches the factor's last pivot
-    if info != 0 or not math.isfinite(c[-1, -1]):
+    if info != 0 or not math.isfinite(c[-1, -1].real):
         raise NumericalError("innovation covariance is not finite and positive definite "
                              f"(posv info {info})")
     return X
 
 
-def riccati_map(X, sys: LinearSystem, lam: float) -> np.ndarray:
-    """Apply g_lam once. Requires lam in [0, 1] and X symmetric PSD-ish.
+class Coefficients(NamedTuple):
+    """(A, C, Q, R) of a plant in some basis, as :func:`riccati_map` reads
+    them; a :class:`~secest.linmodel.LinearSystem` serves as its own."""
 
+    A: np.ndarray
+    C: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+
+
+def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
+    """g_lam(X) = A X A^H + Q - lam A X C^H (C X C^H + R)^(-1) C X A^H.
+
+    Requires lam in [0, 1] and X Hermitian PSD-ish; X is read through its
+    Hermitian part. (A, C, Q, R) come from ``sys``, the plant or the plant
+    in other coordinates, and the arithmetic is that of the arguments: a
+    complex X stays complex, anything else is read as float64. So the same
+    code runs the map on the plant and in the coordinates of its Schur
+    factor, (U^H X U; T, C U, U^H Q U, R), where the user ceiling iterates.
     The inner inverse is never formed; the correction uses a positive
-    definite solve against C X C' + R.
+    definite solve against C X C^H + R (LAPACK ``dposv`` or ``zposv`` by
+    dtype, a division for one output).
     """
     _check_probability(lam, "lam")
-    X = _sym(np.asarray(X, dtype=float))
+    X = np.asarray(X)
+    X = _sym(X if X.dtype == np.complex128 else X.astype(float, copy=False))
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
-    open_loop = A @ X @ A.T + Q
+    AX = A @ X
+    open_loop = AX @ A.conj().T + Q
     if lam == 0.0:
         return _sym(open_loop)
-    AXC = A @ X @ C.T
-    corr = AXC @ _innovation_solve(C @ X @ C.T + R, AXC.T)
+    AXC = AX @ C.conj().T
+    corr = AXC @ _innovation_solve(C @ X @ C.conj().T + R, AXC.conj().T)
     return _sym(open_loop - lam * corr)
 
 

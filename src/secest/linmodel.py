@@ -44,7 +44,10 @@ still upper triangular, so one triangular inverse and one Bartels-Stewart
 call (LAPACK ``trsyl``; Bartels & Stewart, CACM 1972) solve it with no
 Python loop. That is O(n^3) time and O(n^2) memory per solve, after an
 O(n^3) factor paid once per plant; the Kronecker-vectorized route costs
-O(n^6) time and O(n^4) memory.
+O(n^6) time and O(n^4) memory. The inverse and Ac depend on alpha alone, so
+:func:`prepare_stein` forms them once and returns the solve for any F; the
+user ceiling's split iteration solves one Stein equation per step at a
+fixed alpha and pays for them once per call.
 
 The transform is only as accurate as B + sigma I is far from singular.
 scipy's ``solve_discrete_lyapunov`` uses the same transform for n >= 10 with
@@ -72,6 +75,7 @@ code on either dtype.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -132,7 +136,7 @@ def _maybe_symmetrize(arr: np.ndarray) -> np.ndarray:
 
 
 def cayley_shift(eigs: np.ndarray) -> complex:
-    """Unit shift for :func:`triangular_stein` on a complex factor with these
+    """Unit shift for :func:`prepare_stein` on a complex factor with these
     eigenvalues.
 
     Of the 64th roots of unity, returns the sigma whose negative lies
@@ -153,7 +157,7 @@ def cayley_shift(eigs: np.ndarray) -> complex:
 
 
 def real_cayley_shift(eigs: np.ndarray) -> float | None:
-    """Real unit shift for :func:`triangular_stein` on a real factor with
+    """Real unit shift for :func:`prepare_stein` on a real factor with
     these real eigenvalues, or None when neither sign will do.
 
     The distance from -sigma to the segments [0, lambda_i / rho] is
@@ -170,29 +174,42 @@ def real_cayley_shift(eigs: np.ndarray) -> float | None:
     return sigma if dist >= _REAL_SHIFT_MIN else None
 
 
-def triangular_stein(T: np.ndarray, F: np.ndarray, alpha: float, sigma: complex) -> np.ndarray:
-    """Solve X = alpha T X T^H + F for upper triangular T with
-    alpha * max|T_jj|^2 < 1, by the Cayley transform with shift ``sigma``
-    (from :func:`cayley_shift` or :func:`real_cayley_shift` of T's diagonal
-    or of a superset of it) and one triangular Sylvester solve.
+def prepare_stein(T: np.ndarray, alpha: float,
+                  sigma: complex) -> Callable[[np.ndarray], np.ndarray]:
+    """Prepare the Stein solve X = alpha T X T^H + F for upper triangular T
+    with alpha * max|T_jj|^2 < 1, and return F -> X.
+
+    The Cayley transform with shift ``sigma`` (from :func:`cayley_shift` or
+    :func:`real_cayley_shift` of T's diagonal or of a superset of it)
+    depends on alpha alone, so it is formed here once: the shifted factor
+    sqrt(alpha) T + sigma I, its triangular inverse N and
+    Ac = I - 2 sigma N. Each application then costs N F N^H, one triangular
+    Sylvester solve Ac X + X Ac^H = -2 N F N^H and a scale.
 
     Runs in the arithmetic of sqrt(alpha) T + sigma I: LAPACK ``dtrtrs`` and
     ``dtrsyl`` for a real T and shift, ``ztrtrs`` and ``ztrsyl`` otherwise,
     with F of the same dtype. Raises :class:`NumericalError` if LAPACK
-    reports a singular shifted factor or a near-singular Sylvester operator.
+    reports a singular shifted factor (here) or a near-singular Sylvester
+    operator (in the application).
     """
     eye = np.eye(T.shape[0])
     shifted = np.sqrt(alpha) * T + sigma * eye
     trtrs, trsyl = _STEIN_LAPACK[shifted.dtype]
-    N, info_n = trtrs(shifted, eye)
+    N, info = trtrs(shifted, eye)
+    if info:
+        raise NumericalError(f"Cayley-transformed Stein solve failed (trtrs info {info}) "
+                             f"at alpha = {alpha:.12g}, shift {sigma:.6g}")
     Ac = eye - 2.0 * sigma * N
-    X, scale, info = trsyl(Ac, Ac, N @ F @ N.conj().T, tranb="C")
-    if info_n or info:
-        raise NumericalError(
-            f"Cayley-transformed Stein solve failed (trtrs info {info_n}, trsyl info {info}) "
-            f"at alpha = {alpha:.12g}, shift {sigma:.6g}"
-        )
-    return X * (-2.0 / scale)
+    Nh = N.conj().T
+
+    def apply(F: np.ndarray) -> np.ndarray:
+        X, scale, info = trsyl(Ac, Ac, N @ F @ Nh, tranb="C")
+        if info:
+            raise NumericalError(f"Cayley-transformed Stein solve failed (trsyl info {info}) "
+                                 f"at alpha = {alpha:.12g}, shift {sigma:.6g}")
+        return X * (-2.0 / scale)
+
+    return apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,19 +247,28 @@ class SchurFactor:
         return cls(T=T, U=U, QU=U.conj().T @ Q @ U, rho=float(np.max(np.abs(np.diag(T)))),
                    k=int(k), sigma=sigma)
 
-    def discounted_lyapunov(self, alpha: float, B: np.ndarray | None = None) -> np.ndarray:
-        """Solve S = alpha * A S A' + B for a symmetric B, by default Q.
+    def stein(self, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+        """The Stein solve X = alpha T X T^H + F in this factor's basis,
+        prepared once for alpha (:func:`prepare_stein`).
 
-        The solution, the limit of S_{k+1} = alpha A S_k A' + B, exists iff
-        alpha * rho(A)^2 < 1; :class:`NumericalError` is raised once
-        alpha * rho^2 >= 1 - 1e-12, for the caller to map to an infinite bound.
+        The solution exists iff alpha * rho(A)^2 < 1; :class:`NumericalError`
+        is raised once alpha * rho^2 >= 1 - 1e-12, for the caller to map to
+        an infinite bound.
         """
         if alpha * self.rho * self.rho >= 1.0 - _STEIN_MARGIN:
             raise NumericalError(
                 f"no bounded solution: alpha * rho(A)^2 = {alpha * self.rho * self.rho:.12g} >= 1"
             )
-        F = self.QU if B is None else self.U.conj().T @ B @ self.U
-        X = triangular_stein(self.T, F, alpha, self.sigma)
+        return prepare_stein(self.T, alpha, self.sigma)
+
+    def discounted_lyapunov(self, alpha: float) -> np.ndarray:
+        """Solve S = alpha * A S A' + Q.
+
+        The solution is the limit of S_{k+1} = alpha A S_k A' + Q; the solve
+        runs in the Schur basis (:meth:`stein`), which raises when there is
+        no bounded solution.
+        """
+        X = self.stein(alpha)(self.QU)
         S = (self.U @ X @ self.U.conj().T).real
         return 0.5 * (S + S.T)
 

@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import secest
 from secest import (
     ChannelParams,
     InconclusiveError,
@@ -25,6 +26,8 @@ from secest import (
     solve_V,
     validate_system,
 )
+
+from helpers import circle_case, plus_minus_case
 
 P_CRIT = 1.0 - 1.0 / 1.44  # 11/36 for the a=1.2 scalar plant
 
@@ -150,6 +153,19 @@ class TestFeasibility:
             except InconclusiveError:
                 continue
             assert isinstance(verdict, bool)
+
+
+def test_full_column_rank_decides_feasibility_in_closed_form():
+    # 3x3 Jordan block at 1.1 with C = I: C U_u has full column rank, so
+    # h(X) = (1 - lam) T_u X T_u^H and a rate is feasible iff it exceeds
+    # p_lower. The certificate loop would be left to roundoff here, since
+    # its X grows like margin^-3; decided in closed form, every bisection
+    # probe is feasible and p_upper does not depend on the arithmetic.
+    sys = observed_plant(1.1 * np.eye(3) + np.diag([1.0, 1.0], 1), np.eye(3))
+    lo = p_lower(sys)
+    assert not feasibility_check(lo, sys)
+    assert all(feasibility_check(lo + d, sys) for d in (1e-12, 1.58e-6, 1e-3))
+    assert p_upper(sys) == 0.17355450716885662
 
 
 class TestCriticalUpper:
@@ -410,6 +426,57 @@ class TestUserCeiling:
         V = solve_V(0.8, ChannelParams(0.9, 0.6), second_order_sys)
         residual = riccati_map(V.matrix, second_order_sys, 0.8 * 0.9) - V.matrix
         assert np.max(np.abs(residual)) < 1e-7
+
+
+def rotation_output_plant() -> LinearSystem:
+    """1.15 rot(0.7) (+) 0.5 with C = I: a complex factor, three outputs."""
+    return observed_plant(sla.block_diag(1.15 * rotation(0.7), 0.5), np.eye(3))
+
+
+def circle_output_plant() -> LinearSystem:
+    """circle_case (n = 24, 12 unstable modes at radius 1.08), C = I + 0.1 G."""
+    A, Q = circle_case()
+    C = np.eye(24) + 0.1 * np.random.default_rng(24).standard_normal((24, 24))
+    return LinearSystem(A=A, C=C, Q=Q, R=np.eye(24), Sigma0=Q)
+
+
+def plus_minus_output_plant() -> LinearSystem:
+    """plus_minus_case (eigenvalues 1.1 and -1.1) with a square Gaussian C."""
+    A, Q = plus_minus_case()
+    C = np.random.default_rng(6).standard_normal((6, 6))
+    return LinearSystem(A=A, C=C, Q=Q, R=np.eye(6), Sigma0=Q)
+
+
+@pytest.mark.parametrize("plant", [rotation_output_plant, circle_output_plant,
+                                   plus_minus_output_plant],
+                         ids=["rotation-C=I", "circle-n24", "plus-minus-m=n"])
+def test_ceiling_on_complex_factor_with_several_outputs(plant):
+    # the split iterates in complex Schur coordinates, with m >= 2 innovation
+    # solves in complex arithmetic
+    sys = plant()
+    assert np.iscomplexobj(sys.schur.T) and sys.m >= 2
+    pu = p_upper(sys)
+    rates = [min(pu + d, 1.0) for d in (0.05, 0.2)]
+    ceilings = [solve_V(rate, ChannelParams(1.0, 1.0), sys) for rate in rates]
+    for rate, V in zip(rates, ceilings):
+        assert V.finite
+        assert rel_residual(V.matrix, sys, rate) <= 1e-12
+    assert ceilings[1].trace < ceilings[0].trace
+
+
+@pytest.mark.parametrize("rate_offset", [1e-3, 0.05, 0.5])
+def test_ceiling_prepares_its_stein_solve_once(monkeypatch, second_order_sys, rate_offset):
+    # The Cayley factor depends on alpha = 1 - rate alone: one prepare step
+    # per solve_V call, whatever its step count (tens to thousands here).
+    calls = []
+    prepare = secest.linmodel.prepare_stein
+    monkeypatch.setattr(secest.linmodel, "prepare_stein",
+                        lambda T, alpha, sigma: calls.append(alpha) or prepare(T, alpha, sigma))
+    for sys in (second_order_sys, seeded_plant(8, 20, (1.12, 1.05), m=20)):
+        rate = min(p_upper(sys) + rate_offset, 1.0)
+        calls.clear()
+        assert solve_V(rate, ChannelParams(1.0, 1.0), sys).finite
+        assert calls == [1.0 - rate]
 
 
 class TestSecrecyInterval:

@@ -15,6 +15,9 @@ from secest import (
     filter_errors,
     riccati_map,
 )
+from secest.kalman import Coefficients
+
+from helpers import reference_riccati
 
 
 def g(X, sys, lam):
@@ -71,6 +74,50 @@ class TestRiccatiMap:
             gap = beta * riccati_map(X, second_order_sys, lam) \
                 - riccati_map(beta * X, second_order_sys, lam)
             assert np.linalg.eigvalsh(gap).min() > -1e-8
+
+
+def two_output_plant() -> LinearSystem:
+    A = np.array([[1.2, 0.4, 0.0], [0.0, 1.05, 0.3], [0.1, 0.0, 0.5]])
+    C = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.2]])
+    return LinearSystem(A=A, C=C, Q=np.eye(3), R=np.diag([1.0, 2.0]), Sigma0=np.eye(3))
+
+
+def test_riccati_map_is_bit_identical_to_reference(second_order_sys):
+    # a regression guard: the map on the plant keeps its arithmetic, bit for
+    # bit, for one output (the division) and for two (dposv)
+    for sys in (second_order_sys, two_output_plant()):
+        X = ref = sys.Sigma0
+        for lam in (0.0, 0.3, 0.7, 1.0, 0.45, 1.0):
+            X, ref = riccati_map(X, sys, lam), reference_riccati(ref, sys, lam)
+            assert np.array_equal(X, ref), lam
+
+
+def rotation_plant(m: int) -> LinearSystem:
+    """1.15 rot(0.7) (+) 0.5 in a non-normal basis: a complex Schur factor."""
+    th = 0.7
+    B = np.zeros((3, 3))
+    B[:2, :2] = 1.15 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    B[2, 2] = 0.5
+    S = np.eye(3) + 0.3 * np.random.default_rng(3).standard_normal((3, 3))
+    C = np.eye(3)[:m] + 0.2 * np.random.default_rng(4).standard_normal((m, 3))
+    return LinearSystem(A=S @ B @ np.linalg.inv(S), C=C, Q=np.eye(3), R=np.eye(m),
+                        Sigma0=np.eye(3))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("lam", [0.0, 0.4, 1.0])
+def test_riccati_map_in_schur_coordinates(m, lam):
+    # with A = U T U^H, g_lam(U^H X U; T, C U, U^H Q U, R) = U^H g_lam(X) U,
+    # here in complex arithmetic (zposv for m >= 2)
+    sys = rotation_plant(m)
+    U, T = sys.schur.U, sys.schur.T
+    assert np.iscomplexobj(T)
+    X = sys.Sigma0 + np.outer([1.0, -2.0, 0.5], [1.0, -2.0, 0.5])
+    coords = Coefficients(T, sys.C @ U, sys.schur.QU, sys.R)
+    W = riccati_map(U.conj().T @ X @ U, coords, lam)
+    G = riccati_map(X, sys, lam)
+    assert np.max(np.abs(U @ W @ U.conj().T - G)) <= 1e-13 * np.max(np.abs(G))
+    assert np.array_equal(W, W.conj().T)
 
 
 @pytest.mark.parametrize("m", [1, 2])

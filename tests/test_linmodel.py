@@ -15,7 +15,9 @@ from secest import (
     validate_system,
 )
 from secest.cli import load_config
-from secest.linmodel import SchurFactor, cayley_shift, triangular_stein
+from secest.linmodel import SchurFactor, cayley_shift, prepare_stein
+
+from helpers import circle_case, plus_minus_case
 
 
 def reported_rho(A) -> float:
@@ -206,26 +208,6 @@ def seeded_case(seed):
     return A, G @ G.T / 30 + 0.5 * np.eye(30)
 
 
-def plus_minus_case():
-    # +1.1 and -1.1 on one plant: a fixed real Cayley shift sits next to one
-    # of them at the threshold, whichever sign it takes
-    rng = np.random.default_rng(6)
-    A = np.diag([1.1, -1.1, 0.6, -0.4, 0.2, 0.9]) + np.triu(rng.standard_normal((6, 6)), 1)
-    return A, np.diag([1.0, 2.0, 0.5, 1.5, 1.0, 3.0])
-
-
-def circle_case():
-    # n = 24: 12 unstable eigenvalues evenly spread at radius 1.08 (six
-    # rotation blocks and their conjugates) and 12 stable ones, in a mixed basis
-    rng = np.random.default_rng(24)
-    blocks = [1.08 * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-              for th in np.pi * (2 * np.arange(6) + 1) / 12]
-    D = sla.block_diag(*blocks, np.diag(np.linspace(-0.9, 0.95, 12)))
-    V = np.eye(24) + 0.3 * rng.standard_normal((24, 24)) / np.sqrt(24)
-    G = rng.standard_normal((24, 24))
-    return V @ D @ np.linalg.inv(V), G @ G.T / 24 + 0.5 * np.eye(24)
-
-
 def singular_case():
     # a 3x3 nilpotent block (A singular) next to 1.2: a route through T^-1 fails
     A = sla.block_diag(np.diag([1.0, 1.0], k=1), [[1.2]])
@@ -364,9 +346,9 @@ def test_real_solve_matches_complex_arithmetic(case, margin):
     assert factor.T.dtype == np.dtype(np.float64)
     T, F = factor.T, factor.QU
     alpha = (1.0 - margin) / factor.rho**2
-    X = triangular_stein(T, F, alpha, factor.sigma)
-    same = triangular_stein(T.astype(complex), F.astype(complex), alpha, complex(factor.sigma))
-    other = triangular_stein(T.astype(complex), F.astype(complex), alpha, 1j)
+    X = prepare_stein(T, alpha, factor.sigma)(F)
+    same = prepare_stein(T.astype(complex), alpha, complex(factor.sigma))(F.astype(complex))
+    other = prepare_stein(T.astype(complex), alpha, 1j)(F.astype(complex))
     scale = np.max(np.abs(X))
     assert X.dtype == np.dtype(np.float64)
     assert np.max(np.abs(X - same)) <= 1e-13 * scale

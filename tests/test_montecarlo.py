@@ -19,8 +19,19 @@ from secest import (
     time_average_error,
 )
 
+from helpers import reference_riccati
+
 
 class TestExpectedErrorCurve:
+    def test_is_bit_identical_to_reference_map(self, monkeypatch, second_order_sys):
+        # a regression guard on the curve's bits: the same curve with each
+        # step taken by the reference formula of the map
+        args = (second_order_sys, Mechanism(0.8), 0.9)
+        curve = expected_error_curve(*args, T=60, runs=200, seed=7)
+        monkeypatch.setattr(montecarlo, "riccati_map", reference_riccati)
+        ref = expected_error_curve(*args, T=60, runs=200, seed=7)
+        assert np.array_equal(curve.mean_trP, ref.mean_trP)
+
     def test_full_reception_is_deterministic_recursion(self, second_order_sys):
         curve = expected_error_curve(second_order_sys, Mechanism(1.0), 1.0,
                                      T=50, runs=7, seed=3)
