@@ -18,8 +18,9 @@ A stream's Philox key is numpy's ``SeedSequence(seed,
 spawn_key=(stream_id,))``. The Monte Carlo replications keep their streams
 5+k, but derive all of their keys in one vectorized pass of the same
 algorithm and re-key a single Philox generator per replication, instead of
-building one ``RngStream`` each; the draws fill blocks of at most 64 rows
-of one reused buffer.
+building one ``RngStream`` each. A re-key writes the replication's two key
+words, as Python ints, into one state dict per call and assigns it; the
+draws fill blocks of at most 64 rows of one reused buffer.
 """
 
 from __future__ import annotations
@@ -174,6 +175,8 @@ def _replication_uniforms(seed: int, first_stream: int, count: int, size: int):
     come from one vectorized pass (:func:`_philox_keys`), and one generator
     is re-keyed per row with a zero counter and an empty buffer, where
     RngStream would build a SeedSequence, a Philox and a Generator each.
+    The re-key assigns the row's two key words, as Python ints, into one
+    state dict built per call.
     Arguments are checked when the first block is requested.
     """
     seed, first_stream = int(seed), int(first_stream)
@@ -183,18 +186,19 @@ def _replication_uniforms(seed: int, first_stream: int, count: int, size: int):
         raise ValidationError(
             f"stream ids must lie in [0, 2**32), got {first_stream}..{first_stream + count - 1}"
         )
-    keys = _philox_keys(seed, first_stream, count)
+    keys = _philox_keys(seed, first_stream, count).tolist()
     bitgen = np.random.Philox(key=0)
     gen = np.random.Generator(bitgen)
-    zeros = np.zeros(4, dtype=np.uint64)
+    # One state dict of Python ints, re-keyed per row: the setter reads each
+    # word by index, which is cheaper on a list than on a uint64 array.
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     buffer = np.empty((min(count, _BLOCK_ROWS), size))
     for lo in range(0, count, _BLOCK_ROWS):
         block = buffer[:min(_BLOCK_ROWS, count - lo)]
         for key, row in zip(keys[lo:], block):
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": zeros, "key": key},
-                            "buffer": zeros, "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
+            state["state"]["key"] = key
+            bitgen.state = state
             gen.random(out=row)
         yield block
 

@@ -22,7 +22,10 @@ split, in the coordinates of the plant's Schur factor A = U T U^H, on
 :func:`filter_errors` is the one stepped filter: it propagates the
 estimation error and the prediction covariance over whole reception
 sequences, several at once when they share the noise (both receivers of a
-simulated trace), forming each step's gain once for both updates.
+simulated trace). Only the covariance and the gain are stepped in Python;
+given the gains the error recursion is linear, and it is solved for every
+step at once by one LAPACK banded triangular solve (:func:`_linear_recursion`,
+which also carries the simulated state).
 :func:`batch_covariance_oracle` is an independent route to the same
 covariances, kept for cross-checking.
 """
@@ -104,18 +107,42 @@ def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
     """Stacked gains K = XC S^(-1) of the rows that received, zero elsewhere.
 
     XC is (B, n, m) and S = C X C' + R is (B, m, m). Only receiving rows are
-    checked and solved, so a row's gain never depends on its neighbours: for
-    m = 1 by one division, for m >= 2 by the PD solve per receiving row.
+    solved, so a row's gain never depends on its neighbours: for m = 1 by one
+    division, for m >= 2 by the PD solve per receiving row, which raises on
+    a bad covariance. The m = 1 division checks nothing; :func:`filter_errors`
+    checks the receiving rows' variances once, after its loop.
     """
     if S.shape[-1] == 1:
-        s = np.where(got, S[:, 0, 0], 1.0)
-        if not (s > 0.0).all():
-            raise NumericalError("innovation variance is not positive")
-        return XC * (got / s)[:, None, None]
+        return XC * (got / np.where(got, S[:, 0, 0], 1.0))[:, None, None]
     K = np.zeros_like(XC)
     for r in np.flatnonzero(got):
         K[r] = _innovation_solve(S[r], XC[r].T).T
     return K
+
+
+# LAPACK's triangular band solve, the one route for the linear recursions.
+_TBTRS = sla.get_lapack_funcs("tbtrs", dtype=np.float64)
+
+
+def _linear_recursion(F, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """x(k+1) = F(k) x(k) + b(k) from x(0) = x0, for B rows at once.
+
+    ``b`` is (B, N, n), ``F`` broadcasts to (B, N, n, n) and ``x0`` to
+    (B, n); returns x(k), k = 0..N, as (B, N+1, n). The stacked unknowns
+    [x(0); ...; x(N)] of every row solve one unit lower triangular system
+    with bandwidth kd = 2n - 1, -F(k)[i, j] at band row n + i - j of column
+    k n + j, by one LAPACK ``dtbtrs`` call: forward substitution is the
+    recursion. Rows follow each other with zero coupling, so a row's result
+    does not depend on its neighbours.
+    """
+    B, N, n = b.shape
+    band = np.zeros((B, N + 1, n, 2 * n))
+    i, j = np.indices((n, n))
+    band[:, :N, j, n + i - j] = -np.asarray(F)
+    rhs = np.concatenate([np.broadcast_to(x0, (B, n))[:, None], b], axis=1)
+    x, _ = _TBTRS(band.reshape(-1, 2 * n).T, rhs.reshape(-1, 1), uplo="L", diag="U",
+                  overwrite_b=1)
+    return x.reshape(B, N + 1, n)
 
 
 def filter_errors(sys: LinearSystem, gammas, e0, w, v):
@@ -129,11 +156,14 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
         P_f(k) = P(k) - gamma(k) K(k) (X C')',
         e(k+1) = A e_f(k) - w(k),   P(k+1) = sym(A P_f(k) A' + Q),
 
-    from e(0) = e0 and P(0) = Sigma0, so P(k+1) = g_gamma(k)(P(k)). The gain
-    is formed once per step and serves both updates; a step at which no row
-    receives forms none. A receiving row whose innovation covariance
-    C X C' + R is not finite and positive definite raises
-    :class:`NumericalError`.
+    from e(0) = e0 and P(0) = Sigma0, so P(k+1) = g_gamma(k)(P(k)). Only the
+    covariance and the gain are stepped; a step at which no row receives
+    forms no gain. Given the gains the error recursion is linear,
+    e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
+    all steps at once after the loop (one banded triangular solve), and
+    e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A
+    receiving row whose innovation covariance C X C' + R is not finite and
+    positive definite raises :class:`NumericalError`.
 
     ``gammas`` of shape (N,) returns the filtered errors e_f(k), k = 0..N-1,
     as an (N, n) array and the prediction covariances P(k), k = 0..N, as an
@@ -154,34 +184,41 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     if G.ndim != 2:
         raise ValidationError(f"gammas must have shape (N,) or (B, N), got {gammas.shape}")
     rows, N = G.shape
-    n = sys.n
-    e = np.asarray(e0, dtype=float).reshape(-1)
-    if e.shape != (n,):
+    n, m = sys.n, sys.m
+    e0 = np.asarray(e0, dtype=float).reshape(-1)
+    if e0.shape != (n,):
         raise ValidationError(f"e0 must have shape ({n},), got {np.shape(e0)}")
     try:
-        w = np.broadcast_to(np.asarray(w, dtype=float), (N, n))[..., None]
-        v = np.broadcast_to(np.asarray(v, dtype=float), (N, sys.m))[..., None]
+        w = np.broadcast_to(np.asarray(w, dtype=float), (N, n))
+        v = np.broadcast_to(np.asarray(v, dtype=float), (N, m))[..., None]
     except ValueError as exc:
         raise ValidationError(f"w and v must cover {N} steps: {exc}") from exc
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
     At, Ct = A.T, C.T
-    E = np.empty((rows, N, n))
     P = np.empty((rows, N + 1, n, n))
     P[:, 0] = sys.Sigma0
-    # errors are stacked column vectors, (B, n, 1)
-    e = np.repeat(e[None, :, None], rows, axis=0)
-    for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
-        X = P[:, k]
-        if some:
-            XC = X @ Ct
-            K = _gains(XC, C @ XC + R, got)
-            e = e + K @ (v[k] - C @ e)
-            X = X - K @ XC.transpose(0, 2, 1)
-        E[:, k] = e[..., 0]
-        e = A @ e - w[k]
-        X = A @ X @ At + Q
-        X += X.transpose(0, 2, 1)
-        np.multiply(X, 0.5, out=P[:, k + 1])
+    K = np.zeros((rows, N, n, m))
+    S = np.empty((rows, N, m, m))
+    # a bad m = 1 variance is caught after the loop, not by a warning in it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
+            X = P[:, k]
+            if some:
+                XC = X @ Ct
+                S[:, k] = C @ XC + R
+                K[:, k] = _gains(XC, S[:, k], got)
+                X = X - K[:, k] @ XC.transpose(0, 2, 1)
+            X = A @ X @ At + Q
+            X += X.transpose(0, 2, 1)
+            np.multiply(X, 0.5, out=P[:, k + 1])
+    if m == 1:
+        variance = S[G][:, 0, 0]
+        if not ((variance > 0.0) & (variance < math.inf)).all():
+            raise NumericalError("innovation variance is not finite and positive")
+    IKC = np.eye(n) - K @ C
+    Kv = K @ v
+    e = _linear_recursion(A @ IKC, (A @ Kv)[..., 0] - w, e0)
+    E = (IKC @ e[:, :N, :, None] + Kv)[..., 0]
     if single:
         return E[0], P[0]
     return E, P

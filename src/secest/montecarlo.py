@@ -5,8 +5,10 @@ Two levels of fidelity:
 * :func:`simulate_trace` runs the full closed loop once: true state, noisy
   measurement, the withholding coin, both erasure links, and the
   intermittent Kalman filter of both receivers, stepped together in one
-  stacked pass over the shared noise. Draws are organized so that the
-  same seed replays the identical noise and erasure sample while only the
+  stacked pass over the shared noise. The state recursion, like the
+  filter's error recursion, is linear and solved for all steps by one
+  banded triangular solve. Draws are organized so that the same seed
+  replays the identical noise and erasure sample while only the
   withholding probability changes.
 * :func:`expected_error_curve` averages the covariance recursion
   P <- g_gamma(P) over many reception draws. The covariance never depends
@@ -42,7 +44,7 @@ from .channel import (
     _replication_uniforms,
 )
 from .errors import ValidationError
-from .kalman import filter_errors, riccati_map
+from .kalman import _linear_recursion, filter_errors, riccati_map
 from .linmodel import LinearSystem
 
 # Phase judgments on averaged curves: (k0, k1) windows and the factor
@@ -104,6 +106,11 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     coin and the two erasure streams. Erasure uniforms are drawn every step
     whether or not the packet was sent, so reception patterns at different
     withholding probabilities come from the same underlying sample.
+
+    The state x(k+1) = A x(k) + w(k) is one banded triangular solve over
+    all steps, and both receivers' filters are one :func:`filter_errors`
+    call, whose error recursion is another; only the covariances are
+    stepped in Python.
     """
     if T < 0:
         raise ValidationError(f"T must be nonnegative, got {T}")
@@ -128,11 +135,8 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     gamma1 = sent & (link1 < ch.p1)
     gamma2 = sent & (link2 < ch.p2)
 
-    x = np.empty((steps, n))
-    x_cur = x0
-    for k in range(steps):
-        x[k] = x_cur
-        x_cur = sys.A @ x_cur + w[k]
+    # x(k+1) = A x(k) + w(k), k < T, in one banded triangular solve
+    x = _linear_recursion(sys.A, w[None, :T], x0)[0]
     # a stacked matrix-vector product rounds like C x(k) at each step, bit
     # for bit; x @ C' sums in another order and moves y by up to 1e-13
     # relative on seeded n = 8-27 plants

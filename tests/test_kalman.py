@@ -6,16 +6,22 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import scipy.linalg as sla
+
 import secest
 from secest import (
+    ChannelParams,
     LinearSystem,
+    Mechanism,
     NumericalError,
     ValidationError,
     batch_covariance_oracle,
     filter_errors,
+    kalman,
     riccati_map,
+    simulate_trace,
 )
-from secest.kalman import Coefficients
+from secest.kalman import Coefficients, _linear_recursion
 
 from helpers import reference_riccati
 
@@ -284,3 +290,116 @@ def test_public_names_resolve():
 def test_batch_oracle_empty_sequence(second_order_sys):
     assert batch_covariance_oracle(second_order_sys, np.zeros(0, dtype=bool)).shape \
         == (0, 2, 2)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("N", [0, 1, 300])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_linear_recursion_matches_stepped_recurrence(rows, N, n):
+    """The banded solve is x(k+1) = F(k) x(k) + b(k), stepped in Python.
+
+    Each row's F(k) is a random matrix scaled to spectral radius 1.2, 0.9
+    or 0.5, so the unstable rows grow by 1.2^300 ~ 1e24; the solve must
+    agree within 1e-13 of each row's largest entry, and a stacked row must
+    equal its own one-row solve bit for bit.
+    """
+    rng = np.random.default_rng(1000 * rows + 10 * n + N)
+    F = rng.standard_normal((rows, N, n, n))
+    for r, radius in zip(range(rows), (1.2, 0.9, 0.5)):
+        for k in range(N):
+            F[r, k] *= radius / np.max(np.abs(np.linalg.eigvals(F[r, k])))
+    b = rng.standard_normal((rows, N, n))
+    x0 = rng.standard_normal((rows, n))
+    x = _linear_recursion(F, b, x0)
+    assert x.shape == (rows, N + 1, n)
+    for r in range(rows):
+        ref = [x0[r]]
+        for k in range(N):
+            ref.append(F[r, k] @ ref[-1] + b[r, k])
+        ref = np.array(ref)
+        assert np.max(np.abs(x[r] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(x[r], _linear_recursion(F[r:r + 1], b[r:r + 1], x0[r])[0])
+
+
+@pytest.mark.parametrize("N", [0, 1, 40])
+def test_one_banded_solve_per_recursion(monkeypatch, second_order_sys, channel_96, N):
+    """The error and state recursions take one dtbtrs call each, at any length."""
+    calls = []
+    tbtrs = kalman._TBTRS
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return tbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(kalman, "_TBTRS", counting)
+    gammas = np.arange(2 * N).reshape(2, N) % 3 == 0
+    filter_errors(second_order_sys, gammas, np.zeros(2), 0.0, 0.0)
+    assert len(calls) == 1
+    simulate_trace(second_order_sys, Mechanism(0.7), channel_96, T=N, seed=3)
+    assert len(calls) == 3
+
+
+def _parent_covariances(sys, G):
+    """The covariance half of the per-step filter loop that stepped the
+    errors alongside, copied as it was: the reference for P's bits."""
+    rows, N = G.shape
+    A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
+    At, Ct = A.T, C.T
+    posv = sla.get_lapack_funcs("posv", dtype=np.float64)
+    P = np.empty((rows, N + 1, sys.n, sys.n))
+    P[:, 0] = sys.Sigma0
+    for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
+        X = P[:, k]
+        if some:
+            XC = X @ Ct
+            S = C @ XC + R
+            if sys.m == 1:
+                s = np.where(got, S[:, 0, 0], 1.0)
+                K = XC * (got / s)[:, None, None]
+            else:
+                K = np.zeros_like(XC)
+                for r in np.flatnonzero(got):
+                    K[r] = posv(S[r], XC[r].T)[1].T
+            X = X - K @ XC.transpose(0, 2, 1)
+        X = A @ X @ At + Q
+        X += X.transpose(0, 2, 1)
+        np.multiply(X, 0.5, out=P[:, k + 1])
+    return P
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+@pytest.mark.parametrize("p", [0.2, 0.51, 1.0])
+def test_trace_covariances_bit_identical_to_stepped_loop(plant, p):
+    sys = PLANTS[plant]
+    tr = simulate_trace(sys, Mechanism(p), ChannelParams(0.9, 0.6), T=300, seed=11)
+    P = _parent_covariances(sys, np.stack([tr.gamma1, tr.gamma2]))
+    trP = np.trace(P[:, :301], axis1=2, axis2=3)
+    assert np.array_equal(tr.trP1, trP[0]) and np.array_equal(tr.trP2, trP[1])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_bad_variance_mid_sequence(m):
+    """A = 0.5 I and Q = -5 I drive P(1) negative definite, so the innovation
+    covariance at step 1 is not positive: a row that receives then raises,
+    one that misses step 1 does not, whatever the other rows do. R = -I
+    with P(0) = I gives C P C' + R = 0 at step 0, and P(0) with an infinite
+    entry an infinite one; a receiving row raises on either."""
+    sys = LinearSystem(A=0.5 * np.eye(2), C=np.eye(2)[:m], Q=-5.0 * np.eye(2), R=np.eye(m),
+                       Sigma0=np.eye(2))
+    for gammas in ([False, True], [True, True, False], [[True, False], [False, True]]):
+        with pytest.raises(NumericalError):
+            filter_errors(sys, gammas, np.zeros(2), 0.0, 0.0)
+    for gammas in ([True, False, False], [[True, False, False], [False, False, False]]):
+        _, P = filter_errors(sys, gammas, np.zeros(2), 0.0, 0.0)
+        assert np.all(np.linalg.eigvalsh(P[..., -1, :, :]) < 0)
+    zero = LinearSystem(A=0.5 * np.eye(2), C=np.eye(2)[:m], Q=np.eye(2), R=-np.eye(m),
+                        Sigma0=np.eye(2))
+    with pytest.raises(NumericalError):
+        filter_errors(zero, [[False], [True]], np.zeros(2), 0.0, 0.0)
+    filter_errors(zero, [[False], [False]], np.zeros(2), 0.0, 0.0)
+    # an overflowed covariance is not finite: receiving on it raises too
+    infinite = LinearSystem(A=0.5 * np.eye(2), C=np.eye(2)[:m], Q=np.eye(2), R=np.eye(m),
+                            Sigma0=np.eye(2))
+    object.__setattr__(infinite, "Sigma0", np.diag([np.inf, 1.0]))
+    with pytest.raises(NumericalError):
+        filter_errors(infinite, [[False], [True]], np.zeros(2), 0.0, 0.0)
