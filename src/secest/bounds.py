@@ -151,7 +151,9 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
 
         h(X) = T_u (X - lam X W^H (W X W^H)^-1 W X) T_u^H,
 
-    the noise-free Riccati map of that block. For any X > 0,
+    the noise-free Riccati map of that block: :func:`~secest.kalman.riccati_map`
+    on (T_u, W, 0, 0), in the factor's real or complex arithmetic. For any
+    X > 0,
 
     * max eig(h(X), X) < 1 proves lam feasible: the gain X W^H (W X W^H)^-1
       makes the second-moment operator of the error a contraction;
@@ -167,9 +169,10 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     When C U[:, :k] has full column rank (scalar plants, square invertible
     C), W is unitary and h(X) = (1 - lam) T_u X T_u^H, so every rate above
     ``p_lower`` is feasible, also without iterating.
-    An :class:`InconclusiveError` is raised if the start solve fails or
-    neither certificate holds within the budget, which happens at rates
-    within roundoff of the threshold.
+    An :class:`InconclusiveError` is raised if the start solve fails, an
+    iterate turns singular or non-finite, or neither certificate holds
+    within the budget, which happens at rates within roundoff of the
+    threshold.
     """
     _check_probability(lam, "lam")
     if sys.unseen_modes:
@@ -190,13 +193,12 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     except NumericalError as exc:  # lam within roundoff of p_lower, or T_u far from normal
         raise InconclusiveError(f"feasibility at rate {lam:.9g} undecided: {exc}",
                                 iterations=0) from exc
+    block = Coefficients(Tu, W, np.zeros((k, k)), np.zeros((len(W), len(W))))
     for it in range(1, _CERT_MAX_ITERS + 1):
-        XW = X @ W.conj().T
         try:
-            H = Tu @ (X - lam * XW @ np.linalg.solve(W @ XW, XW.conj().T)) @ Tu.conj().T
-            H = 0.5 * (H + H.conj().T)
+            H = riccati_map(X, block, lam)
             mu = sla.eigh(H, X, eigvals_only=True)
-        except ValueError:  # X turned singular or non-finite; LinAlgError included
+        except (ValueError, NumericalError):  # X turned singular or non-finite
             break
         if mu[-1] < 1.0:
             return True

@@ -17,7 +17,9 @@ recursion is averaged over the reception process (the averaged-map curve in
 other coordinates (:class:`Coefficients`). The user ceiling
 (:func:`secest.bounds.solve_V`) applies it at lam = 1 inside its Stein
 split, in the coordinates of the plant's Schur factor A = U T U^H, on
-(T, C U, U^H Q U, R) and in that factor's real or complex arithmetic.
+(T, C U, U^H Q U, R) and in that factor's real or complex arithmetic. The
+threshold certificate (:func:`secest.bounds.feasibility_check`) applies it
+noise-free on the unstable block, on (T_u, W, 0, 0).
 
 :func:`filter_errors` is the one stepped filter: it propagates the
 estimation error and the prediction covariance over whole reception
@@ -56,8 +58,8 @@ def _innovation_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """S^(-1) B for the innovation covariance S = C X C^H + R, by a PD solve."""
     if S.shape == (1, 1):
         s = S[0, 0].real
-        if not s > 0.0:
-            raise NumericalError("innovation variance is not positive")
+        if not 0.0 < s < math.inf:
+            raise NumericalError("innovation variance is not finite and positive")
         return B / s
     c, X, info = _POSV[S.dtype](S, B)
     # a NaN anywhere in S's upper triangle reaches the factor's last pivot

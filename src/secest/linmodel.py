@@ -69,8 +69,9 @@ the real shift sigma = +1 or -1 also keeps -sigma at least 1/8 from every
 segment [0, lambda_i / rho], the factor stays real (``dtrtrs``,
 ``dtrsyl``). Otherwise, for complex eigenvalues or real ones near both
 ends of [-rho, rho], the plant takes the complex Schur form and the
-root-of-unity shift (``ztrtrs``, ``ztrsyl``). The Stein solve is the same
-code on either dtype.
+root-of-unity shift (``ztrtrs``, ``ztrsyl``). One chooser,
+:func:`cayley_shift`, picks the shift in both cases, from the real or the
+complex candidates. The Stein solve is the same code on either dtype.
 """
 
 from __future__ import annotations
@@ -135,43 +136,28 @@ def _maybe_symmetrize(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def cayley_shift(eigs: np.ndarray) -> complex:
-    """Unit shift for :func:`prepare_stein` on a complex factor with these
-    eigenvalues.
+def cayley_shift(eigs: np.ndarray, shifts=_SHIFTS, floor: float = 0.0) -> complex | float | None:
+    """Unit shift for :func:`prepare_stein` on a factor with these
+    eigenvalues, or None when none of ``shifts`` stands ``floor`` clear.
 
-    Of the 64th roots of unity, returns the sigma whose negative lies
-    farthest from every segment [0, lambda_i / rho]; ties go to the first,
-    sigma = 1. For alpha * rho^2 < 1 every sqrt(alpha) lambda_i lies on its
-    segment, so |sqrt(alpha) lambda_i + sigma| is at least that distance.
-    A real factor uses :func:`real_cayley_shift` instead.
+    Of the candidate ``shifts`` (the 64th roots of unity on a complex
+    factor, +1 and -1 on a real one), returns the sigma whose negative lies
+    farthest from every segment [0, lambda_i / rho]; ties go to the first.
+    For alpha * rho^2 < 1 every sqrt(alpha) lambda_i lies on its segment, so
+    |sqrt(alpha) lambda_i + sigma| is at least that distance. The shift has
+    the type of ``shifts``: a float from real candidates, a complex otherwise.
     """
+    shifts = np.asarray(shifts)
     rho = float(np.max(np.abs(eigs)))
     z = eigs / rho if rho > 0.0 else np.zeros_like(eigs)
     # squared distance from -sigma to [0, z] is 1 - 2 t c + t^2 |z|^2 at the
     # nearest point t z, with c = Re(conj(z) (-sigma)); exactly 1 when t = 0
-    c = -(np.conj(z)[None, :] * _SHIFTS[:, None]).real
+    c = -(np.conj(z)[None, :] * shifts[:, None]).real
     zz = np.abs(z) ** 2
     t = np.clip(np.divide(c, zz, out=np.zeros_like(c), where=zz > 0.0), 0.0, 1.0)
-    dist2 = 1.0 - 2.0 * t * c + t * t * zz
-    return complex(_SHIFTS[np.argmax(dist2.min(axis=1))])
-
-
-def real_cayley_shift(eigs: np.ndarray) -> float | None:
-    """Real unit shift for :func:`prepare_stein` on a real factor with
-    these real eigenvalues, or None when neither sign will do.
-
-    The distance from -sigma to the segments [0, lambda_i / rho] is
-    1 - max(0, -lambda_min) / rho for sigma = +1 and
-    1 - max(0, lambda_max) / rho for sigma = -1. The larger one wins, ties
-    going to +1, and it must reach ``_REAL_SHIFT_MIN``.
-    """
-    rho = float(np.max(np.abs(eigs)))
-    if rho == 0.0:
-        return 1.0
-    plus = 1.0 - max(0.0, -float(np.min(eigs))) / rho
-    minus = 1.0 - max(0.0, float(np.max(eigs))) / rho
-    sigma, dist = (1.0, plus) if plus >= minus else (-1.0, minus)
-    return sigma if dist >= _REAL_SHIFT_MIN else None
+    dist2 = (1.0 - 2.0 * t * c + t * t * zz).min(axis=1)
+    best = np.argmax(dist2)
+    return None if dist2[best] < floor * floor else shifts[best].item()
 
 
 def prepare_stein(T: np.ndarray, alpha: float,
@@ -179,12 +165,12 @@ def prepare_stein(T: np.ndarray, alpha: float,
     """Prepare the Stein solve X = alpha T X T^H + F for upper triangular T
     with alpha * max|T_jj|^2 < 1, and return F -> X.
 
-    The Cayley transform with shift ``sigma`` (from :func:`cayley_shift` or
-    :func:`real_cayley_shift` of T's diagonal or of a superset of it)
-    depends on alpha alone, so it is formed here once: the shifted factor
-    sqrt(alpha) T + sigma I, its triangular inverse N and
-    Ac = I - 2 sigma N. Each application then costs N F N^H, one triangular
-    Sylvester solve Ac X + X Ac^H = -2 N F N^H and a scale.
+    The Cayley transform with shift ``sigma`` (from :func:`cayley_shift` of
+    T's diagonal or of a superset of it) depends on alpha alone, so it is
+    formed here once: the shifted factor sqrt(alpha) T + sigma I, its
+    triangular inverse N and Ac = I - 2 sigma N. Each application then
+    costs N F N^H, one triangular Sylvester solve Ac X + X Ac^H = -2 N F N^H
+    and a scale.
 
     Runs in the arithmetic of sqrt(alpha) T + sigma I: LAPACK ``dtrtrs`` and
     ``dtrsyl`` for a real T and shift, ``ztrtrs`` and ``ztrsyl`` otherwise,
@@ -222,11 +208,12 @@ class SchurFactor:
     ``rho`` is read off the diagonal, ``QU`` is U^H Q U and ``sigma`` is the
     Cayley shift every Stein solve on this factor uses.
 
-    The factor is real (``T``, ``U``, ``QU`` float64, ``sigma`` +1 or -1,
-    :func:`real_cayley_shift`) when the real Schur form of A has no 2x2 block
-    and a real shift clears ``_REAL_SHIFT_MIN``; otherwise it is the complex
-    Schur form with a root-of-unity shift (:func:`cayley_shift`). Every
-    reader works on either dtype.
+    The factor is real (``T``, ``U``, ``QU`` float64, ``sigma`` +1 or -1)
+    when the real Schur form of A has no 2x2 block and one of the real
+    shifts clears ``_REAL_SHIFT_MIN``; otherwise it is the complex Schur form
+    with a root-of-unity shift. :func:`cayley_shift` picks the shift either
+    way, from the two real candidates or the 64 roots. Every reader works on
+    either dtype.
     """
 
     T: np.ndarray
@@ -240,7 +227,8 @@ class SchurFactor:
     def of(cls, A: np.ndarray, Q: np.ndarray) -> "SchurFactor":
         T, U, k = sla.schur(A, output="real", sort="ouc")
         # no 2x2 block: every eigenvalue is real and on the diagonal
-        sigma = None if np.any(np.diag(T, -1)) else real_cayley_shift(np.diag(T))
+        real = not np.any(np.diag(T, -1))
+        sigma = cayley_shift(np.diag(T), (1.0, -1.0), _REAL_SHIFT_MIN) if real else None
         if sigma is None:
             T, U, k = sla.schur(A, output="complex", sort="ouc")
             sigma = cayley_shift(np.diag(T))
@@ -338,27 +326,18 @@ class LinearSystem:
 
         By the PBH test, lambda is unseen when [lambda I - A; C] loses column
         rank (sigma_min <= sqrt(eps) sigma_max), with lambda read off the
-        Schur factor's diagonal. A real lambda is tested on A and C directly;
-        a complex one on the real form [[X, -Y], [Y, X]] of X + iY, which has
-        the same singular values, each twice, so no complex SVD is needed.
-        Empty iff (A, C) is detectable, which a bounded error at any
-        reception rate requires: an unseen mode grows open loop.
+        Schur factor's diagonal and taken as real when its imaginary part is
+        within that tolerance. Empty iff (A, C) is detectable, which a
+        bounded error at any reception rate requires: an unseen mode grows
+        open loop.
         """
-        n = self.n
-        eye = np.eye(n)
+        eye = np.eye(self.n)
         unseen = []
         for lam in np.diag(self.schur.T):
             if abs(lam) < 1.0:
                 continue
-            M = np.vstack([lam.real * eye - self.A, self.C])
-            if abs(lam.imag) <= _PBH_RTOL * abs(lam):
-                lam = float(lam.real)
-            else:
-                Y = np.zeros_like(M)
-                Y[:n] = lam.imag * eye
-                M = np.block([[M, -Y], [Y, M]])
-                lam = complex(lam)
-            s = np.linalg.svd(M, compute_uv=False)
+            lam = float(lam.real) if abs(lam.imag) <= _PBH_RTOL * abs(lam) else complex(lam)
+            s = np.linalg.svd(np.vstack([lam * eye - self.A, self.C]), compute_uv=False)
             if s[-1] <= _PBH_RTOL * s[0]:
                 unseen.append(lam)
         return tuple(unseen)

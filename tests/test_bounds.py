@@ -479,6 +479,37 @@ def test_ceiling_prepares_its_stein_solve_once(monkeypatch, second_order_sys, ra
         assert calls == [1.0 - rate]
 
 
+def test_certificate_maps_through_riccati_map(monkeypatch, second_order_sys):
+    # h is riccati_map, noise-free, on the unstable Schur block: no copy of
+    # the Riccati formula lives in the certificate
+    blocks = []
+    ricc = bounds.riccati_map
+    monkeypatch.setattr(bounds, "riccati_map",
+                        lambda X, coeffs, lam: blocks.append(coeffs) or ricc(X, coeffs, lam))
+    assert feasibility_check(0.45, second_order_sys)
+    schur = second_order_sys.schur
+    assert schur.k == 2 and blocks
+    for coeffs in blocks:
+        assert isinstance(coeffs, secest.kalman.Coefficients)
+        assert np.array_equal(coeffs.A, schur.T[:2, :2])
+        assert coeffs.Q.shape == (2, 2) and coeffs.R.shape == (1, 1)
+        assert not coeffs.Q.any() and not coeffs.R.any()
+
+
+def test_certificate_on_complex_factor_with_two_outputs():
+    # k = 3 unstable modes seen through rank(C U_u) = 2 < k: the loop runs
+    # in complex arithmetic with a 2x2 innovation solve (zposv)
+    sys = observed_plant(sla.block_diag(1.3 * rotation(0.7), 1.1, 0.5),
+                         np.random.default_rng(3).standard_normal((2, 4)))
+    schur = sys.schur
+    assert np.iscomplexobj(schur.T) and schur.k == 3
+    assert np.linalg.matrix_rank(sys.C @ schur.U[:, :3]) == 2
+    pu = p_upper(sys)
+    assert p_lower(sys) < pu < 1.0
+    assert not feasibility_check(pu - 1e-4, sys)
+    assert feasibility_check(pu + 1e-4, sys)
+
+
 class TestSecrecyInterval:
     def test_scalar_exact_interval(self, scalar_sys, channel_96):
         iv = secrecy_interval(scalar_sys, channel_96)

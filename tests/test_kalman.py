@@ -130,10 +130,15 @@ def test_riccati_map_in_schur_coordinates(m, lam):
 def test_innovation_solve_failures_raise(m):
     # R = -5 I makes C X C' + R negative definite at X = I, and a NaN in X
     # reaches it through C X C'; the 1x1 branch and the Cholesky solve must
-    # both refuse either, in the map and the stepped filter
-    for R, X in ((-5.0 * np.eye(m), np.eye(2)), (np.eye(m), np.full((2, 2), np.nan))):
-        sys = LinearSystem(A=1.2 * np.eye(2), C=np.eye(2)[:m], Q=np.eye(2), R=R,
-                           Sigma0=np.eye(2))
+    # both refuse either, in the map and the stepped filter. An infinite
+    # prior on the scalar plant makes the one innovation variance infinite.
+    cases = [(1.2 * np.eye(2), np.eye(2)[:m], -5.0 * np.eye(m), np.eye(2)),
+             (1.2 * np.eye(2), np.eye(2)[:m], np.eye(m), np.full((2, 2), np.nan))]
+    if m == 1:
+        cases.append((1.2, 1.0, 1.0, np.array([[np.inf]])))
+    for A, C, R, X in cases:
+        n = len(X)
+        sys = LinearSystem(A=A, C=C, Q=np.eye(n), R=R, Sigma0=np.eye(n))
         # the constructor rejects a non-finite Sigma0; plant X as the prior
         # directly, as a covariance that went non-finite would be
         object.__setattr__(sys, "Sigma0", X)
@@ -141,9 +146,9 @@ def test_innovation_solve_failures_raise(m):
             riccati_map(X, sys, 1.0)
         for gammas in ([True], [[False], [True]]):
             with pytest.raises(NumericalError):
-                filter_errors(sys, gammas, np.zeros(2), 0.0, 0.0)
+                filter_errors(sys, gammas, np.zeros(n), 0.0, 0.0)
         # no row receives, so no innovation is formed
-        filter_errors(sys, [[False], [False]], np.zeros(2), 0.0, 0.0)
+        filter_errors(sys, [[False], [False]], np.zeros(n), 0.0, 0.0)
 
 
 def test_kalman_gain_scalar(scalar_sys):

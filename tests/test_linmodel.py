@@ -297,6 +297,45 @@ def test_cayley_shift_clears_both_signs():
     assert np.min(np.abs(np.sqrt(alpha) * np.diag(factor.T) + factor.sigma)) >= 0.5
 
 
+def closed_form_real_shift(eigs):
+    """The real shift as a closed form: of sigma = +1 and -1, the one whose
+    negative lies farther from every segment [0, lambda_i / rho] (ties to
+    +1), whose distance is 1 - max(0, -lambda_min) / rho for +1 and
+    1 - max(0, lambda_max) / rho for -1; None when it is below 1/8."""
+    rho = float(np.max(np.abs(eigs)))
+    if rho == 0.0:
+        return 1.0
+    plus = 1.0 - max(0.0, -float(np.min(eigs))) / rho
+    minus = 1.0 - max(0.0, float(np.max(eigs))) / rho
+    sigma, dist = (1.0, plus) if plus >= minus else (-1.0, minus)
+    return sigma if dist >= 0.125 else None
+
+
+def test_real_spectra_take_the_closed_form_shift():
+    # triangular A with the spectrum on its diagonal; every other plant puts
+    # an eigenvalue at +-rho and one of the other sign at 0.875 rho +- 1e-6
+    # (either side of the 1/8 cut), at -+rho, at 0.5 rho or at 0
+    rng = np.random.default_rng(18)
+    seen = set()
+    for i in range(240):
+        n = int(rng.integers(1, 9))
+        eig = rng.uniform(-1.5, 1.5, n) * (i % 40 != 0)
+        if n >= 2 and i % 2:
+            eig[0] = float(np.max(np.abs(eig))) * rng.choice([1.0, -1.0])
+            eig[1] = -eig[0] * rng.choice([0.875 - 1e-6, 0.875 + 1e-6, 1.0, 0.5, 0.0])
+        A = np.diag(eig) + np.triu(rng.standard_normal((n, n)), 1)
+        factor = SchurFactor.of(A, np.eye(n))
+        expected = closed_form_real_shift(eig)
+        seen.add(expected)
+        if expected is None:
+            assert factor.T.dtype == np.dtype(np.complex128), i
+            assert isinstance(factor.sigma, complex), i
+        else:
+            assert factor.T.dtype == np.dtype(np.float64), i
+            assert type(factor.sigma) is float and factor.sigma == expected, i
+    assert seen == {1.0, -1.0, None}
+
+
 SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
@@ -358,26 +397,30 @@ def test_real_solve_matches_complex_arithmetic(case, margin):
         assert residual <= 1e-13, residual
 
 
-def spread_plant(seed: int, n: int) -> LinearSystem:
-    """Single output, eigenvalues 1.2, 1.1 and n - 2 stable ones spread over
-    (-0.8, 0.8), in a basis T near the identity; C is 1 x n Gaussian. C sees
-    every mode, but the Krylov matrix [C; CA; ...; CA^(n-1)] reads rank < n
-    on most of these plants at n = 27 and on all at n = 30."""
+def spread_plant(seed: int, n: int, unstable=np.diag([1.2, 1.1])) -> LinearSystem:
+    """Single output, the 2x2 ``unstable`` block (eigenvalues 1.2 and 1.1 by
+    default) and n - 2 stable eigenvalues spread over (-0.8, 0.8), in a
+    basis T near the identity; C is 1 x n Gaussian. C sees every mode, but
+    the Krylov matrix [C; CA; ...; CA^(n-1)] reads rank < n on most of these
+    plants at n = 27 and on all at n = 30."""
     rng = np.random.default_rng(seed)
     width = 1.6 / (n - 2)
     left = -0.8 + width * np.arange(n - 2)
-    eig = np.concatenate([[1.2, 1.1], rng.uniform(left + 0.1 * width, left + 0.9 * width)])
+    stable = rng.uniform(left + 0.1 * width, left + 0.9 * width)
     T = np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
-    A = T @ np.diag(eig) @ np.linalg.inv(T)
+    A = T @ sla.block_diag(unstable, np.diag(stable)) @ np.linalg.inv(T)
     return LinearSystem(A=A, C=rng.standard_normal((1, n)), Q=np.eye(n), R=1.0, Sigma0=np.eye(n))
 
 
 @pytest.mark.parametrize("n", [27, 30])
 def test_seen_modes_raise_no_warning_at_scale(n):
-    for seed in range(5):
-        sys = spread_plant(seed, n)
-        assert sys.unseen_modes == ()
-        assert validate_system(sys).warnings == [], seed
+    # the complex pair of 1.15 rot(0.7) goes through the complex PBH SVD
+    pair = 1.15 * np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])
+    for unstable in (np.diag([1.2, 1.1]), pair):
+        for seed in range(5):
+            sys = spread_plant(seed, n, unstable)
+            assert sys.unseen_modes == ()
+            assert validate_system(sys).warnings == [], seed
 
 
 def test_seen_modes_far_apart_raise_no_warning():
