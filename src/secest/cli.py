@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -403,7 +404,7 @@ _COMMANDS = {
     "sweep": (_cmd_sweep, ("epsilon", "out"), "design across a grid of secrecy floors"),
     "simulate": (_cmd_simulate, ("p", "T", "seed", "out"), "one closed-loop sample path"),
     "montecarlo": (_cmd_montecarlo, ("p", "T", "runs", "seed", "out"),
-                   "averaged covariance curves for both receivers"),
+                   "averaged-map (bound) recursion for both receivers"),
     "scalar": (_cmd_scalar, ("p", "M"), "closed-form answers for 1x1 systems"),
 }
 
@@ -442,6 +443,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every :func:`main` call, built on the first one."""
+    return build_parser()
+
+
 def _emit_error(exc: Exception):
     doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
     pointer = getattr(exc, "pointer", None)
@@ -455,7 +462,7 @@ def _emit_error(exc: Exception):
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         handler, keys, _ = _COMMANDS[args.command]
         cfg = replace(load_config(args.config), **{
             key: getattr(args, key) for key in keys if getattr(args, key) is not None

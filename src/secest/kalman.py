@@ -28,6 +28,15 @@ simulated trace). Only the covariance and the gain are stepped in Python;
 given the gains the error recursion is linear, and it is solved for every
 step at once by one LAPACK banded triangular solve (:func:`_linear_recursion`,
 which also carries the simulated state).
+
+On a plant with one state and one output (n = m = 1) both covariance
+recursions are scalar recurrences, and numpy's per-call overhead, not the
+arithmetic, would dominate them: :func:`filter_errors` steps its covariances
+(:func:`_scalar_covariances`) and the averaged curve steps the map
+(:func:`_scalar_riccati_map`) on Python floats. Each float operation is the
+one the 1x1 matrix products round, in the same order, so both routes give
+the numpy route's bits. Larger plants stay on numpy: from n = 2 a float
+loop over the matrix entries is no faster than the matrix products.
 :func:`batch_covariance_oracle` is an independent route to the same
 covariances, kept for cross-checking.
 """
@@ -44,6 +53,8 @@ from .channel import _check_probability
 from .errors import NumericalError, ValidationError
 from .linmodel import LinearSystem
 
+_BAD_VARIANCE = "innovation variance is not finite and positive"
+
 # The positive definite solve for each innovation covariance dtype.
 _POSV = {np.dtype(dtype): sla.get_lapack_funcs("posv", dtype=dtype)
          for dtype in (np.float64, np.complex128)}
@@ -59,7 +70,7 @@ def _innovation_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     if S.shape == (1, 1):
         s = S[0, 0].real
         if not 0.0 < s < math.inf:
-            raise NumericalError("innovation variance is not finite and positive")
+            raise NumericalError(_BAD_VARIANCE)
         return B / s
     c, X, info = _POSV[S.dtype](S, B)
     # a NaN anywhere in S's upper triangle reaches the factor's last pivot
@@ -105,21 +116,81 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
     return _sym(open_loop - lam * corr)
 
 
+def _scalar_riccati_map(x: float, a: float, c: float, q: float, r: float,
+                        lam: float) -> float:
+    """:func:`riccati_map` on a one-state, one-output plant, in Python floats.
+
+    The operations, their order and the variance check are those of the
+    matrix route on 1x1 arrays, so the result is its (0, 0) entry bit for
+    bit; ``lam`` is not range-checked.
+    """
+    x = 0.5 * (x + x)
+    ax = a * x
+    open_loop = ax * a + q
+    if lam == 0.0:
+        return 0.5 * (open_loop + open_loop)
+    axc = ax * c
+    s = c * x * c + r
+    if not 0.0 < s < math.inf:
+        raise NumericalError(_BAD_VARIANCE)
+    y = open_loop - lam * (axc * (axc / s))
+    return 0.5 * (y + y)
+
+
 def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
     """Stacked gains K = XC S^(-1) of the rows that received, zero elsewhere.
 
-    XC is (B, n, m) and S = C X C' + R is (B, m, m). Only receiving rows are
-    solved, so a row's gain never depends on its neighbours: for m = 1 by one
-    division, for m >= 2 by the PD solve per receiving row, which raises on
-    a bad covariance. The m = 1 division checks nothing; :func:`filter_errors`
-    checks the receiving rows' variances once, after its loop.
+    XC is (B, n, m) and S = C X C' + R is (B, m, m). A row's gain never
+    depends on its neighbours, and a row that did not receive gets an exact
+    zero, even when its covariance has overflowed. For m = 1 the gain is
+    XC (1 / S), kept on the receiving rows; for m >= 2 only receiving rows
+    are solved, by the PD solve per row, which raises on a bad covariance.
+    The m = 1 route checks nothing; :func:`filter_errors` checks the
+    receiving rows' variances once, after its loop. Plants with n = m = 1
+    step on floats and never get here (:func:`_scalar_covariances`).
     """
     if S.shape[-1] == 1:
-        return XC * (got / np.where(got, S[:, 0, 0], 1.0))[:, None, None]
+        return np.where(got[:, None, None], XC * (1.0 / S), 0.0)
     K = np.zeros_like(XC)
     for r in np.flatnonzero(got):
         K[r] = _innovation_solve(S[r], XC[r].T).T
     return K
+
+
+def _scalar_covariances(sys: LinearSystem, G, P: np.ndarray, K: np.ndarray,
+                        S: np.ndarray):
+    """The covariance loop of :func:`filter_errors` for n = m = 1, on Python floats.
+
+    Fills the (B, N+1, 1, 1) covariances P, and the gains K and innovation
+    variances S at the receiving steps, of the reception rows G, one row at
+    a time. A receiving step rounds as the stacked 1x1 products do: x c,
+    c (x c) + r, the gain (x c) (1 / s) of :func:`_gains`, x - k (x c); then
+    every step applies a x a + q and the symmetrization (x + x) / 2, which
+    is the identity unless x + x overflows. So each row is the numpy loop's
+    row bit for bit, overflow included. A zero variance, which the numpy
+    loop turns into an infinite gain, raises :class:`NumericalError` at
+    once: it is a receiving row's, so the check after the loop would raise.
+    """
+    a, c, q, r = (M.item() for M in (sys.A, sys.C, sys.Q, sys.R))
+    N = G.shape[1]
+    for row, gammas in enumerate(G.tolist()):
+        x = P[row, 0].item()
+        xs, ks, ss = [x], [0.0] * N, [0.0] * N
+        try:
+            for k, got in enumerate(gammas):
+                if got:
+                    xc = x * c
+                    s = ss[k] = c * xc + r
+                    gain = ks[k] = xc * (1.0 / s)
+                    x = x - gain * xc
+                x = a * x * a + q
+                x = (x + x) * 0.5
+                xs.append(x)
+        except ZeroDivisionError:
+            raise NumericalError(_BAD_VARIANCE) from None
+        P[row, :, 0, 0] = xs
+        K[row, :, 0, 0] = ks
+        S[row, :, 0, 0] = ss
 
 
 # LAPACK's triangular band solve, the one route for the linear recursions.
@@ -160,19 +231,24 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
 
     from e(0) = e0 and P(0) = Sigma0, so P(k+1) = g_gamma(k)(P(k)). Only the
     covariance and the gain are stepped; a step at which no row receives
-    forms no gain. Given the gains the error recursion is linear,
-    e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
-    all steps at once after the loop (one banded triangular solve), and
-    e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A
-    receiving row whose innovation covariance C X C' + R is not finite and
-    positive definite raises :class:`NumericalError`.
+    forms no gain. A plant with n = m = 1 steps them on Python floats, row
+    by row (:func:`_scalar_covariances`), with the same bits; larger plants
+    step all rows at once in numpy. Given the gains the error recursion is
+    linear, e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is
+    solved for all steps at once after the loop (one banded triangular
+    solve), and e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched
+    product. A receiving row whose innovation covariance C X C' + R is not
+    finite and positive definite raises :class:`NumericalError`.
 
     ``gammas`` of shape (N,) returns the filtered errors e_f(k), k = 0..N-1,
     as an (N, n) array and the prediction covariances P(k), k = 0..N, as an
     (N+1, n, n) array. B stacked reception sequences, shape (B, N), are
     stepped together and return (B, N, n) and (B, N+1, n, n). A row that
-    misses a step gets a zero gain there, so while the covariances stay
-    finite row b equals the (N,) call on ``gammas[b]`` bit for bit. ``e0``
+    misses a step gets an exact zero gain there, so row b's errors equal
+    the (N,) call on ``gammas[b]`` bit for bit, and so do its covariances,
+    on the float route always and on the numpy route while they stay
+    finite (there an overflowed row's covariance turns NaN, 0 times
+    infinity, at a step where another row receives). ``e0``
     has shape (n,), ``w`` must broadcast to (N, n) and ``v`` to (N, m); all
     rows share them.
 
@@ -201,22 +277,26 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     P[:, 0] = sys.Sigma0
     K = np.zeros((rows, N, n, m))
     S = np.empty((rows, N, m, m))
-    # a bad m = 1 variance is caught after the loop, not by a warning in it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
-            X = P[:, k]
-            if some:
-                XC = X @ Ct
-                S[:, k] = C @ XC + R
-                K[:, k] = _gains(XC, S[:, k], got)
-                X = X - K[:, k] @ XC.transpose(0, 2, 1)
-            X = A @ X @ At + Q
-            X += X.transpose(0, 2, 1)
-            np.multiply(X, 0.5, out=P[:, k + 1])
+    if n == m == 1:
+        _scalar_covariances(sys, G, P, K, S)
+    else:
+        # a bad m = 1 variance is caught after the loop, and an overflowed
+        # covariance when a row receives on it, not by a warning in the loop
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
+                X = P[:, k]
+                if some:
+                    XC = X @ Ct
+                    S[:, k] = C @ XC + R
+                    K[:, k] = _gains(XC, S[:, k], got)
+                    X = X - K[:, k] @ XC.transpose(0, 2, 1)
+                X = A @ X @ At + Q
+                X += X.transpose(0, 2, 1)
+                np.multiply(X, 0.5, out=P[:, k + 1])
     if m == 1:
         variance = S[G][:, 0, 0]
         if not ((variance > 0.0) & (variance < math.inf)).all():
-            raise NumericalError("innovation variance is not finite and positive")
+            raise NumericalError(_BAD_VARIANCE)
     IKC = np.eye(n) - K @ C
     Kv = K @ v
     e = _linear_recursion(A @ IKC, (A @ Kv)[..., 0] - w, e0)

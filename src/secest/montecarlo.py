@@ -14,8 +14,13 @@ Two levels of fidelity:
   P <- g_gamma(P) over many reception draws. The covariance never depends
   on the measurement values given the reception pattern, so no state needs
   to be simulated; each step applies the update map averaged across the
-  replications' draws. The draws are counted in blocks of at most 64
-  replications, so memory does not grow with the number of runs.
+  replications' draws. That is the averaged-map (bound) recursion: it tends
+  to the MARE iterate, not to the mean covariance E[P_k] of the paths. The
+  draws are counted in blocks of at most 64 replications, so memory does
+  not grow with the number of runs.
+
+On a plant with one state and one output both recursions step on Python
+floats, with the bits of the matrix route (see :mod:`secest.kalman`).
 
 A curve is divergent when its mean trace at k = 300 exceeds 10 times the
 value at k = 30, and plateaued when the value at k = 300 is at most 1.2
@@ -44,7 +49,7 @@ from .channel import (
     _replication_uniforms,
 )
 from .errors import ValidationError
-from .kalman import _linear_recursion, filter_errors, riccati_map
+from .kalman import _linear_recursion, _scalar_riccati_map, filter_errors, riccati_map
 from .linmodel import LinearSystem
 
 # Phase judgments on averaged curves: (k0, k1) windows and the factor
@@ -178,7 +183,11 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     covariances only on vanishing-probability long miss runs, so a mean of
     per-path traces is a uselessly noisy estimate of the expected curve;
     averaging the map keeps the variance bounded and reproduces the MARE
-    threshold ``p_upper`` exactly. Returns the trace at each step k = 0..T.
+    threshold ``p_upper`` exactly: the curve is the averaged-map (bound)
+    recursion. Returns the trace at each step k = 0..T. A one-state,
+    one-output plant steps the map on Python floats
+    (:func:`~secest.kalman._scalar_riccati_map`), bit for bit as
+    :func:`~secest.kalman.riccati_map` would; larger plants call the latter.
     """
     if T < 0 or runs <= 0:
         raise ValidationError("T must be nonnegative and runs positive")
@@ -193,9 +202,15 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     P = np.array(sys.Sigma0, dtype=float)
     curve = np.empty(T + 1)
     curve[0] = np.trace(P)
-    for k in range(T):
-        P = riccati_map(P, sys, float(received_fraction[k]))
-        curve[k + 1] = np.trace(P)
+    if sys.n == sys.m == 1:
+        x = curve[0].item()
+        a, c, q, r = (M.item() for M in (sys.A, sys.C, sys.Q, sys.R))
+        for k, lam in enumerate(received_fraction.tolist(), 1):
+            curve[k] = x = _scalar_riccati_map(x, a, c, q, r, lam)
+    else:
+        for k in range(T):
+            P = riccati_map(P, sys, float(received_fraction[k]))
+            curve[k + 1] = np.trace(P)
 
     return ExpectedErrorCurve(k=np.arange(T + 1), mean_trP=curve, runs=runs)
 

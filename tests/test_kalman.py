@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from secest import (
     riccati_map,
     simulate_trace,
 )
-from secest.kalman import Coefficients, _linear_recursion
+from secest.kalman import Coefficients, _linear_recursion, _scalar_riccati_map
 
 from helpers import reference_riccati
 
@@ -231,9 +232,11 @@ def test_batch_oracle_agrees_with_stepped_filter(second_order_sys):
         assert np.max(np.abs(P[1:] - oracle)) < 1e-9
 
 
-# The conftest second-order plant (m = 1), and an m = 2 plant: n = 3,
-# outputs that mix the states, correlated R.
+# The conftest second-order plant (m = 1), an m = 2 plant (n = 3, outputs
+# that mix the states, correlated R) and a one-state plant with a negative
+# output gain, which takes the float route.
 PLANTS = {
+    "scalar": LinearSystem(A=-1.3, C=-0.8, Q=0.7, R=0.5, Sigma0=2.0),
     "second_order": LinearSystem(A=np.array([[1.2, 1.0], [0.0, 1.1]]), C=np.array([[1.0, 0.0]]),
                                  Q=np.array([[1.0, 0.5], [0.5, 2.0]]), R=1.0,
                                  Sigma0=np.array([[1.0, 0.5], [0.5, 2.0]])),
@@ -346,30 +349,38 @@ def test_one_banded_solve_per_recursion(monkeypatch, second_order_sys, channel_9
 
 def _parent_covariances(sys, G):
     """The covariance half of the per-step filter loop that stepped the
-    errors alongside, copied as it was: the reference for P's bits."""
+    errors alongside, copied as it was, with the m = 1 variance check that
+    follows it: the reference for P's bits, and the gains K it formed."""
     rows, N = G.shape
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
     At, Ct = A.T, C.T
     posv = sla.get_lapack_funcs("posv", dtype=np.float64)
     P = np.empty((rows, N + 1, sys.n, sys.n))
     P[:, 0] = sys.Sigma0
-    for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
-        X = P[:, k]
-        if some:
-            XC = X @ Ct
-            S = C @ XC + R
-            if sys.m == 1:
-                s = np.where(got, S[:, 0, 0], 1.0)
-                K = XC * (got / s)[:, None, None]
-            else:
-                K = np.zeros_like(XC)
-                for r in np.flatnonzero(got):
-                    K[r] = posv(S[r], XC[r].T)[1].T
-            X = X - K @ XC.transpose(0, 2, 1)
-        X = A @ X @ At + Q
-        X += X.transpose(0, 2, 1)
-        np.multiply(X, 0.5, out=P[:, k + 1])
-    return P
+    Ks = np.zeros((rows, N, sys.n, sys.m))
+    variances = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
+            X = P[:, k]
+            if some:
+                XC = X @ Ct
+                S = C @ XC + R
+                if sys.m == 1:
+                    s = np.where(got, S[:, 0, 0], 1.0)
+                    K = XC * (got / s)[:, None, None]
+                    variances.extend(S[got, 0, 0])
+                else:
+                    K = np.zeros_like(XC)
+                    for r in np.flatnonzero(got):
+                        K[r] = posv(S[r], XC[r].T)[1].T
+                X = X - K @ XC.transpose(0, 2, 1)
+                Ks[:, k] = K
+            X = A @ X @ At + Q
+            X += X.transpose(0, 2, 1)
+            np.multiply(X, 0.5, out=P[:, k + 1])
+    if not all(0.0 < s < np.inf for s in variances):
+        raise NumericalError("innovation variance is not finite and positive")
+    return P, Ks
 
 
 @pytest.mark.parametrize("plant", sorted(PLANTS))
@@ -377,7 +388,7 @@ def _parent_covariances(sys, G):
 def test_trace_covariances_bit_identical_to_stepped_loop(plant, p):
     sys = PLANTS[plant]
     tr = simulate_trace(sys, Mechanism(p), ChannelParams(0.9, 0.6), T=300, seed=11)
-    P = _parent_covariances(sys, np.stack([tr.gamma1, tr.gamma2]))
+    P, _ = _parent_covariances(sys, np.stack([tr.gamma1, tr.gamma2]))
     trP = np.trace(P[:, :301], axis1=2, axis2=3)
     assert np.array_equal(tr.trP1, trP[0]) and np.array_equal(tr.trP2, trP[1])
 
@@ -408,3 +419,174 @@ def test_bad_variance_mid_sequence(m):
     object.__setattr__(infinite, "Sigma0", np.diag([np.inf, 1.0]))
     with pytest.raises(NumericalError):
         filter_errors(infinite, [[False], [True]], np.zeros(2), 0.0, 0.0)
+
+
+def _numpy_filter(sys, G, e0, w, v):
+    """filter_errors as the stacked numpy loop computed it before the float
+    route: the parent loop above, then the error solve copied as it is."""
+    N = G.shape[1]
+    P, K = _parent_covariances(sys, G)
+    IKC = np.eye(sys.n) - K @ sys.C
+    Kv = K @ np.broadcast_to(v, (N, sys.m))[..., None]
+    e = _linear_recursion(sys.A @ IKC, (sys.A @ Kv)[..., 0] - np.broadcast_to(w, (N, sys.n)),
+                          e0)
+    return (IKC @ e[:, :N, :, None] + Kv)[..., 0], P
+
+
+@pytest.mark.parametrize("N", [0, 1, 300])
+@pytest.mark.parametrize("a", [0.5, -0.5, 1.2, -1.2, 10.0])
+def test_scalar_filter_is_bit_identical_to_numpy_loop(a, N):
+    """On one-state, one-output plants the float route returns the stacked
+    numpy loop's errors and covariances bit for bit, for B = 1 and 3 rows.
+
+    At a = 10 a run of misses grows the covariance by 100 per step, and
+    the covariance-form update P - K C P cancels it to zero or below once
+    P passes about 1e16: then both routes raise at the next reception. A row that never
+    receives overflows to an infinite covariance, which both routes carry,
+    and receiving on it raises in both.
+    """
+    def outcome(route, *args):
+        try:
+            return route(*args)
+        except NumericalError:
+            return None
+
+    rng = np.random.default_rng(int(1000 * abs(a)) + N + (a < 0))
+    finished = 0
+    for c in (1.0, -0.7):
+        for sigma0 in (0.05, 1.0, 40.0):
+            sys = LinearSystem(A=a, C=c, Q=0.8, R=1.3, Sigma0=sigma0)
+            G = rng.random((3, N)) < np.array([[0.35], [0.7], [1.0]])
+            e0, w, v = (rng.standard_normal(shape) for shape in (1, (N, 1), (N, 1)))
+            for rows in (G, G[:1], G[1:], np.zeros((1, N), dtype=bool)):
+                got = outcome(filter_errors, sys, rows, e0, w, v)
+                ref = outcome(_numpy_filter, sys, rows, e0, w, v)
+                assert (got is None) == (ref is None)
+                if got is not None:
+                    finished += 1
+                    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+            if a == 10.0 and N == 300:
+                assert np.isinf(got[1][0, -1, 0, 0])
+                late = np.arange(N) == N - 1
+                for route in (filter_errors, _numpy_filter):
+                    assert outcome(route, sys, late[None], e0, w, v) is None
+    assert finished >= 12
+
+
+def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys,
+                                                      second_order_sys):
+    def refuse(*args):
+        raise AssertionError("a one-state plant reached _gains")
+
+    calls = []
+    gains = kalman._gains
+    G = np.arange(60).reshape(3, 20) % 3 != 0
+    monkeypatch.setattr(kalman, "_gains", lambda *args: calls.append(1) or gains(*args))
+    filter_errors(second_order_sys, G, np.zeros(2), 0.0, 0.0)
+    assert len(calls) == 20
+    monkeypatch.setattr(kalman, "_gains", refuse)
+    for rows in (G, G[0]):
+        filter_errors(scalar_sys, rows, np.zeros(1), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_overflowed_missing_row_stays_out_of_the_stack(n):
+    """A = 10 (n = 1) or [[10, 1], [0, 9]] (n = 2): row 0 always receives
+    and stays bounded, row 1 never does and its covariance overflows near
+    step 154. Row 1 of the stacked call still has a zero gain, so its
+    errors are finite and equal its own call bit for bit (at n = 1 its
+    infinite covariances too), and no warning escapes either route (n = 1
+    on floats, n = 2 in numpy). Receiving on the overflowed row raises."""
+    N = 200
+    sys = LinearSystem(A=np.array([[10.0, 1.0], [0.0, 9.0]])[:n, :n], C=np.eye(n)[:1],
+                       Q=np.eye(n), R=1.0, Sigma0=np.eye(n))
+    rng = np.random.default_rng(n)
+    e0, w, v = rng.standard_normal(n), rng.standard_normal((N, n)), rng.standard_normal((N, 1))
+    G = np.array([[True] * N, [False] * N])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E, P = filter_errors(sys, G, e0, w, v)
+        singles = [filter_errors(sys, G[r], e0, w, v) for r in range(2)]
+        with pytest.raises(NumericalError):
+            filter_errors(sys, np.append(G[1], True), e0, np.append(w, w[:1], axis=0),
+                          np.append(v, v[:1], axis=0))
+    assert not np.isnan(E).any()
+    assert not np.isfinite(P[1, -1]).all()
+    for r, (E_r, P_r) in enumerate(singles):
+        assert np.array_equal(E[r], E_r)
+        if n == 1 or r == 0:
+            assert np.array_equal(P[r], P_r)
+
+
+def _riccati_chain(x, lams, step):
+    """The iterates of ``step`` over ``lams`` up to the first NumericalError,
+    and whether one was raised."""
+    out = []
+    try:
+        for lam in lams:
+            x = step(x, lam)
+            out.append(x)
+    except NumericalError:
+        return np.array(out), True
+    return np.array(out), False
+
+
+@pytest.mark.parametrize("a", [0.5, -0.5, 1.2, -1.2, 10.0])
+def test_scalar_map_is_bit_identical_to_riccati_map(a):
+    """The float map chained over fractional rates, 0 and 1 among them, is
+    riccati_map's chain on the 1x1 plant bit for bit, overflow included: at
+    a = 10 both overflow and then raise on a NaN variance at the same step.
+    An operand of 1e308 overflows in the map's symmetrization of it, so
+    both return infinity at lam = 0 and raise at lam = 0.5."""
+    rng = np.random.default_rng(int(100 * abs(a)) + (a < 0))
+    lams = np.concatenate([[0.0, 1.0, 0.5], rng.random(297)]).tolist()
+    for c in (1.0, -0.7):
+        for sigma0 in (0.05, 1.0, 40.0):
+            sys = LinearSystem(A=a, C=c, Q=0.8, R=1.3, Sigma0=sigma0)
+            coefficients = [M.item() for M in (sys.A, sys.C, sys.Q, sys.R)]
+            for rates in (lams, [0.0] * 300):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ref, ref_raised = _riccati_chain(sys.Sigma0, rates,
+                                                     lambda X, lam: riccati_map(X, sys, lam))
+                got, raised = _riccati_chain(
+                    sigma0, rates, lambda x, lam: _scalar_riccati_map(x, *coefficients, lam))
+                assert raised == ref_raised and raised == (a == 10.0 and rates is lams)
+                assert np.array_equal(got, ref[:, 0, 0], equal_nan=True)
+        for lam in (0.0, 0.5):
+            with np.errstate(over="ignore"):
+                ref, ref_raised = _riccati_chain(np.array([[1e308]]), [lam],
+                                                 lambda X, lam: riccati_map(X, sys, lam))
+            got, raised = _riccati_chain(
+                1e308, [lam], lambda x, lam: _scalar_riccati_map(x, *coefficients, lam))
+            assert raised == ref_raised == (lam > 0.0)
+            assert np.array_equal(got, ref.reshape(-1))
+
+
+def test_scalar_map_checks_the_variance():
+    """A zero or negative variance raises on both routes; lam = 0 reads none."""
+    for r in (-1.0, -3.0):
+        sys = LinearSystem(A=1.2, C=1.0, Q=1.0, R=r, Sigma0=1.0)
+        for step in (lambda: riccati_map(np.eye(1), sys, 0.5),
+                     lambda: _scalar_riccati_map(1.0, 1.2, 1.0, 1.0, r, 0.5)):
+            with pytest.raises(NumericalError):
+                step()
+    assert _scalar_riccati_map(1.0, 1.2, 1.0, 1.0, -1.0, 0.0) == 1.2 * 1.2 + 1.0
+
+
+def test_bad_variance_on_the_float_route():
+    """The scalar cases of test_bad_variance_mid_sequence: a negative
+    covariance, a zero variance (an infinite gain on the numpy route) and
+    an infinite prior raise on a receiving row, with no warning."""
+    negative = LinearSystem(A=0.5, C=1.0, Q=-5.0, R=1.0, Sigma0=1.0)
+    zero = LinearSystem(A=0.5, C=1.0, Q=1.0, R=-1.0, Sigma0=1.0)
+    infinite = LinearSystem(A=0.5, C=1.0, Q=1.0, R=1.0, Sigma0=1.0)
+    object.__setattr__(infinite, "Sigma0", np.array([[np.inf]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sys, gammas in ((negative, [False, True]), (zero, [[False], [True]]),
+                            (infinite, [[False], [True]])):
+            with pytest.raises(NumericalError):
+                filter_errors(sys, gammas, np.zeros(1), 0.0, 0.0)
+        _, P = filter_errors(negative, [True, False, False], np.zeros(1), 0.0, 0.0)
+        assert P[-1, 0, 0] < 0
+        filter_errors(zero, [[False], [False]], np.zeros(1), 0.0, 0.0)

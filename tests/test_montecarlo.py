@@ -26,11 +26,43 @@ class TestExpectedErrorCurve:
     def test_is_bit_identical_to_reference_map(self, monkeypatch, second_order_sys):
         # a regression guard on the curve's bits: the same curve with each
         # step taken by the reference formula of the map
+        # (second_order has two states, so the curve steps riccati_map)
         args = (second_order_sys, Mechanism(0.8), 0.9)
         curve = expected_error_curve(*args, T=60, runs=200, seed=7)
-        monkeypatch.setattr(montecarlo, "riccati_map", reference_riccati)
+        calls = []
+        monkeypatch.setattr(montecarlo, "riccati_map",
+                            lambda *a: calls.append(1) or reference_riccati(*a))
         ref = expected_error_curve(*args, T=60, runs=200, seed=7)
+        assert len(calls) == 60
         assert np.array_equal(curve.mean_trP, ref.mean_trP)
+
+    @pytest.mark.parametrize("T", [0, 1, 300])
+    def test_scalar_curve_is_riccati_map_chain(self, monkeypatch, T):
+        """A one-state, one-output plant steps the averaged map on floats,
+        never through riccati_map, and gives riccati_map's chain over the
+        replications' reception fractions bit for bit."""
+        mech, rate, seed, runs = Mechanism(0.8), 0.55, 19, 70
+        fraction = np.array([RngStream(seed, 5 + r).uniforms(T) < mech.p * rate
+                             for r in range(runs)]).reshape(runs, T).mean(axis=0)
+        assert T < 300 or 0.0 < fraction.min() < fraction.max() < 1.0
+        plants = [LinearSystem(A=a, C=c, Q=0.8, R=1.3, Sigma0=s0)
+                  for a in (0.5, -0.5, 1.2, -1.2) for c in (1.0, -0.7) for s0 in (0.05, 40.0)]
+        expects = []
+        for sys in plants:
+            P = sys.Sigma0.copy()
+            expect = [np.trace(P)]
+            for k in range(T):
+                P = riccati_map(P, sys, float(fraction[k]))
+                expect.append(np.trace(P))
+            expects.append(expect)
+
+        def refuse(*args):
+            raise AssertionError("a one-state curve stepped riccati_map")
+
+        monkeypatch.setattr(montecarlo, "riccati_map", refuse)
+        for sys, expect in zip(plants, expects):
+            curve = expected_error_curve(sys, mech, rate, T, runs, seed)
+            assert np.array_equal(curve.mean_trP, expect)
 
     def test_full_reception_is_deterministic_recursion(self, second_order_sys):
         curve = expected_error_curve(second_order_sys, Mechanism(1.0), 1.0,
