@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -38,7 +39,7 @@ import scipy.linalg as sla
 from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
 from .kalman import Coefficients, riccati_map
-from .linmodel import LinearSystem, _describe_modes, prepare_stein
+from .linmodel import LinearSystem, SchurFactor, _describe_modes, prepare_stein
 
 # Width of the final p_upper bisection bracket; critical_rates calls the
 # bracket exact once it closes to within 10x this width.
@@ -55,10 +56,9 @@ _CERT_DAMPING = 0.1
 # solve_V stops once a step moves no entry by more than _V_TOL relative to
 # the iterate's largest entry, or once a step below _V_FLOOR stops shrinking:
 # the Stein solve amplifies roundoff by 1/(1 - (1 - rate) rho^2). A step
-# costs 1.5-2.0 single-output riccati_map calls at n = 2 and n = 8; the
-# budget reaches second_order down to about 1.1e-4 above p_upper and ends a
-# failing call in about 0.64 s there and 0.71 s on a seeded n = 8 plant
-# (2-core Xeon, one BLAS thread, where one riccati_map call takes 10 us).
+# is one riccati_map call plus one prepared Stein apply, so a failing call
+# costs _V_MAX_ITERS of each. The budget reaches second_order down to about
+# 1.1e-4 above p_upper.
 _V_TOL = 1e-13
 _V_FLOOR = 1e-9
 _V_MAX_ITERS = 40_000
@@ -66,19 +66,39 @@ _V_MAX_ITERS = 40_000
 
 @dataclass(frozen=True)
 class BoundValue:
-    """A possibly-infinite covariance bound."""
+    """A possibly-infinite covariance bound.
+
+    A finite bound keeps its solution ``_X``, in the basis of the Schur
+    factor ``_schur`` when one is given and in the plant's basis otherwise.
+    ``matrix``, the bound in the plant's basis (None when infinite), is
+    formed on first read and cached, so a caller that reads only ``trace``
+    never pays for the back-transform.
+    """
 
     finite: bool
-    matrix: np.ndarray | None
     trace: float
+    _X: np.ndarray | None = field(default=None, repr=False)
+    _schur: SchurFactor | None = field(default=None, repr=False)
 
     @classmethod
     def from_matrix(cls, S: np.ndarray) -> "BoundValue":
-        return cls(finite=True, matrix=S, trace=float(np.trace(S)))
+        return cls(finite=True, trace=float(np.trace(S)), _X=S)
+
+    @classmethod
+    def from_schur(cls, schur: SchurFactor, X: np.ndarray) -> "BoundValue":
+        """The bound sym(Re(U X U^H)) for X in the basis of ``schur``; its
+        trace is Re Tr X, as U is unitary."""
+        return cls(finite=True, trace=float(np.trace(X).real), _X=X, _schur=schur)
 
     @classmethod
     def infinite(cls) -> "BoundValue":
-        return cls(finite=False, matrix=None, trace=math.inf)
+        return cls(finite=False, trace=math.inf)
+
+    @cached_property
+    def matrix(self) -> np.ndarray | None:
+        if self._schur is None:
+            return self._X
+        return self._schur.to_plant(self._X)
 
 
 @dataclass(frozen=True)
@@ -125,21 +145,24 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
 
     Solves S = (1 - p*p2) A S A' + Q on the plant's cached Schur factor
     when the effective rate clears the open-loop threshold; otherwise the
-    floor is infinite.
+    floor is infinite. The trace is read off the Schur-basis solution X;
+    the plant-basis matrix sym(Re(U X U^H)) is formed only when ``.matrix``
+    is read.
     """
     _check_probability(p, "p")
     rate = p * ch.p2
     if rate <= p_lower(sys):
         return BoundValue.infinite()
+    schur = sys.schur
     try:
-        S = sys.schur.discounted_lyapunov(1.0 - rate)
+        X = schur.discounted_lyapunov(1.0 - rate)
     except NumericalError:
         # Within solver resolution of the threshold, or on a strongly
         # non-normal A a floor so large (measured: 1e22 x Q and up) that the
         # Cayley solve's Sylvester step loses its diagonal to roundoff; the
         # floor is effectively unbounded there.
         return BoundValue.infinite()
-    return BoundValue.from_matrix(S)
+    return BoundValue.from_schur(schur, X)
 
 
 def feasibility_check(lam: float, sys: LinearSystem) -> bool:
@@ -295,8 +318,7 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
         Wn = stein(aQU + rate * riccati_map(W, coords, 1.0))
         step = float(np.abs(Wn - W).max() / np.abs(Wn).max())
         if step <= _V_TOL or prev <= step <= _V_FLOOR:
-            V = (U @ Wn @ Uh).real
-            return BoundValue.from_matrix(0.5 * (V + V.T))
+            return BoundValue.from_matrix(schur.to_plant(Wn))
         prev, W = step, Wn
     raise NumericalError(
         f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "

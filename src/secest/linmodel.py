@@ -250,13 +250,18 @@ class SchurFactor:
         return prepare_stein(self.T, alpha, self.sigma)
 
     def discounted_lyapunov(self, alpha: float) -> np.ndarray:
-        """Solve S = alpha * A S A' + Q.
+        """Solve S = alpha * A S A' + Q in this factor's basis: the X with
+        X = alpha T X T^H + U^H Q U, so S = :meth:`to_plant` (X).
 
         The solution is the limit of S_{k+1} = alpha A S_k A' + Q; the solve
-        runs in the Schur basis (:meth:`stein`), which raises when there is
-        no bounded solution.
+        (:meth:`stein`) raises when there is no bounded solution. U is
+        unitary, so Tr S = Re Tr X without the back-transform.
         """
-        X = self.stein(alpha)(self.QU)
+        return self.stein(alpha)(self.QU)
+
+    def to_plant(self, X: np.ndarray) -> np.ndarray:
+        """The symmetric plant-basis matrix sym(Re(U X U^H)) of X given in
+        this factor's basis."""
         S = (self.U @ X @ self.U.conj().T).real
         return 0.5 * (S + S.T)
 

@@ -48,7 +48,7 @@ from .channel import (
     _check_probability,
     _replication_uniforms,
 )
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .kalman import _linear_recursion, _scalar_riccati_map, filter_errors, riccati_map
 from .linmodel import LinearSystem
 
@@ -188,6 +188,8 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     one-output plant steps the map on Python floats
     (:func:`~secest.kalman._scalar_riccati_map`), bit for bit as
     :func:`~secest.kalman.riccati_map` would; larger plants call the latter.
+    A covariance that overflows fails the map's variance check, and
+    :class:`NumericalError` names the step and the effective rate.
     """
     if T < 0 or runs <= 0:
         raise ValidationError("T must be nonnegative and runs positive")
@@ -202,15 +204,22 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     P = np.array(sys.Sigma0, dtype=float)
     curve = np.empty(T + 1)
     curve[0] = np.trace(P)
-    if sys.n == sys.m == 1:
-        x = curve[0].item()
-        a, c, q, r = (M.item() for M in (sys.A, sys.C, sys.Q, sys.R))
-        for k, lam in enumerate(received_fraction.tolist(), 1):
-            curve[k] = x = _scalar_riccati_map(x, a, c, q, r, lam)
-    else:
-        for k in range(T):
-            P = riccati_map(P, sys, float(received_fraction[k]))
-            curve[k + 1] = np.trace(P)
+    try:
+        if sys.n == sys.m == 1:
+            x = curve[0].item()
+            a, c, q, r = (M.item() for M in (sys.A, sys.C, sys.Q, sys.R))
+            for k, lam in enumerate(received_fraction.tolist(), 1):
+                curve[k] = x = _scalar_riccati_map(x, a, c, q, r, lam)
+        else:
+            # an overflowing covariance is reported once, by the variance
+            # check, not as raw numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(1, T + 1):
+                    P = riccati_map(P, sys, float(received_fraction[k - 1]))
+                    curve[k] = np.trace(P)
+    except NumericalError as exc:
+        raise NumericalError(f"averaged curve overflowed at step {k} of {T} "
+                             f"(effective rate {effective:.6g}): {exc}") from None
 
     return ExpectedErrorCurve(k=np.arange(T + 1), mean_trP=curve, runs=runs)
 

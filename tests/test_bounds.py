@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import secest
+import secest.cli
 from secest import (
     ChannelParams,
     InconclusiveError,
@@ -28,6 +30,8 @@ from secest import (
 )
 
 from helpers import circle_case, plus_minus_case
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 P_CRIT = 1.0 - 1.0 / 1.44  # 11/36 for the a=1.2 scalar plant
 
@@ -127,6 +131,79 @@ class TestEavesdropperFloor:
         traces = [solve_S(p, channel_96, second_order_sys).trace
                   for p in (0.6, 0.7, 0.8, 0.9, 1.0)]
         assert all(t1 < t0 for t0, t1 in zip(traces, traces[1:]))
+
+
+def floor_panel(second_order_sys):
+    """(name, plant, rates) for the Schur-basis trace checks: second_order
+    (U = I), a held-sweep-style n = 8 plant with a real factor, and two
+    plants with a complex factor."""
+    held = seeded_plant(1208, 8, [1.12, 1.05, 1.02], 8)
+    assert held.schur.U.dtype == np.float64 and not np.array_equal(held.schur.U, np.eye(8))
+    panel = [("second_order", second_order_sys), ("held-n8", held)]
+    for name, case in (("circle-n24", circle_case), ("plus-minus", plus_minus_case)):
+        A, Q = case()
+        n = len(A)
+        sys = LinearSystem(A=A, C=np.eye(n), Q=Q, R=np.eye(n), Sigma0=Q)
+        assert sys.schur.U.dtype == np.complex128
+        panel.append((name, sys))
+    # from far above p_lower to within 1e-6 of it
+    return [(name, sys, [p_lower(sys) + f * (1.0 - p_lower(sys))
+                         for f in (1e-6, 1e-3, 0.1, 0.5, 1.0)])
+            for name, sys in panel]
+
+
+class TestFloorInSchurBasis:
+    """solve_S reads Tr S off the Schur-basis solution X and forms the
+    plant-basis matrix only when .matrix is read."""
+
+    def test_trace_and_matrix(self, second_order_sys):
+        # the trace agrees with the matrix's to 1e-14 relative, and the
+        # matrix is the plant-basis floor written out, bit for bit: X solves
+        # the Stein equation in the factor's basis and S = sym(Re(U X U^H))
+        ch = ChannelParams(1.0, 1.0)
+        for name, sys, rates in floor_panel(second_order_sys):
+            factor = sys.schur
+            for rate in rates:
+                got = solve_S(rate, ch, sys)
+                ref = float(np.trace(got.matrix))
+                assert abs(got.trace - ref) <= 1e-14 * ref, (name, rate)
+                X = factor.stein(1.0 - rate)(factor.QU)
+                S = (factor.U @ X @ factor.U.conj().T).real
+                assert np.array_equal(got.matrix, 0.5 * (S + S.T)), (name, rate)
+
+    def test_reading_the_trace_forms_no_matrix(self, monkeypatch, second_order_sys):
+        formed = []
+        to_plant = secest.linmodel.SchurFactor.to_plant
+        monkeypatch.setattr(secest.linmodel.SchurFactor, "to_plant",
+                            lambda self, X: formed.append(1) or to_plant(self, X))
+        ch = ChannelParams(1.0, 1.0)
+        for _, sys, rates in floor_panel(second_order_sys):
+            bounds_read = [solve_S(rate, ch, sys) for rate in rates]
+            assert all(S.trace > 0.0 for S in bounds_read)
+        assert formed == []
+        channel = ChannelParams(0.9, 0.6)
+        S = solve_S(0.8, channel, second_order_sys)
+        assert S.matrix is S.matrix and len(formed) == 1
+        # a sweep forms one matrix per target, its ceiling, and none for
+        # its floors
+        held = seeded_plant(1208, 8, [1.12, 1.05, 1.02], 8)
+        tr1 = solve_S(1.0, channel, held).trace
+        formed.clear()
+        secest.sweep_tradeoff(held, channel, [2.0 * tr1, 5.0 * tr1, 50.0 * tr1])
+        assert len(formed) == 3
+
+    @pytest.mark.parametrize("config", ["scalar.json", "scalar_p1_0.9_p2_0.6.json",
+                                        "second_order.json"])
+    def test_shipped_config_traces_are_the_matrix_traces(self, config):
+        # every shipped config has U = I, so Re Tr X is exactly the trace of
+        # the plant-basis matrix, as it was when the trace was read there
+        cfg = secest.cli.load_config(str(CONFIGS / config))
+        sys, ch = cfg.system, cfg.channel
+        assert np.array_equal(sys.schur.U, np.eye(sys.n))
+        for p in np.linspace(0.3, 1.0, 29):
+            S = solve_S(float(p), ch, sys)
+            if S.finite:
+                assert S.trace == float(np.trace(S.matrix)), (config, p)
 
 
 class TestFeasibility:

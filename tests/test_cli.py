@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,20 @@ class TestCliWarnings:
 
 
 class TestCliFailure:
+    def test_overflowing_curve_writes_only_json_lines(self, capsys):
+        # Python's default is to print a RuntimeWarning to stderr, outside
+        # the JSON lines; show every one here
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            code = main(["montecarlo", "--config", SECOND_CFG, "--p", "0.05",
+                         "--steps", "2500", "--runs", "20"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        [line] = captured.err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "NumericalError"
+        assert "step 2206 of 2500 (effective rate 0.045)" in error["message"]
+
     def test_stable_plant_reports_failures(self, capsys, tmp_path):
         doc = base_doc()
         doc["system"]["A"] = 0.9

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -229,15 +229,78 @@ def test_log_floor_is_convex_in_log_alpha(sys, fractions):
     assert f[1] <= chord + 1e-12
 
 
-def test_floor_solve_budget(monkeypatch):
-    # The bounds decide about half the probes of a seeded n = 8 sweep (about
-    # 10 floor solves per design, against 21 for plain bisection).
+def count_floor_solves(monkeypatch) -> list:
+    """Record the probe p of every floor the designer solves."""
     calls = []
     monkeypatch.setattr(secest.designer, "solve_S",
                         lambda p, ch, sys: calls.append(p) or solve_S(p, ch, sys))
+    return calls
+
+
+def test_floor_solve_budget(monkeypatch):
+    # The bounds decide about half the probes of a seeded n = 8 design
+    # (about 10 floor solves, against 21 for plain bisection), and a sweep
+    # shares its solved floors across targets (46 solves for 8 targets,
+    # against 76 for 8 separate designs).
+    calls = count_floor_solves(monkeypatch)
     sys = invertible_output_plant(1208, 8)
     ch = ChannelParams(0.9, 0.6)
     tr1 = solve_S(1.0, ch, sys).trace
     grid = tr1 * np.geomspace(1.01, 50.0, 8)
     sweep_tradeoff(sys, ch, grid)
+    in_sweep = len(calls)
+    calls.clear()
+    for M in grid:
+        design_p_star(sys, ch, M)
     assert len(calls) <= 12 * len(grid)
+    assert in_sweep <= 0.7 * len(calls)
+
+
+class TestSweepSharesFloors:
+    """A sweep solves each probe's floor once, for all its targets, and
+    reaches the points of separate designs bit for bit."""
+
+    @staticmethod
+    def panel(second_order_sys):
+        plants = [(invertible_output_plant(1200 + n, n), ChannelParams(0.9, 0.6))
+                  for n in (3, 8)]
+        plants += [(second_order_sys, ChannelParams(0.9, 0.6)),
+                   (second_order_sys, ChannelParams(0.8, 0.7))]
+        for sys, ch in plants:
+            tr1 = solve_S(1.0, ch, sys).trace
+            yield sys, ch, [tr1 * f for f in (0.5, 1.0 + 1e-9, 1.003, 2.0, 7.0, 50.0,
+                                              1e3, 1e6, 1e9)] + [math.inf]
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 1e-9])
+    def test_points_equal_separate_designs(self, second_order_sys, epsilon):
+        for sys, ch, grid in self.panel(second_order_sys):
+            curve = sweep_tradeoff(sys, ch, grid, epsilon)
+            for M, pt in zip(grid, curve.points):
+                res = design_p_star(sys, ch, M, epsilon)
+                assert (pt.p_star, pt.trS, pt.trV) == (
+                    res.p_star, res.trS_at_p_star, res.trV_at_p_star)
+
+    @settings(max_examples=20)
+    @given(sys=small_plants(), p2=st.sampled_from((0.2, 0.6, 0.9, 1.0)),
+           log10_factors=st.sets(st.floats(0.0, 12.0), min_size=2, max_size=5))
+    def test_property_plants_match_plain_bisection(self, sys, p2, log10_factors):
+        ch = ChannelParams(0.9, p2)
+        tr1 = solve_S(1.0, ch, sys).trace
+        scale = tr1 if math.isfinite(tr1) else 10.0
+        grid = sorted({scale * 10.0 ** f for f in log10_factors})
+        curve = sweep_tradeoff(sys, ch, grid)
+        for M, pt in zip(grid, curve.points):
+            assert (pt.p_star, pt.trS, pt.trV) == plain_bisection(sys, ch, M, 1e-6)[:3]
+
+    def test_each_probe_is_solved_once_per_sweep(self, monkeypatch, second_order_sys):
+        calls = count_floor_solves(monkeypatch)
+        for sys, ch, grid in self.panel(second_order_sys):
+            calls.clear()
+            sweep_tradeoff(sys, ch, grid)
+            first = list(calls)
+            assert len(first) == len(set(first))
+            # nothing is kept across calls: the same sweep solves the same
+            # floors again
+            calls.clear()
+            sweep_tradeoff(sys, ch, grid)
+            assert calls == first

@@ -135,13 +135,15 @@ class TestDiscountedLyapunov:
     cut."""
 
     def test_scalar_closed_form(self):
-        S = SchurFactor.of(np.array([[1.2]]), np.array([[1.0]])).discounted_lyapunov(0.625)
+        factor = SchurFactor.of(np.array([[1.2]]), np.array([[1.0]]))
+        S = factor.to_plant(factor.discounted_lyapunov(0.625))
         # 1 / (1 - 0.625 * 1.44) = 10
         assert S[0, 0] == pytest.approx(10.0, abs=1e-10)
 
     def test_diagonal_closed_form(self):
         A = np.diag([1.2, 1.1])
-        S = SchurFactor.of(A, np.eye(2)).discounted_lyapunov(0.5)
+        factor = SchurFactor.of(A, np.eye(2))
+        S = factor.to_plant(factor.discounted_lyapunov(0.5))
         assert S[0, 0] == pytest.approx(1.0 / (1.0 - 0.5 * 1.44), abs=1e-10)
         assert S[1, 1] == pytest.approx(1.0 / (1.0 - 0.5 * 1.21), abs=1e-10)
         assert S[0, 1] == pytest.approx(0.0, abs=1e-12)
@@ -150,7 +152,8 @@ class TestDiscountedLyapunov:
         A = np.array([[1.2, 1.0], [0.0, 1.1]])
         Q = np.array([[1.0, 0.5], [0.5, 2.0]])
         alpha = 0.5
-        S = SchurFactor.of(A, Q).discounted_lyapunov(alpha)
+        factor = SchurFactor.of(A, Q)
+        S = factor.to_plant(factor.discounted_lyapunov(alpha))
         X = np.zeros((2, 2))
         for _ in range(2000):
             X = alpha * A @ X @ A.T + Q
@@ -160,12 +163,14 @@ class TestDiscountedLyapunov:
         A = np.array([[1.2, 1.0], [0.0, 1.1]])
         Q = np.array([[1.0, 0.5], [0.5, 2.0]])
         factor = SchurFactor.of(A, Q)
+        # U is unitary, so the Schur-basis solution has the plant floor's trace
         traces = [np.trace(factor.discounted_lyapunov(a)) for a in (0.0, 0.2, 0.4, 0.6)]
         assert all(t1 > t0 for t0, t1 in zip(traces, traces[1:]))
 
     def test_alpha_zero_returns_Q(self):
         Q = np.array([[1.0, 0.5], [0.5, 2.0]])
-        S = SchurFactor.of(np.array([[1.2, 1.0], [0.0, 1.1]]), Q).discounted_lyapunov(0.0)
+        factor = SchurFactor.of(np.array([[1.2, 1.0], [0.0, 1.1]]), Q)
+        S = factor.to_plant(factor.discounted_lyapunov(0.0))
         assert np.allclose(S, Q, atol=1e-14)
 
     def test_divergent_alpha_raises(self):
@@ -264,8 +269,9 @@ def test_floor_against_kronecker_oracle(case, margin):
     alpha = (1.0 - margin) / rho**2
     sys = LinearSystem(A=A, C=np.eye(len(A)), Q=Q, R=np.eye(len(A)), Sigma0=Q)
     p = 1.0 - alpha  # at p2 = 1 the floor's discount is 1 - p
+    factor = SchurFactor.of(A, Q)
     floors = {
-        "SchurFactor.of": SchurFactor.of(A, Q).discounted_lyapunov(1.0 - p),
+        "SchurFactor.of": factor.to_plant(factor.discounted_lyapunov(1.0 - p)),
         "solve_S": solve_S(p, ChannelParams(1.0, 1.0), sys).matrix,
     }
     ref = kron_reference(A, Q, 1.0 - p) if margin >= 1e-2 else None

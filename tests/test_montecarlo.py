@@ -6,6 +6,7 @@ from secest import (
     ExpectedErrorCurve,
     LinearSystem,
     Mechanism,
+    NumericalError,
     RngStream,
     ValidationError,
     batch_covariance_oracle,
@@ -63,6 +64,13 @@ class TestExpectedErrorCurve:
         for sys, expect in zip(plants, expects):
             curve = expected_error_curve(sys, mech, rate, T, runs, seed)
             assert np.array_equal(curve.mean_trP, expect)
+
+    def test_overflow_raises_numerical_error_naming_step_and_rate(self, second_order_sys):
+        # the suite turns RuntimeWarning into an error, so a raw numpy
+        # overflow warning from the loop would surface here instead
+        with pytest.raises(NumericalError, match=r"step 2206 of 2500 \(effective rate 0\.045\)"):
+            expected_error_curve(second_order_sys, Mechanism(0.05), 0.9,
+                                 T=2500, runs=20, seed=42)
 
     def test_full_reception_is_deterministic_recursion(self, second_order_sys):
         curve = expected_error_curve(second_order_sys, Mechanism(1.0), 1.0,
