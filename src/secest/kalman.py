@@ -29,22 +29,26 @@ given the gains the error recursion is linear, and it is solved for every
 step at once by one LAPACK banded triangular solve (:func:`_linear_recursion`,
 which also carries the simulated state).
 
-On a plant with one state and one output (n = m = 1) both covariance
-recursions are scalar recurrences, and numpy's per-call overhead, not the
-arithmetic, would dominate them: :func:`filter_errors` steps its covariances
-(:func:`_scalar_covariances`) and the averaged curve steps the map
-(:func:`_scalar_riccati_map`) on Python floats. Each float operation is the
-one the 1x1 matrix products round, in the same order, so both routes give
-the numpy route's bits. Larger plants stay on numpy: from n = 2 a float
-loop over the matrix entries is no faster than the matrix products.
+On a small single-output plant (m = 1, n <= 5) numpy's per-call overhead,
+not the arithmetic, would dominate both covariance recursions:
+:func:`filter_errors` steps its covariances and the averaged curve steps
+the map in straight-line Python float code generated for each n
+(:func:`_float_kernels`), over the n(n+1)/2 entries of the symmetric
+covariance. Each statement mirrors an entry of the numpy route's products,
+so at n = 1 both kernels give the numpy route's bits, and from n = 2 they
+differ only in how the sums round (BLAS fuses multiply-adds). On a 2-core
+Xeon the two-row filter call of a simulated trace beats numpy up to n = 5
+(:data:`_FLOAT_MAX_N`); plants with more states or more outputs, and the
+ceiling and the certificate, stay on numpy.
 :func:`batch_covariance_oracle` is an independent route to the same
 covariances, kept for cross-checking.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -116,25 +120,146 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
     return _sym(open_loop - lam * corr)
 
 
-def _scalar_riccati_map(x: float, a: float, c: float, q: float, r: float,
-                        lam: float) -> float:
-    """:func:`riccati_map` on a one-state, one-output plant, in Python floats.
+# Single-output plants with at most this many states step both covariance
+# recursions in generated float code (:func:`_float_kernels`); plants with
+# more states or outputs step them in numpy. The cutoff follows the calls
+# that exist: simulate_trace's filter_errors call, which always stacks two
+# rows, and one averaged map per curve. Measured on a 2-core Xeon with one
+# BLAS thread, N = 300 steps, numpy's time over the kernel's (median of 7,
+# four runs): the two-row filter 3.8-4.5x at n = 3, 2.3-2.8x at 4, 1.5-1.8x
+# at 5, 1.0-1.2x at 6 and 0.7-0.8x at 7; the averaged map 2.8-3.3x at
+# n = 5, 1.4-2.1x at 6, 1.2-1.6x at 7 and 0.8x at 8. n = 5 is the largest
+# size at which the filter still wins. At n = 6 and 7 only the map would,
+# by 1-5 ms a curve, about what building a kernel costs there (4-12 ms,
+# against 3-6 ms at n = 5), so one cutoff serves both.
+_FLOAT_MAX_N = 5
 
-    The operations, their order and the variance check are those of the
-    matrix route on 1x1 arrays, so the result is its (0, 0) entry bit for
-    bit; ``lam`` is not range-checked.
+# The two kernels, with the n-dependent statements left as fields. UPPER
+# is np.triu_indices(n), the order in which the state x{i}_{j}, i <= j,
+# packs the symmetric covariance; xs records each step's full matrix, row
+# by row, as P lays it out.
+_FLOAT_SOURCE = '''\
+def covariances(sys, G, P, K, S):
+    {coefficients}
+    for row, gammas in enumerate(G.tolist()):
+        {state}, = P[row, 0][UPPER].tolist()
+        xs, ks, ss = P[row, 0].ravel().tolist(), [], []
+        for got in gammas:
+            if got:
+                {filter_update}
+                {record_gain}
+                ss.append(s)
+            {predict}
+            {record_state}
+        P[row].flat = xs
+        received = G[row]
+        K[row, received, :, 0] = np.reshape(ks, (-1, {n}))
+        S[row, received, 0, 0] = ss
+
+
+def averaged_map(sys, X, lams, traces):
+    {coefficients}
+    {state}, = X[UPPER].tolist()
+    for lam in lams:
+        {symmetrize}
+        {open_loop}
+        if lam == 0.0:
+            {close_open_loop}
+        else:
+            {map_correction}
+            if not 0.0 < s < inf:
+                raise NumericalError(_BAD_VARIANCE)
+            {map_update}
+        traces.append({trace})
+    return {state},
+'''
+
+
+class _FloatKernels(NamedTuple):
+    covariances: Callable
+    averaged_map: Callable
+
+
+def _float_route(sys: LinearSystem) -> _FloatKernels | None:
+    """The float kernels for ``sys``, or None when its recursions step in numpy."""
+    return _float_kernels(sys.n) if sys.m == 1 and sys.n <= _FLOAT_MAX_N else None
+
+
+@functools.cache
+def _float_kernels(n: int) -> _FloatKernels:
+    """The covariance loop of :func:`filter_errors` and the averaged map of
+    the curve, for plants with n states and one output, as straight-line
+    Python float code built by ``exec``.
+
+    The state is the n(n+1)/2 upper entries x{i}_{j} of the symmetric
+    covariance, and each statement is one entry of a numpy route product,
+    with the same expression tree: A X A' as (A X) A', sums left to right,
+    the gain as (X C') (1 / s), the symmetrization as (x + x) * 0.5. So at
+    n = 1 every operation is the one the 1x1 products round and both
+    kernels give the numpy routes' bits, overflow included; from n = 2 the
+    sums round differently, because BLAS fuses multiply-adds, and the
+    symmetrization is the identity unless x + x overflows. A coefficient
+    of zero still multiplies, so 0 times an overflowed entry is NaN, as in
+    numpy.
+
+    ``covariances(sys, G, P, K, S)`` fills P, K and S for the reception
+    rows G as :func:`filter_errors`' numpy loop does, one row at a time; a
+    zero innovation variance raises ``ZeroDivisionError``.
+    ``averaged_map(sys, X, lams, traces)`` chains :func:`riccati_map` from
+    X over the rates ``lams`` (not range-checked), appends each iterate's
+    trace to ``traces`` and returns the last iterate's packed entries; a
+    variance that is not finite and positive raises
+    :class:`NumericalError`, as the numpy map does.
     """
-    x = 0.5 * (x + x)
-    ax = a * x
-    open_loop = ax * a + q
-    if lam == 0.0:
-        return 0.5 * (open_loop + open_loop)
-    axc = ax * c
-    s = c * x * c + r
-    if not 0.0 < s < math.inf:
-        raise NumericalError(_BAD_VARIANCE)
-    y = open_loop - lam * (axc * (axc / s))
-    return 0.5 * (y + y)
+    def x(i, j):
+        return f"x{min(i, j)}_{max(i, j)}"
+
+    def total(terms):
+        return " + ".join(terms)
+
+    def lines(statements, depth):
+        return ("\n" + "    " * depth).join(statements)
+
+    N = range(n)
+    upper = [(i, j) for i in N for j in N if i <= j]
+    AX = [f"ax{i}_{j} = " + total(f"a{i}_{l} * {x(l, j)}" for l in N) for i in N for j in N]
+    AXA = [total(f"ax{i}_{l} * a{j}_{l}" for l in N) + f" + q{i}_{j}" for i, j in upper]
+    symmetrize = [f"{x(i, j)} = ({x(i, j)} + {x(i, j)}) * 0.5" for i, j in upper]
+    fields = dict(
+        n=n,
+        state=", ".join(x(i, j) for i, j in upper),
+        coefficients=lines([
+            ", ".join(f"a{i}_{j}" for i in N for j in N) + ", = sys.A.ravel().tolist()",
+            ", ".join(f"c{j}" for j in N) + ", = sys.C.ravel().tolist()",
+            ", ".join(f"q{i}_{j}" for i, j in upper) + ", = sys.Q[UPPER].tolist()",
+            "r = sys.R.item()"], 1),
+        # X C', C (X C') + R, K = (X C') (1 / s) and X - K (X C')'
+        filter_update=lines(
+            [f"xc{i} = " + total(f"{x(i, j)} * c{j}" for j in N) for i in N]
+            + ["s = " + total(f"c{i} * xc{i}" for i in N) + " + r", "f = 1.0 / s"]
+            + [f"k{i} = xc{i} * f" for i in N]
+            + [f"{x(i, j)} = {x(i, j)} - k{i} * xc{j}" for i, j in upper], 4),
+        record_gain=lines([f"ks.append(k{i})" for i in N], 4),
+        record_state=lines([f"xs.append({x(i, j)})" for i in N for j in N], 3),
+        predict=lines(AX + [f"{x(i, j)} = {e}" for (i, j), e in zip(upper, AXA)] + symmetrize, 3),
+        symmetrize=lines(symmetrize, 2),
+        open_loop=lines(AX + [f"o{i}_{j} = {e}" for (i, j), e in zip(upper, AXA)], 2),
+        close_open_loop=lines([f"{x(i, j)} = (o{i}_{j} + o{i}_{j}) * 0.5" for i, j in upper], 3),
+        # (A X) C', C X, (C X) C' + R and the correction (A X C') (A X C' / s)'
+        map_correction=lines(
+            [f"axc{i} = " + total(f"ax{i}_{l} * c{l}" for l in N) for i in N]
+            + [f"cx{j} = " + total(f"c{l} * {x(l, j)}" for l in N) for j in N]
+            + ["s = " + total(f"cx{j} * c{j}" for j in N) + " + r"], 3),
+        map_update=lines(
+            [f"g{j} = axc{j} / s" for j in N]
+            + [f"y{i}_{j} = o{i}_{j} - lam * (axc{i} * g{j})" for i, j in upper]
+            + [f"{x(i, j)} = (y{i}_{j} + y{i}_{j}) * 0.5" for i, j in upper], 3),
+        trace=total(x(i, i) for i in N),
+    )
+    namespace = dict(np=np, inf=math.inf, NumericalError=NumericalError,
+                     _BAD_VARIANCE=_BAD_VARIANCE, UPPER=np.triu_indices(n))
+    exec(_FLOAT_SOURCE.format(**fields), namespace)
+    return _FloatKernels(namespace["covariances"], namespace["averaged_map"])
 
 
 def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
@@ -146,8 +271,8 @@ def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
     XC (1 / S), kept on the receiving rows; for m >= 2 only receiving rows
     are solved, by the PD solve per row, which raises on a bad covariance.
     The m = 1 route checks nothing; :func:`filter_errors` checks the
-    receiving rows' variances once, after its loop. Plants with n = m = 1
-    step on floats and never get here (:func:`_scalar_covariances`).
+    receiving rows' variances once, after its loop. Single-output plants
+    with n <= :data:`_FLOAT_MAX_N` step on floats and never get here.
     """
     if S.shape[-1] == 1:
         return np.where(got[:, None, None], XC * (1.0 / S), 0.0)
@@ -155,42 +280,6 @@ def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
     for r in np.flatnonzero(got):
         K[r] = _innovation_solve(S[r], XC[r].T).T
     return K
-
-
-def _scalar_covariances(sys: LinearSystem, G, P: np.ndarray, K: np.ndarray,
-                        S: np.ndarray):
-    """The covariance loop of :func:`filter_errors` for n = m = 1, on Python floats.
-
-    Fills the (B, N+1, 1, 1) covariances P, and the gains K and innovation
-    variances S at the receiving steps, of the reception rows G, one row at
-    a time. A receiving step rounds as the stacked 1x1 products do: x c,
-    c (x c) + r, the gain (x c) (1 / s) of :func:`_gains`, x - k (x c); then
-    every step applies a x a + q and the symmetrization (x + x) / 2, which
-    is the identity unless x + x overflows. So each row is the numpy loop's
-    row bit for bit, overflow included. A zero variance, which the numpy
-    loop turns into an infinite gain, raises :class:`NumericalError` at
-    once: it is a receiving row's, so the check after the loop would raise.
-    """
-    a, c, q, r = (M.item() for M in (sys.A, sys.C, sys.Q, sys.R))
-    N = G.shape[1]
-    for row, gammas in enumerate(G.tolist()):
-        x = P[row, 0].item()
-        xs, ks, ss = [x], [0.0] * N, [0.0] * N
-        try:
-            for k, got in enumerate(gammas):
-                if got:
-                    xc = x * c
-                    s = ss[k] = c * xc + r
-                    gain = ks[k] = xc * (1.0 / s)
-                    x = x - gain * xc
-                x = a * x * a + q
-                x = (x + x) * 0.5
-                xs.append(x)
-        except ZeroDivisionError:
-            raise NumericalError(_BAD_VARIANCE) from None
-        P[row, :, 0, 0] = xs
-        K[row, :, 0, 0] = ks
-        S[row, :, 0, 0] = ss
 
 
 # LAPACK's triangular band solve, the one route for the linear recursions.
@@ -231,26 +320,24 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
 
     from e(0) = e0 and P(0) = Sigma0, so P(k+1) = g_gamma(k)(P(k)). Only the
     covariance and the gain are stepped; a step at which no row receives
-    forms no gain. A plant with n = m = 1 steps them on Python floats, row
-    by row (:func:`_scalar_covariances`), with the same bits; larger plants
-    step all rows at once in numpy. Given the gains the error recursion is
-    linear, e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is
-    solved for all steps at once after the loop (one banded triangular
-    solve), and e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched
-    product. A receiving row whose innovation covariance C X C' + R is not
+    forms no gain. A single-output plant with n <= :data:`_FLOAT_MAX_N`
+    steps them on Python floats, row by row (:func:`_float_kernels`), with
+    the numpy loop's bits at n = 1 and its values up to the sums' rounding
+    above; other plants step all rows at once in numpy. Given the gains
+    the error recursion is linear,
+    e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
+    all steps at once after the loop (one banded triangular solve), and
+    e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A receiving row whose innovation covariance C X C' + R is not
     finite and positive definite raises :class:`NumericalError`.
 
     ``gammas`` of shape (N,) returns the filtered errors e_f(k), k = 0..N-1,
     as an (N, n) array and the prediction covariances P(k), k = 0..N, as an
     (N+1, n, n) array. B stacked reception sequences, shape (B, N), are
     stepped together and return (B, N, n) and (B, N+1, n, n). A row that
-    misses a step gets an exact zero gain there, so row b's errors equal
-    the (N,) call on ``gammas[b]`` bit for bit, and so do its covariances,
-    on the float route always and on the numpy route while they stay
-    finite (there an overflowed row's covariance turns NaN, 0 times
-    infinity, at a step where another row receives). ``e0``
-    has shape (n,), ``w`` must broadcast to (N, n) and ``v`` to (N, m); all
-    rows share them.
+    misses a step gets an exact zero gain there and keeps its covariance,
+    so row b's errors and covariances equal the (N,) call on ``gammas[b]``
+    bit for bit, overflow included. ``e0`` has shape (n,), ``w`` must
+    broadcast to (N, n) and ``v`` to (N, m); all rows share them.
 
     The recursion is linear, so the same call runs the estimator in absolute
     coordinates: with e0 the prior mean, w = 0 and the measurements y in
@@ -277,8 +364,14 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     P[:, 0] = sys.Sigma0
     K = np.zeros((rows, N, n, m))
     S = np.empty((rows, N, m, m))
-    if n == m == 1:
-        _scalar_covariances(sys, G, P, K, S)
+    kernels = _float_route(sys)
+    if kernels is not None:
+        try:
+            kernels.covariances(sys, G, P, K, S)
+        except ZeroDivisionError:
+            # a zero variance, which the numpy loop turns into an infinite
+            # gain; it is a receiving row's, so the check below would raise
+            raise NumericalError(_BAD_VARIANCE) from None
     else:
         # a bad m = 1 variance is caught after the loop, and an overflowed
         # covariance when a row receives on it, not by a warning in the loop
@@ -289,7 +382,8 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
                     XC = X @ Ct
                     S[:, k] = C @ XC + R
                     K[:, k] = _gains(XC, S[:, k], got)
-                    X = X - K[:, k] @ XC.transpose(0, 2, 1)
+                    # a row that missed keeps X: 0 times an overflowed X C' is NaN
+                    X = np.where(got[:, None, None], X - K[:, k] @ XC.transpose(0, 2, 1), X)
                 X = A @ X @ At + Q
                 X += X.transpose(0, 2, 1)
                 np.multiply(X, 0.5, out=P[:, k + 1])

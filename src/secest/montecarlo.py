@@ -19,8 +19,14 @@ Two levels of fidelity:
   draws are counted in blocks of at most 64 replications, so memory does
   not grow with the number of runs.
 
-On a plant with one state and one output both recursions step on Python
-floats, with the bits of the matrix route (see :mod:`secest.kalman`).
+On a single-output plant with at most five states both recursions step in
+straight-line Python float code generated for its size, which is faster
+than the matrix products. At n = 1 it gives their bits. From n = 2 the
+sums round differently (see :mod:`secest.kalman`): on the seeded test
+plants the results stay within 1e-12 of the matrix products, but on
+``configs/second_order.json`` the traces ``trP`` move by up to 5e-11
+relative and the errors ``err`` by up to 3e-10, at steps where the
+covariance-form update cancels. Other plants step in numpy.
 
 A curve is divergent when its mean trace at k = 300 exceeds 10 times the
 value at k = 30, and plateaued when the value at k = 300 is at most 1.2
@@ -49,7 +55,7 @@ from .channel import (
     _replication_uniforms,
 )
 from .errors import NumericalError, ValidationError
-from .kalman import _linear_recursion, _scalar_riccati_map, filter_errors, riccati_map
+from .kalman import _float_route, _linear_recursion, filter_errors, riccati_map
 from .linmodel import LinearSystem
 
 # Phase judgments on averaged curves: (k0, k1) windows and the factor
@@ -184,12 +190,15 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     per-path traces is a uselessly noisy estimate of the expected curve;
     averaging the map keeps the variance bounded and reproduces the MARE
     threshold ``p_upper`` exactly: the curve is the averaged-map (bound)
-    recursion. Returns the trace at each step k = 0..T. A one-state,
-    one-output plant steps the map on Python floats
-    (:func:`~secest.kalman._scalar_riccati_map`), bit for bit as
-    :func:`~secest.kalman.riccati_map` would; larger plants call the latter.
-    A covariance that overflows fails the map's variance check, and
-    :class:`NumericalError` names the step and the effective rate.
+    recursion. Returns the trace at each step k = 0..T. A single-output
+    plant with n <= 5 states steps the map in a generated float kernel
+    (:func:`~secest.kalman._float_kernels`), bit for bit as
+    :func:`~secest.kalman.riccati_map` at n = 1; other plants call the
+    latter. A step whose covariance has overflowed records an infinite
+    trace on every route, also where the covariance holds NaN entries (a
+    zero coefficient times infinity); a later step with a nonzero rate
+    fails the map's variance check, and :class:`NumericalError` names the
+    step and the effective rate.
     """
     if T < 0 or runs <= 0:
         raise ValidationError("T must be nonnegative and runs positive")
@@ -201,25 +210,26 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
         received += np.count_nonzero(block < effective, axis=0)
     received_fraction = received / runs
 
-    P = np.array(sys.Sigma0, dtype=float)
-    curve = np.empty(T + 1)
-    curve[0] = np.trace(P)
+    kernels = _float_route(sys)
+    traces = []
     try:
-        if sys.n == sys.m == 1:
-            x = curve[0].item()
-            a, c, q, r = (M.item() for M in (sys.A, sys.C, sys.Q, sys.R))
-            for k, lam in enumerate(received_fraction.tolist(), 1):
-                curve[k] = x = _scalar_riccati_map(x, a, c, q, r, lam)
+        if kernels is not None:
+            kernels.averaged_map(sys, sys.Sigma0, received_fraction.tolist(), traces)
         else:
             # an overflowing covariance is reported once, by the variance
             # check, not as raw numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                for k in range(1, T + 1):
-                    P = riccati_map(P, sys, float(received_fraction[k - 1]))
-                    curve[k] = np.trace(P)
+                P = sys.Sigma0
+                for lam in received_fraction.tolist():
+                    P = riccati_map(P, sys, lam)
+                    traces.append(np.trace(P))
     except NumericalError as exc:
-        raise NumericalError(f"averaged curve overflowed at step {k} of {T} "
+        raise NumericalError(f"averaged curve overflowed at step {len(traces) + 1} of {T} "
                              f"(effective rate {effective:.6g}): {exc}") from None
+    curve = np.array([np.trace(sys.Sigma0), *traces])
+    # an overflowed covariance can hold NaN entries (0 times infinity);
+    # its trace is recorded as infinite on every route
+    curve[np.isnan(curve)] = np.inf
 
     return ExpectedErrorCurve(k=np.arange(T + 1), mean_trP=curve, runs=runs)
 

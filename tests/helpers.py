@@ -1,8 +1,13 @@
-"""Plants, as (A, Q) pairs, and a reference formula shared by several test
-modules."""
+"""Plants and reference formulas shared by several test modules."""
+
+import functools
+import math
+import operator
 
 import numpy as np
 import scipy.linalg as sla
+
+from secest import LinearSystem, NumericalError
 
 
 def plus_minus_case():
@@ -43,3 +48,58 @@ def reference_riccati(X, sys, lam):
         gain = sla.get_lapack_funcs("posv", dtype=np.float64)(S, AXC.T)[1]
     G = open_loop - lam * (AXC @ gain)
     return 0.5 * (G + G.T)
+
+
+def left_sum(terms):
+    """The terms' sum from left to right, as a chain of binary additions."""
+    return functools.reduce(operator.add, terms)
+
+
+def mirrored(entry, n):
+    """The symmetric n x n nested list whose upper entries are entry(i, j), i <= j."""
+    upper = {(i, j): entry(i, j) for i in range(n) for j in range(i, n)}
+    return [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+
+
+def float_riccati(X, sys, lam):
+    """g_lam on a single-output plant, on Python floats and in the float
+    kernel's order of operations: the upper entries of X symmetrized as
+    (x + x) * 0.5, then A X, (A X) A' + Q, (A X) C', C X and (C X) C' + R
+    as riccati_map forms them, each sum left to right, and the upper
+    entries of the result symmetrized again."""
+    n = sys.n
+    N = range(n)
+    A, c, Q, r = sys.A.tolist(), sys.C[0].tolist(), sys.Q.tolist(), sys.R.item()
+    X = mirrored(lambda i, j: (X[i, j] + X[i, j]) * 0.5, n)
+    AX = [[left_sum(A[i][l] * X[l][j] for l in N) for j in N] for i in N]
+    O = [[left_sum(AX[i][l] * A[j][l] for l in N) + Q[i][j] for j in N] for i in N]
+    Y = O
+    if lam != 0.0:
+        axc = [left_sum(AX[i][l] * c[l] for l in N) for i in N]
+        cx = [left_sum(c[l] * X[l][j] for l in N) for j in N]
+        s = left_sum(cx[j] * c[j] for j in N) + r
+        if not 0.0 < s < math.inf:
+            raise NumericalError("innovation variance is not finite and positive")
+        Y = [[O[i][j] - lam * (axc[i] * (axc[j] / s)) for j in N] for i in N]
+    return np.array(mirrored(lambda i, j: (Y[i][j] + Y[i][j]) * 0.5, n))
+
+
+def complex_mode_plant(seed, n, radius):
+    """A single-output plant whose A = V (radius rot(theta) (+) D) V^-1 has a
+    complex pair of modulus ``radius`` and n - 2 real modes in (-0.8, 0.8),
+    in a non-normal basis; Q, R and Sigma0 are seeded and positive definite."""
+    rng = np.random.default_rng(seed)
+    th = rng.uniform(0.3, 2.8)
+    D = np.diag(np.concatenate([[0.0, 0.0], rng.uniform(-0.8, 0.8, n - 2)]))
+    D[:2, :2] = radius * np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+    V = np.eye(n) + 0.4 * rng.standard_normal((n, n)) / np.sqrt(n)
+    B, L = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    return LinearSystem(A=V @ D @ np.linalg.inv(V), C=rng.standard_normal((1, n)),
+                        Q=B @ B.T / n + 0.5 * np.eye(n), R=rng.uniform(0.2, 2.0),
+                        Sigma0=L @ L.T / n + np.eye(n))
+
+
+def two_output_plant() -> LinearSystem:
+    A = np.array([[1.2, 0.4, 0.0], [0.0, 1.05, 0.3], [0.1, 0.0, 0.5]])
+    C = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.2]])
+    return LinearSystem(A=A, C=C, Q=np.eye(3), R=np.diag([1.0, 2.0]), Sigma0=np.eye(3))

@@ -379,6 +379,17 @@ class TestCliFailure:
         assert error["type"] == "NumericalError"
         assert "step 2206 of 2500 (effective rate 0.045)" in error["message"]
 
+    @pytest.mark.parametrize("cfg", [SCALAR_CFG, SECOND_CFG])
+    def test_overflowed_curve_prints_inf(self, capsys, cfg):
+        # with no reception both curves overflow; the scalar and the matrix
+        # plant print the same token, although the latter's covariance
+        # holds NaN entries
+        code, out, _ = run_cli(capsys, "montecarlo", "--config", cfg, "--p", "0.0",
+                               "--steps", "2500", "--runs", "20")
+        assert code == 0
+        assert out["result"]["final_mean_trP_user"] == "inf"
+        assert out["result"]["final_mean_trP_eavesdropper"] == "inf"
+
     def test_stable_plant_reports_failures(self, capsys, tmp_path):
         doc = base_doc()
         doc["system"]["A"] = 0.9

@@ -17,14 +17,16 @@ from secest import (
     NumericalError,
     ValidationError,
     batch_covariance_oracle,
+    expected_error_curve,
     filter_errors,
     kalman,
+    montecarlo,
     riccati_map,
     simulate_trace,
 )
-from secest.kalman import Coefficients, _linear_recursion, _scalar_riccati_map
+from secest.kalman import Coefficients, _float_kernels, _linear_recursion
 
-from helpers import reference_riccati
+from helpers import complex_mode_plant, left_sum, mirrored, reference_riccati, two_output_plant
 
 
 def g(X, sys, lam):
@@ -81,12 +83,6 @@ class TestRiccatiMap:
             gap = beta * riccati_map(X, second_order_sys, lam) \
                 - riccati_map(beta * X, second_order_sys, lam)
             assert np.linalg.eigvalsh(gap).min() > -1e-8
-
-
-def two_output_plant() -> LinearSystem:
-    A = np.array([[1.2, 0.4, 0.0], [0.0, 1.05, 0.3], [0.1, 0.0, 0.5]])
-    C = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, -0.2]])
-    return LinearSystem(A=A, C=C, Q=np.eye(3), R=np.diag([1.0, 2.0]), Sigma0=np.eye(3))
 
 
 def test_riccati_map_is_bit_identical_to_reference(second_order_sys):
@@ -233,8 +229,10 @@ def test_batch_oracle_agrees_with_stepped_filter(second_order_sys):
 
 
 # The conftest second-order plant (m = 1), an m = 2 plant (n = 3, outputs
-# that mix the states, correlated R) and a one-state plant with a negative
-# output gain, which takes the float route.
+# that mix the states, correlated R), a one-state plant with a negative
+# output gain and a six-state single-output plant with an unstable complex
+# pair. The one- and two-state plants take the float route, the others
+# numpy.
 PLANTS = {
     "scalar": LinearSystem(A=-1.3, C=-0.8, Q=0.7, R=0.5, Sigma0=2.0),
     "second_order": LinearSystem(A=np.array([[1.2, 1.0], [0.0, 1.1]]), C=np.array([[1.0, 0.0]]),
@@ -244,6 +242,7 @@ PLANTS = {
                        C=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]),
                        Q=np.array([[1.0, 0.2, 0.0], [0.2, 0.5, 0.1], [0.0, 0.1, 2.0]]),
                        R=np.array([[1.0, 0.3], [0.3, 0.5]]), Sigma0=np.eye(3)),
+    "six_state": complex_mode_plant(6, 6, 1.1),
 }
 
 
@@ -383,12 +382,45 @@ def _parent_covariances(sys, G):
     return P, Ks
 
 
+def _float_covariances(sys, G):
+    """The float kernel's covariance loop on a single-output plant, written
+    as loops over the entries: on a reception X C', C (X C') + r, the gain
+    (X C') (1 / s) and the upper entries of X - K (X C')', then A X,
+    (A X) A' + Q and (x + x) * 0.5 on the upper entries, each sum left to
+    right. The reference for P's bits, and the gains K, on the float route."""
+    rows, N = G.shape
+    n = sys.n
+    ns = range(n)
+    A, c, Q, r = sys.A.tolist(), sys.C[0].tolist(), sys.Q.tolist(), sys.R.item()
+    P = np.empty((rows, N + 1, n, n))
+    Ks = np.zeros((rows, N, n, 1))
+    for b in range(rows):
+        X = sys.Sigma0.tolist()
+        P[b, 0] = X
+        for k, got in enumerate(G[b]):
+            if got:
+                xc = [left_sum(X[i][j] * c[j] for j in ns) for i in ns]
+                s = left_sum(c[i] * xc[i] for i in ns) + r
+                gain = [x * (1.0 / s) for x in xc]
+                X = mirrored(lambda i, j: X[i][j] - gain[i] * xc[j], n)
+                Ks[b, k, :, 0] = gain
+            AX = [[left_sum(A[i][l] * X[l][j] for l in ns) for j in ns] for i in ns]
+            X = mirrored(lambda i, j: left_sum(AX[i][l] * A[j][l] for l in ns) + Q[i][j], n)
+            X = mirrored(lambda i, j: (X[i][j] + X[i][j]) * 0.5, n)
+            P[b, k + 1] = X
+    return P, Ks
+
+
 @pytest.mark.parametrize("plant", sorted(PLANTS))
 @pytest.mark.parametrize("p", [0.2, 0.51, 1.0])
 def test_trace_covariances_bit_identical_to_stepped_loop(plant, p):
+    """Each plant's traces are its route's reference loop bit for bit: the
+    float kernel's for second_order, the numpy loop's for the rest (at
+    n = 1 the float route has the numpy loop's bits)."""
     sys = PLANTS[plant]
     tr = simulate_trace(sys, Mechanism(p), ChannelParams(0.9, 0.6), T=300, seed=11)
-    P, _ = _parent_covariances(sys, np.stack([tr.gamma1, tr.gamma2]))
+    reference = _float_covariances if plant == "second_order" else _parent_covariances
+    P, _ = reference(sys, np.stack([tr.gamma1, tr.gamma2]))
     trP = np.trace(P[:, :301], axis1=2, axis2=3)
     assert np.array_equal(tr.trP1, trP[0]) and np.array_equal(tr.trP2, trP[1])
 
@@ -473,8 +505,7 @@ def test_scalar_filter_is_bit_identical_to_numpy_loop(a, N):
     assert finished >= 12
 
 
-def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys,
-                                                      second_order_sys):
+def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys):
     def refuse(*args):
         raise AssertionError("a one-state plant reached _gains")
 
@@ -482,7 +513,7 @@ def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys,
     gains = kalman._gains
     G = np.arange(60).reshape(3, 20) % 3 != 0
     monkeypatch.setattr(kalman, "_gains", lambda *args: calls.append(1) or gains(*args))
-    filter_errors(second_order_sys, G, np.zeros(2), 0.0, 0.0)
+    filter_errors(PLANTS["six_state"], G, np.zeros(6), 0.0, 0.0)
     assert len(calls) == 20
     monkeypatch.setattr(kalman, "_gains", refuse)
     for rows in (G, G[0]):
@@ -494,9 +525,11 @@ def test_overflowed_missing_row_stays_out_of_the_stack(n):
     """A = 10 (n = 1) or [[10, 1], [0, 9]] (n = 2): row 0 always receives
     and stays bounded, row 1 never does and its covariance overflows near
     step 154. Row 1 of the stacked call still has a zero gain, so its
-    errors are finite and equal its own call bit for bit (at n = 1 its
-    infinite covariances too), and no warning escapes either route (n = 1
-    on floats, n = 2 in numpy). Receiving on the overflowed row raises."""
+    errors are finite, and both rows equal their own calls bit for bit,
+    covariances included: at n = 2 the overflowed covariance holds NaN
+    (A[1, 0] = 0 times infinity) in the stacked and the single call alike.
+    No warning escapes the float route. Receiving on the overflowed row
+    raises."""
     N = 200
     sys = LinearSystem(A=np.array([[10.0, 1.0], [0.0, 9.0]])[:n, :n], C=np.eye(n)[:1],
                        Q=np.eye(n), R=1.0, Sigma0=np.eye(n))
@@ -514,8 +547,13 @@ def test_overflowed_missing_row_stays_out_of_the_stack(n):
     assert not np.isfinite(P[1, -1]).all()
     for r, (E_r, P_r) in enumerate(singles):
         assert np.array_equal(E[r], E_r)
-        if n == 1 or r == 0:
-            assert np.array_equal(P[r], P_r)
+        assert np.array_equal(P[r], P_r, equal_nan=True)
+
+
+def _scalar_riccati_map(x, a, c, q, r, lam):
+    """One step of the n = 1 float map on (a, c, q, r) from x."""
+    coefficients = Coefficients(*(np.array([[v]]) for v in (a, c, q, r)))
+    return _float_kernels(1).averaged_map(coefficients, np.array([[x]]), [lam], [])[0]
 
 
 def _riccati_chain(x, lams, step):
@@ -590,3 +628,133 @@ def test_bad_variance_on_the_float_route():
         _, P = filter_errors(negative, [True, False, False], np.zeros(1), 0.0, 0.0)
         assert P[-1, 0, 0] < 0
         filter_errors(zero, [[False], [False]], np.zeros(1), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("plant", ["two_outputs", "six_state"])
+def test_overflowed_missing_row_on_the_numpy_route(plant):
+    """The numpy loop subtracts K (X C')' on receiving rows only, so a row
+    that misses a step keeps its covariance even once it has overflowed,
+    where 0 times infinity would make it NaN. A = 10 with C = [1; 0.5] and
+    R = I (n = 1, m = 2), or a six-state single-output plant with a complex
+    pair of modulus 10: row 0 always receives, row 1 never, N = 200. Each
+    stacked row equals its own call bit for bit, covariances included."""
+    N = 200
+    if plant == "two_outputs":
+        sys = LinearSystem(A=10.0, C=np.array([[1.0], [0.5]]), Q=1.0, R=np.eye(2), Sigma0=1.0)
+    else:
+        sys = complex_mode_plant(6, 6, 10.0)
+    assert kalman._float_route(sys) is None
+    rng = np.random.default_rng(7)
+    e0 = rng.standard_normal(sys.n)
+    w, v = rng.standard_normal((N, sys.n)), rng.standard_normal((N, sys.m))
+    G = np.array([[True] * N, [False] * N])
+    E, P = filter_errors(sys, G, e0, w, v)
+    assert not np.isfinite(P[1, -1]).all() and not np.isnan(E).any()
+    for r in range(2):
+        E_r, P_r = filter_errors(sys, G[r], e0, w, v)
+        assert np.array_equal(E[r], E_r)
+        assert np.array_equal(P[r], P_r, equal_nan=True)
+    if plant == "two_outputs":
+        # the overflowed row is infinite, with no NaN
+        assert np.isinf(P[1]).sum() == 47 and not np.isnan(P).any()
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
+def test_route_by_plant_size(monkeypatch, n, m):
+    """Single-output plants with at most five states (_FLOAT_MAX_N) step the
+    filter's covariances and the averaged curve in the float kernels and
+    never reach the stacked gains or riccati_map; a six-state plant and a
+    two-output plant step both in numpy."""
+    if m == 2:
+        sys = two_output_plant()
+    else:
+        sys = PLANTS["scalar"] if n == 1 else complex_mode_plant(n, n, 1.1)
+    assert (sys.n, sys.m) == (n, m)
+    calls = set()
+    gains, curve_map = kalman._gains, montecarlo.riccati_map
+    monkeypatch.setattr(kalman, "_gains", lambda *a: calls.add("gains") or gains(*a))
+    monkeypatch.setattr(montecarlo, "riccati_map", lambda *a: calls.add("map") or curve_map(*a))
+    G = np.arange(60).reshape(3, 20) % 3 != 0
+    filter_errors(sys, G, np.zeros(n), 0.0, 0.0)
+    expected_error_curve(sys, Mechanism(0.8), 0.9, T=20, runs=10, seed=1)
+    on_floats = m == 1 and n <= 5
+    assert (kalman._float_route(sys) is not None) == on_floats
+    assert calls == (set() if on_floats else {"gains", "map"})
+
+
+def _kernel_covariances(sys, G):
+    """P and the gains K of the float kernel's loop, called directly."""
+    rows, N = G.shape
+    P = np.empty((rows, N + 1, sys.n, sys.n))
+    P[:, 0] = sys.Sigma0
+    K = np.zeros((rows, N, sys.n, 1))
+    kalman._float_kernels(sys.n).covariances(sys, G, P, K, np.empty((rows, N, 1, 1)))
+    return P, K
+
+
+def _relative_gap(got, ref, axes):
+    """max |got - ref|, relative to ref's largest entry over ``axes``."""
+    scale = np.abs(ref).max(axis=axes, keepdims=True)
+    return np.max(np.abs(got - ref) / np.where(scale > 0.0, scale, 1.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("radius", [0.9, 1.15])
+def test_float_route_agrees_with_the_numpy_route(n, radius):
+    """On seeded plants with a complex pair of modulus 0.9 (stable) or 1.15
+    (unstable), two rows receiving at rates 0.5 and 0.8 over N = 300:
+
+    - the kernel's covariances and gains are its loop reference's
+      (:func:`_float_covariances`) bit for bit, and filter_errors returns
+      those covariances;
+    - covariances, gains and errors agree with the numpy loop, and the
+      covariances with the Joseph-form oracle, within 1e-12 of each step's
+      largest entry (errors: of each row's largest entry). The sums round
+      differently from BLAS's fused multiply-adds; the measured worst gap
+      over 12 seeds per case was 5.5e-14 (covariances, n = 5, unstable).
+    """
+    N = 300
+    for seed in range(4):
+        sys = complex_mode_plant(seed, n, radius)
+        rng = np.random.default_rng(seed)
+        G = rng.random((2, N)) < np.array([[0.5], [0.8]])
+        e0, w, v = rng.standard_normal(n), rng.standard_normal((N, n)), rng.standard_normal((N, 1))
+        E, P = filter_errors(sys, G, e0, w, v)
+        P_kernel, K_kernel = _kernel_covariances(sys, G)
+        P_loop, K_loop = _float_covariances(sys, G)
+        assert np.array_equal(P, P_kernel) and np.array_equal(P, P_loop)
+        assert np.array_equal(K_kernel, K_loop)
+        E_numpy, P_numpy = _numpy_filter(sys, G, e0, w, v)
+        _, K_numpy = _parent_covariances(sys, G)
+        assert _relative_gap(P, P_numpy, (2, 3)) <= 1e-12
+        assert _relative_gap(K_kernel, K_numpy, (2, 3)) <= 1e-12
+        assert _relative_gap(E, E_numpy, (1, 2)) <= 1e-12
+        for r in range(2):
+            assert _relative_gap(P[r, 1:], batch_covariance_oracle(sys, G[r]), (1, 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_float_route_stacked_rows_equal_single_rows(n):
+    """On the float route a stacked row is its own call bit for bit,
+    overflow included. A complex pair of modulus 10: a row that always
+    receives stays bounded, one that never does overflows (to infinities
+    and NaN, as the numpy products would), one that alternates stays
+    finite; no warning escapes, and receiving on the overflowed row
+    raises."""
+    N = 200
+    sys = complex_mode_plant(n, n, 10.0)
+    rng = np.random.default_rng(n)
+    e0, w, v = rng.standard_normal(n), rng.standard_normal((N, n)), rng.standard_normal((N, 1))
+    G = np.array([[True] * N, [False] * N, [True, False] * (N // 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        E, P = filter_errors(sys, G, e0, w, v)
+        for r in range(3):
+            E_r, P_r = filter_errors(sys, G[r], e0, w, v)
+            assert np.array_equal(E[r], E_r)
+            assert np.array_equal(P[r], P_r, equal_nan=True)
+        with pytest.raises(NumericalError):
+            filter_errors(sys, np.append(G[1], True), e0, np.append(w, w[:1], axis=0),
+                          np.append(v, v[:1], axis=0))
+    assert not np.isfinite(P[1, -1]).any()
+    assert np.isfinite(P[[0, 2]]).all() and np.isfinite(E).all()

@@ -20,15 +20,15 @@ from secest import (
     time_average_error,
 )
 
-from helpers import reference_riccati
+from helpers import complex_mode_plant, float_riccati, reference_riccati, two_output_plant
 
 
 class TestExpectedErrorCurve:
-    def test_is_bit_identical_to_reference_map(self, monkeypatch, second_order_sys):
+    def test_is_bit_identical_to_reference_map(self, monkeypatch):
         # a regression guard on the curve's bits: the same curve with each
-        # step taken by the reference formula of the map
-        # (second_order has two states, so the curve steps riccati_map)
-        args = (second_order_sys, Mechanism(0.8), 0.9)
+        # step taken by the reference formula of the map (a two-output
+        # plant, so the curve steps riccati_map)
+        args = (two_output_plant(), Mechanism(0.8), 0.9)
         curve = expected_error_curve(*args, T=60, runs=200, seed=7)
         calls = []
         monkeypatch.setattr(montecarlo, "riccati_map",
@@ -109,8 +109,9 @@ class TestExpectedErrorCurve:
 
     def test_pinned_to_replication_streams(self, second_order_sys):
         # Replication r draws its receptions from stream 5 + r; the curve is
-        # the Riccati recursion on the per-step reception fraction. 257 runs
-        # span several count blocks, the last of one row.
+        # the Riccati recursion on the per-step reception fraction, here the
+        # float kernel's (second_order has one output and two states). 257
+        # runs span several count blocks, the last of one row.
         mech, rate, seed = Mechanism(0.8), 0.55, 2**40 + 3
         for T, runs in ((60, 37), (17, 257)):
             curve = expected_error_curve(second_order_sys, mech, rate, T, runs, seed)
@@ -120,9 +121,52 @@ class TestExpectedErrorCurve:
             P = second_order_sys.Sigma0.copy()
             expect = [np.trace(P)]
             for k in range(T):
-                P = riccati_map(P, second_order_sys, float(fraction[k]))
-                expect.append(np.trace(P))
+                P = float_riccati(P, second_order_sys, float(fraction[k]))
+                expect.append(P[0, 0] + P[1, 1])
             assert np.array_equal(curve.mean_trP, expect)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_float_curve_agrees_with_riccati_map(self, monkeypatch, n):
+        """A single-output plant with up to five states steps the averaged
+        map in the float kernel, never through riccati_map: its curve is the
+        float reference chain bit for bit, and riccati_map's chain within
+        1e-12 relative. The sums round differently from BLAS; the measured
+        worst gap over 12 seeds per case was 7.0e-15 (n = 2, unstable)."""
+        mech, seed, runs, T = Mechanism(0.9), 23, 50, 300
+        for plant_seed, radius, rate in ((0, 0.9, 0.3), (1, 1.15, 0.7), (2, 1.15, 0.95)):
+            sys = complex_mode_plant(plant_seed, n, radius)
+            fraction = np.array([RngStream(seed, 5 + r).uniforms(T) < mech.p * rate
+                                 for r in range(runs)]).mean(axis=0).tolist()
+            X = Y = sys.Sigma0
+            floats, matrices = [np.trace(X)], [np.trace(X)]
+            for lam in fraction:
+                X, Y = float_riccati(X, sys, lam), riccati_map(Y, sys, lam)
+                floats.append(sum(np.diag(X).tolist()))
+                matrices.append(np.trace(Y))
+            monkeypatch.setattr(montecarlo, "riccati_map", None)
+            curve = expected_error_curve(sys, mech, rate, T, runs, seed)
+            monkeypatch.undo()
+            assert np.array_equal(curve.mean_trP, floats)
+            assert np.max(np.abs(curve.mean_trP - matrices) / matrices) <= 1e-12
+
+    @pytest.mark.parametrize("plant", ["scalar", "second_order", "six_state"])
+    def test_overflowed_trace_is_infinite(self, plant, scalar_sys, second_order_sys):
+        """With no reception the open-loop covariance overflows; the curve
+        then reads inf on every route, never NaN, although the n >= 2
+        covariances hold NaN entries (a zero coefficient of A times
+        infinity). The scalar plant steps on floats bit for bit as numpy,
+        second_order in the float kernel and the six-state plant in numpy."""
+        sys = {"scalar": scalar_sys, "second_order": second_order_sys,
+               "six_state": complex_mode_plant(6, 6, 1.3)}[plant]
+        if plant == "six_state":
+            # upper triangular, so zero coefficients, with one unstable mode
+            A = np.triu(sys.A)
+            A[0, 0] = 1.3
+            sys = LinearSystem(A=A, C=sys.C, Q=sys.Q, R=sys.R, Sigma0=sys.Sigma0)
+        curve = expected_error_curve(sys, Mechanism(0.0), 0.9, T=2500, runs=20, seed=42)
+        first = np.argmax(np.isinf(curve.mean_trP))
+        assert 0 < first and np.isfinite(curve.mean_trP[:first]).all()
+        assert np.isposinf(curve.mean_trP[first:]).all()
 
     def test_validation(self, scalar_sys):
         mech = Mechanism(0.5)
