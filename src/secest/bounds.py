@@ -7,11 +7,14 @@ IEEE TAC 2012):
 
 * ``p_lower`` = 1 - 1/rho(A)^2, from the open-loop growth argument;
 * ``p_upper``, the threshold of the modified Riccati equation (MARE;
-  Sinopoli et al., IEEE TAC 2004) to within 1e-6 above, bisected on a
-  two-sided certificate on A's unstable Schur block (:func:`feasibility_check`).
-  It meets ``p_lower`` whenever C sees the unstable subspace with full column
-  rank, e.g. for scalar plants and square invertible C; for a single output
-  it is 1 - 1/prod|lambda_u|^2 (Schenato et al., Proc. IEEE 2007).
+  Sinopoli et al., IEEE TAC 2004), read off the rank r of C on A's
+  unstable invariant subspace, of dimension k. It is ``p_lower`` when
+  r = k (C sees that subspace with full column rank, e.g. scalar plants
+  and square invertible C) and 1 - 1/prod|lambda_u|^2 when r = 1 (one
+  output, or rank-one C; Elia, Syst. Control Lett. 2005; Schenato et al.,
+  Proc. IEEE 2007). Only for 1 < r < k is it bisected, to within 1e-6
+  above, on a two-sided certificate on A's unstable Schur block
+  (:func:`feasibility_check`).
 
 On top of the bracket sit the two quantities the withholding designer
 trades off, evaluated at the receivers' effective rates:
@@ -41,8 +44,8 @@ from .errors import InconclusiveError, NumericalError, ValidationError
 from .kalman import Coefficients, riccati_map
 from .linmodel import LinearSystem, SchurFactor, _describe_modes, prepare_stein
 
-# Width of the final p_upper bisection bracket; critical_rates calls the
-# bracket exact once it closes to within 10x this width.
+# Width of the final p_upper bisection bracket, on plants with no closed
+# form (1 < rank(C U_u) < k).
 _P_UPPER_TOL = 1e-6
 
 # The one budget of the feasibility certificate loop. Probes a bisection
@@ -68,21 +71,16 @@ _V_MAX_ITERS = 40_000
 class BoundValue:
     """A possibly-infinite covariance bound.
 
-    A finite bound keeps its solution ``_X``, in the basis of the Schur
-    factor ``_schur`` when one is given and in the plant's basis otherwise.
-    ``matrix``, the bound in the plant's basis (None when infinite), is
-    formed on first read and cached, so a caller that reads only ``trace``
-    never pays for the back-transform.
+    A finite bound keeps its solution ``_X`` in the basis of the Schur
+    factor ``_schur``. ``matrix``, the bound in the plant's basis (None when
+    infinite), is formed on first read and cached, so a caller that reads
+    only ``trace`` never pays for the back-transform.
     """
 
     finite: bool
     trace: float
     _X: np.ndarray | None = field(default=None, repr=False)
     _schur: SchurFactor | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_matrix(cls, S: np.ndarray) -> "BoundValue":
-        return cls(finite=True, trace=float(np.trace(S)), _X=S)
 
     @classmethod
     def from_schur(cls, schur: SchurFactor, X: np.ndarray) -> "BoundValue":
@@ -96,14 +94,13 @@ class BoundValue:
 
     @cached_property
     def matrix(self) -> np.ndarray | None:
-        if self._schur is None:
-            return self._X
-        return self._schur.to_plant(self._X)
+        return self._schur.to_plant(self._X) if self.finite else None
 
 
 @dataclass(frozen=True)
 class CriticalRates:
-    """Bracket [p_lower, p_upper] for the critical reception rate."""
+    """Bracket [p_lower, p_upper] for the critical reception rate; ``exact``
+    when the two ends coincide (rank(C U_u) = k)."""
 
     p_lower: float
     p_upper: float
@@ -165,6 +162,15 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     return BoundValue.from_schur(schur, X)
 
 
+def _seen_basis(sys: LinearSystem) -> np.ndarray:
+    """W, an orthonormal basis of the row space of C U[:, :k] for the sorted
+    Schur factor A = U T U^H with k >= 1 unstable modes; len(W) is the rank
+    r of C on A's unstable invariant subspace."""
+    k = sys.schur.k
+    _, s, Vh = np.linalg.svd(sys.C @ sys.schur.U[:, :k])
+    return Vh[:int(np.sum(s > max(sys.m, k) * np.finfo(float).eps * s[0]))]
+
+
 def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     """Decide whether the averaged Riccati iteration stays bounded at rate lam.
 
@@ -191,7 +197,8 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     infeasible, and any rate is feasible on a plant without unstable modes.
     When C U[:, :k] has full column rank (scalar plants, square invertible
     C), W is unitary and h(X) = (1 - lam) T_u X T_u^H, so every rate above
-    ``p_lower`` is feasible, also without iterating.
+    ``p_lower`` is feasible, also without iterating. The certificate does
+    not read :func:`p_upper`'s closed forms, so it checks them.
     An :class:`InconclusiveError` is raised if the start solve fails, an
     iterate turns singular or non-finite, or neither certificate holds
     within the budget, which happens at rates within roundoff of the
@@ -207,8 +214,7 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     if lam <= p_lower(sys):
         return False
     Tu = schur.T[:k, :k]
-    _, s, Vh = np.linalg.svd(sys.C @ schur.U[:, :k])
-    W = Vh[:int(np.sum(s > max(sys.m, k) * np.finfo(float).eps * s[0]))]
+    W = _seen_basis(sys)
     if len(W) == k:  # W unitary: h(X) = (1 - lam) T_u X T_u^H, a contraction above p_lower
         return True
     try:
@@ -236,42 +242,56 @@ _p_upper_cache: "weakref.WeakKeyDictionary[LinearSystem, float]" = weakref.WeakK
 
 
 def p_upper(sys: LinearSystem) -> float:
-    """Bisect for the smallest rate at which the averaged Riccati iteration
-    stays bounded, with :func:`feasibility_check` deciding each probe.
+    """The MARE threshold: the smallest rate at which the averaged Riccati
+    iteration stays bounded.
 
-    Runs on [p_lower(sys), 1] down to a bracket of width 1e-6 and returns
-    its feasible end, so the result lies within 1e-6 above the critical
-    rate. An undecided probe counts as infeasible, which can only push the
-    result upward. Raises :class:`NumericalError` when full reception is
-    not certified feasible, at once and naming the modes when C does not
-    see an eigenvalue of modulus at least one (``sys.unseen_modes``).
-    Results are cached per system instance.
+    With k unstable modes and r the rank of C on their invariant subspace
+    (the rank of C U[:, :k], read off the basis W that
+    :func:`feasibility_check` uses too), it is
+
+    * ``p_lower``, when r = k: the ends of the bracket meet;
+    * 1 - 1/prod|lambda_u|^2 over the unstable Schur diagonal, when r = 1;
+    * otherwise the feasible end of a bisection on [p_lower, 1] down to a
+      bracket of width 1e-6, with :func:`feasibility_check` deciding each
+      probe, so within 1e-6 above the threshold. An undecided probe counts
+      as infeasible, which can only push the result upward.
+
+    Raises :class:`NumericalError` at once, naming the modes, when C does
+    not see an eigenvalue of modulus at least one (``sys.unseen_modes``),
+    and when the bisection cannot certify full reception feasible. Results
+    are cached per system instance.
     """
     cached = _p_upper_cache.get(sys)
     if cached is not None:
         return cached
-
-    def feasible(lam: float) -> bool:
-        try:
-            return feasibility_check(lam, sys)
-        except InconclusiveError:
-            return False
-
     lo = p_lower(sys)
-    hi = 1.0
-    if not feasible(hi):
-        if sys.unseen_modes:
-            reason = ("(A, C) is not detectable: C does not see the eigenvalue(s) "
-                      + _describe_modes(sys.unseen_modes))
-        else:
-            reason = "the feasibility certificate is undecided there"
-        raise NumericalError(f"no bounded fixed point certified even at full reception; {reason}")
-    while hi - lo > _P_UPPER_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
+    if sys.unseen_modes:
+        raise NumericalError("no bounded fixed point certified even at full reception; "
+                             "(A, C) is not detectable: C does not see the eigenvalue(s) "
+                             + _describe_modes(sys.unseen_modes))
+    schur = sys.schur
+    r = len(_seen_basis(sys))
+    if r == schur.k:
+        hi = lo
+    elif r == 1:
+        hi = 1.0 - 1.0 / float(np.prod(np.abs(np.diag(schur.T)[:schur.k]))) ** 2
+    else:
+        def feasible(lam: float) -> bool:
+            try:
+                return feasibility_check(lam, sys)
+            except InconclusiveError:
+                return False
+
+        hi = 1.0
+        if not feasible(hi):
+            raise NumericalError("no bounded fixed point certified even at full reception; "
+                                 "the feasibility certificate is undecided there")
+        while hi - lo > _P_UPPER_TOL:
+            mid = 0.5 * (lo + hi)
+            if feasible(mid):
+                hi = mid
+            else:
+                lo = mid
     _p_upper_cache[sys] = hi
     return hi
 
@@ -294,13 +314,14 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     dtype. The Stein solve's Cayley factor depends on alpha alone and is
     formed once per call (:meth:`~secest.linmodel.SchurFactor.stein`). The
     stop rule, a step max|W_next - W| / max|W_next| of at most 1e-13, or one
-    below 1e-9 that no longer shrinks, is read on W; the ceiling
-    sym(Re(U W U^H)) is formed once, at the end.
+    below 1e-9 that no longer shrinks, is read on W. The trace is Re Tr W;
+    the ceiling sym(Re(U W U^H)) is formed only when ``.matrix`` is read.
 
-    Elsewhere (e.g. one output), within about 1e-4 of ``p_upper`` the
-    iteration still moves after its 40 000-step budget, and a
-    :class:`NumericalError` naming the rate, ``p_upper`` and the budget is
-    raised (the CLI exits 2).
+    Elsewhere (e.g. one output), ``p_upper`` is the exact threshold, and
+    within about 1e-4 of it the iteration still moves after its 40 000-step
+    budget: a :class:`NumericalError` naming the rate, ``p_upper`` and the
+    budget is raised (the CLI exits 2). So the window a single-output plant
+    cannot reach starts at the threshold itself.
     """
     _check_probability(p, "p")
     rate = p * ch.p1
@@ -318,7 +339,7 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
         Wn = stein(aQU + rate * riccati_map(W, coords, 1.0))
         step = float(np.abs(Wn - W).max() / np.abs(Wn).max())
         if step <= _V_TOL or prev <= step <= _V_FLOOR:
-            return BoundValue.from_matrix(schur.to_plant(Wn))
+            return BoundValue.from_schur(schur, Wn)
         prev, W = step, Wn
     raise NumericalError(
         f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "
@@ -328,10 +349,12 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
 
 
 def critical_rates(sys: LinearSystem) -> CriticalRates:
-    """Bracket lambda_c by [p_lower, p_upper], p_upper the MARE (ceiling) threshold."""
+    """Bracket lambda_c by [p_lower, p_upper], p_upper the MARE (ceiling)
+    threshold. The bracket is exact when its ends are equal, which happens
+    exactly when C sees the unstable subspace with full column rank."""
     lo = p_lower(sys)
     hi = p_upper(sys)
-    return CriticalRates(p_lower=lo, p_upper=hi, exact=bool(hi - lo <= 10.0 * _P_UPPER_TOL))
+    return CriticalRates(p_lower=lo, p_upper=hi, exact=(hi == lo))
 
 
 def _safe_div(num: float, den: float) -> float:

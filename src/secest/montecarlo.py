@@ -121,7 +121,8 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     The state x(k+1) = A x(k) + w(k) is one banded triangular solve over
     all steps, and both receivers' filters are one :func:`filter_errors`
     call, whose error recursion is another; only the covariances are
-    stepped in Python.
+    stepped in Python. A step whose covariance has overflowed records an
+    infinite trace, also where the covariance holds NaN entries.
     """
     if T < 0:
         raise ValidationError(f"T must be nonnegative, got {T}")
@@ -162,9 +163,14 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     e_f, P = filter_errors(sys, np.stack([gamma1, gamma2]), -x0, w, v)
     xhat = x + e_f
     trP = np.trace(P[:, :steps], axis1=2, axis2=3)
+    # an overflowed covariance can hold NaN entries (0 times infinity); its
+    # trace is recorded as infinite, as on averaged curves
+    trP[np.isnan(trP)] = np.inf
     # A stacked (1, n) @ (n, 1) dot per row rounds like norm(e) of each
-    # row; norm(..., axis=-1), einsum and sum differ in the last bit.
-    err = np.sqrt((e_f[..., None, :] @ e_f[..., :, None])[..., 0, 0])
+    # row; norm(..., axis=-1), einsum and sum differ in the last bit. An
+    # overflowed error reads inf, without a warning.
+    with np.errstate(over="ignore"):
+        err = np.sqrt((e_f[..., None, :] @ e_f[..., :, None])[..., 0, 0])
 
     return SimulationTrace(
         k=np.arange(steps), x=x, y=y, sent=sent,

@@ -35,8 +35,10 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 P_CRIT = 1.0 - 1.0 / 1.44  # 11/36 for the a=1.2 scalar plant
 
-# p_upper returns the feasible end of a bracket of width 1e-6.
-EXACT_TOL = 2e-6
+# p_upper reads the rank-one closed form off the Schur diagonal and
+# single_output_threshold off np.linalg.eigvals; the two routes round apart
+# by up to 2.8e-15.
+CLOSED_FORM_TOL = 1e-14
 
 
 def single_output_threshold(A) -> float:
@@ -184,13 +186,12 @@ class TestFloorInSchurBasis:
         channel = ChannelParams(0.9, 0.6)
         S = solve_S(0.8, channel, second_order_sys)
         assert S.matrix is S.matrix and len(formed) == 1
-        # a sweep forms one matrix per target, its ceiling, and none for
-        # its floors
+        # a sweep reads traces only, of its ceilings as of its floors
         held = seeded_plant(1208, 8, [1.12, 1.05, 1.02], 8)
         tr1 = solve_S(1.0, channel, held).trace
         formed.clear()
         secest.sweep_tradeoff(held, channel, [2.0 * tr1, 5.0 * tr1, 50.0 * tr1])
-        assert len(formed) == 3
+        assert formed == []
 
     @pytest.mark.parametrize("config", ["scalar.json", "scalar_p1_0.9_p2_0.6.json",
                                         "second_order.json"])
@@ -236,24 +237,25 @@ def test_full_column_rank_decides_feasibility_in_closed_form():
     # 3x3 Jordan block at 1.1 with C = I: C U_u has full column rank, so
     # h(X) = (1 - lam) T_u X T_u^H and a rate is feasible iff it exceeds
     # p_lower. The certificate loop would be left to roundoff here, since
-    # its X grows like margin^-3; decided in closed form, every bisection
-    # probe is feasible and p_upper does not depend on the arithmetic.
+    # its X grows like margin^-3; decided in closed form, every probe is
+    # feasible, and p_upper is p_lower itself.
     sys = observed_plant(1.1 * np.eye(3) + np.diag([1.0, 1.0], 1), np.eye(3))
     lo = p_lower(sys)
     assert not feasibility_check(lo, sys)
     assert all(feasibility_check(lo + d, sys) for d in (1e-12, 1.58e-6, 1e-3))
-    assert p_upper(sys) == 0.17355450716885662
+    assert p_upper(sys) == lo
+    assert critical_rates(sys).exact
 
 
 class TestCriticalUpper:
     def test_scalar_matches_lower(self, scalar_sys):
-        assert p_upper(scalar_sys) - p_lower(scalar_sys) == pytest.approx(0.0, abs=1e-5)
+        assert p_upper(scalar_sys) == p_lower(scalar_sys) == 0.3055555555555556
 
     def test_invertible_output_matches_lower(self):
         A = np.array([[1.2, 1.0], [0.0, 1.1]])
         Q = np.array([[1.0, 0.5], [0.5, 2.0]])
         sys = LinearSystem(A=A, C=np.eye(2), Q=Q, R=np.eye(2), Sigma0=Q)
-        assert p_upper(sys) - p_lower(sys) == pytest.approx(0.0, abs=1e-5)
+        assert p_upper(sys) == p_lower(sys)
 
     def test_partial_observation_sits_above_lower(self, second_order_sys):
         pu = p_upper(second_order_sys)
@@ -268,12 +270,32 @@ class TestCriticalUpper:
         assert not critical_rates(second_order_sys).exact
 
 
+def rank_two_plant() -> LinearSystem:
+    return observed_plant(np.diag([2.0, 1.5, 1.2]), [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+
+
+# Plants whose C has rank one on the unstable subspace, k >= 2.
+RANK_ONE_PLANTS = {
+    "rot-quarter-turn": lambda: observed_plant(1.1 * rotation(math.pi / 2), [[1.0, 0.0]]),
+    "rot-0.7": lambda: observed_plant(1.1 * rotation(0.7), [[1.0, 0.0]]),
+    "jordan-2": lambda: observed_plant(1.1 * np.eye(2) + np.diag([1.0], 1), [[1.0, 0.0]]),
+    "jordan-3": lambda: observed_plant(1.1 * np.eye(3) + np.diag([1.0, 1.0], 1),
+                                       [[1.0, 0.0, 0.0]]),
+    "plus-minus-1.2": lambda: observed_plant(np.diag([1.2, -1.2]), [[1.0, 1.0]]),
+    "rot-plus-1.1": lambda: observed_plant(sla.block_diag(1.3 * rotation(0.7), 1.1),
+                                           [[1.0, 0.0, 1.0]]),
+    "two-outputs": lambda: observed_plant(np.diag([1.2, 1.1, 0.5]),
+                                          [[1.0, 1.0, 0.0], [2.0, 2.0, 1.0]]),
+}
+
+
 class TestCriticalRateExactness:
     """p_upper against the rank-one closed form and the closed bracket."""
 
     def test_second_order_matches_closed_form(self, second_order_sys):
         cf = single_output_threshold(second_order_sys.A)
-        assert cf <= p_upper(second_order_sys) <= cf + EXACT_TOL
+        assert abs(p_upper(second_order_sys) - cf) <= CLOSED_FORM_TOL
+        assert p_upper(second_order_sys) == 0.42607897153351704
 
     @pytest.mark.parametrize("seed, n, unstable", [
         (1, 3, (1.2, 1.1)),
@@ -284,7 +306,7 @@ class TestCriticalRateExactness:
     def test_seeded_single_output_matches_closed_form(self, seed, n, unstable):
         sys = seeded_plant(seed, n, unstable, m=1)
         cf = single_output_threshold(sys.A)
-        assert cf <= p_upper(sys) <= cf + EXACT_TOL
+        assert abs(p_upper(sys) - cf) <= CLOSED_FORM_TOL
 
     @pytest.mark.parametrize("A", [
         1.1 * rotation(math.pi / 2),
@@ -297,7 +319,7 @@ class TestCriticalRateExactness:
         C = np.eye(1, A.shape[0])
         sys = observed_plant(A, C)
         cf = single_output_threshold(A)
-        assert cf <= p_upper(sys) <= cf + EXACT_TOL
+        assert abs(p_upper(sys) - cf) <= CLOSED_FORM_TOL
 
     @pytest.mark.parametrize("seed, n, unstable, m", [
         (5, 4, (1.2, 1.1), 2),
@@ -307,7 +329,48 @@ class TestCriticalRateExactness:
     def test_enough_outputs_close_the_bracket(self, seed, n, unstable, m):
         # With C U_u of full column rank every rate above p_lower is feasible.
         sys = seeded_plant(seed, n, unstable, m)
-        assert p_upper(sys) - p_lower(sys) <= EXACT_TOL
+        assert p_upper(sys) == p_lower(sys)
+
+    @pytest.mark.parametrize("plant", [*RANK_ONE_PLANTS.values()] + [
+        lambda args=args: seeded_plant(*args, m=1)
+        for args in [(1, 3, (1.2, 1.1)), (2, 3, (1.3,)), (3, 4, (1.15, -1.25)),
+                     (4, 4, (1.1, 1.2, -1.3))]
+    ], ids=[*RANK_ONE_PLANTS] + [f"seeded-{seed}" for seed in range(1, 5)])
+    def test_certificate_brackets_the_closed_form(self, plant):
+        # The certificate reads no closed form, so it checks both: false just
+        # below the threshold, true just above, on rank-one plants with
+        # complex, defective and equal-modulus modes and with two outputs.
+        sys = plant()
+        cf = single_output_threshold(sys.A)
+        assert np.linalg.matrix_rank(sys.C @ sys.schur.U[:, :sys.schur.k]) == 1
+        assert not feasibility_check(cf - 1e-6, sys)
+        assert feasibility_check(cf + 1e-6, sys)
+
+    def test_closed_forms_make_no_probe(self, monkeypatch, scalar_sys, second_order_sys):
+        calls = []
+        check = bounds.feasibility_check
+        monkeypatch.setattr(bounds, "feasibility_check",
+                            lambda lam, sys: calls.append(lam) or check(lam, sys))
+        full_rank = [scalar_sys, seeded_plant(5, 4, (1.2, 1.1), 2),
+                     observed_plant(1.1 * np.eye(3) + np.diag([1.0, 1.0], 1), np.eye(3))]
+        rank_one = [second_order_sys] + [make() for make in RANK_ONE_PLANTS.values()]
+        for sys in full_rank + rank_one:
+            p_upper(sys)
+        assert calls == []
+        # 1 < r < k: the one case left to the bisection
+        p_upper(rank_two_plant())
+        assert len(calls) > 0
+
+    def test_intermediate_rank_bisects(self, channel_96):
+        # diag(2, 1.5, 1.2) seen through rank(C U_u) = 2 of k = 3 has no
+        # closed form here: bisected to 2^-20 above p_lower = 0.75, so the
+        # bracket is open and the secrecy interval conservative
+        sys = rank_two_plant()
+        assert p_upper(sys) == 0.7500009536743164
+        assert not critical_rates(sys).exact
+        iv = secrecy_interval(sys, channel_96)
+        assert iv.conservative and not iv.empty
+        assert iv.lower_exclusive == p_upper(sys) / 0.9
 
     def test_undetectable_plant_raises(self, second_order_sys):
         # C = [0, 1] never sees the mode at 1.2.
@@ -400,7 +463,7 @@ class TestUndetectable:
         with pytest.raises(NumericalError, match=r"eigenvalue\(s\) 1$"):
             p_upper(sys)
         stable_unseen = observed_plant(np.diag([1.2, 0.5]), [[1.0, 0.0]])
-        assert p_upper(stable_unseen) - p_lower(stable_unseen) <= EXACT_TOL
+        assert p_upper(stable_unseen) == p_lower(stable_unseen)
 
 
 @st.composite
@@ -449,7 +512,8 @@ def test_p_upper_matches_rank_one_closed_form(sys):
     cf = single_output_threshold(sys.A)
     # p_lower reads rho off the Schur factor and cf off numpy's eigenvalues;
     # with one unstable mode the two agree only to roundoff.
-    assert p_lower(sys) - 1e-12 <= cf <= p_upper(sys) <= cf + EXACT_TOL
+    assert p_lower(sys) - 1e-12 <= cf
+    assert abs(p_upper(sys) - cf) <= CLOSED_FORM_TOL
 
 
 class TestUserCeiling:
@@ -486,6 +550,25 @@ class TestUserCeiling:
         V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
         assert V.finite
         assert V.trace == pytest.approx(scalar_V(rate, s), rel=1e-9)
+
+    def test_reaches_the_exact_threshold(self):
+        # p_upper is p_lower itself here, so a rate 3e-7 above it has a
+        # finite ceiling; a bisected p_upper sat above such rates
+        s = ScalarSystem(1.2, 1.0, 1.0, 1.0)
+        sys = s.to_linear()
+        rate = p_lower(sys) + 3e-7
+        V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
+        assert V.finite
+        assert V.trace == pytest.approx(scalar_V(rate, s), rel=1e-6)
+        # two decoupled scalar plants seen through an invertible C, on a
+        # complex Schur factor
+        a, b = ScalarSystem(1.2, 1.0, 1.0, 1.0), ScalarSystem(-1.1, 2.0, 0.5, 0.3)
+        sys = LinearSystem(A=np.diag([a.a, b.a]), C=np.diag([a.c, b.c]), Q=np.diag([a.q, b.q]),
+                           R=np.diag([a.r, b.r]), Sigma0=np.eye(2))
+        assert np.iscomplexobj(sys.schur.T)
+        V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
+        assert V.finite
+        assert V.trace == pytest.approx(scalar_V(rate, a) + scalar_V(rate, b), rel=1e-6)
 
     def test_invertible_output_reaches_threshold(self):
         sys = seeded_plant(8, 20, (1.12, 1.05), m=20)

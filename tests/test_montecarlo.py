@@ -253,6 +253,22 @@ class TestSimulateTrace:
         tr = simulate_trace(sys, Mechanism(0.8), channel_96, T=300, seed=3)
         assert np.array_equal(tr.y, [sys.C @ x + v for x, v in zip(tr.x, noise[0])])
 
+    @pytest.mark.parametrize("A", [[[10.0, 1.0], [0.0, 9.0]], [[10.0]]], ids=["n2", "n1"])
+    def test_overflowed_trace_is_infinite(self, A):
+        """The eavesdropper never receives, so its covariance overflows: its
+        trace then reads inf on both plants, never NaN, although the n = 2
+        covariance holds NaN entries, and its error overflows to inf without
+        a warning."""
+        A = np.array(A)
+        n = len(A)
+        sys = LinearSystem(A=A, C=np.eye(1, n), Q=np.eye(n), R=1.0, Sigma0=np.eye(n))
+        tr = simulate_trace(sys, Mechanism(1.0), ChannelParams(1.0, 0.0), T=300, seed=0)
+        first = np.argmax(np.isinf(tr.trP2))
+        assert 0 < first and np.isfinite(tr.trP2[:first]).all()
+        assert np.isposinf(tr.trP2[first:]).all()
+        assert not np.isnan(tr.err2).any() and np.isposinf(tr.err2[-1])
+        assert np.isfinite(tr.trP1).all() and np.isfinite(tr.err1).all()
+
     def test_silence_means_open_loop(self, scalar_sys, channel_96):
         tr = simulate_trace(scalar_sys, Mechanism(0.0), channel_96, T=30, seed=2)
         assert not tr.sent.any()
