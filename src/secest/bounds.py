@@ -23,7 +23,11 @@ trades off, evaluated at the receivers' effective rates:
   Lyapunov equation S = (1 - rate) A S A' + Q, infinite once
   rate <= p_lower (``solve_S``);
 * the intended receiver's error ceiling: the fixed point V = g_rate(V),
-  infinite once rate <= p_upper (``solve_V``).
+  infinite once rate <= p_upper (``solve_V``). It is reached by a Stein
+  split stepped in the Cayley coordinates of the floor's solve (a
+  measurement update and one ``trsyl`` per step), and checked once by
+  :func:`~secest.kalman.riccati_map`, the definition of g_rate, whose
+  fixed-point residual the result reports.
 
 Infinite bounds are represented explicitly by :class:`BoundValue` with
 ``finite=False`` and ``trace=inf``; no numeric sentinel is ever used.
@@ -41,7 +45,7 @@ import scipy.linalg as sla
 
 from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
-from .kalman import Coefficients, riccati_map
+from .kalman import Coefficients, _innovation_solve, riccati_map
 from .linmodel import LinearSystem, SchurFactor, _describe_modes, prepare_stein
 
 # Width of the final p_upper bisection bracket, on plants with no closed
@@ -59,9 +63,9 @@ _CERT_DAMPING = 0.1
 # solve_V stops once a step moves no entry by more than _V_TOL relative to
 # the iterate's largest entry, or once a step below _V_FLOOR stops shrinking:
 # the Stein solve amplifies roundoff by 1/(1 - (1 - rate) rho^2). A step
-# is one riccati_map call plus one prepared Stein apply, so a failing call
-# costs _V_MAX_ITERS of each. The budget reaches second_order down to about
-# 1.1e-4 above p_upper.
+# is one measurement update and one triangular Sylvester solve, so a failing
+# call costs _V_MAX_ITERS of each. The budget reaches second_order down to
+# about 1.1e-4 above p_upper.
 _V_TOL = 1e-13
 _V_FLOOR = 1e-9
 _V_MAX_ITERS = 40_000
@@ -74,11 +78,17 @@ class BoundValue:
     A finite bound keeps its solution ``_X`` in the basis of the Schur
     factor ``_schur``. ``matrix``, the bound in the plant's basis (None when
     infinite), is formed on first read and cached, so a caller that reads
-    only ``trace`` never pays for the back-transform.
+    only ``trace`` never pays for the back-transform. A finite ceiling
+    (:func:`solve_V`) also reports ``residual``, max|W - g(W)| / max|W|
+    for its solution W and the map g it is the fixed point of, and
+    ``steps``, the split steps it took; both are None on floors and on
+    infinite bounds.
     """
 
     finite: bool
     trace: float
+    residual: float | None = None
+    steps: int | None = None
     _X: np.ndarray | None = field(default=None, repr=False)
     _schur: SchurFactor | None = field(default=None, repr=False)
 
@@ -86,7 +96,7 @@ class BoundValue:
     def from_schur(cls, schur: SchurFactor, X: np.ndarray) -> "BoundValue":
         """The bound sym(Re(U X U^H)) for X in the basis of ``schur``; its
         trace is Re Tr X, as U is unitary."""
-        return cls(finite=True, trace=float(np.trace(X).real), _X=X, _schur=schur)
+        return cls(finite=True, trace=float(X.trace().real), _X=X, _schur=schur)
 
     @classmethod
     def infinite(cls) -> "BoundValue":
@@ -308,14 +318,22 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     (scalar and invertible-C plants).
 
     The iterate lives in the coordinates of the plant's Schur factor
-    A = U T U^H: W = U^H V U, with g_1 the one Riccati formula
-    :func:`~secest.kalman.riccati_map` on (T, C U, U^H Q U, R), so a step is
-    W <- Stein(alpha U^H Q U + lam g_1(W)), alpha = 1 - lam, in the factor's
-    dtype. The Stein solve's Cayley factor depends on alpha alone and is
-    formed once per call (:meth:`~secest.linmodel.SchurFactor.stein`). The
-    stop rule, a step max|W_next - W| / max|W_next| of at most 1e-13, or one
-    below 1e-9 that no longer shrinks, is read on W. The trace is Re Tr W;
-    the ceiling sym(Re(U W U^H)) is formed only when ``.matrix`` is read.
+    A = U T U^H, W = U^H V U, in the factor's dtype, and each step is
+    taken in the Cayley coordinates of the Stein solve. With alpha = 1 - lam
+    the factor N = (sqrt(alpha) T + sigma I)^-1 is formed once per call
+    (:meth:`~secest.linmodel.SchurFactor.stein`), and with it N T and
+    N U^H Q U N^H. A step is the measurement update
+    W_f = W - W C_u^H (C_u W C_u^H + R)^-1 C_u W, C_u = C U, and one
+    triangular Sylvester solve on N U^H Q U N^H + lam (N T) W_f (N T)^H,
+    whose Hermitian part is the next iterate. The stop rule, a step
+    max|W_next - W| / max|diag W_next| of at most 1e-13 (a PSD iterate's
+    largest entry is on its diagonal), or one below 1e-9 that no longer
+    shrinks, is read on W. :func:`~secest.kalman.riccati_map` on
+    (T, C U, U^H Q U, R) remains the definition of the ceiling: it is
+    applied once to the converged W, and the result reports the fixed
+    point's residual max|W - g_lam(W)| / max|W| as ``residual`` and the
+    step count as ``steps``. The trace is Re Tr W; the ceiling
+    sym(Re(U W U^H)) is formed only when ``.matrix`` is read.
 
     Elsewhere (e.g. one output), ``p_upper`` is the exact threshold, and
     within about 1e-4 of it the iteration still moves after its 40 000-step
@@ -330,16 +348,28 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
         return BoundValue.infinite()
 
     schur = sys.schur
-    U, Uh = schur.U, schur.U.conj().T
-    alpha = 1.0 - rate
-    stein = schur.stein(alpha)
-    coords, aQU = Coefficients(schur.T, sys.C @ U, schur.QU, sys.R), alpha * schur.QU
-    W, prev = Uh @ sys.Sigma0 @ U, math.inf
-    for _ in range(_V_MAX_ITERS):
-        Wn = stein(aQU + rate * riccati_map(W, coords, 1.0))
-        step = float(np.abs(Wn - W).max() / np.abs(Wn).max())
+    U = schur.U
+    stein = schur.stein(1.0 - rate)
+    N, T = stein.N, schur.T
+    # X solves H X + X H^H = N (Q_U + lam T W_f T^H) N^H / 2, so the next
+    # iterate X + X^H is the Hermitian part of the Stein solution
+    NQN, NT = 0.5 * (N @ schur.QU @ N.conj().T), N @ T
+    L, NTh = (0.5 * rate) * NT, NT.conj().T
+    CU = sys.C @ U
+    CUh, R = CU.conj().T, sys.R
+    W, prev = U.conj().T @ sys.Sigma0 @ U, math.inf
+    for steps in range(1, _V_MAX_ITERS + 1):
+        WC = W @ CUh
+        Wf = W - WC @ _innovation_solve(CU @ WC + R, WC.conj().T)
+        X = stein.transformed(NQN + L @ Wf @ NTh)
+        Wn = X + X.conj().T
+        # a PSD iterate's largest entry sits on its diagonal
+        step = float(np.abs(Wn - W).max() / np.abs(Wn.diagonal()).max())
         if step <= _V_TOL or prev <= step <= _V_FLOOR:
-            return BoundValue.from_schur(schur, Wn)
+            G = riccati_map(Wn, Coefficients(T, CU, schur.QU, R), rate)
+            return BoundValue(finite=True, trace=float(Wn.trace().real),
+                              residual=float(np.abs(Wn - G).max() / np.abs(Wn).max()),
+                              steps=steps, _X=Wn, _schur=schur)
         prev, W = step, Wn
     raise NumericalError(
         f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "

@@ -12,13 +12,17 @@ propagates open loop (lam = 0). Intermediate values of lam appear when the
 recursion is averaged over the reception process (the averaged-map curve in
 :mod:`secest.montecarlo`, the ceiling threshold ``p_upper``).
 
-:func:`riccati_map` is that formula, the one route to it. It reads
+:func:`riccati_map` is that formula, the one definition of it. It reads
 (A, C, Q, R) off its second argument: the plant itself, or the plant in
 other coordinates (:class:`Coefficients`). The user ceiling
-(:func:`secest.bounds.solve_V`) applies it at lam = 1 inside its Stein
-split, in the coordinates of the plant's Schur factor A = U T U^H, on
-(T, C U, U^H Q U, R) and in that factor's real or complex arithmetic. The
-threshold certificate (:func:`secest.bounds.feasibility_check`) applies it
+(:func:`secest.bounds.solve_V`) steps its Stein split in the Cayley
+coordinates of the Stein solve, where a step is the measurement update
+alone (through :func:`_innovation_solve`, as here) and one triangular
+Sylvester solve; it applies :func:`riccati_map` once, at its rate, to the
+converged iterate in the coordinates of the plant's Schur factor
+A = U T U^H, on (T, C U, U^H Q U, R) and in that factor's real or complex
+arithmetic, and reports the fixed point's residual. The threshold
+certificate (:func:`secest.bounds.feasibility_check`) applies it
 noise-free on the unstable block, on (T_u, W, 0, 0).
 
 :func:`filter_errors` is the one stepped filter: it propagates the
@@ -102,7 +106,8 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
     in other coordinates, and the arithmetic is that of the arguments: a
     complex X stays complex, anything else is read as float64. So the same
     code runs the map on the plant and in the coordinates of its Schur
-    factor, (U^H X U; T, C U, U^H Q U, R), where the user ceiling iterates.
+    factor, (U^H X U; T, C U, U^H Q U, R), where the user ceiling checks
+    its fixed point.
     The inner inverse is never formed; the correction uses a positive
     definite solve against C X C^H + R (LAPACK ``dposv`` or ``zposv`` by
     dtype, a division for one output).

@@ -39,15 +39,19 @@ sigma,
     Ac = (B + sigma I)^-1 (B - sigma I) = I - 2 sigma (B + sigma I)^-1,
 
 turns it into the continuous Lyapunov equation
-Ac X + X Ac^H = -2 (B + sigma I)^-1 F (B + sigma I)^-H, whose coefficient is
-still upper triangular, so one triangular inverse and one Bartels-Stewart
-call (LAPACK ``trsyl``; Bartels & Stewart, CACM 1972) solve it with no
-Python loop. That is O(n^3) time and O(n^2) memory per solve, after an
-O(n^3) factor paid once per plant; the Kronecker-vectorized route costs
-O(n^6) time and O(n^4) memory. The inverse and Ac depend on alpha alone, so
-:func:`prepare_stein` forms them once and returns the solve for any F; the
-user ceiling's split iteration solves one Stein equation per step at a
-fixed alpha and pays for them once per call.
+Ac X + X Ac^H = -2 N F N^H with N = (B + sigma I)^-1. Scaled by -1/2, which
+is exact in floating point, that is H X + X H^H = N F N^H with
+H = sigma N - I/2. H is still upper triangular, so one triangular inverse
+(LAPACK ``trtri``, in place on B + sigma I) and one Bartels-Stewart call
+(LAPACK ``trsyl``; Bartels & Stewart, CACM 1972) solve it with no Python
+loop. That is O(n^3) time and O(n^2) memory per solve, after an O(n^3)
+factor paid once per plant; the Kronecker-vectorized route costs O(n^6)
+time and O(n^4) memory. N and H depend on alpha alone, so
+:func:`prepare_stein` forms them once and returns the solve for any F. It
+also exposes N and the transformed solve for a right-hand side N F N^H
+formed elsewhere: the user ceiling's split iteration forms N T and
+N (U^H Q U) N^H once per call and each step's right-hand side from them,
+and pays one ``trsyl`` per step.
 
 The transform is only as accurate as B + sigma I is far from singular.
 scipy's ``solve_discrete_lyapunov`` uses the same transform for n >= 10 with
@@ -66,17 +70,17 @@ the basis changes become real too (at n = 27 a real solve takes about a
 fifth of the time of a complex one). Each plant first takes the sorted real
 Schur form. When it has no 2x2 block, every eigenvalue is real, and when
 the real shift sigma = +1 or -1 also keeps -sigma at least 1/8 from every
-segment [0, lambda_i / rho], the factor stays real (``dtrtrs``,
+segment [0, lambda_i / rho], the factor stays real (``dtrtri``,
 ``dtrsyl``). Otherwise, for complex eigenvalues or real ones near both
 ends of [-rho, rho], the plant takes the complex Schur form and the
-root-of-unity shift (``ztrtrs``, ``ztrsyl``). One chooser,
+root-of-unity shift (``ztrtri``, ``ztrsyl``). One chooser,
 :func:`cayley_shift`, picks the shift in both cases, from the real or the
 complex candidates. The Stein solve is the same code on either dtype.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -98,8 +102,8 @@ _PD_TOL = 1e-10
 # solution is unbounded or beyond working precision.
 _STEIN_MARGIN = 1e-12
 
-# The triangular solve and Bartels-Stewart routine for each factor dtype.
-_STEIN_LAPACK = {np.dtype(dtype): sla.get_lapack_funcs(("trtrs", "trsyl"), dtype=dtype)
+# The triangular inverse and Bartels-Stewart routine for each factor dtype.
+_STEIN_LAPACK = {np.dtype(dtype): sla.get_lapack_funcs(("trtri", "trsyl"), dtype=dtype)
                  for dtype in (np.float64, np.complex128)}
 
 # Candidate Cayley shifts for the Stein solve on a complex factor: the 64th
@@ -160,42 +164,71 @@ def cayley_shift(eigs: np.ndarray, shifts=_SHIFTS, floor: float = 0.0) -> comple
     return None if dist2[best] < floor * floor else shifts[best].item()
 
 
-def prepare_stein(T: np.ndarray, alpha: float,
-                  sigma: complex) -> Callable[[np.ndarray], np.ndarray]:
+def _diagonal(X: np.ndarray) -> np.ndarray:
+    """A writable view of the diagonal of the contiguous square X."""
+    return X.ravel(order="K")[::X.shape[0] + 1]
+
+
+class _SteinSolve:
+    """The Stein solve X = alpha T X T^H + F, prepared by :func:`prepare_stein`.
+
+    ``N`` is the Cayley factor (sqrt(alpha) T + sigma I)^-1 and ``H`` is
+    sigma N - I/2, which is -Ac/2: X solves the Stein equation iff
+    H X + X H^H = N F N^H. Calling the object with F solves for X;
+    :meth:`transformed` takes the right-hand side N F N^H itself, for a caller
+    that forms it more cheaply than from F.
+    """
+
+    __slots__ = ("N", "H", "alpha", "sigma", "_trsyl")
+
+    def __init__(self, N: np.ndarray, H: np.ndarray, alpha: float, sigma, trsyl):
+        self.N, self.H, self.alpha, self.sigma, self._trsyl = N, H, alpha, sigma, trsyl
+
+    def transformed(self, G: np.ndarray) -> np.ndarray:
+        """The X with H X + X H^H = G, by one triangular Sylvester solve."""
+        X, scale, info = self._trsyl(self.H, self.H, G, tranb="C")
+        if info:
+            raise NumericalError(f"Cayley-transformed Stein solve failed (trsyl info {info}) "
+                                 f"at alpha = {self.alpha:.12g}, shift {self.sigma:.6g}")
+        return X if scale == 1.0 else X / scale
+
+    def __call__(self, F: np.ndarray) -> np.ndarray:
+        N = self.N
+        return self.transformed(N @ F @ N.conj().T)
+
+
+def prepare_stein(T: np.ndarray, alpha: float, sigma: complex) -> _SteinSolve:
     """Prepare the Stein solve X = alpha T X T^H + F for upper triangular T
-    with alpha * max|T_jj|^2 < 1, and return F -> X.
+    with alpha * max|T_jj|^2 < 1, and return it as a callable F -> X.
 
     The Cayley transform with shift ``sigma`` (from :func:`cayley_shift` of
     T's diagonal or of a superset of it) depends on alpha alone, so it is
-    formed here once: the shifted factor sqrt(alpha) T + sigma I, its
-    triangular inverse N and Ac = I - 2 sigma N. Each application then
-    costs N F N^H, one triangular Sylvester solve Ac X + X Ac^H = -2 N F N^H
-    and a scale.
+    formed here once: the shifted factor sqrt(alpha) T + sigma I, inverted
+    in place by one LAPACK ``trtri`` call into N, and H = sigma N - I/2,
+    the coefficient -Ac/2 of the continuous Lyapunov equation scaled by a
+    power of two. The returned object exposes ``N`` and ``H``; each solve
+    costs N F N^H and one triangular Sylvester solve H X + X H^H = N F N^H
+    (:meth:`_SteinSolve.transformed`, which a caller with a cheaper route
+    to N F N^H, the user ceiling, calls directly).
 
-    Runs in the arithmetic of sqrt(alpha) T + sigma I: LAPACK ``dtrtrs`` and
-    ``dtrsyl`` for a real T and shift, ``ztrtrs`` and ``ztrsyl`` otherwise,
+    Runs in the arithmetic of sqrt(alpha) T + sigma I: LAPACK ``dtrtri`` and
+    ``dtrsyl`` for a real T and shift, ``ztrtri`` and ``ztrsyl`` otherwise,
     with F of the same dtype. Raises :class:`NumericalError` if LAPACK
     reports a singular shifted factor (here) or a near-singular Sylvester
-    operator (in the application).
+    operator (in the solve).
     """
-    eye = np.eye(T.shape[0])
-    shifted = np.sqrt(alpha) * T + sigma * eye
-    trtrs, trsyl = _STEIN_LAPACK[shifted.dtype]
-    N, info = trtrs(shifted, eye)
+    shifted = math.sqrt(alpha) * T
+    if isinstance(sigma, complex) and shifted.dtype != np.complex128:
+        shifted = shifted.astype(complex)
+    _diagonal(shifted)[...] += sigma
+    trtri, trsyl = _STEIN_LAPACK[shifted.dtype]
+    N, info = trtri(shifted, overwrite_c=1)
     if info:
-        raise NumericalError(f"Cayley-transformed Stein solve failed (trtrs info {info}) "
+        raise NumericalError(f"Cayley-transformed Stein solve failed (trtri info {info}) "
                              f"at alpha = {alpha:.12g}, shift {sigma:.6g}")
-    Ac = eye - 2.0 * sigma * N
-    Nh = N.conj().T
-
-    def apply(F: np.ndarray) -> np.ndarray:
-        X, scale, info = trsyl(Ac, Ac, N @ F @ Nh, tranb="C")
-        if info:
-            raise NumericalError(f"Cayley-transformed Stein solve failed (trsyl info {info}) "
-                                 f"at alpha = {alpha:.12g}, shift {sigma:.6g}")
-        return X * (-2.0 / scale)
-
-    return apply
+    H = sigma * N
+    _diagonal(H)[...] -= 0.5
+    return _SteinSolve(N, H, alpha, sigma, trsyl)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +268,7 @@ class SchurFactor:
         return cls(T=T, U=U, QU=U.conj().T @ Q @ U, rho=float(np.max(np.abs(np.diag(T)))),
                    k=int(k), sigma=sigma)
 
-    def stein(self, alpha: float) -> Callable[[np.ndarray], np.ndarray]:
+    def stein(self, alpha: float) -> _SteinSolve:
         """The Stein solve X = alpha T X T^H + F in this factor's basis,
         prepared once for alpha (:func:`prepare_stein`).
 

@@ -639,6 +639,50 @@ def test_ceiling_prepares_its_stein_solve_once(monkeypatch, second_order_sys, ra
         assert calls == [1.0 - rate]
 
 
+def test_ceiling_checks_its_fixed_point_once(monkeypatch, second_order_sys):
+    # the steps run in Cayley coordinates; riccati_map, the definition of
+    # the ceiling, is applied once to the converged iterate for its residual
+    rates = []
+    ricc = bounds.riccati_map
+    monkeypatch.setattr(bounds, "riccati_map",
+                        lambda X, coeffs, lam: rates.append(lam) or ricc(X, coeffs, lam))
+    for sys in (second_order_sys, seeded_plant(8, 20, (1.12, 1.05), m=20)):
+        rate = min(p_upper(sys) + 0.05, 1.0)
+        rates.clear()
+        V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
+        assert V.finite and V.steps > 1
+        assert rates == [rate]
+
+
+class TestCeilingRecord:
+    """A finite ceiling reports its fixed-point residual and step count;
+    floors and infinite bounds report neither."""
+
+    def test_floors_and_infinite_bounds_have_no_record(self, second_order_sys):
+        ch = ChannelParams(0.9, 0.6)
+        bounds_read = [solve_S(0.8, ch, second_order_sys), solve_S(0.1, ch, second_order_sys),
+                       solve_V(0.1, ch, second_order_sys)]
+        assert [b.finite for b in bounds_read] == [True, False, False]
+        for b in bounds_read:
+            assert b.residual is None and b.steps is None
+
+    def test_residual_on_the_floor_panel(self, second_order_sys):
+        # the floor panel's rates, those at or below p_upper moved to
+        # p_upper + 0.01; the residual is riccati_map's, in Schur
+        # coordinates, and agrees with the explicit-inverse residual in the
+        # plant's basis to within 10x wherever either clears roundoff
+        ch = ChannelParams(1.0, 1.0)
+        for name, sys, rates in floor_panel(second_order_sys):
+            pu = p_upper(sys)
+            for rate in sorted({r if r > pu else pu + 0.01 for r in rates}):
+                V = solve_V(rate, ch, sys)
+                assert V.finite and V.steps >= 1, (name, rate)
+                assert V.residual <= 1e-12, (name, rate, V.residual)
+                ref = rel_residual(V.matrix, sys, rate)
+                assert V.residual <= 10.0 * max(ref, 1e-15), (name, rate, V.residual, ref)
+                assert ref <= 10.0 * max(V.residual, 1e-15), (name, rate, V.residual, ref)
+
+
 def test_certificate_maps_through_riccati_map(monkeypatch, second_order_sys):
     # h is riccati_map, noise-free, on the unstable Schur block: no copy of
     # the Riccati formula lives in the certificate
