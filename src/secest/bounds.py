@@ -25,7 +25,7 @@ trades off, evaluated at the receivers' effective rates:
 * the intended receiver's error ceiling: the fixed point V = g_rate(V),
   infinite once rate <= p_upper (``solve_V``). It is reached by a Stein
   split stepped in the Cayley coordinates of the floor's solve (a
-  measurement update and one ``trsyl`` per step), and checked once by
+  measurement update and one ``trsyl`` per step), and checked by
   :func:`~secest.kalman.riccati_map`, the definition of g_rate, whose
   fixed-point residual the result reports.
 
@@ -63,11 +63,18 @@ _CERT_DAMPING = 0.1
 # solve_V stops once a step moves no entry by more than _V_TOL relative to
 # the iterate's largest entry, or once a step below _V_FLOOR stops shrinking:
 # the Stein solve amplifies roundoff by 1/(1 - (1 - rate) rho^2). A step
+# that stops shrinking can also be an oscillation on the way, so there the
+# fixed-point residual decides: the iterate is taken when its residual is at
+# most _V_RESIDUAL, or when it improves by less than 10 % on the smallest
+# residual of an earlier such step (is at least _V_RESIDUAL_STALL times it:
+# the roundoff floor, where stepping on gains nothing). A step
 # is one measurement update and one triangular Sylvester solve, so a failing
 # call costs _V_MAX_ITERS of each. The budget reaches second_order down to
 # about 1.1e-4 above p_upper.
 _V_TOL = 1e-13
 _V_FLOOR = 1e-9
+_V_RESIDUAL = 1e-12
+_V_RESIDUAL_STALL = 0.9
 _V_MAX_ITERS = 40_000
 
 
@@ -325,13 +332,17 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     N U^H Q U N^H. A step is the measurement update
     W_f = W - W C_u^H (C_u W C_u^H + R)^-1 C_u W, C_u = C U, and one
     triangular Sylvester solve on N U^H Q U N^H + lam (N T) W_f (N T)^H,
-    whose Hermitian part is the next iterate. The stop rule, a step
-    max|W_next - W| / max|diag W_next| of at most 1e-13 (a PSD iterate's
-    largest entry is on its diagonal), or one below 1e-9 that no longer
-    shrinks, is read on W. :func:`~secest.kalman.riccati_map` on
+    whose Hermitian part is the next iterate. The stop rule is read on W:
+    a step max|W_next - W| / max|diag W_next| of at most 1e-13 (a PSD
+    iterate's largest entry is on its diagonal), or one below 1e-9 that no
+    longer shrinks. :func:`~secest.kalman.riccati_map` on
     (T, C U, U^H Q U, R) remains the definition of the ceiling: it is
-    applied once to the converged W, and the result reports the fixed
-    point's residual max|W - g_lam(W)| / max|W| as ``residual`` and the
+    applied to W whenever the rule fires, for the fixed point's residual
+    max|W - g_lam(W)| / max|W|. A step that stopped shrinking is taken only
+    when that residual is at most 1e-12, or when it improves by no more
+    than 10 % on the smallest residual of an earlier such step; otherwise
+    the convergence was oscillating, not at its roundoff floor, and the
+    split steps on. The result reports the residual as ``residual`` and the
     step count as ``steps``. The trace is Re Tr W; the ceiling
     sym(Re(U W U^H)) is formed only when ``.matrix`` is read.
 
@@ -357,7 +368,7 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     L, NTh = (0.5 * rate) * NT, NT.conj().T
     CU = sys.C @ U
     CUh, R = CU.conj().T, sys.R
-    W, prev = U.conj().T @ sys.Sigma0 @ U, math.inf
+    W, prev, stalls = U.conj().T @ sys.Sigma0 @ U, math.inf, []
     for steps in range(1, _V_MAX_ITERS + 1):
         WC = W @ CUh
         Wf = W - WC @ _innovation_solve(CU @ WC + R, WC.conj().T)
@@ -367,9 +378,12 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
         step = float(np.abs(Wn - W).max() / np.abs(Wn.diagonal()).max())
         if step <= _V_TOL or prev <= step <= _V_FLOOR:
             G = riccati_map(Wn, Coefficients(T, CU, schur.QU, R), rate)
-            return BoundValue(finite=True, trace=float(Wn.trace().real),
-                              residual=float(np.abs(Wn - G).max() / np.abs(Wn).max()),
-                              steps=steps, _X=Wn, _schur=schur)
+            residual = float(np.abs(Wn - G).max() / np.abs(Wn).max())
+            if (step <= _V_TOL or residual <= _V_RESIDUAL
+                    or any(residual >= _V_RESIDUAL_STALL * r for r in stalls)):
+                return BoundValue(finite=True, trace=float(Wn.trace().real),
+                                  residual=residual, steps=steps, _X=Wn, _schur=schur)
+            stalls.append(residual)
         prev, W = step, Wn
     raise NumericalError(
         f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "

@@ -55,7 +55,7 @@ from .channel import ChannelParams, Mechanism, effective_rates
 from .designer import design_p_star, sweep_tradeoff
 from .errors import ConfigError, NumericalError, ValidationError
 from .linmodel import LinearSystem, validate_system
-from .montecarlo import expected_error_curve, simulate_trace, time_average_error
+from .montecarlo import _expected_error_curves, simulate_trace, time_average_error
 from .scalar import ScalarSystem, scalar_S, scalar_V, scalar_critical, scalar_p_star
 
 # Scalar config key -> (flag, type, default, help). A default of None means
@@ -355,8 +355,9 @@ def _cmd_simulate(cfg: RunConfig, args):
 def _cmd_montecarlo(cfg: RunConfig, args):
     p = _require(cfg, "p")
     mech = Mechanism(p)
-    user = expected_error_curve(cfg.system, mech, cfg.channel.p1, cfg.T, cfg.runs, cfg.seed)
-    eav = expected_error_curve(cfg.system, mech, cfg.channel.p2, cfg.T, cfg.runs, cfg.seed)
+    # both curves from one pass over the replications' draws
+    user, eav = _expected_error_curves(cfg.system, mech, (cfg.channel.p1, cfg.channel.p2),
+                                       cfg.T, cfg.runs, cfg.seed)
     header = ["k", "mean_trP_user", "mean_trP_eav"]
     rows = ([int(k), user.mean_trP[k], eav.mean_trP[k]] for k in range(cfg.T + 1))
     rate_user, rate_eav = effective_rates(mech, cfg.channel)

@@ -12,38 +12,42 @@ propagates open loop (lam = 0). Intermediate values of lam appear when the
 recursion is averaged over the reception process (the averaged-map curve in
 :mod:`secest.montecarlo`, the ceiling threshold ``p_upper``).
 
-:func:`riccati_map` is that formula, the one definition of it. It reads
-(A, C, Q, R) off its second argument: the plant itself, or the plant in
-other coordinates (:class:`Coefficients`). The user ceiling
-(:func:`secest.bounds.solve_V`) steps its Stein split in the Cayley
-coordinates of the Stein solve, where a step is the measurement update
-alone (through :func:`_innovation_solve`, as here) and one triangular
-Sylvester solve; it applies :func:`riccati_map` once, at its rate, to the
-converged iterate in the coordinates of the plant's Schur factor
-A = U T U^H, on (T, C U, U^H Q U, R) and in that factor's real or complex
-arithmetic, and reports the fixed point's residual. The threshold
-certificate (:func:`secest.bounds.feasibility_check`) applies it
+:func:`riccati_map` is that formula, the one definition of it, written as
+the filter steps it: the measurement update X_f = X - K (X C')' with the
+gain K = lam X C' (C X C' + R)^(-1) (:func:`_gains`), then the prediction
+sym(A X_f A' + Q). It reads (A, C, Q, R) off its second argument: the
+plant itself, or the plant in other coordinates (:class:`Coefficients`).
+The user ceiling (:func:`secest.bounds.solve_V`) steps its Stein split in
+the Cayley coordinates of the Stein solve, where a step is the measurement
+update alone (through :func:`_innovation_solve`) and one triangular
+Sylvester solve; it applies :func:`riccati_map` at its rate to the
+iterate wherever its stop rule fires, in the coordinates of the plant's
+Schur factor A = U T U^H, on (T, C U, U^H Q U, R) and in that factor's
+real or complex arithmetic, and reports the fixed point's residual. The
+threshold certificate (:func:`secest.bounds.feasibility_check`) applies it
 noise-free on the unstable block, on (T_u, W, 0, 0).
 
 :func:`filter_errors` is the one stepped filter: it propagates the
 estimation error and the prediction covariance over whole reception
 sequences, several at once when they share the noise (both receivers of a
-simulated trace). Only the covariance and the gain are stepped in Python;
-given the gains the error recursion is linear, and it is solved for every
-step at once by one LAPACK banded triangular solve (:func:`_linear_recursion`,
-which also carries the simulated state).
+simulated trace). Its covariance step is :func:`riccati_map`'s at
+lam = gamma(k), bit for bit, through the same gain routine. Only the
+covariance and the gain are stepped in Python; given the gains the error
+recursion is linear, and it is solved for every step at once by one LAPACK
+banded triangular solve (:func:`_linear_recursion`, which also carries the
+simulated state).
 
 On a small single-output plant (m = 1, n <= 5) numpy's per-call overhead,
-not the arithmetic, would dominate both covariance recursions:
-:func:`filter_errors` steps its covariances and the averaged curve steps
-the map in straight-line Python float code generated for each n
-(:func:`_float_kernels`), over the n(n+1)/2 entries of the symmetric
-covariance. Each statement mirrors an entry of the numpy route's products,
-so at n = 1 both kernels give the numpy route's bits, and from n = 2 they
-differ only in how the sums round (BLAS fuses multiply-adds). On a 2-core
-Xeon the two-row filter call of a simulated trace beats numpy up to n = 5
-(:data:`_FLOAT_MAX_N`); plants with more states or more outputs, and the
-ceiling and the certificate, stay on numpy.
+not the arithmetic, would dominate the covariance recursion, so it steps
+in straight-line Python float code generated for each n
+(:func:`_float_kernel`), over the n(n+1)/2 entries of the symmetric
+covariance: the filter's rows with weights gamma(k), and the averaged
+curve's with each step's reception fraction. Each statement mirrors an
+entry of :func:`riccati_map`'s products, so at n = 1 the kernel gives its
+bits, and from n = 2 they differ only in how the sums round (BLAS fuses
+multiply-adds). On a 2-core Xeon the two-row filter call of a simulated
+trace beats numpy up to n = 5 (:data:`_FLOAT_MAX_N`); plants with more
+states or more outputs, and the ceiling and the certificate, stay on numpy.
 :func:`batch_covariance_oracle` is an independent route to the same
 covariances, kept for cross-checking.
 """
@@ -99,8 +103,14 @@ class Coefficients(NamedTuple):
 
 
 def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
-    """g_lam(X) = A X A^H + Q - lam A X C^H (C X C^H + R)^(-1) C X A^H.
+    """g_lam(X) = A X A^H + Q - lam A X C^H (C X C^H + R)^(-1) C X A^H, in
+    the filter's form: the measurement update weighed by lam, then the
+    prediction.
 
+    With the gain K = lam X C^H (C X C^H + R)^(-1) (:func:`_gains`, the
+    filter's gain routine) it forms X_f = X - K (X C^H)^H and returns the
+    Hermitian part of (A X_f) A^H + Q; at lam = 0, X_f = X. So a step of
+    :func:`filter_errors` is this map at lam = gamma(k), bit for bit.
     Requires lam in [0, 1] and X Hermitian PSD-ish; X is read through its
     Hermitian part. (A, C, Q, R) come from ``sys``, the plant or the plant
     in other coordinates, and the arithmetic is that of the arguments: a
@@ -108,113 +118,122 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
     code runs the map on the plant and in the coordinates of its Schur
     factor, (U^H X U; T, C U, U^H Q U, R), where the user ceiling checks
     its fixed point.
-    The inner inverse is never formed; the correction uses a positive
-    definite solve against C X C^H + R (LAPACK ``dposv`` or ``zposv`` by
-    dtype, a division for one output).
+    The inner inverse is never formed: the gain is X C^H (lam / s) for one
+    output, s the innovation variance, and lam times a positive definite
+    solve against C X C^H + R (LAPACK ``dposv`` or ``zposv`` by dtype) for
+    more. An innovation covariance that is not finite and positive
+    definite raises :class:`NumericalError`.
     """
     _check_probability(lam, "lam")
     X = np.asarray(X)
     X = _sym(X if X.dtype == np.complex128 else X.astype(float, copy=False))
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
-    AX = A @ X
-    open_loop = AX @ A.conj().T + Q
-    if lam == 0.0:
-        return _sym(open_loop)
-    AXC = AX @ C.conj().T
-    corr = AXC @ _innovation_solve(C @ X @ C.conj().T + R, AXC.conj().T)
-    return _sym(open_loop - lam * corr)
+    if lam != 0.0:
+        XC = X @ C.conj().T
+        S = C @ XC + R
+        if S.shape == (1, 1) and not 0.0 < S[0, 0].real < math.inf:
+            raise NumericalError(_BAD_VARIANCE)
+        X = X - _gains(XC, S, lam) @ XC.conj().T
+    return _sym(A @ X @ A.conj().T + Q)
 
 
-# Single-output plants with at most this many states step both covariance
-# recursions in generated float code (:func:`_float_kernels`); plants with
-# more states or outputs step them in numpy. The cutoff follows the calls
-# that exist: simulate_trace's filter_errors call, which always stacks two
-# rows, and one averaged map per curve. Measured on a 2-core Xeon with one
-# BLAS thread, N = 300 steps, numpy's time over the kernel's (median of 7,
-# four runs): the two-row filter 3.8-4.5x at n = 3, 2.3-2.8x at 4, 1.5-1.8x
-# at 5, 1.0-1.2x at 6 and 0.7-0.8x at 7; the averaged map 2.8-3.3x at
-# n = 5, 1.4-2.1x at 6, 1.2-1.6x at 7 and 0.8x at 8. n = 5 is the largest
-# size at which the filter still wins. At n = 6 and 7 only the map would,
-# by 1-5 ms a curve, about what building a kernel costs there (4-12 ms,
-# against 3-6 ms at n = 5), so one cutoff serves both.
+def _gains(XC: np.ndarray, S: np.ndarray, lam) -> np.ndarray:
+    """Gains K = lam XC S^(-1), of one matrix or of stacked rows.
+
+    XC = X C^H is (..., n, m), S = C X C^H + R is (..., m, m), and lam, a
+    float for one matrix or an array of the rows' shape, weighs each gain:
+    the rate in :func:`riccati_map`, the reception indicator in
+    :func:`filter_errors`. A row's gain never depends on its neighbours,
+    and a row of weight zero gets an exact zero gain, even when its
+    covariance has overflowed. For m = 1 the gain is XC (lam / s), s the
+    real part of S, so a weight of one gives XC (1 / s); this route checks
+    nothing, and its callers check the variance. For m >= 2 each row of
+    nonzero weight is solved by the PD solve, which raises on a bad
+    covariance, and then weighed. On single-output plants with
+    n <= :data:`_FLOAT_MAX_N` only :func:`riccati_map` calls it: the filter
+    and the curve step those on floats.
+    """
+    lam = np.asarray(lam)
+    if S.shape[-1] == 1:
+        w = lam[..., None, None]
+        return np.where(w != 0.0, XC * (w / S.real), 0.0)
+    K = np.zeros_like(XC)
+    for r in np.ndindex(lam.shape):
+        if lam[r]:
+            K[r] = lam[r] * _innovation_solve(S[r], XC[r].conj().T).conj().T
+    return K
+
+
+# Single-output plants with at most this many states step their covariance
+# recursions, the filter's and the averaged curve's, in generated float
+# code (:func:`_float_kernel`); plants with more states or outputs step
+# them in numpy. The cutoff follows the calls that exist: simulate_trace's
+# filter_errors call, which always stacks two rows, and the curves, one row
+# per rate. Measured on a 2-core Xeon with one BLAS thread, N = 300 steps,
+# numpy's time over the kernel's (median of 7, four runs): the two-row
+# filter 3.8-4.5x at n = 3, 2.3-2.8x at 4, 1.5-1.8x at 5, 1.0-1.2x at 6 and
+# 0.7-0.8x at 7. n = 5 is the largest size at which the filter still wins.
 _FLOAT_MAX_N = 5
 
-# The two kernels, with the n-dependent statements left as fields. UPPER
-# is np.triu_indices(n), the order in which the state x{i}_{j}, i <= j,
-# packs the symmetric covariance; xs records each step's full matrix, row
-# by row, as P lays it out.
+# The kernel, with the n-dependent statements left as fields. UPPER is
+# np.triu_indices(n), the order in which the state x{i}_{j}, i <= j, packs
+# the symmetric covariance; xs records each step's full matrix, row by row,
+# as P lays it out.
 _FLOAT_SOURCE = '''\
 def covariances(sys, G, P, K, S):
     {coefficients}
-    for row, gammas in enumerate(G.tolist()):
+    for row, lams in enumerate(G.tolist()):
         {state}, = P[row, 0][UPPER].tolist()
+        {symmetrize}
         xs, ks, ss = P[row, 0].ravel().tolist(), [], []
-        for got in gammas:
-            if got:
+        for lam in lams:
+            if lam:
+                {innovation}
+                if not 0.0 < s < inf:
+                    return row, len(xs) // {nn} - 1
                 {filter_update}
                 {record_gain}
                 ss.append(s)
             {predict}
             {record_state}
         P[row].flat = xs
-        received = G[row]
+        received = G[row] != 0
         K[row, received, :, 0] = np.reshape(ks, (-1, {n}))
         S[row, received, 0, 0] = ss
-
-
-def averaged_map(sys, X, lams, traces):
-    {coefficients}
-    {state}, = X[UPPER].tolist()
-    for lam in lams:
-        {symmetrize}
-        {open_loop}
-        if lam == 0.0:
-            {close_open_loop}
-        else:
-            {map_correction}
-            if not 0.0 < s < inf:
-                raise NumericalError(_BAD_VARIANCE)
-            {map_update}
-        traces.append({trace})
-    return {state},
 '''
 
 
-class _FloatKernels(NamedTuple):
-    covariances: Callable
-    averaged_map: Callable
-
-
-def _float_route(sys: LinearSystem) -> _FloatKernels | None:
-    """The float kernels for ``sys``, or None when its recursions step in numpy."""
-    return _float_kernels(sys.n) if sys.m == 1 and sys.n <= _FLOAT_MAX_N else None
+def _float_route(sys: LinearSystem) -> Callable | None:
+    """The float kernel for ``sys``, or None when its recursions step in numpy."""
+    return _float_kernel(sys.n) if sys.m == 1 and sys.n <= _FLOAT_MAX_N else None
 
 
 @functools.cache
-def _float_kernels(n: int) -> _FloatKernels:
-    """The covariance loop of :func:`filter_errors` and the averaged map of
-    the curve, for plants with n states and one output, as straight-line
-    Python float code built by ``exec``.
+def _float_kernel(n: int) -> Callable:
+    """:func:`riccati_map` chained over rows of weights, for plants with n
+    states and one output, as straight-line Python float code built by
+    ``exec``: the covariance loop of :func:`filter_errors` (weights 0 and
+    1) and of the averaged curve (each step's reception fraction).
 
     The state is the n(n+1)/2 upper entries x{i}_{j} of the symmetric
     covariance, and each statement is one entry of a numpy route product,
-    with the same expression tree: A X A' as (A X) A', sums left to right,
-    the gain as (X C') (1 / s), the symmetrization as (x + x) * 0.5. So at
-    n = 1 every operation is the one the 1x1 products round and both
-    kernels give the numpy routes' bits, overflow included; from n = 2 the
-    sums round differently, because BLAS fuses multiply-adds, and the
-    symmetrization is the identity unless x + x overflows. A coefficient
-    of zero still multiplies, so 0 times an overflowed entry is NaN, as in
-    numpy.
+    with the same expression tree: X C' and C (X C') + r, the gain as
+    (X C') (lam / s), X - K (X C')', A X A' as (A X) A', sums left to right,
+    and the symmetrization as (x + x) * 0.5, applied to each row's first
+    state and to every prediction, as riccati_map applies it to its operand
+    and its result. So at n = 1 every operation is the one the 1x1
+    products round and the kernel gives riccati_map's bits, overflow
+    included; from n = 2 the sums round differently, because BLAS fuses
+    multiply-adds, and the symmetrization is the identity unless x + x
+    overflows. A coefficient of zero still multiplies, so 0 times an
+    overflowed entry is NaN, as in numpy.
 
-    ``covariances(sys, G, P, K, S)`` fills P, K and S for the reception
-    rows G as :func:`filter_errors`' numpy loop does, one row at a time; a
-    zero innovation variance raises ``ZeroDivisionError``.
-    ``averaged_map(sys, X, lams, traces)`` chains :func:`riccati_map` from
-    X over the rates ``lams`` (not range-checked), appends each iterate's
-    trace to ``traces`` and returns the last iterate's packed entries; a
-    variance that is not finite and positive raises
-    :class:`NumericalError`, as the numpy map does.
+    ``covariances(sys, G, P, K, S)`` steps each row of weights G from
+    P[row, 0], row by row, and fills P with the iterates and K and S with
+    the gains and innovation variances of the steps of nonzero weight. A
+    variance that is not finite and positive stops it: it returns
+    (row, k), the row and the step, leaving that row and later ones
+    unfilled; otherwise it returns None.
     """
     def x(i, j):
         return f"x{min(i, j)}_{max(i, j)}"
@@ -232,59 +251,29 @@ def _float_kernels(n: int) -> _FloatKernels:
     symmetrize = [f"{x(i, j)} = ({x(i, j)} + {x(i, j)}) * 0.5" for i, j in upper]
     fields = dict(
         n=n,
+        nn=n * n,
         state=", ".join(x(i, j) for i, j in upper),
         coefficients=lines([
             ", ".join(f"a{i}_{j}" for i in N for j in N) + ", = sys.A.ravel().tolist()",
             ", ".join(f"c{j}" for j in N) + ", = sys.C.ravel().tolist()",
             ", ".join(f"q{i}_{j}" for i, j in upper) + ", = sys.Q[UPPER].tolist()",
             "r = sys.R.item()"], 1),
-        # X C', C (X C') + R, K = (X C') (1 / s) and X - K (X C')'
-        filter_update=lines(
+        symmetrize=lines(symmetrize, 2),
+        # X C' and C (X C') + R
+        innovation=lines(
             [f"xc{i} = " + total(f"{x(i, j)} * c{j}" for j in N) for i in N]
-            + ["s = " + total(f"c{i} * xc{i}" for i in N) + " + r", "f = 1.0 / s"]
-            + [f"k{i} = xc{i} * f" for i in N]
+            + ["s = " + total(f"c{i} * xc{i}" for i in N) + " + r"], 4),
+        # K = (X C') (lam / s) and X - K (X C')'
+        filter_update=lines(
+            ["f = lam / s"] + [f"k{i} = xc{i} * f" for i in N]
             + [f"{x(i, j)} = {x(i, j)} - k{i} * xc{j}" for i, j in upper], 4),
         record_gain=lines([f"ks.append(k{i})" for i in N], 4),
         record_state=lines([f"xs.append({x(i, j)})" for i in N for j in N], 3),
         predict=lines(AX + [f"{x(i, j)} = {e}" for (i, j), e in zip(upper, AXA)] + symmetrize, 3),
-        symmetrize=lines(symmetrize, 2),
-        open_loop=lines(AX + [f"o{i}_{j} = {e}" for (i, j), e in zip(upper, AXA)], 2),
-        close_open_loop=lines([f"{x(i, j)} = (o{i}_{j} + o{i}_{j}) * 0.5" for i, j in upper], 3),
-        # (A X) C', C X, (C X) C' + R and the correction (A X C') (A X C' / s)'
-        map_correction=lines(
-            [f"axc{i} = " + total(f"ax{i}_{l} * c{l}" for l in N) for i in N]
-            + [f"cx{j} = " + total(f"c{l} * {x(l, j)}" for l in N) for j in N]
-            + ["s = " + total(f"cx{j} * c{j}" for j in N) + " + r"], 3),
-        map_update=lines(
-            [f"g{j} = axc{j} / s" for j in N]
-            + [f"y{i}_{j} = o{i}_{j} - lam * (axc{i} * g{j})" for i, j in upper]
-            + [f"{x(i, j)} = (y{i}_{j} + y{i}_{j}) * 0.5" for i, j in upper], 3),
-        trace=total(x(i, i) for i in N),
     )
-    namespace = dict(np=np, inf=math.inf, NumericalError=NumericalError,
-                     _BAD_VARIANCE=_BAD_VARIANCE, UPPER=np.triu_indices(n))
+    namespace = dict(np=np, inf=math.inf, UPPER=np.triu_indices(n))
     exec(_FLOAT_SOURCE.format(**fields), namespace)
-    return _FloatKernels(namespace["covariances"], namespace["averaged_map"])
-
-
-def _gains(XC: np.ndarray, S: np.ndarray, got: np.ndarray) -> np.ndarray:
-    """Stacked gains K = XC S^(-1) of the rows that received, zero elsewhere.
-
-    XC is (B, n, m) and S = C X C' + R is (B, m, m). A row's gain never
-    depends on its neighbours, and a row that did not receive gets an exact
-    zero, even when its covariance has overflowed. For m = 1 the gain is
-    XC (1 / S), kept on the receiving rows; for m >= 2 only receiving rows
-    are solved, by the PD solve per row, which raises on a bad covariance.
-    The m = 1 route checks nothing; :func:`filter_errors` checks the
-    receiving rows' variances once, after its loop. Single-output plants
-    with n <= :data:`_FLOAT_MAX_N` step on floats and never get here.
-    """
-    if S.shape[-1] == 1:
-        return np.where(got[:, None, None], XC * (1.0 / S), 0.0)
-    K = np.zeros_like(XC)
-    for r in np.flatnonzero(got):
-        K[r] = _innovation_solve(S[r], XC[r].T).T
-    return K
+    return namespace["covariances"]
 
 
 # LAPACK's triangular band solve, the one route for the linear recursions.
@@ -323,17 +312,20 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
         P_f(k) = P(k) - gamma(k) K(k) (X C')',
         e(k+1) = A e_f(k) - w(k),   P(k+1) = sym(A P_f(k) A' + Q),
 
-    from e(0) = e0 and P(0) = Sigma0, so P(k+1) = g_gamma(k)(P(k)). Only the
-    covariance and the gain are stepped; a step at which no row receives
-    forms no gain. A single-output plant with n <= :data:`_FLOAT_MAX_N`
-    steps them on Python floats, row by row (:func:`_float_kernels`), with
-    the numpy loop's bits at n = 1 and its values up to the sums' rounding
-    above; other plants step all rows at once in numpy. Given the gains
-    the error recursion is linear,
+    from e(0) = e0 and P(0) = Sigma0. The covariance step is
+    :func:`riccati_map`'s, with the same gain routine (:func:`_gains`,
+    weighed by gamma(k)), so P(k+1) = g_gamma(k)(P(k)) bit for bit. Only
+    the covariance and the gain are stepped; a step at which no row
+    receives forms no gain. A single-output plant with
+    n <= :data:`_FLOAT_MAX_N` steps them on Python floats, row by row
+    (:func:`_float_kernel`), with the numpy loop's bits at n = 1 and its
+    values up to the sums' rounding above; other plants step all rows at
+    once in numpy. Given the gains the error recursion is linear,
     e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
     all steps at once after the loop (one banded triangular solve), and
-    e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A receiving row whose innovation covariance C X C' + R is not
-    finite and positive definite raises :class:`NumericalError`.
+    e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A
+    receiving row whose innovation covariance C X C' + R is not finite and
+    positive definite raises :class:`NumericalError`.
 
     ``gammas`` of shape (N,) returns the filtered errors e_f(k), k = 0..N-1,
     as an (N, n) array and the prediction covariances P(k), k = 0..N, as an
@@ -369,14 +361,10 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     P[:, 0] = sys.Sigma0
     K = np.zeros((rows, N, n, m))
     S = np.empty((rows, N, m, m))
-    kernels = _float_route(sys)
-    if kernels is not None:
-        try:
-            kernels.covariances(sys, G, P, K, S)
-        except ZeroDivisionError:
-            # a zero variance, which the numpy loop turns into an infinite
-            # gain; it is a receiving row's, so the check below would raise
-            raise NumericalError(_BAD_VARIANCE) from None
+    kernel = _float_route(sys)
+    if kernel is not None:
+        if kernel(sys, G, P, K, S) is not None:
+            raise NumericalError(_BAD_VARIANCE)
     else:
         # a bad m = 1 variance is caught after the loop, and an overflowed
         # covariance when a row receives on it, not by a warning in the loop
@@ -392,10 +380,10 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
                 X = A @ X @ At + Q
                 X += X.transpose(0, 2, 1)
                 np.multiply(X, 0.5, out=P[:, k + 1])
-    if m == 1:
-        variance = S[G][:, 0, 0]
-        if not ((variance > 0.0) & (variance < math.inf)).all():
-            raise NumericalError(_BAD_VARIANCE)
+        if m == 1:
+            variance = S[G][:, 0, 0]
+            if not ((variance > 0.0) & (variance < math.inf)).all():
+                raise NumericalError(_BAD_VARIANCE)
     IKC = np.eye(n) - K @ C
     Kv = K @ v
     e = _linear_recursion(A @ IKC, (A @ Kv)[..., 0] - w, e0)

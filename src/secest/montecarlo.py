@@ -17,16 +17,21 @@ Two levels of fidelity:
   replications' draws. That is the averaged-map (bound) recursion: it tends
   to the MARE iterate, not to the mean covariance E[P_k] of the paths. The
   draws are counted in blocks of at most 64 replications, so memory does
-  not grow with the number of runs.
+  not grow with the number of runs, and curves at several rates under one
+  seed (both receivers', in ``secest montecarlo``) are counted from one
+  pass over them.
 
-On a single-output plant with at most five states both recursions step in
-straight-line Python float code generated for its size, which is faster
-than the matrix products. At n = 1 it gives their bits. From n = 2 the
-sums round differently (see :mod:`secest.kalman`): on the seeded test
-plants the results stay within 1e-12 of the matrix products, but on
-``configs/second_order.json`` the traces ``trP`` move by up to 5e-11
-relative and the errors ``err`` by up to 3e-10, at steps where the
-covariance-form update cancels. Other plants step in numpy.
+Both recursions take the filter's covariance step, which is
+:func:`~secest.kalman.riccati_map`'s. On a single-output plant with at
+most five states both step in the filter's straight-line Python float
+kernel, generated for its size, which is faster than the matrix products:
+the trace's two receivers and the curves' rates are its rows. At n = 1 it
+gives their bits. From n = 2 the sums round differently (see
+:mod:`secest.kalman`): on the seeded test plants the results stay within
+1e-12 of the matrix products, but on ``configs/second_order.json`` the
+traces ``trP`` move by up to 5e-11 relative and the errors ``err`` by up
+to 3e-10, at steps where the covariance-form update cancels. Other plants
+step in numpy.
 
 A curve is divergent when its mean trace at k = 300 exceeds 10 times the
 value at k = 30, and plateaued when the value at k = 300 is at most 1.2
@@ -55,7 +60,7 @@ from .channel import (
     _replication_uniforms,
 )
 from .errors import NumericalError, ValidationError
-from .kalman import _float_route, _linear_recursion, filter_errors, riccati_map
+from .kalman import _BAD_VARIANCE, _float_route, _linear_recursion, filter_errors, riccati_map
 from .linmodel import LinearSystem
 
 # Phase judgments on averaged curves: (k0, k1) windows and the factor
@@ -196,48 +201,71 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     per-path traces is a uselessly noisy estimate of the expected curve;
     averaging the map keeps the variance bounded and reproduces the MARE
     threshold ``p_upper`` exactly: the curve is the averaged-map (bound)
-    recursion. Returns the trace at each step k = 0..T. A single-output
-    plant with n <= 5 states steps the map in a generated float kernel
-    (:func:`~secest.kalman._float_kernels`), bit for bit as
-    :func:`~secest.kalman.riccati_map` at n = 1; other plants call the
-    latter. A step whose covariance has overflowed records an infinite
-    trace on every route, also where the covariance holds NaN entries (a
-    zero coefficient times infinity); a later step with a nonzero rate
-    fails the map's variance check, and :class:`NumericalError` names the
-    step and the effective rate.
+    recursion, :func:`~secest.kalman.riccati_map` chained over the
+    fractions. Returns the trace at each step k = 0..T. A single-output
+    plant with n <= 5 states steps it in the filter's float kernel
+    (:func:`~secest.kalman._float_kernel`), on one row of fractions, bit
+    for bit as riccati_map at n = 1; other plants call riccati_map itself.
+    A step whose covariance has overflowed records an infinite trace on
+    every route, also where the covariance holds NaN entries (a zero
+    coefficient times infinity); a later step with a nonzero rate fails
+    the map's variance check, and :class:`NumericalError` names the step
+    and the effective rate.
     """
+    return _expected_error_curves(sys, mech, (rate,), T, runs, seed)[0]
+
+
+def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, runs: int,
+                           seed: int) -> list[ExpectedErrorCurve]:
+    """The curves of :func:`expected_error_curve` at several link ``rates``
+    under one seed, from one pass over the replications' draws: each curve
+    is its one-rate call bit for bit. The rates' recursions step as the
+    rows of one float kernel call, or one after another through
+    riccati_map, in the order given, so the first that fails is the one
+    named."""
     if T < 0 or runs <= 0:
         raise ValidationError("T must be nonnegative and runs positive")
-    _check_probability(rate, "rate")
-    effective = mech.p * rate
+    for rate in rates:
+        _check_probability(rate, "rate")
+    effective = [mech.p * rate for rate in rates]
 
-    received = np.zeros(T, dtype=np.int64)
+    received = np.zeros((len(rates), T), dtype=np.int64)
     for block in _replication_uniforms(seed, STREAM_MC_RUN_BASE, runs, T):
-        received += np.count_nonzero(block < effective, axis=0)
-    received_fraction = received / runs
+        for row, rate in enumerate(effective):
+            received[row] += np.count_nonzero(block < rate, axis=0)
+    fractions = received / runs
 
-    kernels = _float_route(sys)
-    traces = []
+    rows, n = len(rates), sys.n
+    kernel = _float_route(sys)
+    curves = np.empty((rows, T + 1))
     try:
-        if kernels is not None:
-            kernels.averaged_map(sys, sys.Sigma0, received_fraction.tolist(), traces)
+        if kernel is not None:
+            P = np.empty((rows, T + 1, n, n))
+            P[:, 0] = sys.Sigma0
+            failed = kernel(sys, fractions, P, np.zeros((rows, T, n, 1)),
+                            np.empty((rows, T, 1, 1)))
+            if failed is not None:
+                row, k = failed
+                raise NumericalError(_BAD_VARIANCE)
+            curves[:] = np.trace(P, axis1=2, axis2=3)
         else:
             # an overflowing covariance is reported once, by the variance
             # check, not as raw numpy warnings
+            curves[:, 0] = np.trace(sys.Sigma0)
             with np.errstate(over="ignore", invalid="ignore"):
-                P = sys.Sigma0
-                for lam in received_fraction.tolist():
-                    P = riccati_map(P, sys, lam)
-                    traces.append(np.trace(P))
+                for row, lams in enumerate(fractions.tolist()):
+                    P = sys.Sigma0
+                    for k, lam in enumerate(lams):
+                        P = riccati_map(P, sys, lam)
+                        curves[row, k + 1] = np.trace(P)
     except NumericalError as exc:
-        raise NumericalError(f"averaged curve overflowed at step {len(traces) + 1} of {T} "
-                             f"(effective rate {effective:.6g}): {exc}") from None
-    curve = np.array([np.trace(sys.Sigma0), *traces])
+        raise NumericalError(f"averaged curve overflowed at step {k + 1} of {T} "
+                             f"(effective rate {effective[row]:.6g}): {exc}") from None
     # an overflowed covariance can hold NaN entries (0 times infinity);
     # its trace is recorded as infinite on every route
-    curve[np.isnan(curve)] = np.inf
-
-    return ExpectedErrorCurve(k=np.arange(T + 1), mean_trP=curve, runs=runs)
+    curves[np.isnan(curves)] = np.inf
+    return [ExpectedErrorCurve(k=np.arange(T + 1), mean_trP=curve, runs=runs)
+            for curve in curves]
 
 
 def time_average_error(trace: SimulationTrace, receiver: str) -> float:

@@ -32,21 +32,21 @@ def circle_case():
 
 def reference_riccati(X, sys, lam):
     """g_lam on the plant written out in real arithmetic, in the order of
-    operations riccati_map keeps: A X A' as (A @ X) @ A.T, then dposv or a
-    division for the correction."""
+    operations riccati_map keeps, the filter's: X C', C (X C') + R, the gain
+    (X C') (lam / s) or lam times dposv's, X - K (X C')', then
+    (A X_f) A' + Q."""
     X = np.asarray(X, dtype=float)
     X = 0.5 * (X + X.T)
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
-    open_loop = A @ X @ A.T + Q
-    if lam == 0.0:
-        return 0.5 * (open_loop + open_loop.T)
-    AXC = A @ X @ C.T
-    S = C @ X @ C.T + R
-    if S.shape == (1, 1):
-        gain = AXC.T / S[0, 0]
-    else:
-        gain = sla.get_lapack_funcs("posv", dtype=np.float64)(S, AXC.T)[1]
-    G = open_loop - lam * (AXC @ gain)
+    if lam != 0.0:
+        XC = X @ C.T
+        S = C @ XC + R
+        if S.shape == (1, 1):
+            K = XC * (lam / S[0, 0])
+        else:
+            K = lam * sla.get_lapack_funcs("posv", dtype=np.float64)(S, XC.T)[1].T
+        X = X - K @ XC.T
+    G = A @ X @ A.T + Q
     return 0.5 * (G + G.T)
 
 
@@ -64,23 +64,23 @@ def mirrored(entry, n):
 def float_riccati(X, sys, lam):
     """g_lam on a single-output plant, on Python floats and in the float
     kernel's order of operations: the upper entries of X symmetrized as
-    (x + x) * 0.5, then A X, (A X) A' + Q, (A X) C', C X and (C X) C' + R
-    as riccati_map forms them, each sum left to right, and the upper
-    entries of the result symmetrized again."""
+    (x + x) * 0.5, then X C', C (X C') + r, the gain (X C') (lam / s) and
+    X - K (X C')', then A X and (A X) A' + Q as riccati_map forms them,
+    each sum left to right, and the upper entries of the result
+    symmetrized again."""
     n = sys.n
     N = range(n)
     A, c, Q, r = sys.A.tolist(), sys.C[0].tolist(), sys.Q.tolist(), sys.R.item()
     X = mirrored(lambda i, j: (X[i, j] + X[i, j]) * 0.5, n)
-    AX = [[left_sum(A[i][l] * X[l][j] for l in N) for j in N] for i in N]
-    O = [[left_sum(AX[i][l] * A[j][l] for l in N) + Q[i][j] for j in N] for i in N]
-    Y = O
     if lam != 0.0:
-        axc = [left_sum(AX[i][l] * c[l] for l in N) for i in N]
-        cx = [left_sum(c[l] * X[l][j] for l in N) for j in N]
-        s = left_sum(cx[j] * c[j] for j in N) + r
+        xc = [left_sum(X[i][j] * c[j] for j in N) for i in N]
+        s = left_sum(c[i] * xc[i] for i in N) + r
         if not 0.0 < s < math.inf:
             raise NumericalError("innovation variance is not finite and positive")
-        Y = [[O[i][j] - lam * (axc[i] * (axc[j] / s)) for j in N] for i in N]
+        gain = [x * (lam / s) for x in xc]
+        X = mirrored(lambda i, j: X[i][j] - gain[i] * xc[j], n)
+    AX = [[left_sum(A[i][l] * X[l][j] for l in N) for j in N] for i in N]
+    Y = mirrored(lambda i, j: left_sum(AX[i][l] * A[j][l] for l in N) + Q[i][j], n)
     return np.array(mirrored(lambda i, j: (Y[i][j] + Y[i][j]) * 0.5, n))
 
 

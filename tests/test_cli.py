@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from secest import design_p_star, p_upper
+from secest import Mechanism, design_p_star, expected_error_curve, p_upper
 from secest.cli import _COMMANDS, load_config, main
 from secest.errors import ConfigError
 
@@ -250,6 +250,23 @@ class TestCliSuccess:
             rows = list(csv.reader(fh))
         assert rows[0] == ["k", "mean_trP_user", "mean_trP_eav"]
         assert len(rows) == 62
+
+    def test_montecarlo_curves_are_the_one_rate_curves(self, capsys, tmp_path):
+        # both receivers' curves come from one pass over the draws and equal
+        # expected_error_curve at each link rate, cell for cell
+        out_path = str(tmp_path / "mc.csv")
+        code, out, _ = run_cli(capsys, "montecarlo", "--config", SECOND_CFG, "--p", "0.51",
+                               "--steps", "60", "--runs", "50", "--out", out_path)
+        assert code == 0
+        cfg = load_config(SECOND_CFG)
+        curves = [expected_error_curve(cfg.system, Mechanism(0.51), rate, 60, 50, cfg.seed)
+                  for rate in (cfg.channel.p1, cfg.channel.p2)]
+        with open(out_path) as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [[float(cell) for cell in row[1:]] for row in rows] == \
+            [[curves[0].mean_trP[k], curves[1].mean_trP[k]] for k in range(61)]
+        assert out["result"]["final_mean_trP_user"] == curves[0].mean_trP[-1]
+        assert out["result"]["final_mean_trP_eavesdropper"] == curves[1].mean_trP[-1]
 
     def test_sweep_with_flags(self, capsys, tmp_path):
         out_path = str(tmp_path / "sweep.csv")

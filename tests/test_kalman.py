@@ -24,7 +24,7 @@ from secest import (
     riccati_map,
     simulate_trace,
 )
-from secest.kalman import Coefficients, _float_kernels, _linear_recursion
+from secest.kalman import Coefficients, _float_kernel, _linear_recursion
 
 from helpers import complex_mode_plant, left_sum, mirrored, reference_riccati, two_output_plant
 
@@ -93,6 +93,33 @@ def test_riccati_map_is_bit_identical_to_reference(second_order_sys):
         for lam in (0.0, 0.3, 0.7, 1.0, 0.45, 1.0):
             X, ref = riccati_map(X, sys, lam), reference_riccati(ref, sys, lam)
             assert np.array_equal(X, ref), lam
+
+
+def seeded_output_plant(n: int, m: int) -> LinearSystem:
+    """A seeded plant with n states and m outputs, A scaled to spectral radius 1.1."""
+    rng = np.random.default_rng(10 * n + m)
+    A = rng.standard_normal((n, n))
+    B, L = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    return LinearSystem(A=1.1 * A / np.max(np.abs(np.linalg.eigvals(A))),
+                        C=rng.standard_normal((m, n)), Q=B @ B.T / n + 0.5 * np.eye(n),
+                        R=L @ L.T / m + 0.5 * np.eye(m), Sigma0=np.eye(n))
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (6, 1), (3, 2), (8, 3)])
+def test_filter_step_is_riccati_map(n, m):
+    """The filter's covariance step is riccati_map at lam = gamma(k), bit
+    for bit: P(k+1) = riccati_map(P(k), sys, gamma(k)) over two rows of 200
+    steps, receiving at rates 0.4 and 0.8. The plants with six states or
+    several outputs step on the numpy route; the one-state plant steps on
+    floats, whose bits are the numpy route's there."""
+    sys = seeded_output_plant(n, m)
+    assert (kalman._float_route(sys) is None) == ((n, m) != (1, 1))
+    rng = np.random.default_rng(n + m)
+    G = rng.random((2, 200)) < np.array([[0.4], [0.8]])
+    _, P = filter_errors(sys, G, np.zeros(n), 0.0, 0.0)
+    for r in range(2):
+        for k, got in enumerate(G[r]):
+            assert np.array_equal(P[r, k + 1], riccati_map(P[r, k], sys, float(got))), (r, k)
 
 
 def rotation_plant(m: int) -> LinearSystem:
@@ -550,10 +577,24 @@ def test_overflowed_missing_row_stays_out_of_the_stack(n):
         assert np.array_equal(P[r], P_r, equal_nan=True)
 
 
+def _kernel_chain(sys, x, lams):
+    """The float kernel's row from x over the weights ``lams``, in one call:
+    the iterates, or the step at which a bad variance stopped it."""
+    n = len(sys.A)
+    P = np.empty((1, len(lams) + 1, n, n))
+    P[0, 0] = x
+    failed = _float_kernel(n)(sys, np.array([lams], dtype=float), P,
+                              np.zeros((1, len(lams), n, 1)), np.empty((1, len(lams), 1, 1)))
+    return P[0, 1:] if failed is None else failed
+
+
 def _scalar_riccati_map(x, a, c, q, r, lam):
-    """One step of the n = 1 float map on (a, c, q, r) from x."""
+    """One step of the n = 1 float kernel on (a, c, q, r) from x."""
     coefficients = Coefficients(*(np.array([[v]]) for v in (a, c, q, r)))
-    return _float_kernels(1).averaged_map(coefficients, np.array([[x]]), [lam], [])[0]
+    step = _kernel_chain(coefficients, x, [lam])
+    if isinstance(step, tuple):
+        raise NumericalError("innovation variance is not finite and positive")
+    return step[0, 0, 0]
 
 
 def _riccati_chain(x, lams, step):
@@ -571,11 +612,12 @@ def _riccati_chain(x, lams, step):
 
 @pytest.mark.parametrize("a", [0.5, -0.5, 1.2, -1.2, 10.0])
 def test_scalar_map_is_bit_identical_to_riccati_map(a):
-    """The float map chained over fractional rates, 0 and 1 among them, is
-    riccati_map's chain on the 1x1 plant bit for bit, overflow included: at
-    a = 10 both overflow and then raise on a NaN variance at the same step.
-    An operand of 1e308 overflows in the map's symmetrization of it, so
-    both return infinity at lam = 0 and raise at lam = 0.5."""
+    """The float kernel chained over fractional rates, 0 and 1 among them,
+    step by step and as one row, is riccati_map's chain on the 1x1 plant
+    bit for bit, overflow included: at a = 10 both overflow and then stop
+    on a NaN variance at the same step. An operand of 1e308 overflows in
+    the symmetrization of it, so both return infinity at lam = 0 and stop
+    at lam = 0.5."""
     rng = np.random.default_rng(int(100 * abs(a)) + (a < 0))
     lams = np.concatenate([[0.0, 1.0, 0.5], rng.random(297)]).tolist()
     for c in (1.0, -0.7):
@@ -590,6 +632,11 @@ def test_scalar_map_is_bit_identical_to_riccati_map(a):
                     sigma0, rates, lambda x, lam: _scalar_riccati_map(x, *coefficients, lam))
                 assert raised == ref_raised and raised == (a == 10.0 and rates is lams)
                 assert np.array_equal(got, ref[:, 0, 0], equal_nan=True)
+                row = _kernel_chain(sys, sigma0, rates)
+                if raised:
+                    assert row == (0, len(ref))
+                else:
+                    assert np.array_equal(row, ref, equal_nan=True)
         for lam in (0.0, 0.5):
             with np.errstate(over="ignore"):
                 ref, ref_raised = _riccati_chain(np.array([[1e308]]), [lam],
@@ -662,8 +709,8 @@ def test_overflowed_missing_row_on_the_numpy_route(plant):
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
 def test_route_by_plant_size(monkeypatch, n, m):
     """Single-output plants with at most five states (_FLOAT_MAX_N) step the
-    filter's covariances and the averaged curve in the float kernels and
-    never reach the stacked gains or riccati_map; a six-state plant and a
+    filter's covariances and the averaged curve in the one float kernel and
+    never reach the gain routine or riccati_map; a six-state plant and a
     two-output plant step both in numpy."""
     if m == 2:
         sys = two_output_plant()
@@ -688,7 +735,7 @@ def _kernel_covariances(sys, G):
     P = np.empty((rows, N + 1, sys.n, sys.n))
     P[:, 0] = sys.Sigma0
     K = np.zeros((rows, N, sys.n, 1))
-    kalman._float_kernels(sys.n).covariances(sys, G, P, K, np.empty((rows, N, 1, 1)))
+    assert kalman._float_kernel(sys.n)(sys, G, P, K, np.empty((rows, N, 1, 1))) is None
     return P, K
 
 

@@ -65,6 +65,46 @@ class TestExpectedErrorCurve:
             curve = expected_error_curve(sys, mech, rate, T, runs, seed)
             assert np.array_equal(curve.mean_trP, expect)
 
+    @pytest.mark.parametrize("a", [1.2, -0.5])
+    def test_scalar_curve_from_the_edge_of_overflow(self, a):
+        """From a prior of 1e308 the first symmetrization overflows, on the
+        curve's float route as in riccati_map: at rate 0 both chains read
+        infinity at every step, and at a nonzero rate both stop at step 1,
+        which the curve's error names."""
+        sys = LinearSystem(A=a, C=-0.7, Q=0.8, R=1.3, Sigma0=1.0)
+        object.__setattr__(sys, "Sigma0", np.array([[1e308]]))
+        curve = expected_error_curve(sys, Mechanism(0.9), 0.0, T=20, runs=5, seed=3)
+        X, expect = sys.Sigma0, [1e308]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(20):
+                X = riccati_map(X, sys, 0.0)
+                expect.append(X[0, 0])
+            with pytest.raises(NumericalError):
+                riccati_map(sys.Sigma0, sys, 0.5)
+        assert np.array_equal(curve.mean_trP, expect) and np.isposinf(expect[1:]).all()
+        with pytest.raises(NumericalError, match=r"step 1 of 20 \(effective rate 0\.9\)"):
+            expected_error_curve(sys, Mechanism(0.9), 1.0, T=20, runs=5, seed=3)
+
+    @pytest.mark.parametrize("plant", ["scalar", "second_order", "two_outputs"])
+    def test_several_rates_from_one_pass(self, monkeypatch, plant, scalar_sys, second_order_sys):
+        """Curves at several rates under one seed are counted from one pass
+        over the replications' draws, and each equals its one-rate curve
+        bit for bit, on the float route (one and two states) and on numpy
+        (two outputs)."""
+        sys = {"scalar": scalar_sys, "second_order": second_order_sys,
+               "two_outputs": two_output_plant()}[plant]
+        mech, rates, T, runs, seed = Mechanism(0.8), (0.9, 0.6, 0.45), 120, 150, 17
+        singles = [expected_error_curve(sys, mech, rate, T, runs, seed) for rate in rates]
+        passes = []
+        draws = montecarlo._replication_uniforms
+        monkeypatch.setattr(montecarlo, "_replication_uniforms",
+                            lambda *a: passes.append(a) or draws(*a))
+        curves = montecarlo._expected_error_curves(sys, mech, rates, T, runs, seed)
+        assert len(passes) == 1
+        for curve, single in zip(curves, singles):
+            assert np.array_equal(curve.mean_trP, single.mean_trP)
+            assert np.array_equal(curve.k, single.k) and curve.runs == runs
+
     def test_overflow_raises_numerical_error_naming_step_and_rate(self, second_order_sys):
         # the suite turns RuntimeWarning into an error, so a raw numpy
         # overflow warning from the loop would surface here instead
@@ -131,7 +171,7 @@ class TestExpectedErrorCurve:
         map in the float kernel, never through riccati_map: its curve is the
         float reference chain bit for bit, and riccati_map's chain within
         1e-12 relative. The sums round differently from BLAS; the measured
-        worst gap over 12 seeds per case was 7.0e-15 (n = 2, unstable)."""
+        worst gap over 12 seeds per case was 2.7e-15 (n = 2, unstable)."""
         mech, seed, runs, T = Mechanism(0.9), 23, 50, 300
         for plant_seed, radius, rate in ((0, 0.9, 0.3), (1, 1.15, 0.7), (2, 1.15, 0.95)):
             sys = complex_mode_plant(plant_seed, n, radius)
