@@ -14,7 +14,6 @@ from .bounds import (
     CriticalRates,
     SecrecyInterval,
     critical_rates,
-    feasibility_check,
     p_lower,
     p_upper,
     secrecy_interval,
@@ -29,14 +28,9 @@ from .designer import (
     design_p_star,
     sweep_tradeoff,
 )
-from .errors import ConfigError, InconclusiveError, NumericalError, ValidationError
-from .kalman import batch_covariance_oracle, filter_errors, riccati_map
-from .linmodel import (
-    LinearSystem,
-    ValidationReport,
-    is_positive_definite,
-    validate_system,
-)
+from .errors import ConfigError, NumericalError, ValidationError
+from .kalman import filter_errors, riccati_map
+from .linmodel import LinearSystem, ValidationReport, validate_system
 from .montecarlo import (
     ExpectedErrorCurve,
     SimulationTrace,
@@ -58,7 +52,6 @@ __all__ = [
     "CriticalRates",
     "DesignResult",
     "ExpectedErrorCurve",
-    "InconclusiveError",
     "LinearSystem",
     "Mechanism",
     "NumericalError",
@@ -70,15 +63,12 @@ __all__ = [
     "TradeoffPoint",
     "ValidationError",
     "ValidationReport",
-    "batch_covariance_oracle",
     "collapse_events",
     "critical_rates",
     "design_p_star",
     "effective_rates",
     "expected_error_curve",
-    "feasibility_check",
     "filter_errors",
-    "is_positive_definite",
     "meets_divergence_criterion",
     "meets_plateau_criterion",
     "p_lower",

@@ -157,7 +157,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"unknown keys: {', '.join(unknown)}", f"/{unknown[0]}")
 
     version = doc.get("schema_version")
-    if version != 1:
+    # True == 1 in Python; a boolean is rejected, as _get_number rejects it
+    if isinstance(version, bool) or version != 1:
         raise ConfigError(f"schema_version must be 1, got {version!r}", "/schema_version")
 
     if "system" not in doc or not isinstance(doc["system"], dict):

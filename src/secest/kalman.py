@@ -32,19 +32,21 @@ estimation error and the prediction covariance over whole reception
 sequences, several at once when they share the noise (both receivers of a
 simulated trace). Its covariance step is :func:`riccati_map`'s at
 lam = gamma(k), bit for bit, through the same gain routine. Only the
-covariance and the gain are stepped in Python; given the gains the error
-recursion is linear, and it is solved for every step at once by one LAPACK
-banded triangular solve (:func:`_linear_recursion`, which also carries the
-simulated state).
+covariance is stepped in Python; the gain K(k) depends on P(k) alone, and
+given the gains the error recursion is linear, so it is solved for every
+step at once by one LAPACK banded triangular solve
+(:func:`_linear_recursion`, which also carries the simulated state).
 
 On a small single-output plant (m = 1, n <= 5) numpy's per-call overhead,
 not the arithmetic, would dominate the covariance recursion, so it steps
 in straight-line Python float code generated for each n
 (:func:`_float_kernel`), over the n(n+1)/2 entries of the symmetric
 covariance: the filter's rows with weights gamma(k), and the averaged
-curve's with each step's reception fraction. Each statement mirrors an
-entry of :func:`riccati_map`'s products, so at n = 1 the kernel gives its
-bits, and from n = 2 they differ only in how the sums round (BLAS fuses
+curve's with each step's reception fraction. The kernel records only the
+covariances; the filter reads its gains off them after the loop, in one
+:func:`_gains` call. Each statement mirrors an entry of
+:func:`riccati_map`'s products, so at n = 1 the kernel gives its bits, and
+from n = 2 they differ only in how the sums round (BLAS fuses
 multiply-adds). On a 2-core Xeon the two-row filter call of a simulated
 trace beats numpy up to n = 5 (:data:`_FLOAT_MAX_N`); plants with more
 states or more outputs, and the ceiling and the certificate, stay on numpy.
@@ -150,8 +152,9 @@ def _gains(XC: np.ndarray, S: np.ndarray, lam) -> np.ndarray:
     nothing, and its callers check the variance. For m >= 2 each row of
     nonzero weight is solved by the PD solve, which raises on a bad
     covariance, and then weighed. On single-output plants with
-    n <= :data:`_FLOAT_MAX_N` only :func:`riccati_map` calls it: the filter
-    and the curve step those on floats.
+    n <= :data:`_FLOAT_MAX_N` the filter steps its covariances on floats
+    and calls it once after the loop, on every recorded covariance at once,
+    to read the gains off them; the curve needs no gain.
     """
     lam = np.asarray(lam)
     if S.shape[-1] == 1:
@@ -177,29 +180,24 @@ _FLOAT_MAX_N = 5
 
 # The kernel, with the n-dependent statements left as fields. UPPER is
 # np.triu_indices(n), the order in which the state x{i}_{j}, i <= j, packs
-# the symmetric covariance; xs records each step's full matrix, row by row,
-# as P lays it out.
+# the symmetric covariance; xs, the kernel's one record, holds each step's
+# full matrix, row by row, as P lays it out.
 _FLOAT_SOURCE = '''\
-def covariances(sys, G, P, K, S):
+def covariances(sys, G, P):
     {coefficients}
     for row, lams in enumerate(G.tolist()):
         {state}, = P[row, 0][UPPER].tolist()
         {symmetrize}
-        xs, ks, ss = P[row, 0].ravel().tolist(), [], []
+        xs = P[row, 0].ravel().tolist()
         for lam in lams:
             if lam:
                 {innovation}
                 if not 0.0 < s < inf:
                     return row, len(xs) // {nn} - 1
                 {filter_update}
-                {record_gain}
-                ss.append(s)
             {predict}
             {record_state}
         P[row].flat = xs
-        received = G[row] != 0
-        K[row, received, :, 0] = np.reshape(ks, (-1, {n}))
-        S[row, received, 0, 0] = ss
 '''
 
 
@@ -228,12 +226,14 @@ def _float_kernel(n: int) -> Callable:
     overflows. A coefficient of zero still multiplies, so 0 times an
     overflowed entry is NaN, as in numpy.
 
-    ``covariances(sys, G, P, K, S)`` steps each row of weights G from
-    P[row, 0], row by row, and fills P with the iterates and K and S with
-    the gains and innovation variances of the steps of nonzero weight. A
-    variance that is not finite and positive stops it: it returns
-    (row, k), the row and the step, leaving that row and later ones
-    unfilled; otherwise it returns None.
+    ``covariances(sys, G, P)`` steps each row of weights G from
+    P[row, 0], row by row, and fills P with the iterates: it records only
+    the covariances. Each step of nonzero weight forms its gain for the
+    update and drops it; :func:`filter_errors` reads the gains off the
+    recorded covariances, and the curve needs none. A variance that is not
+    finite and positive stops it: it returns (row, k), the row and the
+    step, leaving that row and later ones unfilled; otherwise it returns
+    None.
     """
     def x(i, j):
         return f"x{min(i, j)}_{max(i, j)}"
@@ -250,7 +250,6 @@ def _float_kernel(n: int) -> Callable:
     AXA = [total(f"ax{i}_{l} * a{j}_{l}" for l in N) + f" + q{i}_{j}" for i, j in upper]
     symmetrize = [f"{x(i, j)} = ({x(i, j)} + {x(i, j)}) * 0.5" for i, j in upper]
     fields = dict(
-        n=n,
         nn=n * n,
         state=", ".join(x(i, j) for i, j in upper),
         coefficients=lines([
@@ -267,11 +266,10 @@ def _float_kernel(n: int) -> Callable:
         filter_update=lines(
             ["f = lam / s"] + [f"k{i} = xc{i} * f" for i in N]
             + [f"{x(i, j)} = {x(i, j)} - k{i} * xc{j}" for i, j in upper], 4),
-        record_gain=lines([f"ks.append(k{i})" for i in N], 4),
         record_state=lines([f"xs.append({x(i, j)})" for i in N for j in N], 3),
         predict=lines(AX + [f"{x(i, j)} = {e}" for (i, j), e in zip(upper, AXA)] + symmetrize, 3),
     )
-    namespace = dict(np=np, inf=math.inf, UPPER=np.triu_indices(n))
+    namespace = dict(inf=math.inf, UPPER=np.triu_indices(n))
     exec(_FLOAT_SOURCE.format(**fields), namespace)
     return namespace["covariances"]
 
@@ -315,12 +313,14 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     from e(0) = e0 and P(0) = Sigma0. The covariance step is
     :func:`riccati_map`'s, with the same gain routine (:func:`_gains`,
     weighed by gamma(k)), so P(k+1) = g_gamma(k)(P(k)) bit for bit. Only
-    the covariance and the gain are stepped; a step at which no row
-    receives forms no gain. A single-output plant with
-    n <= :data:`_FLOAT_MAX_N` steps them on Python floats, row by row
-    (:func:`_float_kernel`), with the numpy loop's bits at n = 1 and its
-    values up to the sums' rounding above; other plants step all rows at
-    once in numpy. Given the gains the error recursion is linear,
+    the covariance is stepped. A single-output plant with
+    n <= :data:`_FLOAT_MAX_N` steps it on Python floats, row by row
+    (:func:`_float_kernel`), which records only the covariances, with the
+    numpy loop's bits at n = 1 and its values up to the sums' rounding
+    above; the gains are then read off the recorded P(k), k < N, in one
+    :func:`_gains` call. Other plants step all rows at once in numpy,
+    forming the gains as they go; a step at which no row receives forms
+    none. Given the gains the error recursion is linear,
     e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
     all steps at once after the loop (one banded triangular solve), and
     e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A
@@ -359,16 +359,19 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     At, Ct = A.T, C.T
     P = np.empty((rows, N + 1, n, n))
     P[:, 0] = sys.Sigma0
-    K = np.zeros((rows, N, n, m))
-    S = np.empty((rows, N, m, m))
     kernel = _float_route(sys)
-    if kernel is not None:
-        if kernel(sys, G, P, K, S) is not None:
-            raise NumericalError(_BAD_VARIANCE)
-    else:
-        # a bad m = 1 variance is caught after the loop, and an overflowed
-        # covariance when a row receives on it, not by a warning in the loop
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # no warning escapes: a bad variance raises where a row receives on it
+    # (an m = 1 one on the numpy route after the loop), and a row that
+    # misses a step on an overflowed covariance gets an exact zero gain
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kernel is not None:
+            if kernel(sys, G, P) is not None:
+                raise NumericalError(_BAD_VARIANCE)
+            XC = P[:, :N] @ Ct
+            K = _gains(XC, C @ XC + R, G)
+        else:
+            K = np.zeros((rows, N, n, m))
+            S = np.empty((rows, N, m, m))
             for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
                 X = P[:, k]
                 if some:
@@ -380,10 +383,10 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
                 X = A @ X @ At + Q
                 X += X.transpose(0, 2, 1)
                 np.multiply(X, 0.5, out=P[:, k + 1])
-        if m == 1:
-            variance = S[G][:, 0, 0]
-            if not ((variance > 0.0) & (variance < math.inf)).all():
-                raise NumericalError(_BAD_VARIANCE)
+            if m == 1:
+                variance = S[G][:, 0, 0]
+                if not ((variance > 0.0) & (variance < math.inf)).all():
+                    raise NumericalError(_BAD_VARIANCE)
     IKC = np.eye(n) - K @ C
     Kv = K @ v
     e = _linear_recursion(A @ IKC, (A @ Kv)[..., 0] - w, e0)

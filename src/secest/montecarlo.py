@@ -25,13 +25,14 @@ Both recursions take the filter's covariance step, which is
 :func:`~secest.kalman.riccati_map`'s. On a single-output plant with at
 most five states both step in the filter's straight-line Python float
 kernel, generated for its size, which is faster than the matrix products:
-the trace's two receivers and the curves' rates are its rows. At n = 1 it
-gives their bits. From n = 2 the sums round differently (see
-:mod:`secest.kalman`): on the seeded test plants the results stay within
-1e-12 of the matrix products, but on ``configs/second_order.json`` the
-traces ``trP`` move by up to 5e-11 relative and the errors ``err`` by up
-to 3e-10, at steps where the covariance-form update cancels. Other plants
-step in numpy.
+the trace's two receivers and the curves' rates are its rows. The kernel
+records only the covariances; the filter reads its gains off them, and the
+curve its traces. At n = 1 it gives their bits. From n = 2 the sums round
+differently (see :mod:`secest.kalman`): on the seeded test plants the
+results stay within 1e-12 of the matrix products, but on
+``configs/second_order.json`` the traces ``trP`` move by up to 5e-11
+relative and the errors ``err`` by up to 3e-10, at steps where the
+covariance-form update cancels. Other plants step in numpy.
 
 A curve is divergent when its mean trace at k = 300 exceeds 10 times the
 value at k = 30, and plateaued when the value at k = 300 is at most 1.2
@@ -205,7 +206,9 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     fractions. Returns the trace at each step k = 0..T. A single-output
     plant with n <= 5 states steps it in the filter's float kernel
     (:func:`~secest.kalman._float_kernel`), on one row of fractions, bit
-    for bit as riccati_map at n = 1; other plants call riccati_map itself.
+    for bit as riccati_map at n = 1, and reads the traces off the
+    covariances the kernel records, with no gain or variance buffer; other
+    plants call riccati_map itself.
     A step whose covariance has overflowed records an infinite trace on
     every route, also where the covariance holds NaN entries (a zero
     coefficient times infinity); a later step with a nonzero rate fails
@@ -242,8 +245,7 @@ def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, ru
         if kernel is not None:
             P = np.empty((rows, T + 1, n, n))
             P[:, 0] = sys.Sigma0
-            failed = kernel(sys, fractions, P, np.zeros((rows, T, n, 1)),
-                            np.empty((rows, T, 1, 1)))
+            failed = kernel(sys, fractions, P)
             if failed is not None:
                 row, k = failed
                 raise NumericalError(_BAD_VARIANCE)

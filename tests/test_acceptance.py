@@ -16,7 +16,6 @@ from secest import (
     ChannelParams,
     Mechanism,
     ScalarSystem,
-    batch_covariance_oracle,
     collapse_events,
     design_p_star,
     expected_error_curve,
@@ -35,6 +34,7 @@ from secest import (
     solve_V,
     sweep_tradeoff,
 )
+from secest.kalman import batch_covariance_oracle
 
 from conftest import record_acceptance
 

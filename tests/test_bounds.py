@@ -12,14 +12,12 @@ import secest
 import secest.cli
 from secest import (
     ChannelParams,
-    InconclusiveError,
     LinearSystem,
     NumericalError,
     ScalarSystem,
     ValidationError,
     bounds,
     critical_rates,
-    feasibility_check,
     p_lower,
     p_upper,
     scalar_V,
@@ -28,6 +26,8 @@ from secest import (
     solve_V,
     validate_system,
 )
+from secest.bounds import feasibility_check
+from secest.errors import InconclusiveError
 
 from helpers import circle_case, plus_minus_case
 

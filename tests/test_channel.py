@@ -8,11 +8,11 @@ from secest import (
     ValidationError,
     effective_rates,
     expected_error_curve,
-    feasibility_check,
     riccati_map,
     solve_S,
     solve_V,
 )
+from secest.bounds import feasibility_check
 from secest.channel import (
     STREAM_EAVESDROPPER_ERASURE,
     STREAM_MC_RUN_BASE,

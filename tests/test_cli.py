@@ -97,6 +97,10 @@ class TestLoadConfig:
         doc["schema_version"] = 2
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, doc))
+        doc["schema_version"] = True
+        with pytest.raises(ConfigError) as exc:
+            load_config(write_cfg(tmp_path, doc))
+        assert exc.value.pointer == "/schema_version"
 
     def test_ragged_matrix_pointer(self, tmp_path):
         doc = base_doc()

@@ -16,7 +16,6 @@ from secest import (
     Mechanism,
     NumericalError,
     ValidationError,
-    batch_covariance_oracle,
     expected_error_curve,
     filter_errors,
     kalman,
@@ -24,7 +23,7 @@ from secest import (
     riccati_map,
     simulate_trace,
 )
-from secest.kalman import Coefficients, _float_kernel, _linear_recursion
+from secest.kalman import Coefficients, _float_kernel, _linear_recursion, batch_covariance_oracle
 
 from helpers import complex_mode_plant, left_sum, mirrored, reference_riccati, two_output_plant
 
@@ -414,27 +413,34 @@ def _float_covariances(sys, G):
     as loops over the entries: on a reception X C', C (X C') + r, the gain
     (X C') (1 / s) and the upper entries of X - K (X C')', then A X,
     (A X) A' + Q and (x + x) * 0.5 on the upper entries, each sum left to
-    right. The reference for P's bits, and the gains K, on the float route."""
+    right. The reference for P's bits on the float route, and the gains
+    K = gamma P C' (1 / (C P C' + r)) formed from those covariances after
+    the loop, in the same order."""
     rows, N = G.shape
     n = sys.n
     ns = range(n)
     A, c, Q, r = sys.A.tolist(), sys.C[0].tolist(), sys.Q.tolist(), sys.R.item()
+
+    def gain(X):
+        xc = [left_sum(X[i][j] * c[j] for j in ns) for i in ns]
+        s = left_sum(c[i] * xc[i] for i in ns) + r
+        return [x * (1.0 / s) for x in xc], xc
+
     P = np.empty((rows, N + 1, n, n))
-    Ks = np.zeros((rows, N, n, 1))
     for b in range(rows):
         X = sys.Sigma0.tolist()
         P[b, 0] = X
         for k, got in enumerate(G[b]):
             if got:
-                xc = [left_sum(X[i][j] * c[j] for j in ns) for i in ns]
-                s = left_sum(c[i] * xc[i] for i in ns) + r
-                gain = [x * (1.0 / s) for x in xc]
-                X = mirrored(lambda i, j: X[i][j] - gain[i] * xc[j], n)
-                Ks[b, k, :, 0] = gain
+                K, xc = gain(X)
+                X = mirrored(lambda i, j: X[i][j] - K[i] * xc[j], n)
             AX = [[left_sum(A[i][l] * X[l][j] for l in ns) for j in ns] for i in ns]
             X = mirrored(lambda i, j: left_sum(AX[i][l] * A[j][l] for l in ns) + Q[i][j], n)
             X = mirrored(lambda i, j: (X[i][j] + X[i][j]) * 0.5, n)
             P[b, k + 1] = X
+    Ks = np.zeros((rows, N, n, 1))
+    for b, k in zip(*np.nonzero(G)):
+        Ks[b, k, :, 0] = gain(P[b, k].tolist())[0]
     return P, Ks
 
 
@@ -483,8 +489,19 @@ def test_bad_variance_mid_sequence(m):
 def _numpy_filter(sys, G, e0, w, v):
     """filter_errors as the stacked numpy loop computed it before the float
     route: the parent loop above, then the error solve copied as it is."""
-    N = G.shape[1]
-    P, K = _parent_covariances(sys, G)
+    return _error_solve(sys, *_parent_covariances(sys, G), e0, w, v)
+
+
+def _float_filter(sys, G, e0, w, v):
+    """The float route's reference: :func:`_float_covariances`, with its
+    gains read off its own covariances, then the same error solve."""
+    return _error_solve(sys, *_float_covariances(sys, G), e0, w, v)
+
+
+def _error_solve(sys, P, K, e0, w, v):
+    """The errors given the covariances and gains, as :func:`_numpy_filter`
+    solved them."""
+    N = K.shape[1]
     IKC = np.eye(sys.n) - K @ sys.C
     Kv = K @ np.broadcast_to(v, (N, sys.m))[..., None]
     e = _linear_recursion(sys.A @ IKC, (sys.A @ Kv)[..., 0] - np.broadcast_to(w, (N, sys.n)),
@@ -533,8 +550,11 @@ def test_scalar_filter_is_bit_identical_to_numpy_loop(a, N):
 
 
 def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys):
+    """The numpy loop forms its gains step by step, one _gains call per
+    step at which a row receives; the scalar route steps no gain in numpy
+    and reads all of them off its covariances in one call after the loop."""
     def refuse(*args):
-        raise AssertionError("a one-state plant reached _gains")
+        raise AssertionError("the float route reached riccati_map")
 
     calls = []
     gains = kalman._gains
@@ -542,9 +562,11 @@ def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys):
     monkeypatch.setattr(kalman, "_gains", lambda *args: calls.append(1) or gains(*args))
     filter_errors(PLANTS["six_state"], G, np.zeros(6), 0.0, 0.0)
     assert len(calls) == 20
-    monkeypatch.setattr(kalman, "_gains", refuse)
+    monkeypatch.setattr(kalman, "riccati_map", refuse)
     for rows in (G, G[0]):
+        calls.clear()
         filter_errors(scalar_sys, rows, np.zeros(1), 0.0, 0.0)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -583,8 +605,7 @@ def _kernel_chain(sys, x, lams):
     n = len(sys.A)
     P = np.empty((1, len(lams) + 1, n, n))
     P[0, 0] = x
-    failed = _float_kernel(n)(sys, np.array([lams], dtype=float), P,
-                              np.zeros((1, len(lams), n, 1)), np.empty((1, len(lams), 1, 1)))
+    failed = _float_kernel(n)(sys, np.array([lams], dtype=float), P)
     return P[0, 1:] if failed is None else failed
 
 
@@ -710,33 +731,37 @@ def test_overflowed_missing_row_on_the_numpy_route(plant):
 def test_route_by_plant_size(monkeypatch, n, m):
     """Single-output plants with at most five states (_FLOAT_MAX_N) step the
     filter's covariances and the averaged curve in the one float kernel and
-    never reach the gain routine or riccati_map; a six-state plant and a
-    two-output plant step both in numpy."""
+    never reach riccati_map: the filter reads its gains off the covariances
+    in one call of the gain routine, and the curve needs none. A six-state
+    plant and a two-output plant step both in numpy."""
     if m == 2:
         sys = two_output_plant()
     else:
         sys = PLANTS["scalar"] if n == 1 else complex_mode_plant(n, n, 1.1)
     assert (sys.n, sys.m) == (n, m)
-    calls = set()
+    calls = []
     gains, curve_map = kalman._gains, montecarlo.riccati_map
-    monkeypatch.setattr(kalman, "_gains", lambda *a: calls.add("gains") or gains(*a))
-    monkeypatch.setattr(montecarlo, "riccati_map", lambda *a: calls.add("map") or curve_map(*a))
+    monkeypatch.setattr(kalman, "_gains", lambda *a: calls.append("gains") or gains(*a))
+    monkeypatch.setattr(montecarlo, "riccati_map",
+                        lambda *a: calls.append("map") or curve_map(*a))
     G = np.arange(60).reshape(3, 20) % 3 != 0
     filter_errors(sys, G, np.zeros(n), 0.0, 0.0)
     expected_error_curve(sys, Mechanism(0.8), 0.9, T=20, runs=10, seed=1)
     on_floats = m == 1 and n <= 5
     assert (kalman._float_route(sys) is not None) == on_floats
-    assert calls == (set() if on_floats else {"gains", "map"})
+    if on_floats:
+        assert calls == ["gains"]
+    else:
+        assert set(calls) == {"gains", "map"}
 
 
 def _kernel_covariances(sys, G):
-    """P and the gains K of the float kernel's loop, called directly."""
+    """P of the float kernel's loop, called directly."""
     rows, N = G.shape
     P = np.empty((rows, N + 1, sys.n, sys.n))
     P[:, 0] = sys.Sigma0
-    K = np.zeros((rows, N, sys.n, 1))
-    assert kalman._float_kernel(sys.n)(sys, G, P, K, np.empty((rows, N, 1, 1))) is None
-    return P, K
+    assert kalman._float_kernel(sys.n)(sys, G, P) is None
+    return P
 
 
 def _relative_gap(got, ref, axes):
@@ -751,14 +776,17 @@ def test_float_route_agrees_with_the_numpy_route(n, radius):
     """On seeded plants with a complex pair of modulus 0.9 (stable) or 1.15
     (unstable), two rows receiving at rates 0.5 and 0.8 over N = 300:
 
-    - the kernel's covariances and gains are its loop reference's
+    - the kernel's covariances are its loop reference's
       (:func:`_float_covariances`) bit for bit, and filter_errors returns
       those covariances;
-    - covariances, gains and errors agree with the numpy loop, and the
-      covariances with the Joseph-form oracle, within 1e-12 of each step's
-      largest entry (errors: of each row's largest entry). The sums round
-      differently from BLAS's fused multiply-adds; the measured worst gap
-      over 12 seeds per case was 5.5e-14 (covariances, n = 5, unstable).
+    - the errors agree with the float route's reference
+      (:func:`_float_filter`, gains read off its own covariances in its
+      own order of summation) and with the numpy loop, the covariances
+      with the numpy loop and the Joseph-form oracle, within 1e-12 of each
+      step's largest entry (errors: of each row's largest entry). The sums
+      round differently from BLAS's fused multiply-adds; the measured
+      worst gap over 12 seeds per case was 5.5e-14 (covariances, n = 5,
+      unstable).
     """
     N = 300
     for seed in range(4):
@@ -767,17 +795,53 @@ def test_float_route_agrees_with_the_numpy_route(n, radius):
         G = rng.random((2, N)) < np.array([[0.5], [0.8]])
         e0, w, v = rng.standard_normal(n), rng.standard_normal((N, n)), rng.standard_normal((N, 1))
         E, P = filter_errors(sys, G, e0, w, v)
-        P_kernel, K_kernel = _kernel_covariances(sys, G)
-        P_loop, K_loop = _float_covariances(sys, G)
-        assert np.array_equal(P, P_kernel) and np.array_equal(P, P_loop)
-        assert np.array_equal(K_kernel, K_loop)
+        E_loop, P_loop = _float_filter(sys, G, e0, w, v)
+        assert np.array_equal(P, _kernel_covariances(sys, G)) and np.array_equal(P, P_loop)
         E_numpy, P_numpy = _numpy_filter(sys, G, e0, w, v)
-        _, K_numpy = _parent_covariances(sys, G)
         assert _relative_gap(P, P_numpy, (2, 3)) <= 1e-12
-        assert _relative_gap(K_kernel, K_numpy, (2, 3)) <= 1e-12
+        assert _relative_gap(E, E_loop, (1, 2)) <= 1e-12
         assert _relative_gap(E, E_numpy, (1, 2)) <= 1e-12
         for r in range(2):
             assert _relative_gap(P[r, 1:], batch_covariance_oracle(sys, G[r]), (1, 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("plant", ["scalar", "second_order"])
+def test_float_route_errors_from_their_own_covariances(plant):
+    """The float route's errors are its reference's (:func:`_float_filter`)
+    bit for bit where X C' rounds alike in every order of summation: at
+    n = 1, and on second_order, whose C = [1, 0] makes each X C' an entry
+    of X. Three rows receiving at rates 0.3, 0.6 and 0.9, N = 300, four
+    seeds."""
+    sys = PLANTS[plant]
+    N, n = 300, sys.n
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        G = rng.random((3, N)) < np.array([[0.3], [0.6], [0.9]])
+        e0, w, v = rng.standard_normal(n), rng.standard_normal((N, n)), rng.standard_normal((N, 1))
+        E, P = filter_errors(sys, G, e0, w, v)
+        E_loop, P_loop = _float_filter(sys, G, e0, w, v)
+        assert np.array_equal(E, E_loop) and np.array_equal(P, P_loop)
+
+
+@pytest.mark.parametrize("N", [0, 1, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_float_route_forms_its_gains_in_one_call(monkeypatch, n, N):
+    """A float-route filter_errors call reaches the gain routine exactly
+    once, after the kernel, whatever N and the number of rows, and never
+    reaches riccati_map."""
+    def refuse(*args):
+        raise AssertionError("the float route reached riccati_map")
+
+    sys = PLANTS["scalar"] if n == 1 else complex_mode_plant(n, n, 1.1)
+    calls = []
+    gains = kalman._gains
+    monkeypatch.setattr(kalman, "_gains", lambda *a: calls.append(1) or gains(*a))
+    monkeypatch.setattr(kalman, "riccati_map", refuse)
+    G = np.arange(3 * N).reshape(3, N) % 3 != 0
+    for rows in (G, G[0]):
+        calls.clear()
+        filter_errors(sys, rows, np.zeros(n), 0.0, 0.0)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

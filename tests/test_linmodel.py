@@ -9,13 +9,12 @@ from secest import (
     LinearSystem,
     NumericalError,
     ValidationError,
-    is_positive_definite,
     p_lower,
     solve_S,
     validate_system,
 )
 from secest.cli import load_config
-from secest.linmodel import SchurFactor, cayley_shift, prepare_stein
+from secest.linmodel import SchurFactor, cayley_shift, is_positive_definite, prepare_stein
 
 from helpers import circle_case, plus_minus_case
 

@@ -9,7 +9,6 @@ from secest import (
     NumericalError,
     RngStream,
     ValidationError,
-    batch_covariance_oracle,
     collapse_events,
     expected_error_curve,
     meets_divergence_criterion,
@@ -19,6 +18,7 @@ from secest import (
     simulate_trace,
     time_average_error,
 )
+from secest.kalman import batch_covariance_oracle
 
 from helpers import complex_mode_plant, float_riccati, reference_riccati, two_output_plant
 
