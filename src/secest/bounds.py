@@ -24,10 +24,17 @@ trades off, evaluated at the receivers' effective rates:
   rate <= p_lower (``solve_S``);
 * the intended receiver's error ceiling: the fixed point V = g_rate(V),
   infinite once rate <= p_upper (``solve_V``). It is reached by a Stein
-  split stepped in the Cayley coordinates of the floor's solve (a
-  measurement update and one ``trsyl`` per step), and checked by
-  :func:`~secest.kalman.riccati_map`, the definition of g_rate, whose
-  fixed-point residual the result reports.
+  split, checked by :func:`~secest.kalman.riccati_map`, the definition of
+  g_rate, whose fixed-point residual the result reports.
+
+Both solve their Stein equations in one of two coordinate systems of the
+plant's Schur factor A = U T U^H. Where T has an eigenbasis
+T = Y diag(d) Y^-1 with cond_2(Y) <= 50
+(:attr:`~secest.linmodel.SchurFactor.modal`), the Stein operator is
+diagonal in U Y: a floor is one entrywise division, O(n^2), and a ceiling
+step is a measurement update and one entrywise multiply-add. Elsewhere (a
+Jordan block, a strongly non-normal A) a floor is one Cayley-transformed
+``trsyl``, and a ceiling step a measurement update and one ``trsyl``.
 
 Infinite bounds are represented explicitly by :class:`BoundValue` with
 ``finite=False`` and ``trace=inf``; no numeric sentinel is ever used.
@@ -46,7 +53,7 @@ import scipy.linalg as sla
 from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
 from .kalman import Coefficients, _innovation_solve, riccati_map
-from .linmodel import LinearSystem, SchurFactor, _describe_modes, prepare_stein
+from .linmodel import LinearSystem, SchurFactor, _describe_modes, _ModalFactor, prepare_stein
 
 # Width of the final p_upper bisection bracket, on plants with no closed
 # form (1 < rank(C U_u) < k).
@@ -82,12 +89,14 @@ _V_MAX_ITERS = 40_000
 class BoundValue:
     """A possibly-infinite covariance bound.
 
-    A finite bound keeps its solution ``_X`` in the basis of the Schur
-    factor ``_schur``. ``matrix``, the bound in the plant's basis (None when
-    infinite), is formed on first read and cached, so a caller that reads
-    only ``trace`` never pays for the back-transform. A finite ceiling
-    (:func:`solve_V`) also reports ``residual``, max|W - g(W)| / max|W|
-    for its solution W and the map g it is the fixed point of, and
+    A finite bound keeps its solution ``_X`` in the basis U of the Schur
+    factor ``_schur``, or, for a floor solved in the factor's eigenbasis
+    (:attr:`~secest.linmodel.SchurFactor.modal`), in the basis U Y, with
+    ``_modal`` that eigenbasis. ``matrix``, the bound in the plant's basis
+    (None when infinite), is formed on first read and cached, so a caller
+    that reads only ``trace`` never pays for the back-transform. A finite
+    ceiling (:func:`solve_V`) also reports ``residual``, max|W - g(W)| /
+    max|W| for its solution W and the map g it is the fixed point of, and
     ``steps``, the split steps it took; both are None on floors and on
     infinite bounds.
     """
@@ -98,6 +107,7 @@ class BoundValue:
     steps: int | None = None
     _X: np.ndarray | None = field(default=None, repr=False)
     _schur: SchurFactor | None = field(default=None, repr=False)
+    _modal: _ModalFactor | None = field(default=None, repr=False)
 
     @classmethod
     def from_schur(cls, schur: SchurFactor, X: np.ndarray) -> "BoundValue":
@@ -111,7 +121,10 @@ class BoundValue:
 
     @cached_property
     def matrix(self) -> np.ndarray | None:
-        return self._schur.to_plant(self._X) if self.finite else None
+        if not self.finite:
+            return None
+        X = self._X if self._modal is None else self._modal.to_schur(self._X)
+        return self._schur.to_plant(X)
 
 
 @dataclass(frozen=True)
@@ -158,17 +171,28 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     """Eavesdropper's asymptotic error floor at withholding probability p.
 
     Solves S = (1 - p*p2) A S A' + Q on the plant's cached Schur factor
-    when the effective rate clears the open-loop threshold; otherwise the
-    floor is infinite. The trace is read off the Schur-basis solution X;
-    the plant-basis matrix sym(Re(U X U^H)) is formed only when ``.matrix``
-    is read.
+    A = U T U^H when the effective rate clears the open-loop threshold;
+    otherwise the floor is infinite. Where T has a well-conditioned
+    eigenbasis T = Y diag(d) Y^-1 (:attr:`~secest.linmodel.SchurFactor.modal`,
+    cond_2(Y) <= 50), the Stein operator is diagonal there and the floor
+    is Z = Y^-1 U^H Q U Y^-H / (1 - alpha d d^H), entrywise, with trace
+    Re sum(Z * (Y^H Y)^T): O(n^2) per floor, and S = sym(Re(U Y Z Y^H U^H)).
+    Elsewhere (a Jordan block, a strongly non-normal A) it is the Cayley
+    solve of :meth:`~secest.linmodel.SchurFactor.discounted_lyapunov`,
+    X in the basis U, with trace Re Tr X and S = sym(Re(U X U^H)). Either
+    way the plant-basis matrix is formed only when ``.matrix`` is read.
     """
     _check_probability(p, "p")
     rate = p * ch.p2
     if rate <= p_lower(sys):
         return BoundValue.infinite()
     schur = sys.schur
+    modal = schur.modal
     try:
+        if modal is not None:
+            Z = modal.QE / modal.divisor(1.0 - rate)
+            return BoundValue(finite=True, trace=modal.trace(Z), _X=Z, _schur=schur,
+                              _modal=modal)
         X = schur.discounted_lyapunov(1.0 - rate)
     except NumericalError:
         # Within solver resolution of the threshold, or on a strongly
@@ -324,26 +348,40 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     open-loop direction, the near-critical one when ``p_upper`` = ``p_lower``
     (scalar and invertible-C plants).
 
-    The iterate lives in the coordinates of the plant's Schur factor
-    A = U T U^H, W = U^H V U, in the factor's dtype, and each step is
-    taken in the Cayley coordinates of the Stein solve. With alpha = 1 - lam
-    the factor N = (sqrt(alpha) T + sigma I)^-1 is formed once per call
-    (:meth:`~secest.linmodel.SchurFactor.stein`), and with it N T and
-    N U^H Q U N^H. A step is the measurement update
-    W_f = W - W C_u^H (C_u W C_u^H + R)^-1 C_u W, C_u = C U, and one
-    triangular Sylvester solve on N U^H Q U N^H + lam (N T) W_f (N T)^H,
-    whose Hermitian part is the next iterate. The stop rule is read on W:
-    a step max|W_next - W| / max|diag W_next| of at most 1e-13 (a PSD
-    iterate's largest entry is on its diagonal), or one below 1e-9 that no
-    longer shrinks. :func:`~secest.kalman.riccati_map` on
-    (T, C U, U^H Q U, R) remains the definition of the ceiling: it is
-    applied to W whenever the rule fires, for the fixed point's residual
-    max|W - g_lam(W)| / max|W|. A step that stopped shrinking is taken only
-    when that residual is at most 1e-12, or when it improves by no more
-    than 10 % on the smallest residual of an earlier such step; otherwise
-    the convergence was oscillating, not at its roundoff floor, and the
-    split steps on. The result reports the residual as ``residual`` and the
-    step count as ``steps``. The trace is Re Tr W; the ceiling
+    The iterate lives in coordinates of the plant's Schur factor
+    A = U T U^H, in the factor's dtype, and only its start, its output
+    matrix and its Stein step depend on which:
+
+    * in the eigenbasis T = Y diag(d) Y^-1, where it exists with
+      cond_2(Y) <= 50 (:attr:`~secest.linmodel.SchurFactor.modal`), the
+      iterate is Z = Y^-1 U^H V U Y^-H and the output matrix C U Y. With
+      alpha = 1 - lam the Stein divisor 1 - alpha d d^H is formed once per
+      call, and a step is the measurement update
+      Z_f = Z - Z C_m^H (C_m Z C_m^H + R)^-1 C_m Z, C_m = C U Y, then
+      Z <- (Y^-1 U^H Q U Y^-H + lam d d^H * Z_f) / (1 - alpha d d^H),
+      entrywise, whose Hermitian part is the next iterate (roundoff's skew
+      part would otherwise grow from step to step);
+    * elsewhere, the iterate is W = U^H V U and the output matrix C U. The
+      Cayley factor N = (sqrt(alpha) T + sigma I)^-1 is formed once per
+      call (:meth:`~secest.linmodel.SchurFactor.stein`), and with it N T and
+      N U^H Q U N^H. A step is the same measurement update on W with C U,
+      and one triangular Sylvester solve on
+      N U^H Q U N^H + lam (N T) W_f (N T)^H, whose Hermitian part is the
+      next iterate.
+
+    The stop rule is read on the iterate: a step max|W_next - W| /
+    max|diag W_next| of at most 1e-13 (a PSD iterate's largest entry is on
+    its diagonal), or one below 1e-9 that no longer shrinks.
+    :func:`~secest.kalman.riccati_map` on (T, C U, U^H Q U, R) remains the
+    definition of the ceiling: it is applied whenever the rule fires, to
+    the iterate carried to the Schur basis (Y Z Y^H on the modal route),
+    for the fixed point's residual max|W - g_lam(W)| / max|W|. A step that
+    stopped shrinking is taken only when that residual is at most 1e-12,
+    or when it improves by no more than 10 % on the smallest residual of
+    an earlier such step; otherwise the convergence was oscillating, not at
+    its roundoff floor, and the split steps on. The result reports the
+    residual as ``residual`` and the step count as ``steps``; its matrix
+    is kept in the Schur basis U, with trace Re Tr W, and the ceiling
     sym(Re(U W U^H)) is formed only when ``.matrix`` is read.
 
     Elsewhere (e.g. one output), ``p_upper`` is the exact threshold, and
@@ -359,30 +397,48 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
         return BoundValue.infinite()
 
     schur = sys.schur
-    U = schur.U
-    stein = schur.stein(1.0 - rate)
-    N, T = stein.N, schur.T
-    # X solves H X + X H^H = N (Q_U + lam T W_f T^H) N^H / 2, so the next
-    # iterate X + X^H is the Hermitian part of the Stein solution
-    NQN, NT = 0.5 * (N @ schur.QU @ N.conj().T), N @ T
-    L, NTh = (0.5 * rate) * NT, NT.conj().T
-    CU = sys.C @ U
-    CUh, R = CU.conj().T, sys.R
-    W, prev, stalls = U.conj().T @ sys.Sigma0 @ U, math.inf, []
+    U, T, modal = schur.U, schur.T, schur.modal
+    CU, R = sys.C @ U, sys.R
+    W = U.conj().T @ sys.Sigma0 @ U
+    if modal is None:
+        stein = schur.stein(1.0 - rate)
+        N = stein.N
+        # X solves H X + X H^H = N (Q_U + lam T W_f T^H) N^H / 2, so the next
+        # iterate X + X^H is the Hermitian part of the Stein solution
+        NQN, NT = 0.5 * (N @ schur.QU @ N.conj().T), N @ T
+        L, NTh = (0.5 * rate) * NT, NT.conj().T
+
+        def stein_step(Wf):
+            X = stein.transformed(NQN + L @ Wf @ NTh)
+            return X + X.conj().T
+
+        Cs, to_schur = CU, None
+    else:
+        # Z = Y^-1 W Y^-H: the Stein solve divides entrywise by 1 - alpha d d^H
+        E = 1.0 / modal.divisor(1.0 - rate)
+        F, L = modal.QE * E, (rate * modal.dd) * E
+
+        def stein_step(Zf):
+            Z = F + L * Zf
+            # roundoff's skew part would grow step by step
+            return 0.5 * (Z + Z.conj().T)
+
+        Cs, to_schur = CU @ modal.Y, modal.to_schur
+        W = modal.Yinv @ W @ modal.Yinv.conj().T
+    Csh, prev, stalls = Cs.conj().T, math.inf, []
     for steps in range(1, _V_MAX_ITERS + 1):
-        WC = W @ CUh
-        Wf = W - WC @ _innovation_solve(CU @ WC + R, WC.conj().T)
-        X = stein.transformed(NQN + L @ Wf @ NTh)
-        Wn = X + X.conj().T
+        WC = W @ Csh
+        Wn = stein_step(W - WC @ _innovation_solve(Cs @ WC + R, WC.conj().T))
         # a PSD iterate's largest entry sits on its diagonal
         step = float(np.abs(Wn - W).max() / np.abs(Wn.diagonal()).max())
         if step <= _V_TOL or prev <= step <= _V_FLOOR:
-            G = riccati_map(Wn, Coefficients(T, CU, schur.QU, R), rate)
-            residual = float(np.abs(Wn - G).max() / np.abs(Wn).max())
+            V = Wn if to_schur is None else to_schur(Wn)
+            G = riccati_map(V, Coefficients(T, CU, schur.QU, R), rate)
+            residual = float(np.abs(V - G).max() / np.abs(V).max())
             if (step <= _V_TOL or residual <= _V_RESIDUAL
                     or any(residual >= _V_RESIDUAL_STALL * r for r in stalls)):
-                return BoundValue(finite=True, trace=float(Wn.trace().real),
-                                  residual=residual, steps=steps, _X=Wn, _schur=schur)
+                return BoundValue(finite=True, trace=float(V.trace().real),
+                                  residual=residual, steps=steps, _X=V, _schur=schur)
             stalls.append(residual)
         prev, W = step, Wn
     raise NumericalError(

@@ -18,12 +18,14 @@ gain K = lam X C' (C X C' + R)^(-1) (:func:`_gains`), then the prediction
 sym(A X_f A' + Q). It reads (A, C, Q, R) off its second argument: the
 plant itself, or the plant in other coordinates (:class:`Coefficients`).
 The user ceiling (:func:`secest.bounds.solve_V`) steps its Stein split in
-the Cayley coordinates of the Stein solve, where a step is the measurement
-update alone (through :func:`_innovation_solve`) and one triangular
-Sylvester solve; it applies :func:`riccati_map` at its rate to the
-iterate wherever its stop rule fires, in the coordinates of the plant's
-Schur factor A = U T U^H, on (T, C U, U^H Q U, R) and in that factor's
-real or complex arithmetic, and reports the fixed point's residual. The
+the eigenbasis of the plant's Schur factor, or in the Cayley coordinates
+of its Stein solve where that eigenbasis is ill-conditioned; a step is the
+measurement update alone (through :func:`_innovation_solve`) and one
+entrywise multiply-add or one triangular Sylvester solve. It applies
+:func:`riccati_map` at its rate to the iterate wherever its stop rule
+fires, in the coordinates of the Schur factor A = U T U^H, on
+(T, C U, U^H Q U, R) and in that factor's real or complex arithmetic, and
+reports the fixed point's residual. The
 threshold certificate (:func:`secest.bounds.feasibility_check`) applies it
 noise-free on the unstable block, on (T_u, W, 0, 0).
 

@@ -49,9 +49,9 @@ factor paid once per plant; the Kronecker-vectorized route costs O(n^6)
 time and O(n^4) memory. N and H depend on alpha alone, so
 :func:`prepare_stein` forms them once and returns the solve for any F. It
 also exposes N and the transformed solve for a right-hand side N F N^H
-formed elsewhere: the user ceiling's split iteration forms N T and
-N (U^H Q U) N^H once per call and each step's right-hand side from them,
-and pays one ``trsyl`` per step.
+formed elsewhere: on a plant without a usable eigenbasis (below), the
+user ceiling's split iteration forms N T and N (U^H Q U) N^H once per call
+and each step's right-hand side from them, and pays one ``trsyl`` per step.
 
 The transform is only as accurate as B + sigma I is far from singular.
 scipy's ``solve_discrete_lyapunov`` uses the same transform for n >= 10 with
@@ -76,6 +76,23 @@ ends of [-rho, rho], the plant takes the complex Schur form and the
 root-of-unity shift (``ztrtri``, ``ztrsyl``). One chooser,
 :func:`cayley_shift`, picks the shift in both cases, from the real or the
 complex candidates. The Stein solve is the same code on either dtype.
+
+Where T has a well-conditioned eigenbasis, T = Y diag(d) Y^-1, the Stein
+operator X -> X - alpha T X T^H is diagonal in it: with X = Y Z Y^H it
+scales the entry Z_ij by 1 - alpha d_i conj(d_j), so a solve is one
+entrywise division, O(n^2), with no ``trsyl`` (the eigenvector approach
+that Golub, Nash & Van Loan, IEEE TAC 24(6), 1979, weigh against Schur
+methods). :attr:`SchurFactor.modal` holds that eigenbasis: d, the
+unit-column eigenvectors Y of T, Y^-1, Y^-1 (U^H Q U) Y^-H, d d^H and
+(Y^H Y)^T, real when T is. It is formed on the first floor or ceiling, not
+with the Schur factor (at n = 27 it costs about a third of the factor),
+and it is None when cond_2(Y) exceeds ``_MODAL_MAX_COND`` = 50: a Jordan
+block, a near-defective pair or a strongly non-normal T, where the
+division's error grows like cond_2(Y)^2 and the Cayley solve stays at
+roundoff. The floor (:func:`secest.bounds.solve_S`) and the
+user ceiling take the modal route wherever it exists and the Cayley route
+elsewhere; the feasibility certificate's start solve always takes the
+Cayley route.
 """
 
 from __future__ import annotations
@@ -116,6 +133,22 @@ _SHIFTS = np.exp(2j * np.pi * np.arange(64) / 64)
 # A plant whose real eigenvalues crowd both ends of [-rho, rho] takes the
 # complex factor, where a root of unity off the real axis stands farther off.
 _REAL_SHIFT_MIN = 0.125
+
+# The modal factor (SchurFactor.modal) is formed only when its unit-column
+# eigenvector matrix Y has cond_2(Y) at most this; above it the Cayley route
+# runs. The ceiling's stop rule reads its step in modal coordinates, which
+# can understate the step in the Schur basis by up to cond_2(Y)^2. Measured
+# on random plants (n <= 6, ceilings at p_upper + 0.5 / 0.1 / 0.01 / 1e-3):
+# at cond_2(Y) 65.6 and 275 the step rule accepted residuals of 2.1e-12 and
+# 1.5e-12, where the Cayley route reads <= 1.6e-14; on 504 plants with
+# cond_2(Y) in [8, 50] (2 016 ceilings) it accepted none above 9.4e-13.
+# Scaling the step by cond_2(Y)^2 instead cost held-sweep 1 step per
+# ceiling and left stop rules out of reach near the threshold (a ceiling
+# the Cayley route takes in 11 steps ran out of budget). Floors kept
+# relative residuals <= 1.4e-14 up to cond_2(Y) = 40 (3.8e-14 at 65.6); a
+# near-Jordan pair reads 5e-13 at 200 and 6e-9 at 2e4, where the Cayley
+# route stays below 6e-16.
+_MODAL_MAX_COND = 50.0
 
 # C does not see the eigenvalue lambda when [lambda I - A; C] has
 # sigma_min <= _PBH_RTOL * sigma_max (the PBH test).
@@ -231,6 +264,53 @@ def prepare_stein(T: np.ndarray, alpha: float, sigma: complex) -> _SteinSolve:
     return _SteinSolve(N, H, alpha, sigma, trsyl)
 
 
+def _require_bounded(alpha: float, rho: float) -> None:
+    """Raise :class:`NumericalError` once alpha * rho^2 >= 1 - 1e-12, where
+    the Stein equation has no bounded solution within working precision."""
+    if alpha * rho * rho >= 1.0 - _STEIN_MARGIN:
+        raise NumericalError(
+            f"no bounded solution: alpha * rho(A)^2 = {alpha * rho * rho:.12g} >= 1"
+        )
+
+
+class _ModalFactor:
+    """The eigenbasis T = Y diag(d) Y^-1 of a Schur factor, where the Stein
+    operator X -> X - alpha T X T^H is diagonal.
+
+    ``Y`` has unit columns and ``Yinv`` is its inverse; ``QE`` is
+    Y^-1 (U^H Q U) Y^-H, ``dd`` the outer product d d^H and ``G`` is
+    (Y^H Y)^T. A matrix Z in these coordinates stands for Y Z Y^H in the
+    Schur factor's basis, so Tr (Y Z Y^H) = Re sum(Z * G) and the Stein
+    solution X = alpha T X T^H + Y F Y^H is F / (1 - alpha dd), entrywise.
+    All of it is real when T is.
+    """
+
+    __slots__ = ("d", "Y", "Yinv", "QE", "dd", "G", "rho")
+
+    def __init__(self, d, Y, Yinv, QU):
+        self.d, self.Y, self.Yinv = d, Y, Yinv
+        self.QE = Yinv @ QU @ Yinv.conj().T
+        self.dd = d[:, None] * d.conj()[None, :]
+        self.G = (Y.conj().T @ Y).T
+        self.rho = float(np.max(np.abs(d)))
+
+    def divisor(self, alpha: float) -> np.ndarray:
+        """1 - alpha dd, the Stein operator's diagonal; raises like
+        :meth:`SchurFactor.stein` when alpha * rho^2 >= 1 - 1e-12."""
+        _require_bounded(alpha, self.rho)
+        return 1.0 - alpha * self.dd
+
+    def trace(self, Z: np.ndarray) -> float:
+        """Re Tr (Y Z Y^H), in O(n^2)."""
+        return float((Z * self.G).sum().real)
+
+    def to_schur(self, Z: np.ndarray) -> np.ndarray:
+        """The Hermitian part of Y Z Y^H: the matrix Z in the Schur factor's
+        basis."""
+        X = self.Y @ Z @ self.Y.conj().T
+        return 0.5 * (X + X.conj().T)
+
+
 @dataclass(frozen=True, eq=False)
 class SchurFactor:
     """Sorted Schur form A = U T U^H, with Q carried into the same basis.
@@ -276,11 +356,21 @@ class SchurFactor:
         is raised once alpha * rho^2 >= 1 - 1e-12, for the caller to map to
         an infinite bound.
         """
-        if alpha * self.rho * self.rho >= 1.0 - _STEIN_MARGIN:
-            raise NumericalError(
-                f"no bounded solution: alpha * rho(A)^2 = {alpha * self.rho * self.rho:.12g} >= 1"
-            )
+        _require_bounded(alpha, self.rho)
         return prepare_stein(self.T, alpha, self.sigma)
+
+    @cached_property
+    def modal(self) -> _ModalFactor | None:
+        """The eigenbasis of T (:class:`_ModalFactor`), formed on first use,
+        or None when its unit-column eigenvector matrix Y has
+        cond_2(Y) > ``_MODAL_MAX_COND`` (e.g. a Jordan block, or a strongly
+        non-normal T), where the Cayley route of :meth:`stein` stays
+        accurate and a division by 1 - alpha d d^H would not."""
+        d, Y = np.linalg.eig(self.T)
+        W, s, Vh = np.linalg.svd(Y)
+        if not s[-1] * _MODAL_MAX_COND >= s[0]:
+            return None
+        return _ModalFactor(d, Y, (Vh.conj().T / s) @ W.conj().T, self.QU)
 
     def discounted_lyapunov(self, alpha: float) -> np.ndarray:
         """Solve S = alpha * A S A' + Q in this factor's basis: the X with

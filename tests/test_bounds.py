@@ -135,10 +135,18 @@ class TestEavesdropperFloor:
         assert all(t1 < t0 for t0, t1 in zip(traces, traces[1:]))
 
 
+# The 3x3 Jordan block at 1.1: no eigenbasis at all.
+JORDAN_3 = 1.1 * np.eye(3) + np.diag([1.0, 1.0], 1)
+
+
 def floor_panel(second_order_sys):
-    """(name, plant, rates) for the Schur-basis trace checks: second_order
-    (U = I), a held-sweep-style n = 8 plant with a real factor, and two
-    plants with a complex factor."""
+    """(name, plant, rates) for the floor and ceiling record checks. Three
+    plants have a well-conditioned eigenbasis and take the modal route:
+    second_order (U = I), a held-sweep-style n = 8 plant with a real factor,
+    and circle-n24 with a complex one. Three lie above the modal cap and
+    take the Cayley route: plus-minus (complex factor), a 2x2 triangular
+    plant whose eigenvectors are 0.01 rad apart and a 3x3 Jordan block (real
+    factors)."""
     held = seeded_plant(1208, 8, [1.12, 1.05, 1.02], 8)
     assert held.schur.U.dtype == np.float64 and not np.array_equal(held.schur.U, np.eye(8))
     panel = [("second_order", second_order_sys), ("held-n8", held)]
@@ -148,20 +156,38 @@ def floor_panel(second_order_sys):
         sys = LinearSystem(A=A, C=np.eye(n), Q=Q, R=np.eye(n), Sigma0=Q)
         assert sys.schur.U.dtype == np.complex128
         panel.append((name, sys))
+    panel += [("near-parallel", observed_plant([[1.2, 10.0], [0.0, 1.1]], [[1.0, 0.0]])),
+              ("jordan-3", observed_plant(JORDAN_3, np.eye(3)))]
+    assert [sys.schur.modal is None for _, sys in panel] == [False] * 3 + [True] * 3
     # from far above p_lower to within 1e-6 of it
     return [(name, sys, [p_lower(sys) + f * (1.0 - p_lower(sys))
                          for f in (1e-6, 1e-3, 0.1, 0.5, 1.0)])
             for name, sys in panel]
 
 
+def schur_basis_floor(sys, rate):
+    """The floor at effective rate ``rate`` in the Schur factor's basis, by
+    the route solve_S takes: the entrywise division in the eigenbasis,
+    carried back by Y Z Y^H, or the Cayley solve above the modal cap."""
+    factor = sys.schur
+    alpha = 1.0 - rate
+    modal = factor.modal
+    if modal is None:
+        return factor.stein(alpha)(factor.QU)
+    return modal.to_schur(modal.QE / modal.divisor(alpha))
+
+
 class TestFloorInSchurBasis:
-    """solve_S reads Tr S off the Schur-basis solution X and forms the
-    plant-basis matrix only when .matrix is read."""
+    """solve_S reads Tr S off its solution in the Schur or modal basis and
+    forms the plant-basis matrix only when .matrix is read. Each pin runs
+    on both routes: on plants with a well-conditioned eigenbasis (the modal
+    route) and on plants above the cap (the Cayley route)."""
 
     def test_trace_and_matrix(self, second_order_sys):
         # the trace agrees with the matrix's to 1e-14 relative, and the
         # matrix is the plant-basis floor written out, bit for bit: X solves
-        # the Stein equation in the factor's basis and S = sym(Re(U X U^H))
+        # the Stein equation in the factor's basis (modal: X = Y Z Y^H with
+        # Z = QE / (1 - alpha d d^H)) and S = sym(Re(U X U^H))
         ch = ChannelParams(1.0, 1.0)
         for name, sys, rates in floor_panel(second_order_sys):
             factor = sys.schur
@@ -169,7 +195,7 @@ class TestFloorInSchurBasis:
                 got = solve_S(rate, ch, sys)
                 ref = float(np.trace(got.matrix))
                 assert abs(got.trace - ref) <= 1e-14 * ref, (name, rate)
-                X = factor.stein(1.0 - rate)(factor.QU)
+                X = schur_basis_floor(sys, rate)
                 S = (factor.U @ X @ factor.U.conj().T).real
                 assert np.array_equal(got.matrix, 0.5 * (S + S.T)), (name, rate)
 
@@ -184,27 +210,48 @@ class TestFloorInSchurBasis:
             assert all(S.trace > 0.0 for S in bounds_read)
         assert formed == []
         channel = ChannelParams(0.9, 0.6)
-        S = solve_S(0.8, channel, second_order_sys)
-        assert S.matrix is S.matrix and len(formed) == 1
+        for sys in (second_order_sys, observed_plant(JORDAN_3, np.eye(3))):
+            formed.clear()
+            S = solve_S(0.8, channel, sys)
+            assert S.matrix is S.matrix and len(formed) == 1
         # a sweep reads traces only, of its ceilings as of its floors
         held = seeded_plant(1208, 8, [1.12, 1.05, 1.02], 8)
-        tr1 = solve_S(1.0, channel, held).trace
-        formed.clear()
-        secest.sweep_tradeoff(held, channel, [2.0 * tr1, 5.0 * tr1, 50.0 * tr1])
-        assert formed == []
+        for sys in (held, observed_plant(JORDAN_3, np.eye(3))):
+            tr1 = solve_S(1.0, channel, sys).trace
+            formed.clear()
+            secest.sweep_tradeoff(sys, channel, [2.0 * tr1, 5.0 * tr1, 50.0 * tr1])
+            assert formed == []
 
     @pytest.mark.parametrize("config", ["scalar.json", "scalar_p1_0.9_p2_0.6.json",
                                         "second_order.json"])
     def test_shipped_config_traces_are_the_matrix_traces(self, config):
-        # every shipped config has U = I, so Re Tr X is exactly the trace of
-        # the plant-basis matrix, as it was when the trace was read there
+        # every shipped config has U = I and takes the modal route. The
+        # trace is Re sum(Z * (Y^H Y)^T) for Z = QE / (1 - alpha d d^H), bit
+        # for bit; it is the plant-basis matrix's trace exactly on the
+        # scalar configs (Y = 1) and to 1e-14 relative on second_order
         cfg = secest.cli.load_config(str(CONFIGS / config))
         sys, ch = cfg.system, cfg.channel
-        assert np.array_equal(sys.schur.U, np.eye(sys.n))
+        modal = sys.schur.modal
+        assert np.array_equal(sys.schur.U, np.eye(sys.n)) and modal is not None
         for p in np.linspace(0.3, 1.0, 29):
             S = solve_S(float(p), ch, sys)
             if S.finite:
-                assert S.trace == float(np.trace(S.matrix)), (config, p)
+                Z = modal.QE / modal.divisor(1.0 - float(p) * ch.p2)
+                assert S.trace == float((Z * modal.G).sum().real), (config, p)
+                tr = float(np.trace(S.matrix))
+                assert S.trace == tr if sys.n == 1 else abs(S.trace - tr) <= 1e-14 * tr, (config, p)
+
+    def test_cayley_route_traces_are_the_matrix_traces(self):
+        # above the modal cap the floor is the Cayley solve X in the Schur
+        # basis, so with a real U = I, Re Tr X is exactly the trace of the
+        # plant-basis matrix, as it was when the trace was read there
+        for sys in (observed_plant([[1.2, 10.0], [0.0, 1.1]], [[1.0, 0.0]]),
+                    observed_plant(JORDAN_3, np.eye(3))):
+            assert sys.schur.modal is None and np.array_equal(sys.schur.U, np.eye(sys.n))
+            for p in np.linspace(0.3, 1.0, 29):
+                S = solve_S(float(p), ChannelParams(0.9, 0.6), sys)
+                if S.finite:
+                    assert S.trace == float(np.trace(S.matrix)), p
 
 
 class TestFeasibility:
@@ -626,17 +673,31 @@ def test_ceiling_on_complex_factor_with_several_outputs(plant):
 
 @pytest.mark.parametrize("rate_offset", [1e-3, 0.05, 0.5])
 def test_ceiling_prepares_its_stein_solve_once(monkeypatch, second_order_sys, rate_offset):
-    # The Cayley factor depends on alpha = 1 - rate alone: one prepare step
+    # The Stein solve depends on alpha = 1 - rate alone: one prepare step
     # per solve_V call, whatever its step count (tens to thousands here).
-    calls = []
+    # Above the modal cap that is the Cayley factor (prepare_stein); on a
+    # well-conditioned eigenbasis it is the divisor 1 - alpha d d^H, and no
+    # Cayley factor is formed.
+    calls, divisors = [], []
     prepare = secest.linmodel.prepare_stein
     monkeypatch.setattr(secest.linmodel, "prepare_stein",
                         lambda T, alpha, sigma: calls.append(alpha) or prepare(T, alpha, sigma))
-    for sys in (second_order_sys, seeded_plant(8, 20, (1.12, 1.05), m=20)):
+    divisor = secest.linmodel._ModalFactor.divisor
+    monkeypatch.setattr(secest.linmodel._ModalFactor, "divisor",
+                        lambda self, alpha: divisors.append(alpha) or divisor(self, alpha))
+    A, Q = plus_minus_case()
+    cayley = (observed_plant([[1.2, 10.0], [0.0, 1.1]], [[1.0, 0.0]]),
+              LinearSystem(A=A, C=np.eye(6), Q=Q, R=np.eye(6), Sigma0=Q))
+    modal = (second_order_sys, seeded_plant(8, 20, (1.12, 1.05), m=20))
+    for sys in cayley + modal:
         rate = min(p_upper(sys) + rate_offset, 1.0)
         calls.clear()
+        divisors.clear()
         assert solve_V(rate, ChannelParams(1.0, 1.0), sys).finite
-        assert calls == [1.0 - rate]
+        if sys.schur.modal is None:
+            assert sys in cayley and calls == [1.0 - rate] and divisors == []
+        else:
+            assert sys in modal and calls == [] and divisors == [1.0 - rate]
 
 
 def test_ceiling_checks_its_fixed_point_once(monkeypatch, second_order_sys):
@@ -656,6 +717,36 @@ def test_ceiling_checks_its_fixed_point_once(monkeypatch, second_order_sys):
         assert rates == [rate]
 
 
+def test_modal_route_choice():
+    """The modal factor exists where T's eigenbasis is well conditioned and
+    is formed on the first floor or ceiling, not with the Schur factor.
+    held-sweep-style plants (invertible C, n = 8 to 27) and scalars take
+    it; detectable 2x2 and 3x3 Jordan plants, whose computed eigenvectors
+    are nearly parallel, and a strongly non-normal n = 10 plant fall back to
+    the Cayley route."""
+    cap = secest.linmodel._MODAL_MAX_COND
+    for n in (8, 13, 18, 23, 27):
+        sys = seeded_plant(2700 + n, n, [1.12, 1.05, 1.02], n)
+        assert validate_system(sys).ok and p_upper(sys) == p_lower(sys)
+        assert "modal" not in vars(sys.schur)
+        assert solve_S(0.9, ChannelParams(0.9, 0.6), sys).finite
+        modal = vars(sys.schur)["modal"]
+        assert modal.Y.dtype == np.float64 and np.linalg.cond(modal.Y) <= cap
+    modal = ScalarSystem(1.2, 1.0, 1.0, 1.0).to_linear().schur.modal
+    assert modal.Y.tolist() == [[1.0]] and modal.Yinv.tolist() == [[1.0]]
+    rng = np.random.default_rng(19)
+    for n in (2, 3):
+        S = rng.standard_normal((n, n))
+        Si = np.linalg.inv(S)
+        J = 1.1 * np.eye(n) + np.diag(np.ones(n - 1), 1)
+        sys = observed_plant(S @ J @ Si, np.eye(n)[:1] @ Si)
+        assert sys.unseen_modes == () and sys.schur.modal is None, n
+    # upper triangular, eigenvalues spread over [-1.15, 1.2], Gaussian
+    # off-diagonal entries scaled by 20
+    A = np.diag(np.linspace(-1.15, 1.2, 10)) + 20.0 * np.triu(rng.standard_normal((10, 10)), 1)
+    assert observed_plant(A, np.eye(10)).schur.modal is None
+
+
 def random_panel_plant(seed: int) -> LinearSystem:
     """n in 1..6 and m in 1..n, Gaussian A and C, Q = G G' + 0.5 I,
     R = H H' + 0.5 I and Sigma0 = Q, all from default_rng(seed)."""
@@ -670,22 +761,31 @@ def random_panel_plant(seed: int) -> LinearSystem:
 
 @pytest.mark.parametrize("seed", [65, 162, 168, 171, 253])
 def test_ceiling_steps_on_through_an_oscillation(monkeypatch, seed):
-    """At full reception these plants' split steps stop shrinking below
-    1e-9 while the iterate is still 4e-11 to 3e-10 from the fixed point:
-    the convergence oscillates. The ceiling reads the residual there and
-    steps on, one riccati_map call per such step, until the residual is at
-    most 1e-12; it then matches scipy's DARE solution within 1e-11."""
-    sys = random_panel_plant(seed)
-    p_upper(sys)
+    """At full reception these plants' Cayley split steps stop shrinking
+    below 1e-9 while the iterate is still 4e-11 to 3e-10 from the fixed
+    point: the convergence oscillates. The ceiling reads the residual there
+    and steps on, one riccati_map call per such step, until the residual is
+    at most 1e-12; it then matches scipy's DARE solution within 1e-11.
+    Their eigenbases are well conditioned (cond_2(Y) 1.4 to 7.6), so they
+    take the modal route, which must reach the same; the Cayley route runs
+    on them once the modal cap is set below their condition. No panel plant
+    above the cap oscillates this way."""
     rates = []
     ricc = bounds.riccati_map
     monkeypatch.setattr(bounds, "riccati_map",
                         lambda X, coeffs, lam: rates.append(lam) or ricc(X, coeffs, lam))
-    V = solve_V(1.0, ChannelParams(1.0, 1.0), sys)
-    assert V.residual <= 1e-12 and rel_residual(V.matrix, sys, 1.0) <= 1e-12
-    assert len(rates) > 1 and set(rates) == {1.0}
-    X = sla.solve_discrete_are(sys.A.T, sys.C.T, sys.Q, sys.R)
-    assert np.abs(V.matrix - X).max() <= 1e-11 * np.abs(X).max()
+    for modal in (True, False):
+        if not modal:
+            monkeypatch.setattr(secest.linmodel, "_MODAL_MAX_COND", 0.0)
+        sys = random_panel_plant(seed)
+        p_upper(sys)
+        assert (sys.schur.modal is not None) == modal
+        rates.clear()
+        V = solve_V(1.0, ChannelParams(1.0, 1.0), sys)
+        assert V.residual <= 1e-12 and rel_residual(V.matrix, sys, 1.0) <= 1e-12
+        assert set(rates) == {1.0} and (modal or len(rates) > 1)
+        X = sla.solve_discrete_are(sys.A.T, sys.C.T, sys.Q, sys.R)
+        assert np.abs(V.matrix - X).max() <= 1e-11 * np.abs(X).max()
 
 
 class TestCeilingRecord:

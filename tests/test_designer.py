@@ -1,4 +1,6 @@
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import secest.cli
 import secest.designer
 from secest import (
     ChannelParams,
@@ -18,6 +21,8 @@ from secest import (
     sweep_tradeoff,
 )
 from secest.scalar import ScalarSystem
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def plain_bisection(sys, ch, M, epsilon):
@@ -87,6 +92,19 @@ class TestDesign:
         # returned p must itself satisfy the target, not just be near it
         res = design_p_star(scalar_sys, channel_97, M=10.0)
         assert solve_S(res.p_star, channel_97, scalar_sys).trace >= 10.0
+
+    @pytest.mark.parametrize("config", ["scalar.json", "scalar_p1_0.9_p2_0.6.json"])
+    def test_p_star_is_feasible_in_exact_arithmetic(self, config):
+        # the floor q / (1 - alpha a^2) at the returned p*, in rational
+        # arithmetic on the stored a and q and the alpha = 1 - p* p2 the
+        # solver forms: a floor solve that rounds up across M on a dyadic
+        # probe would return an infeasible p*. On scalar_p1_0.9_p2_0.6 the
+        # probe 0.625 has the exact floor 9.999999999999993 < M = 10.
+        cfg = secest.cli.load_config(str(CONFIGS / config))
+        sys, ch = cfg.system, cfg.channel
+        res = design_p_star(sys, ch, cfg.M, cfg.epsilon)
+        a, q, alpha = Fraction(sys.A.item()), Fraction(sys.Q.item()), Fraction(1.0 - res.p_star * ch.p2)
+        assert q / (1 - alpha * a * a) >= Fraction(cfg.M), (config, res.p_star)
 
     def test_easy_target_short_circuits(self, scalar_sys, channel_97):
         res = design_p_star(scalar_sys, channel_97, M=0.5)

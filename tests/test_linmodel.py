@@ -281,6 +281,36 @@ def test_floor_against_kronecker_oracle(case, margin):
             assert np.max(np.abs(S - ref)) <= 1e-10 * np.max(np.abs(ref)), route
 
 
+# The oracle cases whose eigenbasis is well conditioned (cond_2(Y) 1 to 46)
+# and so take the modal route; the others (a Jordan block, a nilpotent
+# block, a strongly non-normal A, plus-minus at 295) take the Cayley route.
+MODAL_CASES = ["circle-n24", "negative-n12", "real-shift-above-cut", "real-shift-below-cut",
+               "rotation", "scalar", "seeded-n30-a", "seeded-n30-b"]
+
+
+@pytest.mark.parametrize("margin", [0.5, 1e-3, 1e-6])
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_modal_floor_against_kronecker_and_cayley(case, margin):
+    # solve_S on the modal route, Z = QE / (1 - alpha d d^H) carried back to
+    # the plant, against the Kronecker oracle and the Cayley solve. Both
+    # references carry their own roundoff times the floor's conditioning,
+    # about 1 / margin: measured up to 4.8e-9 (Kronecker) and 7.3e-10
+    # (Cayley) at margin 1e-6.
+    A, Q = ORACLE_CASES[case]()
+    n = len(A)
+    sys = LinearSystem(A=A, C=np.eye(n), Q=Q, R=np.eye(n), Sigma0=Q)
+    factor = sys.schur
+    assert (factor.modal is not None) == (case in MODAL_CASES)
+    if factor.modal is None:
+        return
+    alpha = (1.0 - margin) / factor.rho**2
+    S = solve_S(1.0 - alpha, ChannelParams(1.0, 1.0), sys).matrix
+    tol = 2e-14 / margin
+    for route, ref in (("kronecker", kron_reference(A, Q, alpha)),
+                       ("cayley", factor.to_plant(factor.discounted_lyapunov(alpha)))):
+        assert np.max(np.abs(S - ref)) <= tol * np.max(np.abs(ref)), route
+
+
 def test_schur_factor_is_cached_and_reads_rho():
     A, Q = negative_unstable_case()
     sys = LinearSystem(A=A, C=np.eye(12), Q=Q, R=np.eye(12), Sigma0=Q)
