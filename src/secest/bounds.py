@@ -34,7 +34,10 @@ T = Y diag(d) Y^-1 with cond_2(Y) <= 50
 diagonal in U Y: a floor is one entrywise division, O(n^2), and a ceiling
 step is a measurement update and one entrywise multiply-add. Elsewhere (a
 Jordan block, a strongly non-normal A) a floor is one Cayley-transformed
-``trsyl``, and a ceiling step a measurement update and one ``trsyl``.
+``trsyl``, and a ceiling step a measurement update and one ``trsyl``. On
+both routes the measurement update is the Cholesky-factored Gram update
+W - G^H G of :func:`~secest.kalman._factored_update`, exactly symmetric in
+real arithmetic.
 
 Infinite bounds are represented explicitly by :class:`BoundValue` with
 ``finite=False`` and ``trace=inf``; no numeric sentinel is ever used.
@@ -52,7 +55,7 @@ import scipy.linalg as sla
 
 from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
-from .kalman import Coefficients, _innovation_solve, riccati_map
+from .kalman import Coefficients, _factored_update, _sym, riccati_map
 from .linmodel import LinearSystem, SchurFactor, _describe_modes, _ModalFactor, prepare_stein
 
 # Width of the final p_upper bisection bracket, on plants with no closed
@@ -74,10 +77,11 @@ _CERT_DAMPING = 0.1
 # fixed-point residual decides: the iterate is taken when its residual is at
 # most _V_RESIDUAL, or when it improves by less than 10 % on the smallest
 # residual of an earlier such step (is at least _V_RESIDUAL_STALL times it:
-# the roundoff floor, where stepping on gains nothing). A step
-# is one measurement update and one triangular Sylvester solve, so a failing
-# call costs _V_MAX_ITERS of each. The budget reaches second_order down to
-# about 1.1e-4 above p_upper.
+# the roundoff floor, where stepping on gains nothing). A step is one
+# factored measurement update and one Stein step (an entrywise multiply-add
+# on the modal route, a triangular Sylvester solve on the Cayley route), so
+# a failing call costs _V_MAX_ITERS of each. The budget reaches
+# second_order down to about 1.1e-4 above p_upper.
 _V_TOL = 1e-13
 _V_FLOOR = 1e-9
 _V_RESIDUAL = 1e-12
@@ -354,13 +358,16 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
 
     * in the eigenbasis T = Y diag(d) Y^-1, where it exists with
       cond_2(Y) <= 50 (:attr:`~secest.linmodel.SchurFactor.modal`), the
-      iterate is Z = Y^-1 U^H V U Y^-H and the output matrix C U Y. With
-      alpha = 1 - lam the Stein divisor 1 - alpha d d^H is formed once per
-      call, and a step is the measurement update
-      Z_f = Z - Z C_m^H (C_m Z C_m^H + R)^-1 C_m Z, C_m = C U Y, then
-      Z <- (Y^-1 U^H Q U Y^-H + lam d d^H * Z_f) / (1 - alpha d d^H),
-      entrywise, whose Hermitian part is the next iterate (roundoff's skew
-      part would otherwise grow from step to step);
+      iterate is Z = Y^-1 U^H V U Y^-H and the output matrix C_m = C U Y.
+      With alpha = 1 - lam the Stein divisor 1 - alpha d d^H is formed once
+      per call, with F = Y^-1 U^H Q U Y^-H / (1 - alpha d d^H) and
+      lam d d^H / (1 - alpha d d^H), entrywise. A step is the measurement
+      update Z_f = Z - Z C_m^H (C_m Z C_m^H + R)^-1 C_m Z, then
+      Z <- F + lam d d^H / (1 - alpha d d^H) * Z_f, entrywise. In real
+      arithmetic F and the start are symmetrized once per call, and every
+      iterate is then exactly symmetric; in complex arithmetic the
+      Hermitian part of each step is the next iterate (roundoff's skew part
+      would otherwise grow from step to step);
     * elsewhere, the iterate is W = U^H V U and the output matrix C U. The
       Cayley factor N = (sqrt(alpha) T + sigma I)^-1 is formed once per
       call (:meth:`~secest.linmodel.SchurFactor.stein`), and with it N T and
@@ -368,6 +375,11 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
       and one triangular Sylvester solve on
       N U^H Q U N^H + lam (N T) W_f (N T)^H, whose Hermitian part is the
       next iterate.
+
+    The measurement update is the Cholesky-factored Gram update
+    (:func:`~secest.kalman._factored_update`): with H = C_s W and
+    S = H C_s^H + R = L L^H, W_f = W - G^H G for G = L^-1 H, or
+    G = H / sqrt(s) for one output.
 
     The stop rule is read on the iterate: a step max|W_next - W| /
     max|diag W_next| of at most 1e-13 (a PSD iterate's largest entry is on
@@ -416,19 +428,21 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     else:
         # Z = Y^-1 W Y^-H: the Stein solve divides entrywise by 1 - alpha d d^H
         E = 1.0 / modal.divisor(1.0 - rate)
-        F, L = modal.QE * E, (rate * modal.dd) * E
-
-        def stein_step(Zf):
-            Z = F + L * Zf
-            # roundoff's skew part would grow step by step
-            return 0.5 * (Z + Z.conj().T)
+        F, L = _sym(modal.QE * E), (rate * modal.dd) * E
+        if np.isrealobj(F):
+            # F, L and every update W - G^T G are exactly symmetric, so is Z
+            def stein_step(Zf):
+                return F + L * Zf
+        else:
+            def stein_step(Zf):
+                # roundoff's skew part would grow step by step
+                return _sym(F + L * Zf)
 
         Cs, to_schur = CU @ modal.Y, modal.to_schur
-        W = modal.Yinv @ W @ modal.Yinv.conj().T
-    Csh, prev, stalls = Cs.conj().T, math.inf, []
+        W = _sym(modal.Yinv @ W @ modal.Yinv.conj().T)
+    prev, stalls = math.inf, []
     for steps in range(1, _V_MAX_ITERS + 1):
-        WC = W @ Csh
-        Wn = stein_step(W - WC @ _innovation_solve(Cs @ WC + R, WC.conj().T))
+        Wn = stein_step(_factored_update(W, Cs, R))
         # a PSD iterate's largest entry sits on its diagonal
         step = float(np.abs(Wn - W).max() / np.abs(Wn.diagonal()).max())
         if step <= _V_TOL or prev <= step <= _V_FLOOR:

@@ -198,6 +198,10 @@ def load_config(path: str) -> RunConfig:
         M_grid = tuple(
             _get_number({"v": v}, "v", f"/M_grid/{i}") for i, v in enumerate(doc["M_grid"])
         )
+        # json.loads accepts NaN; inf stays, the secrecy-edge target
+        for i, M in enumerate(M_grid):
+            if math.isnan(M):
+                raise ConfigError("expected a number, got NaN", f"/M_grid/{i}")
 
     fields = {}
     for key, (_, kind, default, _) in _FIELDS.items():
@@ -305,6 +309,9 @@ def _sweep_grid(cfg: RunConfig, args) -> tuple:
     if args.m_min is not None or args.m_max is not None or args.m_points is not None:
         if None in (args.m_min, args.m_max, args.m_points):
             raise ConfigError("--m-min, --m-max and --m-points must be given together")
+        for flag, value in (("--m-min", args.m_min), ("--m-max", args.m_max)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{flag} must be finite, got {value}")
         if args.m_points < 2 or args.m_max <= args.m_min:
             raise ConfigError("need --m-points >= 2 and --m-max > --m-min")
         return tuple(np.linspace(args.m_min, args.m_max, args.m_points))

@@ -700,6 +700,47 @@ def test_ceiling_prepares_its_stein_solve_once(monkeypatch, second_order_sys, ra
             assert sys in modal and calls == [] and divisors == [1.0 - rate]
 
 
+def test_modal_steps_take_a_hermitian_part_only_in_complex_arithmetic(monkeypatch,
+                                                                       second_order_sys):
+    """On the real modal route F = QE / (1 - alpha d d^H) and the start are
+    symmetrized once per call; the factored update forms G^T G by syrk and
+    F + L * W_f keeps the symmetry entrywise, so every iterate is exactly
+    symmetric and no step takes a Hermitian part. On a complex factor
+    every step still does."""
+    iterates, parts = [], []
+    update, sym = bounds._factored_update, bounds._sym
+    monkeypatch.setattr(bounds, "_factored_update",
+                        lambda X, C, R: iterates.append(X) or update(X, C, R))
+    monkeypatch.setattr(bounds, "_sym", lambda X: parts.append(X) or sym(X))
+    real = [second_order_sys] + [seeded_plant(2700 + n, n, [1.12, 1.05, 1.02], n)
+                                 for n in (8, 27)]
+    for sys in real + [rotation_output_plant(), circle_output_plant()]:
+        assert sys.schur.modal is not None
+        iterates.clear()
+        parts.clear()
+        V = solve_V(min(p_upper(sys) + 0.05, 1.0), ChannelParams(1.0, 1.0), sys)
+        assert V.finite and V.steps == len(iterates) > 1
+        if sys in real:
+            assert all(np.array_equal(W, W.T) for W in iterates)
+            assert len(parts) == 2
+        else:
+            assert np.iscomplexobj(sys.schur.T) and len(parts) == 2 + V.steps
+
+
+@pytest.mark.parametrize("n", [8, 13, 27])
+def test_invertible_output_ceiling_at_full_reception_is_the_dare(monkeypatch, n):
+    # both routes share the factored update; the Cayley route runs once the
+    # modal cap is set below the plants' condition
+    for modal in (True, False):
+        if not modal:
+            monkeypatch.setattr(secest.linmodel, "_MODAL_MAX_COND", 0.0)
+        sys = seeded_plant(2700 + n, n, [1.12, 1.05, 1.02], n)
+        V = solve_V(1.0, ChannelParams(1.0, 1.0), sys)
+        assert (sys.schur.modal is not None) == modal
+        X = sla.solve_discrete_are(sys.A.T, sys.C.T, sys.Q, sys.R)
+        assert np.abs(V.matrix - X).max() <= 1e-11 * np.abs(X).max()
+
+
 def test_ceiling_checks_its_fixed_point_once(monkeypatch, second_order_sys):
     # the steps run in Cayley coordinates; riccati_map, the definition of
     # the ceiling, is applied at its rate once per firing of the stop rule,

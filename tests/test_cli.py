@@ -133,6 +133,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(write_cfg(tmp_path, doc))
         assert exc.value.pointer == "/M_grid/1"
+        # json.loads reads the NaN literal; inf is the secrecy-edge target
+        doc["M_grid"] = [2.0, 5.0, float("nan")]
+        with pytest.raises(ConfigError, match="NaN") as exc:
+            load_config(write_cfg(tmp_path, doc))
+        assert exc.value.pointer == "/M_grid/2"
+        doc["M_grid"] = [2.0, float("inf")]
+        assert load_config(write_cfg(tmp_path, doc)).M_grid == (2.0, float("inf"))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
@@ -480,6 +487,24 @@ class TestCliFailure:
                                "--m-min", "2")
         assert code == 1
         assert "together" in err["error"]["message"]
+
+    @pytest.mark.parametrize("flag,value", [("--m-min", "nan"), ("--m-max", "inf"),
+                                            ("--m-min", "-inf"), ("--m-max", "nan")])
+    def test_sweep_non_finite_grid_end_rejected(self, capsys, flag, value):
+        # a numpy warning on stderr would break the JSON parse of run_cli
+        bounds = {"--m-min": "25", "--m-max": "400", flag: value}
+        code, out, err = run_cli(capsys, "sweep", "--config", SECOND_CFG,
+                                 *(f"{k}={v}" for k, v in bounds.items()), "--m-points", "5")
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["message"] == f"{flag} must be finite, got {float(value)}"
+
+    def test_sweep_nan_grid_entry_rejected(self, capsys, tmp_path):
+        doc = dict(base_doc(), M_grid=[2.0, float("nan")])
+        code, out, err = run_cli(capsys, "sweep", "--config", write_cfg(tmp_path, doc))
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["pointer"] == "/M_grid/1"
 
     def test_infinite_horizon_is_config_error(self, capsys, tmp_path):
         doc = dict(base_doc(), p=0.5, T=float("inf"))

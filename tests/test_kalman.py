@@ -23,7 +23,8 @@ from secest import (
     riccati_map,
     simulate_trace,
 )
-from secest.kalman import Coefficients, _float_kernel, _linear_recursion, batch_covariance_oracle
+from secest.kalman import (Coefficients, _factored_update, _float_kernel, _innovation_solve,
+                           _linear_recursion, batch_covariance_oracle)
 
 from helpers import complex_mode_plant, left_sum, mirrored, reference_riccati, two_output_plant
 
@@ -153,8 +154,9 @@ def test_riccati_map_in_schur_coordinates(m, lam):
 def test_innovation_solve_failures_raise(m):
     # R = -5 I makes C X C' + R negative definite at X = I, and a NaN in X
     # reaches it through C X C'; the 1x1 branch and the Cholesky solve must
-    # both refuse either, in the map and the stepped filter. An infinite
-    # prior on the scalar plant makes the one innovation variance infinite.
+    # both refuse either, in the map, the stepped filter and the ceiling's
+    # factored update. An infinite prior on the scalar plant makes the one
+    # innovation variance infinite.
     cases = [(1.2 * np.eye(2), np.eye(2)[:m], -5.0 * np.eye(m), np.eye(2)),
              (1.2 * np.eye(2), np.eye(2)[:m], np.eye(m), np.full((2, 2), np.nan))]
     if m == 1:
@@ -167,11 +169,45 @@ def test_innovation_solve_failures_raise(m):
         object.__setattr__(sys, "Sigma0", X)
         with pytest.raises(NumericalError):
             riccati_map(X, sys, 1.0)
+        with pytest.raises(NumericalError):
+            _factored_update(X, sys.C, sys.R)
         for gammas in ([True], [[False], [True]]):
             with pytest.raises(NumericalError):
                 filter_errors(sys, gammas, np.zeros(n), 0.0, 0.0)
         # no row receives, so no innovation is formed
         filter_errors(sys, [[False], [False]], np.zeros(n), 0.0, 0.0)
+
+
+def posv_update(X, C, R):
+    """X - X C^H (C X C^H + R)^-1 C X through the PD solve, the form the
+    factored update replaces."""
+    XC = X @ C.conj().T
+    return X - XC @ _innovation_solve(C @ XC + R, XC.conj().T)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [3, 8, 27])
+@pytest.mark.parametrize("m", ["1", "2", "n"])
+def test_factored_update_matches_the_pd_solve(dtype, n, m):
+    # X - G^H G with G = L^-1 C X, L L^H = C X C^H + R, is the same update
+    # up to roundoff; on real input numpy forms G^T G by syrk, so the result
+    # is exactly symmetric, with no Hermitian part taken
+    m = {"1": 1, "2": 2, "n": n}[m]
+    rng = np.random.default_rng(100 * n + m)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    B, H = draw(n, n), draw(m, m)
+    X = B @ B.conj().T / n + np.eye(n)
+    X = 0.5 * (X + X.conj().T)
+    C, R = draw(m, n), H @ H.conj().T / m + 0.5 * np.eye(m)
+    Xf, ref = _factored_update(X, C, R), posv_update(X, C, R)
+    assert Xf.dtype == np.dtype(dtype)
+    assert np.abs(Xf - ref).max() <= 1e-13 * np.abs(ref).max()
+    if dtype is float:
+        assert np.array_equal(Xf, Xf.T)
 
 
 def test_kalman_gain_scalar(scalar_sys):
