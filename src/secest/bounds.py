@@ -35,9 +35,12 @@ diagonal in U Y: a floor is one entrywise division, O(n^2), and a ceiling
 step is a measurement update and one entrywise multiply-add. Elsewhere (a
 Jordan block, a strongly non-normal A) a floor is one Cayley-transformed
 ``trsyl``, and a ceiling step a measurement update and one ``trsyl``. On
-both routes the measurement update is the Cholesky-factored Gram update
-W - G^H G of :func:`~secest.kalman._factored_update`, exactly symmetric in
-real arithmetic.
+both routes the measurement update is a Cholesky-factored Gram update
+W - G^H G, exactly symmetric in real arithmetic: in information form
+(:func:`~secest.kalman._information_update`, from the per-plant output
+noise (C^H R^-1 C)^-1) when C has full column rank with at least two
+outputs and a whitened condition of at most 100, and through C
+(:func:`~secest.kalman._factored_update`) otherwise.
 
 Infinite bounds are represented explicitly by :class:`BoundValue` with
 ``finite=False`` and ``trace=inf``; no numeric sentinel is ever used.
@@ -55,7 +58,7 @@ import scipy.linalg as sla
 
 from .channel import ChannelParams, _check_probability
 from .errors import InconclusiveError, NumericalError, ValidationError
-from .kalman import Coefficients, _factored_update, _sym, riccati_map
+from .kalman import Coefficients, _factored_update, _information_update, _sym, riccati_map
 from .linmodel import LinearSystem, SchurFactor, _describe_modes, _ModalFactor, prepare_stein
 
 # Width of the final p_upper bisection bracket, on plants with no closed
@@ -88,6 +91,28 @@ _V_RESIDUAL = 1e-12
 _V_RESIDUAL_STALL = 0.9
 _V_MAX_ITERS = 40_000
 
+# BLAS idamax: the 0-based index of the entry of largest modulus.
+_IDAMAX = sla.blas.idamax
+
+
+def _step_size(Wn: np.ndarray, W: np.ndarray) -> float:
+    """solve_V's step max|Wn - W| / max|diag Wn|, for contiguous square
+    iterates; a PSD iterate's largest entry sits on its diagonal.
+
+    On real iterates both maxima are read by BLAS ``idamax``, one call
+    each, which returns an entry of largest modulus, so the step has the
+    bits of the numpy reductions; ``izamax`` ranks complex entries by
+    |Re| + |Im|, so complex iterates keep numpy's. ``idamax`` need not see
+    a NaN, so its step can be finite on a non-finite iterate: the caller
+    checks the iterate before it takes it.
+    """
+    if Wn.dtype != np.float64:
+        return float(np.abs(Wn - W).max() / np.abs(Wn.diagonal()).max())
+    n = len(Wn)
+    D, w = (Wn - W).ravel(), Wn.ravel()
+    # the diagonal is every (n + 1)th entry of w
+    return float(abs(D[_IDAMAX(D)]) / abs(w[(n + 1) * _IDAMAX(w, n, 0, n + 1)]))
+
 
 @dataclass(frozen=True)
 class BoundValue:
@@ -112,12 +137,6 @@ class BoundValue:
     _X: np.ndarray | None = field(default=None, repr=False)
     _schur: SchurFactor | None = field(default=None, repr=False)
     _modal: _ModalFactor | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_schur(cls, schur: SchurFactor, X: np.ndarray) -> "BoundValue":
-        """The bound sym(Re(U X U^H)) for X in the basis of ``schur``; its
-        trace is Re Tr X, as U is unitary."""
-        return cls(finite=True, trace=float(X.trace().real), _X=X, _schur=schur)
 
     @classmethod
     def infinite(cls) -> "BoundValue":
@@ -187,24 +206,34 @@ def solve_S(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     way the plant-basis matrix is formed only when ``.matrix`` is read.
     """
     _check_probability(p, "p")
-    rate = p * ch.p2
-    if rate <= p_lower(sys):
+    floor = _floor(sys, p * ch.p2)
+    if floor is None:
         return BoundValue.infinite()
+    X, trace, modal = floor
+    return BoundValue(finite=True, trace=trace, _X=X, _schur=sys.schur, _modal=modal)
+
+
+def _floor(sys: LinearSystem, rate: float) -> tuple | None:
+    """The floor at effective rate ``rate`` as (X, trace, modal): X in the
+    modal basis ``modal``, or in the Schur basis when ``modal`` is None; or
+    None when the floor is infinite. :func:`solve_S` wraps it in a
+    :class:`BoundValue`; the designer's floor table reads the trace alone."""
+    if rate <= p_lower(sys):
+        return None
     schur = sys.schur
     modal = schur.modal
     try:
         if modal is not None:
             Z = modal.QE / modal.divisor(1.0 - rate)
-            return BoundValue(finite=True, trace=modal.trace(Z), _X=Z, _schur=schur,
-                              _modal=modal)
+            return Z, modal.trace(Z), modal
         X = schur.discounted_lyapunov(1.0 - rate)
     except NumericalError:
         # Within solver resolution of the threshold, or on a strongly
         # non-normal A a floor so large (measured: 1e22 x Q and up) that the
         # Cayley solve's Sylvester step loses its diagonal to roundoff; the
         # floor is effectively unbounded there.
-        return BoundValue.infinite()
-    return BoundValue.from_schur(schur, X)
+        return None
+    return X, float(X.trace().real), None
 
 
 def _seen_basis(sys: LinearSystem) -> np.ndarray:
@@ -354,7 +383,10 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
 
     The iterate lives in coordinates of the plant's Schur factor
     A = U T U^H, in the factor's dtype, and only its start, its output
-    matrix and its Stein step depend on which:
+    matrix and its Stein step depend on which. The start and the output
+    matrix depend on the plant alone, and so does the information form's
+    output noise below: they are formed on the plant's first ceiling and
+    kept (:class:`~secest.linmodel._CeilingFrame`).
 
     * in the eigenbasis T = Y diag(d) Y^-1, where it exists with
       cond_2(Y) <= 50 (:attr:`~secest.linmodel.SchurFactor.modal`), the
@@ -364,8 +396,9 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
       lam d d^H / (1 - alpha d d^H), entrywise. A step is the measurement
       update Z_f = Z - Z C_m^H (C_m Z C_m^H + R)^-1 C_m Z, then
       Z <- F + lam d d^H / (1 - alpha d d^H) * Z_f, entrywise. In real
-      arithmetic F and the start are symmetrized once per call, and every
-      iterate is then exactly symmetric; in complex arithmetic the
+      arithmetic F is symmetrized once per call and the start once per
+      plant, and every iterate is then exactly symmetric; in complex
+      arithmetic the
       Hermitian part of each step is the next iterate (roundoff's skew part
       would otherwise grow from step to step);
     * elsewhere, the iterate is W = U^H V U and the output matrix C U. The
@@ -376,14 +409,21 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
       N U^H Q U N^H + lam (N T) W_f (N T)^H, whose Hermitian part is the
       next iterate.
 
-    The measurement update is the Cholesky-factored Gram update
-    (:func:`~secest.kalman._factored_update`): with H = C_s W and
-    S = H C_s^H + R = L L^H, W_f = W - G^H G for G = L^-1 H, or
-    G = H / sqrt(s) for one output.
+    The measurement update is a Cholesky-factored Gram update
+    W_f = W - G^H G. When C has full column rank, m >= n >= 2 and the
+    whitened R^-1/2 C has cond_2 <= 100 (``linmodel._INFO_MAX_COND``), it
+    takes the information form (:func:`~secest.kalman._information_update`):
+    with Rt = (C_s^H R^-1 C_s)^-1, W + Rt = L L^H and G = L^-1 W, with no
+    product with C_s. Otherwise (one output, one state, a rank-deficient or
+    ill-conditioned C) it is :func:`~secest.kalman._factored_update`: with
+    H = C_s W and S = H C_s^H + R = L L^H, G = L^-1 H, or G = H / sqrt(s)
+    for one output.
 
     The stop rule is read on the iterate: a step max|W_next - W| /
     max|diag W_next| of at most 1e-13 (a PSD iterate's largest entry is on
-    its diagonal), or one below 1e-9 that no longer shrinks.
+    its diagonal; on real iterates both maxima are read by BLAS
+    ``idamax``), or one below 1e-9 that no longer shrinks. An iterate that
+    is not finite is never taken.
     :func:`~secest.kalman.riccati_map` on (T, C U, U^H Q U, R) remains the
     definition of the ceiling: it is applied whenever the rule fires, to
     the iterate carried to the Schur basis (Y Z Y^H on the modal route),
@@ -409,9 +449,8 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
         return BoundValue.infinite()
 
     schur = sys.schur
-    U, T, modal = schur.U, schur.T, schur.modal
-    CU, R = sys.C @ U, sys.R
-    W = U.conj().T @ sys.Sigma0 @ U
+    T, modal, frame = schur.T, schur.modal, sys._ceiling_frame
+    R = sys.R
     if modal is None:
         stein = schur.stein(1.0 - rate)
         N = stein.N
@@ -424,7 +463,7 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
             X = stein.transformed(NQN + L @ Wf @ NTh)
             return X + X.conj().T
 
-        Cs, to_schur = CU, None
+        to_schur = None
     else:
         # Z = Y^-1 W Y^-H: the Stein solve divides entrywise by 1 - alpha d d^H
         E = 1.0 / modal.divisor(1.0 - rate)
@@ -438,16 +477,16 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
                 # roundoff's skew part would grow step by step
                 return _sym(F + L * Zf)
 
-        Cs, to_schur = CU @ modal.Y, modal.to_schur
-        W = _sym(modal.Yinv @ W @ modal.Yinv.conj().T)
+        to_schur = modal.to_schur
+    Cs, Rt, W = frame.C, frame.Rt, frame.start
     prev, stalls = math.inf, []
     for steps in range(1, _V_MAX_ITERS + 1):
-        Wn = stein_step(_factored_update(W, Cs, R))
-        # a PSD iterate's largest entry sits on its diagonal
-        step = float(np.abs(Wn - W).max() / np.abs(Wn.diagonal()).max())
-        if step <= _V_TOL or prev <= step <= _V_FLOOR:
+        Wf = _factored_update(W, Cs, R) if Rt is None else _information_update(W, Rt)
+        Wn = stein_step(Wf)
+        step = _step_size(Wn, W)
+        if (step <= _V_TOL or prev <= step <= _V_FLOOR) and np.isfinite(Wn).all():
             V = Wn if to_schur is None else to_schur(Wn)
-            G = riccati_map(V, Coefficients(T, CU, schur.QU, R), rate)
+            G = riccati_map(V, Coefficients(T, frame.CU, schur.QU, R), rate)
             residual = float(np.abs(V - G).max() / np.abs(V).max())
             if (step <= _V_TOL or residual <= _V_RESIDUAL
                     or any(residual >= _V_RESIDUAL_STALL * r for r in stalls)):

@@ -34,12 +34,15 @@ shares one across its targets, so a probe that two targets reach is solved
 once, and each target's solved floors tighten the bounds of the next. On
 the held-sweep benchmark plants (n = 8-27, three targets per sweep) that
 is 22-23 floor solves per sweep, about 7.5 per target, against 31-32 for
-separate designs. Nothing outlives the call. A floor solve is one
-entrywise division in the eigenbasis of the plant's Schur factor where
-that basis is well conditioned, as on every held-sweep plant (12-15 us at
-n = 8-27 on a 2-core Xeon, after the basis is formed once per plant), and
-one Cayley-transformed ``trsyl`` elsewhere (see :func:`solve_S`); the
-bounds spare the solve and its Python call overhead alike.
+separate designs. Nothing outlives the call. The table reads each floor's
+trace alone, by the formula :func:`~secest.bounds.solve_S` wraps
+(``bounds._floor``), so its traces are solve_S's bit for bit, with no
+:class:`~secest.bounds.BoundValue` built. A floor solve is one entrywise
+division in the eigenbasis of the plant's Schur factor where that basis is
+well conditioned, as on every held-sweep plant (4.8 / 6.7 us at
+n = 8 / 27 on a 2-core Xeon, against 6.9 / 8.9 us through solve_S, after
+the basis is formed once per plant), and one Cayley-transformed ``trsyl``
+elsewhere; the bounds spare the solve and its Python call overhead alike.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ from dataclasses import dataclass
 from .bounds import (
     CriticalRates,
     SecrecyInterval,
+    _floor,
     critical_rates,
     secrecy_interval,
-    solve_S,
     solve_V,
 )
 from .channel import ChannelParams
@@ -128,7 +131,8 @@ class _FloorTable:
         """Tr S(p), solved on the first request for p."""
         tr = self.traces.get(p)
         if tr is None:
-            tr = self.traces[p] = solve_S(p, self.ch, self.sys).trace
+            floor = _floor(self.sys, p * self.ch.p2)
+            tr = self.traces[p] = math.inf if floor is None else floor[1]
             # alpha = 0 (p p2 = 1) has no log; a zero floor has no log either
             if p * self.ch.p2 < 1.0 and 0.0 < tr < math.inf:
                 insort(self.points, (math.log1p(-p * self.ch.p2), math.log(tr)))

@@ -93,6 +93,12 @@ roundoff. The floor (:func:`secest.bounds.solve_S`) and the
 user ceiling take the modal route wherever it exists and the Cayley route
 elsewhere; the feasibility certificate's start solve always takes the
 Cayley route.
+
+The user ceiling's start, its output matrix and, for an output matrix of
+full column rank, the output noise (C^H R^-1 C)^-1 of its information-form
+update depend on the plant alone, in the coordinates of whichever route it
+takes. :class:`_CeilingFrame` holds them, formed on the plant's first
+ceiling and kept next to the factor, like the modal basis.
 """
 
 from __future__ import annotations
@@ -149,6 +155,22 @@ _REAL_SHIFT_MIN = 0.125
 # near-Jordan pair reads 5e-13 at 200 and 6e-9 at 2e4, where the Cayley
 # route stays below 6e-16.
 _MODAL_MAX_COND = 50.0
+
+# The user ceiling's measurement update takes the information form
+# (_CeilingFrame.Rt) when m >= n >= 2 and the whitened output matrix
+# R^-1/2 C has cond_2 at most this; otherwise it keeps the Gram form. The
+# information form adds Rt, whose eigenvalues span cond_2^2, to the iterate,
+# so its roundoff grows like cond_2^2. Measured on seeded plants (seeds 0-5,
+# (n, m) = (3, 3), (8, 8), (8, 10), (27, 27), C = P diag(s) W^T of set
+# condition with P and W orthonormal, ceilings at p_upper + 0.5 / 0.1 /
+# 0.01 / 1e-3; worst residual, information form against Gram form):
+# 5.2e-14 / 5.2e-14 at cond_2 30, 6.7e-14 / 5.8e-14 at 100, 1.1e-13 /
+# 6.8e-14 at 200, 3.7e-13 / 6.6e-14 at 400, 1.5e-12 / 6.7e-14 at 1e3 and
+# 1.4e-10 / 1.1e-13 at 1e4; at 1e5 / 1e6 / 1e8 the information form raises
+# on 7 / 75 / 83 of the 96 ceilings. Traces agreed within 3.1e-13 up to
+# 100 and 5.5e-11 at 1e3. held-sweep's C lies far below the cut (cond_2
+# 1.7-2.8 on seeds 7, 11, 2901, 2902 and 3001).
+_INFO_MAX_COND = 100.0
 
 # C does not see the eigenvalue lambda when [lambda I - A; C] has
 # sigma_min <= _PBH_RTOL * sigma_max (the PBH test).
@@ -311,6 +333,65 @@ class _ModalFactor:
         return 0.5 * (X + X.conj().T)
 
 
+class _CeilingFrame:
+    """The coordinates the user ceiling (:func:`secest.bounds.solve_V`)
+    steps in, which depend on the plant alone.
+
+    ``CU`` is C U, the output matrix in the Schur factor's basis, where the
+    ceiling's residual is read. On the modal route (:attr:`SchurFactor.modal`)
+    the iterate stands for Y Z Y^H in that basis, ``C`` is C U Y and
+    ``start`` is the Hermitian part of Y^-1 U^H Sigma0 U Y^-H; elsewhere
+    ``C`` is C U and ``start`` is U^H Sigma0 U. ``Rt`` is
+    (C_s^H R^-1 C_s)^-1 for that C_s = ``C``, the output noise of the
+    information-form update (:func:`secest.kalman._information_update`),
+    or None where the update keeps the Gram form
+    (:func:`_information_noise`). The arrays are read-only.
+    """
+
+    __slots__ = ("CU", "C", "start", "Rt")
+
+    def __init__(self, sys: "LinearSystem"):
+        schur = sys.schur
+        U, modal = schur.U, schur.modal
+        self.CU = sys.C @ U
+        start = U.conj().T @ sys.Sigma0 @ U
+        # M^-1 with C_s = C M: the frame's coordinates of a plant-basis vector
+        to_frame = U.conj().T
+        if modal is None:
+            self.C, self.start = self.CU, start
+        else:
+            W = modal.Yinv @ start @ modal.Yinv.conj().T
+            self.C, self.start = self.CU @ modal.Y, 0.5 * (W + W.conj().T)
+            to_frame = modal.Yinv @ to_frame
+        self.Rt = _information_noise(sys.C, sys.R, to_frame)
+        for X in (self.CU, self.C, self.start, self.Rt):
+            if X is not None:
+                X.flags.writeable = False
+
+
+def _information_noise(C: np.ndarray, R: np.ndarray, to_frame: np.ndarray) -> np.ndarray | None:
+    """(C_s^H R^-1 C_s)^-1 for C_s = C M, given M^-1 (``to_frame``), when
+    m >= n >= 2 and the whitened R^-1/2 C has cond_2 <= ``_INFO_MAX_COND``;
+    None otherwise, and for an R that is not positive definite.
+
+    With R^-1/2 C = P diag(s) V^H, C^H R^-1 C = V diag(s^2) V^H, so the
+    result is the Hermitian part of B B^H with B = M^-1 V / s.
+    """
+    m, n = C.shape
+    if not m >= n >= 2:
+        return None
+    try:
+        whitened = sla.solve_triangular(np.linalg.cholesky(R), C, lower=True)
+    except np.linalg.LinAlgError:
+        return None
+    _, s, Vh = np.linalg.svd(whitened, full_matrices=False)
+    if not (s[-1] > 0.0 and s[0] <= _INFO_MAX_COND * s[-1]):
+        return None
+    B = (to_frame @ Vh.conj().T) / s
+    Rt = B @ B.conj().T
+    return 0.5 * (Rt + Rt.conj().T)
+
+
 @dataclass(frozen=True, eq=False)
 class SchurFactor:
     """Sorted Schur form A = U T U^H, with Q carried into the same basis.
@@ -447,6 +528,12 @@ class LinearSystem:
         factor cannot go stale.
         """
         return SchurFactor.of(self.A, self.Q)
+
+    @cached_property
+    def _ceiling_frame(self) -> _CeilingFrame:
+        """The user ceiling's coordinates (:class:`_CeilingFrame`), formed on
+        the first ceiling and kept, next to the factor's modal basis."""
+        return _CeilingFrame(self)
 
     @cached_property
     def unseen_modes(self) -> tuple:

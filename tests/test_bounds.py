@@ -27,6 +27,7 @@ from secest import (
     validate_system,
 )
 from secest.bounds import feasibility_check
+from secest.kalman import _factored_update, _information_update
 from secest.errors import InconclusiveError
 
 from helpers import circle_case, plus_minus_case
@@ -198,6 +199,20 @@ class TestFloorInSchurBasis:
                 X = schur_basis_floor(sys, rate)
                 S = (factor.U @ X @ factor.U.conj().T).real
                 assert np.array_equal(got.matrix, 0.5 * (S + S.T)), (name, rate)
+
+    def test_floor_table_reads_the_trace_of_solve_S(self, second_order_sys):
+        # the designer's table reads Tr S through the same formula, with no
+        # BoundValue: bit for bit solve_S's trace on both routes, inf at
+        # and below p_lower and inf where the solve refuses a rate within
+        # 1e-12 of the threshold
+        for name, sys, rates in floor_panel(second_order_sys):
+            for ch in (ChannelParams(1.0, 1.0), ChannelParams(0.9, 0.6)):
+                lo, refused = p_lower(sys) / ch.p2, (p_lower(sys) + 1e-14) / ch.p2
+                probes = [r / ch.p2 for r in rates if r <= ch.p2] + [0.0, 0.5 * lo, lo, refused]
+                table = secest.designer._FloorTable(sys, ch)
+                for p in probes:
+                    assert table.trace(p) == solve_S(p, ch, sys).trace, (name, ch, p)
+                assert math.isinf(table.trace(refused)) and refused * ch.p2 > p_lower(sys)
 
     def test_reading_the_trace_forms_no_matrix(self, monkeypatch, second_order_sys):
         formed = []
@@ -702,41 +717,52 @@ def test_ceiling_prepares_its_stein_solve_once(monkeypatch, second_order_sys, ra
 
 def test_modal_steps_take_a_hermitian_part_only_in_complex_arithmetic(monkeypatch,
                                                                        second_order_sys):
-    """On the real modal route F = QE / (1 - alpha d d^H) and the start are
-    symmetrized once per call; the factored update forms G^T G by syrk and
-    F + L * W_f keeps the symmetry entrywise, so every iterate is exactly
-    symmetric and no step takes a Hermitian part. On a complex factor
-    every step still does."""
+    """On the real modal route F = QE / (1 - alpha d d^H) is symmetrized
+    once per call and the start once per plant (in its ceiling frame); the
+    update, Gram or information form, forms G^T G by syrk and F + L * W_f
+    keeps the symmetry entrywise, so every iterate is exactly symmetric and
+    no step takes a Hermitian part. On a complex factor every step still
+    does. second_order (one output) and the n = 27 plant (cond_2(C) 396,
+    past the cut-over) take the Gram form; the n = 8 plant (cond_2(C) 70)
+    and the two complex plants take the information form."""
     iterates, parts = [], []
-    update, sym = bounds._factored_update, bounds._sym
+    gram, information, sym = (bounds._factored_update, bounds._information_update,
+                              bounds._sym)
     monkeypatch.setattr(bounds, "_factored_update",
-                        lambda X, C, R: iterates.append(X) or update(X, C, R))
+                        lambda X, C, R: iterates.append(("gram", X)) or gram(X, C, R))
+    monkeypatch.setattr(bounds, "_information_update",
+                        lambda X, Rt: iterates.append(("information", X)) or information(X, Rt))
     monkeypatch.setattr(bounds, "_sym", lambda X: parts.append(X) or sym(X))
     real = [second_order_sys] + [seeded_plant(2700 + n, n, [1.12, 1.05, 1.02], n)
                                  for n in (8, 27)]
-    for sys in real + [rotation_output_plant(), circle_output_plant()]:
+    forms = ["gram", "information", "gram", "information", "information"]
+    for sys, form in zip(real + [rotation_output_plant(), circle_output_plant()], forms):
         assert sys.schur.modal is not None
         iterates.clear()
         parts.clear()
         V = solve_V(min(p_upper(sys) + 0.05, 1.0), ChannelParams(1.0, 1.0), sys)
         assert V.finite and V.steps == len(iterates) > 1
+        assert {used for used, _ in iterates} == {form}
         if sys in real:
-            assert all(np.array_equal(W, W.T) for W in iterates)
-            assert len(parts) == 2
+            assert all(np.array_equal(W, W.T) for _, W in iterates)
+            assert len(parts) == 1
         else:
-            assert np.iscomplexobj(sys.schur.T) and len(parts) == 2 + V.steps
+            assert np.iscomplexobj(sys.schur.T) and len(parts) == 1 + V.steps
 
 
 @pytest.mark.parametrize("n", [8, 13, 27])
 def test_invertible_output_ceiling_at_full_reception_is_the_dare(monkeypatch, n):
-    # both routes share the factored update; the Cayley route runs once the
-    # modal cap is set below the plants' condition
-    for modal in (True, False):
-        if not modal:
-            monkeypatch.setattr(secest.linmodel, "_MODAL_MAX_COND", 0.0)
+    # both routes, each with both measurement updates: the Cayley route
+    # runs once the modal cap is set below the plants' condition, the
+    # information form once its cut-over is lifted (C at n = 27 has
+    # cond_2(C) 396, past it) and the Gram form once the cut-over is 0
+    for modal, information in ((True, True), (False, True), (True, False), (False, False)):
+        monkeypatch.setattr(secest.linmodel, "_MODAL_MAX_COND", 50.0 if modal else 0.0)
+        monkeypatch.setattr(secest.linmodel, "_INFO_MAX_COND", math.inf if information else 0.0)
         sys = seeded_plant(2700 + n, n, [1.12, 1.05, 1.02], n)
         V = solve_V(1.0, ChannelParams(1.0, 1.0), sys)
         assert (sys.schur.modal is not None) == modal
+        assert (sys._ceiling_frame.Rt is not None) == information
         X = sla.solve_discrete_are(sys.A.T, sys.C.T, sys.Q, sys.R)
         assert np.abs(V.matrix - X).max() <= 1e-11 * np.abs(X).max()
 
@@ -786,6 +812,146 @@ def test_modal_route_choice():
     # off-diagonal entries scaled by 20
     A = np.diag(np.linspace(-1.15, 1.2, 10)) + 20.0 * np.triu(rng.standard_normal((10, 10)), 1)
     assert observed_plant(A, np.eye(10)).schur.modal is None
+
+
+def conditioned_output_plant(seed: int, n: int, cond: float) -> LinearSystem:
+    """seeded_plant's A with Q = R = Sigma0 = I and a square
+    C = P diag(s) W^T of 2-norm condition ``cond``: P and W random
+    orthogonal, s geometric from 1 down to 1 / cond."""
+    rng = np.random.default_rng(seed)
+    P, W = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    C = P @ np.diag(np.geomspace(1.0, 1.0 / cond, n)) @ W.T
+    return observed_plant(seeded_plant(seed, n, [1.12, 1.05, 1.02], n).A, C)
+
+
+def test_information_form_route_choice(second_order_sys):
+    """The ceiling's measurement update takes the information form when
+    m >= n >= 2 and the whitened output matrix R^-1/2 C has full column
+    rank with cond_2 <= 100 (linmodel._INFO_MAX_COND): on square and tall
+    C, on real and complex factors, on the modal and the Cayley route. Its
+    output noise Rt is (C_s^H R^-1 C_s)^-1 for the frame's output matrix
+    C_s, and from the frame's start its update agrees with the Gram form.
+    One output, one state, a rank-deficient C and a C past the cut-over
+    keep the Gram form. The frame is formed on the first ceiling."""
+    A, Q = plus_minus_case()
+    s = np.geomspace(1.0, 1e-3, 4)
+    information = [
+        seeded_plant(2708, 8, [1.12, 1.05, 1.02], 8),  # cond_2(C) 70
+        seeded_plant(5, 6, [1.1, 1.05], 9),
+        rotation_output_plant(),
+        circle_output_plant(),
+        LinearSystem(A=A, C=np.eye(6), Q=Q, R=np.eye(6), Sigma0=Q),
+        observed_plant(JORDAN_3, np.eye(3)),
+        conditioned_output_plant(1, 8, 100.0),
+        # cond_2(C) = 1e3, but R^-1/2 C = I
+        LinearSystem(A=seeded_plant(4, 4, [1.1], 4).A, C=np.diag(s), Q=np.eye(4),
+                     R=np.diag(s * s), Sigma0=np.eye(4)),
+    ]
+    gram = [
+        second_order_sys,
+        ScalarSystem(1.2, 1.0, 1.0, 1.0).to_linear(),
+        LinearSystem(A=1.2, C=[[1.0], [2.0]], Q=1.0, R=np.eye(2), Sigma0=1.0),
+        observed_plant(np.diag([1.2, 1.1, 0.5]), [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                   [1.0, 1.0, 0.0]]),
+        conditioned_output_plant(1, 8, 1e3),
+    ]
+    assert [sys.schur.modal is None for sys in information[2:6]] == [False, False, True, True]
+    assert np.iscomplexobj(information[2].schur.T) and np.iscomplexobj(information[4].schur.T)
+    for sys in information + gram:
+        assert "_ceiling_frame" not in vars(sys)
+        assert solve_V(1.0, ChannelParams(1.0, 1.0), sys).finite
+        frame = vars(sys)["_ceiling_frame"]
+        assert (frame.Rt is not None) == (sys in information)
+        if frame.Rt is not None:
+            Cs, R = frame.C, sys.R
+            ref = np.linalg.inv(Cs.conj().T @ np.linalg.solve(R, Cs))
+            assert np.abs(frame.Rt - ref).max() <= 1e-12 * np.abs(ref).max()
+            Xf = _information_update(frame.start, frame.Rt)
+            ref = _factored_update(frame.start, Cs, R)
+            assert np.abs(Xf - ref).max() <= 1e-13 * np.abs(ref).max()
+    # an R that is not positive definite is left to the Gram form, which
+    # refuses its first innovation covariance
+    sys = LinearSystem(A=np.diag([1.2, 0.5]), C=np.eye(2), Q=np.eye(2), R=-np.eye(2),
+                       Sigma0=np.eye(2))
+    assert sys._ceiling_frame.Rt is None
+    with pytest.raises(NumericalError, match="innovation covariance"):
+        solve_V(1.0, ChannelParams(1.0, 1.0), sys)
+
+
+@pytest.mark.parametrize("cond", [1e4, 1e6, 1e8])
+def test_ill_conditioned_output_keeps_the_gram_form(monkeypatch, cond):
+    """Past the cut-over the information form's output noise
+    (C^H R^-1 C)^-1 spans cond_2(C)^2, and the roundoff of X + Rt spoils
+    the update: forced onto these plants it leaves residuals of 1.6e-11 to
+    5.5e-11 at cond_2(C) = 1e4 and runs out of budget at 1e6 and 1e8. The
+    Gram form, which they keep, reads residuals below 1e-13. That fixes
+    the cut-over below 1e4; it sits at 100, where the information form's
+    residuals stay within 1.2x of the Gram form's (see
+    linmodel._INFO_MAX_COND)."""
+    sys = conditioned_output_plant(1, 8, cond)
+    rate = p_upper(sys) + 0.5
+    V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
+    assert sys._ceiling_frame.Rt is None
+    assert V.residual <= 1e-13 and rel_residual(V.matrix, sys, rate) <= 1e-12
+    monkeypatch.setattr(secest.linmodel, "_INFO_MAX_COND", math.inf)
+    forced = conditioned_output_plant(1, 8, cond)
+    assert forced._ceiling_frame.Rt is not None
+    try:
+        assert solve_V(rate, ChannelParams(1.0, 1.0), forced).residual > 1e-12
+    except NumericalError as exc:
+        assert cond > 1e4 and "did not converge" in str(exc)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_step_size_has_the_bits_of_the_numpy_reductions(dtype):
+    # idamax returns an entry of largest modulus, so the step is the numpy
+    # expression's, bit for bit, also where a negative entry is largest
+    rng = np.random.default_rng(29)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    for n in (1, 2, 8, 27):
+        for _ in range(20):
+            B, E = draw(n, n), draw(n, n)
+            W = B @ B.conj().T
+            Wn = W + 10.0 ** rng.uniform(-15.0, 1.0) * (E + E.conj().T)
+            ref = float(np.abs(Wn - W).max() / np.abs(Wn.diagonal()).max())
+            assert bounds._step_size(Wn, W) == ref
+
+
+@pytest.mark.parametrize("plant", ["second_order", "held-n8"])
+def test_a_non_finite_iterate_never_meets_the_stop_rule(monkeypatch, second_order_sys, plant):
+    """BLAS idamax need not see a NaN, so the step size can be finite on an
+    iterate that is not. Here the third update overflows, and the step
+    size reads 0 on every non-finite iterate, as an idamax that skipped
+    every NaN could: the rule must take none of them, nor check one by
+    riccati_map, and a later update refuses them. second_order steps the
+    Gram form, held-n8 the information form."""
+    sys = {"second_order": second_order_sys,
+           "held-n8": seeded_plant(1208, 8, [1.12, 1.05, 1.02], 8)}[plant]
+    name = "_factored_update" if sys.m == 1 else "_information_update"
+    update, step, ricc = getattr(bounds, name), bounds._step_size, bounds.riccati_map
+    calls, checked = [], []
+
+    def overflowing(X, *args):
+        calls.append(1)
+        Xf = update(X, *args)
+        if len(calls) == 3:
+            with np.errstate(over="ignore"):
+                Xf = Xf * 1e308
+        return Xf
+
+    monkeypatch.setattr(bounds, name, overflowing)
+    monkeypatch.setattr(bounds, "_step_size",
+                        lambda Wn, W: step(Wn, W) if np.isfinite(Wn).all() else 0.0)
+    monkeypatch.setattr(bounds, "riccati_map",
+                        lambda X, coeffs, lam: checked.append(X) or ricc(X, coeffs, lam))
+    refused = "innovation (co)?variance is not finite"
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=refused):
+        solve_V(min(p_upper(sys) + 0.05, 1.0), ChannelParams(1.0, 1.0), sys)
+    assert len(calls) > 3 and checked == []
 
 
 def random_panel_plant(seed: int) -> LinearSystem:

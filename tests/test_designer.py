@@ -248,10 +248,11 @@ def test_log_floor_is_convex_in_log_alpha(sys, fractions):
 
 
 def count_floor_solves(monkeypatch) -> list:
-    """Record the probe p of every floor the designer solves."""
+    """Record the effective rate of every floor the designer solves."""
     calls = []
-    monkeypatch.setattr(secest.designer, "solve_S",
-                        lambda p, ch, sys: calls.append(p) or solve_S(p, ch, sys))
+    floor = secest.designer._floor
+    monkeypatch.setattr(secest.designer, "_floor",
+                        lambda sys, rate: calls.append(rate) or floor(sys, rate))
     return calls
 
 

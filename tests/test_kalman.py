@@ -23,8 +23,9 @@ from secest import (
     riccati_map,
     simulate_trace,
 )
-from secest.kalman import (Coefficients, _factored_update, _float_kernel, _innovation_solve,
-                           _linear_recursion, batch_covariance_oracle)
+from secest.kalman import (Coefficients, _factored_update, _float_kernel, _gains,
+                           _information_update, _innovation_solve, _linear_recursion,
+                           batch_covariance_oracle)
 
 from helpers import complex_mode_plant, left_sum, mirrored, reference_riccati, two_output_plant
 
@@ -171,6 +172,10 @@ def test_innovation_solve_failures_raise(m):
             riccati_map(X, sys, 1.0)
         with pytest.raises(NumericalError):
             _factored_update(X, sys.C, sys.R)
+        if m == 2:
+            # C = I: the information form's output noise (C^H R^-1 C)^-1 is R
+            with pytest.raises(NumericalError, match="innovation covariance"):
+                _information_update(X, sys.R)
         for gammas in ([True], [[False], [True]]):
             with pytest.raises(NumericalError):
                 filter_errors(sys, gammas, np.zeros(n), 0.0, 0.0)
@@ -208,6 +213,53 @@ def test_factored_update_matches_the_pd_solve(dtype, n, m):
     assert np.abs(Xf - ref).max() <= 1e-13 * np.abs(ref).max()
     if dtype is float:
         assert np.array_equal(Xf, Xf.T)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [3, 8, 27])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_information_update_matches_the_gram_form(dtype, n, extra):
+    # for C of full column rank (m = n + extra outputs), X - G^H G with
+    # G = L^-1 X, L L^H = X + (C^H R^-1 C)^-1, is the Gram update up to
+    # roundoff; on real input the result is exactly symmetric
+    m = n + extra
+    rng = np.random.default_rng(1000 + 10 * n + m)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    B, H = draw(n, n), draw(m, m)
+    X = B @ B.conj().T / n + np.eye(n)
+    X = 0.5 * (X + X.conj().T)
+    C, R = draw(m, n), H @ H.conj().T / m + 0.5 * np.eye(m)
+    Rt = np.linalg.inv(C.conj().T @ np.linalg.solve(R, C))
+    Xf, ref = _information_update(X, 0.5 * (Rt + Rt.conj().T)), _factored_update(X, C, R)
+    assert Xf.dtype == np.dtype(dtype)
+    assert np.abs(Xf - ref).max() <= 1e-13 * np.abs(ref).max()
+    if dtype is float:
+        assert np.array_equal(Xf, Xf.T)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("m", [2, 3])
+def test_one_matrix_gains_are_the_stacked_gains(dtype, m):
+    # riccati_map's call, one matrix with a 0-d weight, returns the gain of
+    # the same matrix stacked as one row, bit for bit
+    rng = np.random.default_rng(m)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    B, C = draw(4, 4), draw(m, 4)
+    X = B @ B.conj().T + np.eye(4)
+    XC = X @ C.conj().T
+    S = C @ XC + np.eye(m)
+    for lam in (1.0, 0.37, np.float64(0.37)):
+        K = _gains(XC, S, lam)
+        assert np.array_equal(K, _gains(XC[None], S[None], np.array([lam]))[0])
+    assert np.array_equal(_gains(XC, S, 0.0), np.zeros_like(XC))
 
 
 def test_kalman_gain_scalar(scalar_sys):
