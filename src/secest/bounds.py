@@ -57,7 +57,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .channel import ChannelParams, _check_probability
-from .errors import InconclusiveError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .kalman import Coefficients, _factored_update, _information_update, _sym, riccati_map
 from .linmodel import LinearSystem, SchurFactor, _describe_modes, _ModalFactor, prepare_stein
 
@@ -272,11 +272,11 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     When C U[:, :k] has full column rank (scalar plants, square invertible
     C), W is unitary and h(X) = (1 - lam) T_u X T_u^H, so every rate above
     ``p_lower`` is feasible, also without iterating. The certificate does
-    not read :func:`p_upper`'s closed forms, so it checks them.
-    An :class:`InconclusiveError` is raised if the start solve fails, an
-    iterate turns singular or non-finite, or neither certificate holds
-    within the budget, which happens at rates within roundoff of the
-    threshold.
+    not read :func:`p_upper`'s closed forms, so it checks them. Where the
+    loop stops without a verdict (a singular or non-finite iterate, or the
+    budget spent), lam is feasible exactly when the gain of an iterate kept
+    at step 1, 2, 4, 8, ... has a Lyapunov witness (:func:`_gain_contracts`);
+    a failed start solve, within roundoff of ``p_lower``, gives False.
     """
     _check_probability(lam, "lam")
     if sys.unseen_modes:
@@ -293,11 +293,13 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
         return True
     try:
         X = prepare_stein(Tu, 1.0 - lam, schur.sigma)(np.eye(k))
-    except NumericalError as exc:  # lam within roundoff of p_lower, or T_u far from normal
-        raise InconclusiveError(f"feasibility at rate {lam:.9g} undecided: {exc}",
-                                iterations=0) from exc
+    except NumericalError:  # lam within roundoff of p_lower, or T_u far from normal
+        return False
     block = Coefficients(Tu, W, np.zeros((k, k)), np.zeros((len(W), len(W))))
+    kept = []
     for it in range(1, _CERT_MAX_ITERS + 1):
+        if not it & (it - 1):  # steps 1, 2, 4, 8, ...
+            kept.append(X)
         try:
             H = riccati_map(X, block, lam)
             mu = sla.eigh(H, X, eigvals_only=True)
@@ -308,8 +310,22 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
         if mu[0] > 1.0:
             return False
         X = H / np.trace(H).real + _CERT_DAMPING * X / np.trace(X).real
-    raise InconclusiveError(f"feasibility at rate {lam:.9g} undecided after {it} iterations",
-                            iterations=it)
+    return any(_gain_contracts(Tu, W, X, lam) for X in reversed(kept))
+
+
+def _gain_contracts(Tu: np.ndarray, W: np.ndarray, X: np.ndarray, lam: float) -> bool:
+    """Whether K = T_u X W^H (W X W^H)^-1 contracts L_K(Y) = (1 - lam) T_u Y T_u^H
+    + lam F Y F^H, F = T_u - K W: the solution of Y = L_K(Y) + I on its k^2
+    entries is Y > 0 with Y - L_K(Y) >= I/2, read again in matrix form."""
+    k = len(Tu)
+    try:
+        F = Tu - Tu @ X @ W.conj().T @ np.linalg.solve(W @ X @ W.conj().T, W)
+        L = (1.0 - lam) * np.kron(Tu, Tu.conj()) + lam * np.kron(F, F.conj())
+        Y = _sym(np.linalg.solve(np.eye(k * k) - L, np.eye(k).ravel()).reshape(k, k))
+        D = Y - (1.0 - lam) * (Tu @ Y @ Tu.conj().T) - lam * (F @ Y @ F.conj().T)
+        return bool(np.linalg.eigvalsh(Y)[0] > 0.0 and np.linalg.eigvalsh(D)[0] >= 0.5)
+    except np.linalg.LinAlgError:
+        return False
 
 
 _p_upper_cache: "weakref.WeakKeyDictionary[LinearSystem, float]" = weakref.WeakKeyDictionary()
@@ -327,8 +343,7 @@ def p_upper(sys: LinearSystem) -> float:
     * 1 - 1/prod|lambda_u|^2 over the unstable Schur diagonal, when r = 1;
     * otherwise the feasible end of a bisection on [p_lower, 1] down to a
       bracket of width 1e-6, with :func:`feasibility_check` deciding each
-      probe, so within 1e-6 above the threshold. An undecided probe counts
-      as infeasible, which can only push the result upward.
+      probe, so within 1e-6 above the threshold.
 
     Raises :class:`NumericalError` at once, naming the modes, when C does
     not see an eigenvalue of modulus at least one (``sys.unseen_modes``),
@@ -350,19 +365,12 @@ def p_upper(sys: LinearSystem) -> float:
     elif r == 1:
         hi = 1.0 - 1.0 / float(np.prod(np.abs(np.diag(schur.T)[:schur.k]))) ** 2
     else:
-        def feasible(lam: float) -> bool:
-            try:
-                return feasibility_check(lam, sys)
-            except InconclusiveError:
-                return False
-
         hi = 1.0
-        if not feasible(hi):
-            raise NumericalError("no bounded fixed point certified even at full reception; "
-                                 "the feasibility certificate is undecided there")
+        if not feasibility_check(hi, sys):
+            raise NumericalError("no bounded fixed point certified even at full reception")
         while hi - lo > _P_UPPER_TOL:
             mid = 0.5 * (lo + hi)
-            if feasible(mid):
+            if feasibility_check(mid, sys):
                 hi = mid
             else:
                 lo = mid

@@ -28,11 +28,6 @@ class NumericalError(RuntimeError):
 
 
 class InconclusiveError(NumericalError):
-    """An iteration reached no verdict within its budget.
-
-    ``iterations`` holds how many steps were spent.
-    """
-
-    def __init__(self, message: str, iterations: int | None = None):
-        super().__init__(message)
-        self.iterations = iterations
+    """Raised nowhere in the package: every feasibility probe returns a
+    certified verdict. Kept because ``perfbench/tracer.py`` binds it; the
+    benchmark's upkeep may delete both."""

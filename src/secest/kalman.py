@@ -118,9 +118,9 @@ def _factored_update(X: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     G = H / sqrt(s). That is about half the flops of a PD solve with n
     right-hand sides and one more product, and numpy forms G^T G of a real
     G on one buffer (``syrk``), so on a Hermitian real X the result is
-    exactly symmetric. An innovation covariance that is not finite and
-    positive definite raises :class:`NumericalError`, as in
-    :func:`_innovation_solve`.
+    exactly symmetric. An innovation covariance that is not positive definite
+    or holds a NaN raises :class:`NumericalError`, as in :func:`_innovation_solve`;
+    an infinite one may pass, as in :func:`_information_update`.
     """
     H = np.dot(C, X)
     S = np.dot(H, C.conj().T) + R
@@ -155,7 +155,9 @@ def _information_update(X: np.ndarray, Rt: np.ndarray) -> np.ndarray:
     X + Rt is the matrix in Fortran order, so ``potrf`` factors it in place
     as U^H U with L = U^T, and G^T = X^T U^-1 by one ``trsm`` on the right.
     A real Hermitian X again gives an exactly symmetric result. A sum that
-    is not finite and positive definite raises :class:`NumericalError`.
+    is not positive definite or holds a NaN raises :class:`NumericalError`; an
+    infinite pivot may pass (``potrf`` zeroes the multipliers below it), but
+    X - G^H G keeps X's non-finite entries: a non-finite X never comes back finite.
     """
     # potrf(a, lower=0, clean=0, overwrite_a=1): U^H U = (X + Rt)^T
     U, info = _POTRF[X.dtype]((X + Rt).T, 0, 0, 1)

@@ -28,7 +28,6 @@ from secest import (
 )
 from secest.bounds import feasibility_check
 from secest.kalman import _factored_update, _information_update
-from secest.errors import InconclusiveError
 
 from helpers import circle_case, plus_minus_case
 
@@ -285,14 +284,9 @@ class TestFeasibility:
     def test_within_roundoff_of_lower_is_decided_or_undecided(self, scalar_sys,
                                                                second_order_sys):
         # one ulp above p_lower the start Stein solve is beyond working
-        # precision; the probe gives a verdict or InconclusiveError, which
-        # p_upper counts as infeasible, never a bare NumericalError
+        # precision; the probe still returns a verdict, never an exception
         for sys in (scalar_sys, second_order_sys):
-            try:
-                verdict = feasibility_check(np.nextafter(p_lower(sys), 1.0), sys)
-            except InconclusiveError:
-                continue
-            assert isinstance(verdict, bool)
+            assert isinstance(feasibility_check(np.nextafter(p_lower(sys), 1.0), sys), bool)
 
 
 def test_full_column_rank_decides_feasibility_in_closed_form():
@@ -409,7 +403,7 @@ class TestCriticalRateExactness:
         assert feasibility_check(cf + 1e-6, sys)
 
     def test_closed_forms_make_no_probe(self, monkeypatch, scalar_sys, second_order_sys):
-        calls = []
+        calls, witnessed = [], witness_spy(monkeypatch)
         check = bounds.feasibility_check
         monkeypatch.setattr(bounds, "feasibility_check",
                             lambda lam, sys: calls.append(lam) or check(lam, sys))
@@ -418,10 +412,11 @@ class TestCriticalRateExactness:
         rank_one = [second_order_sys] + [make() for make in RANK_ONE_PLANTS.values()]
         for sys in full_rank + rank_one:
             p_upper(sys)
-        assert calls == []
-        # 1 < r < k: the one case left to the bisection
+        assert calls == [] and witnessed == []
+        # 1 < r < k: the one case left to the bisection, whose probes the
+        # loop decides here without the witness
         p_upper(rank_two_plant())
-        assert len(calls) > 0
+        assert len(calls) > 0 and witnessed == []
 
     def test_intermediate_rank_bisects(self, channel_96):
         # diag(2, 1.5, 1.2) seen through rank(C U_u) = 2 of k = 3 has no
@@ -514,7 +509,7 @@ class TestUndetectable:
             assert validate_system(sys).warnings == [
                 "(A, C) not detectable: C does not see the eigenvalue(s) "
                 + ", ".join(f"{lam:.6g}" for lam in unseen)], seed
-            # a certified verdict at every rate, never InconclusiveError
+            # a verdict at every rate, read off the detectability test
             assert not any(feasibility_check(rate, sys) for rate in self.RATES), seed
             with pytest.raises(NumericalError, match="not detectable"):
                 p_upper(sys)
@@ -952,6 +947,32 @@ def test_a_non_finite_iterate_never_meets_the_stop_rule(monkeypatch, second_orde
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=refused):
         solve_V(min(p_upper(sys) + 0.05, 1.0), ChannelParams(1.0, 1.0), sys)
     assert len(calls) > 3 and checked == []
+    # The helpers themselves: a non-finite iterate raises or comes back
+    # non-finite, never as a finite wrong iterate. potrf takes an infinite
+    # pivot and zeroes the multipliers below it, so an infinite entry can
+    # pass the check once; X - G^H G keeps it.
+    frame = sys._ceiling_frame
+    helpers = [lambda X: _factored_update(X, frame.C, sys.R)]
+    if frame.Rt is not None:
+        helpers.append(lambda X: _information_update(X, frame.Rt))
+    assert len(helpers) == (1 if sys.m == 1 else 2)
+    bad = []
+    for j in range(sys.n):
+        for value in (math.inf, math.nan):
+            X = frame.start.copy()
+            X[j, j] = value
+            bad.append(X)
+    with np.errstate(over="ignore"):
+        bad.append(frame.start * 1e308 * 1e308)
+    assert not any(np.isfinite(X).all() for X in bad)
+    for update in helpers:
+        for X in bad:
+            try:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    Xf = update(X)
+            except NumericalError:
+                continue
+            assert not np.isfinite(Xf).all()
 
 
 def random_panel_plant(seed: int) -> LinearSystem:
@@ -1053,6 +1074,67 @@ def test_certificate_on_complex_factor_with_two_outputs():
     assert p_lower(sys) < pu < 1.0
     assert not feasibility_check(pu - 1e-4, sys)
     assert feasibility_check(pu + 1e-4, sys)
+
+
+def witness_spy(monkeypatch) -> list:
+    """Record each call of the gain witness as (T_u, W, X, lam, verdict)."""
+    calls, witness = [], bounds._gain_contracts
+
+    def spy(Tu, W, X, lam):
+        verdict = witness(Tu, W, X, lam)
+        calls.append((Tu, W, X, lam, verdict))
+        return verdict
+
+    monkeypatch.setattr(bounds, "_gain_contracts", spy)
+    return calls
+
+
+class TestGainWitness:
+    """Where the certificate loop stops without a verdict, a probe is
+    feasible exactly when the gain of one of its kept iterates contracts
+    the error's second moment, checked by a Lyapunov witness."""
+
+    def test_singular_iterates_are_certified_by_their_gains(self, monkeypatch):
+        # Panel seed 170 (n = 5, m = 4, k = 5, r = 4): most probes break off
+        # when the iterate turns singular on W's range. Counted infeasible,
+        # they would put p_upper at 0.88955, 0.03 above the threshold.
+        calls = witness_spy(monkeypatch)
+        sys = random_panel_plant(170)
+        assert (sys.schur.k, len(bounds._seen_basis(sys))) == (5, 4)
+        assert 0.0 < p_upper(sys) - p_lower(sys) <= 1e-6
+        accepted = [call for call in calls if call[-1]]
+        assert accepted
+        for Tu, W, X, lam, _ in accepted:
+            # The gain as the witness forms it: near the threshold W X W^H is
+            # nearly singular, and another evaluation order gives another
+            # gain (here up to 1e-2 apart, entrywise). Its operator on the
+            # k^2 entries is checked by eigenvalues, not by a witness.
+            F = Tu - Tu @ X @ W.conj().T @ np.linalg.solve(W @ X @ W.conj().T, W)
+            L = (1.0 - lam) * np.kron(Tu, Tu.conj()) + lam * np.kron(F, F.conj())
+            assert np.abs(np.linalg.eigvals(L)).max() < 1.0
+
+    def test_ceiling_is_finite_where_the_witness_certifies(self):
+        sys = random_panel_plant(170)
+        V = solve_V(0.8605, ChannelParams(1.0, 1.0), sys)
+        assert V.finite and V.residual <= 1e-12
+
+    # p_upper on panel plants whose probes the loop decides, bit for bit
+    @pytest.mark.parametrize("seed, pinned", [
+        (0, 0.6701608516458436),
+        (2, 0.9517650341669873),
+        (7, 0.7300704078911604),
+        (22, 0.86806652875756),
+        (39, 0.777449886033083),
+        (89, 0.8169120883368174),
+        (209, 0.9096708858737323),
+        (243, 0.8825924228374378),
+    ])
+    def test_loop_verdicts_need_no_witness(self, monkeypatch, seed, pinned):
+        calls = witness_spy(monkeypatch)
+        sys = random_panel_plant(seed)
+        assert 1 < len(bounds._seen_basis(sys)) < sys.schur.k
+        assert p_upper(sys) == pinned
+        assert calls == []
 
 
 class TestSecrecyInterval:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -51,6 +54,19 @@ def base_doc():
         "system": {"A": 1.2, "C": 1.0, "Q": 1.0, "R": 1.0, "Sigma0": 1.0},
         "channel": {"p1": 0.9, "p2": 0.7},
     }
+
+
+def test_import_loads_no_scipy_subpackage_but_linalg():
+    # every CLI call pays the import: scipy.optimize would add about 0.26 s
+    # and scipy.sparse.linalg 0.035 s to it
+    probe = ("import sys, secest; print(sorted(name for name, module in sys.modules.items() "
+             "if name.count('.') == 1 and name.startswith('scipy.') "
+             "and not name.startswith('scipy._') and hasattr(module, '__path__')))")
+    env = dict(os.environ, PYTHONPATH=str(_CONFIGS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["['scipy.linalg']"]
 
 
 class TestLoadConfig:
