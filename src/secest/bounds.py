@@ -73,22 +73,21 @@ _CERT_MAX_ITERS = 10_000
 # period-2 orbit a quarter-turn rotation sets up in the plain normalized map.
 _CERT_DAMPING = 0.1
 
-# solve_V stops once a step moves no entry by more than _V_TOL relative to
-# the iterate's largest entry, or once a step below _V_FLOOR stops shrinking:
-# the Stein solve amplifies roundoff by 1/(1 - (1 - rate) rho^2). A step
-# that stops shrinking can also be an oscillation on the way, so there the
-# fixed-point residual decides: the iterate is taken when its residual is at
-# most _V_RESIDUAL, or when it improves by less than 10 % on the smallest
-# residual of an earlier such step (is at least _V_RESIDUAL_STALL times it:
-# the roundoff floor, where stepping on gains nothing). A step is one
-# factored measurement update and one Stein step (an entrywise multiply-add
-# on the modal route, a triangular Sylvester solve on the Cayley route), so
-# a failing call costs _V_MAX_ITERS of each. The budget reaches
-# second_order down to about 1.1e-4 above p_upper.
+# solve_V reads the fixed-point residual of an iterate once a step moves no
+# entry by more than _V_TOL relative to the iterate's largest entry, or once
+# a step below _V_FLOOR stops shrinking: the Stein solve amplifies roundoff
+# by 1/(1 - (1 - rate) rho^2). It takes the iterate when that residual is at
+# most _V_RESIDUAL and steps on otherwise, since a step that stops shrinking
+# can be an oscillation or slow convergence on the way. _V_FLOOR is
+# load-bearing: without it some ceilings near the threshold meet the
+# residual test tens of steps early, with traces up to 1e-8 off.
+# A step is one factored measurement update and one Stein step (an entrywise
+# multiply-add on the modal route, a triangular Sylvester solve on the
+# Cayley route), so a failing call costs _V_MAX_ITERS of each. The budget
+# reaches second_order down to about 1.1e-4 above p_upper.
 _V_TOL = 1e-13
 _V_FLOOR = 1e-9
 _V_RESIDUAL = 1e-12
-_V_RESIDUAL_STALL = 0.9
 _V_MAX_ITERS = 40_000
 
 # BLAS idamax: the 0-based index of the entry of largest modulus.
@@ -125,9 +124,9 @@ class BoundValue:
     (None when infinite), is formed on first read and cached, so a caller
     that reads only ``trace`` never pays for the back-transform. A finite
     ceiling (:func:`solve_V`) also reports ``residual``, max|W - g(W)| /
-    max|W| for its solution W and the map g it is the fixed point of, and
-    ``steps``, the split steps it took; both are None on floors and on
-    infinite bounds.
+    max|W| for its solution W and the map g it is the fixed point of, at
+    most 1e-12 on every finite ceiling, and ``steps``, the split steps it
+    took; both are None on floors and on infinite bounds.
     """
 
     finite: bool
@@ -430,19 +429,17 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
     The stop rule is read on the iterate: a step max|W_next - W| /
     max|diag W_next| of at most 1e-13 (a PSD iterate's largest entry is on
     its diagonal; on real iterates both maxima are read by BLAS
-    ``idamax``), or one below 1e-9 that no longer shrinks. An iterate that
-    is not finite is never taken.
+    ``idamax``), or one below 1e-9 that no longer shrinks, has its
+    residual checked. An iterate that is not finite is never checked.
     :func:`~secest.kalman.riccati_map` on (T, C U, U^H Q U, R) remains the
-    definition of the ceiling: it is applied whenever the rule fires, to
-    the iterate carried to the Schur basis (Y Z Y^H on the modal route),
-    for the fixed point's residual max|W - g_lam(W)| / max|W|. A step that
-    stopped shrinking is taken only when that residual is at most 1e-12,
-    or when it improves by no more than 10 % on the smallest residual of
-    an earlier such step; otherwise the convergence was oscillating, not at
-    its roundoff floor, and the split steps on. The result reports the
-    residual as ``residual`` and the step count as ``steps``; its matrix
-    is kept in the Schur basis U, with trace Re Tr W, and the ceiling
-    sym(Re(U W U^H)) is formed only when ``.matrix`` is read.
+    definition of the ceiling: the check applies it to the iterate carried
+    to the Schur basis (Y Z Y^H on the modal route), for the fixed point's
+    residual max|W - g_lam(W)| / max|W|, and the iterate is taken exactly
+    when that residual is at most 1e-12; otherwise the split steps on. The
+    result reports the residual as ``residual`` and the step count as
+    ``steps``; its matrix is kept in the Schur basis U, with trace
+    Re Tr W, and the ceiling sym(Re(U W U^H)) is formed only when
+    ``.matrix`` is read.
 
     Elsewhere (e.g. one output), ``p_upper`` is the exact threshold, and
     within about 1e-4 of it the iteration still moves after its 40 000-step
@@ -487,7 +484,7 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
 
         to_schur = modal.to_schur
     Cs, Rt, W = frame.C, frame.Rt, frame.start
-    prev, stalls = math.inf, []
+    prev = math.inf
     for steps in range(1, _V_MAX_ITERS + 1):
         Wf = _factored_update(W, Cs, R) if Rt is None else _information_update(W, Rt)
         Wn = stein_step(Wf)
@@ -496,11 +493,9 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
             V = Wn if to_schur is None else to_schur(Wn)
             G = riccati_map(V, Coefficients(T, frame.CU, schur.QU, R), rate)
             residual = float(np.abs(V - G).max() / np.abs(V).max())
-            if (step <= _V_TOL or residual <= _V_RESIDUAL
-                    or any(residual >= _V_RESIDUAL_STALL * r for r in stalls)):
+            if residual <= _V_RESIDUAL:
                 return BoundValue(finite=True, trace=float(V.trace().real),
                                   residual=residual, steps=steps, _X=V, _schur=schur)
-            stalls.append(residual)
         prev, W = step, Wn
     raise NumericalError(
         f"fixed-point iteration did not converge in {_V_MAX_ITERS} iterations at "
@@ -525,26 +520,19 @@ def _safe_div(num: float, den: float) -> float:
 def secrecy_interval(sys: LinearSystem, ch: ChannelParams) -> SecrecyInterval:
     """Range of withholding probabilities achieving secrecy.
 
-    With the critical rate known exactly (closed bracket) the interval is
-    (p_c/p1, min(p_c/p2, 1)]. With an open bracket the pessimistic ends are
-    used instead: (p_upper/p1, min(p_lower/p2, 1)], flagged conservative.
-    An empty interval means no single withholding probability can separate
-    the two receivers, e.g. when p1 <= p2.
+    The interval is (p_upper/p1, min(p_lower/p2, 1)], flagged conservative
+    when the bracket is open; with the critical rate known exactly (closed
+    bracket, p_upper = p_lower) that is (p_c/p1, min(p_c/p2, 1)]. An empty
+    interval means no single withholding probability can separate the two
+    receivers, e.g. when p1 <= p2.
     """
     rates = critical_rates(sys)
-    if rates.exact:
-        pc = rates.p_lower
-        lower = _safe_div(pc, ch.p1)
-        upper = min(_safe_div(pc, ch.p2), 1.0)
-        conservative = False
-    else:
-        lower = _safe_div(rates.p_upper, ch.p1)
-        upper = min(_safe_div(rates.p_lower, ch.p2), 1.0)
-        conservative = True
+    lower = _safe_div(rates.p_upper, ch.p1)
+    upper = min(_safe_div(rates.p_lower, ch.p2), 1.0)
     return SecrecyInterval(
         lower_exclusive=lower,
         upper_inclusive=upper,
         empty=bool(not lower < upper),
-        conservative=conservative,
+        conservative=not rates.exact,
         user_nominal_bounded=bool(ch.p1 > rates.p_upper),
     )

@@ -88,11 +88,6 @@ def _sym(X: np.ndarray) -> np.ndarray:
 
 def _innovation_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """S^(-1) B for the innovation covariance S = C X C^H + R, by a PD solve."""
-    if S.shape == (1, 1):
-        s = S[0, 0].real
-        if not 0.0 < s < math.inf:
-            raise NumericalError(_BAD_VARIANCE)
-        return B / s
     c, X, info = _POSV[S.dtype](S, B)
     # a NaN anywhere in S's upper triangle reaches the factor's last pivot
     if info != 0 or not math.isfinite(c[-1, -1].real):

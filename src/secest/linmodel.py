@@ -145,9 +145,10 @@ _REAL_SHIFT_MIN = 0.125
 # runs. The ceiling's stop rule reads its step in modal coordinates, which
 # can understate the step in the Schur basis by up to cond_2(Y)^2. Measured
 # on random plants (n <= 6, ceilings at p_upper + 0.5 / 0.1 / 0.01 / 1e-3):
-# at cond_2(Y) 65.6 and 275 the step rule accepted residuals of 2.1e-12 and
-# 1.5e-12, where the Cayley route reads <= 1.6e-14; on 504 plants with
-# cond_2(Y) in [8, 50] (2 016 ceilings) it accepted none above 9.4e-13.
+# at cond_2(Y) 65.6 and 275 the step rule, before it required a residual of
+# at most 1e-12, accepted 2.1e-12 and 1.5e-12, where the Cayley route reads
+# <= 1.6e-14; on 504 plants with cond_2(Y) in [8, 50] (2 016 ceilings) it
+# accepted none above 9.4e-13.
 # Scaling the step by cond_2(Y)^2 instead cost held-sweep 1 step per
 # ceiling and left stop rules out of reach near the threshold (a ceiling
 # the Cayley route takes in 11 steps ran out of budget). Floors kept

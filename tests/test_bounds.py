@@ -877,12 +877,12 @@ def test_information_form_route_choice(second_order_sys):
 def test_ill_conditioned_output_keeps_the_gram_form(monkeypatch, cond):
     """Past the cut-over the information form's output noise
     (C^H R^-1 C)^-1 spans cond_2(C)^2, and the roundoff of X + Rt spoils
-    the update: forced onto these plants it leaves residuals of 1.6e-11 to
-    5.5e-11 at cond_2(C) = 1e4 and runs out of budget at 1e6 and 1e8. The
-    Gram form, which they keep, reads residuals below 1e-13. That fixes
-    the cut-over below 1e4; it sits at 100, where the information form's
-    residuals stay within 1.2x of the Gram form's (see
-    linmodel._INFO_MAX_COND)."""
+    the update: forced onto these plants it takes 907 steps to a residual
+    of 8.1e-13 at cond_2(C) = 1e4, and runs out of budget at 1e6 and 1e8.
+    The Gram form, which they keep, reads residuals below 1e-13 (4.3e-14
+    in 149 steps at 1e4). That fixes the cut-over below 1e4; it sits at
+    100, where the information form's residuals stay within 1.2x of the
+    Gram form's (see linmodel._INFO_MAX_COND)."""
     sys = conditioned_output_plant(1, 8, cond)
     rate = p_upper(sys) + 0.5
     V = solve_V(rate, ChannelParams(1.0, 1.0), sys)
@@ -892,7 +892,7 @@ def test_ill_conditioned_output_keeps_the_gram_form(monkeypatch, cond):
     forced = conditioned_output_plant(1, 8, cond)
     assert forced._ceiling_frame.Rt is not None
     try:
-        assert solve_V(rate, ChannelParams(1.0, 1.0), forced).residual > 1e-12
+        assert solve_V(rate, ChannelParams(1.0, 1.0), forced).residual > 1e-13
     except NumericalError as exc:
         assert cond > 1e4 and "did not converge" in str(exc)
 
@@ -1014,6 +1014,27 @@ def test_ceiling_steps_on_through_an_oscillation(monkeypatch, seed):
         assert set(rates) == {1.0} and (modal or len(rates) > 1)
         X = sla.solve_discrete_are(sys.A.T, sys.C.T, sys.Q, sys.R)
         assert np.abs(V.matrix - X).max() <= 1e-11 * np.abs(X).max()
+
+
+@pytest.mark.parametrize("seed, offset", [(8, 1e-3), (20, 1e-3), (26, 1e-3), (63, 1e-3),
+                                          (236, 1e-2)])
+def test_ceiling_is_taken_only_at_its_residual_bound(monkeypatch, seed, offset):
+    """Near the threshold the split contracts slowly, so residual checks a
+    few steps apart improve by less than 10 % while the iterate is still
+    off: a rule that took such a stall read residuals of 1.5e-12 to 1.1e-11
+    here on the modal route, and left the two routes' traces up to 8.1e-9
+    apart (seed 63). Stepping on to a residual of at most 1e-12 takes at
+    most 10 % more steps, and brings the routes within 1.6e-10."""
+    traces = []
+    for modal in (True, False):
+        if not modal:
+            monkeypatch.setattr(secest.linmodel, "_MODAL_MAX_COND", 0.0)
+        sys = random_panel_plant(seed)
+        V = solve_V(p_upper(sys) + offset, ChannelParams(1.0, 1.0), sys)
+        assert (sys.schur.modal is not None) == modal
+        assert V.residual <= 1e-12, (modal, V.residual)
+        traces.append(V.trace)
+    assert abs(traces[0] - traces[1]) <= 1e-9 * max(traces)
 
 
 class TestCeilingRecord:
@@ -1144,6 +1165,24 @@ class TestSecrecyInterval:
         assert iv.lower_exclusive == pytest.approx(P_CRIT / 0.9, abs=1e-9)
         assert iv.upper_inclusive == pytest.approx(P_CRIT / 0.6, abs=1e-9)
         assert iv.user_nominal_bounded
+
+    @pytest.mark.parametrize("plant", ["scalar", "invertible-C"])
+    @pytest.mark.parametrize("p1, p2", [(0.9, 0.6), (0.7, 0.7)])
+    def test_exact_interval_bits(self, scalar_sys, plant, p1, p2):
+        # a closed bracket has p_upper == p_lower == p_c, so the one formula
+        # (p_upper/p1, min(p_lower/p2, 1)] is (p_c/p1, min(p_c/p2, 1)], bit
+        # for bit; on the scalar plant p_c = 1 - 1/1.2^2
+        sys = {"scalar": scalar_sys,
+               "invertible-C": seeded_plant(2708, 8, [1.12, 1.05, 1.02], 8)}[plant]
+        pc = p_lower(sys)
+        assert p_upper(sys) == pc
+        iv = secrecy_interval(sys, ChannelParams(p1, p2))
+        assert (iv.lower_exclusive, iv.upper_inclusive) == (pc / p1, min(pc / p2, 1.0))
+        assert iv.empty == (p1 == p2) and not iv.conservative and iv.user_nominal_bounded
+        if plant == "scalar":
+            pinned = {(0.9, 0.6): (0.3395061728395062, 0.5092592592592593),
+                      (0.7, 0.7): (0.43650793650793657, 0.43650793650793657)}
+            assert (iv.lower_exclusive, iv.upper_inclusive) == pinned[p1, p2]
 
     def test_equal_channels_give_empty_interval(self, scalar_sys):
         iv = secrecy_interval(scalar_sys, ChannelParams(0.7, 0.7))
