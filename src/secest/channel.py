@@ -15,16 +15,24 @@ other streams are consumed, which is what lets a simulation replay the same
 noise and erasure sample while only the withholding probability changes.
 
 A stream's Philox key is numpy's ``SeedSequence(seed,
-spawn_key=(stream_id,))``. The Monte Carlo replications keep their streams
-5+k, but derive all of their keys in one vectorized pass of the same
-algorithm and re-key a single Philox generator per replication, instead of
-building one ``RngStream`` each. A re-key writes the replication's two key
-words, as Python ints, into one state dict per call and assigns it; the
-draws fill blocks of at most 64 rows of one reused buffer.
+spawn_key=(stream_id,))``, and seeds and stream ids are read as numpy reads
+a seed: a float such as ``1.9`` is refused, not truncated to stream 1's
+seed. The Monte Carlo replications keep their streams 5+k, but derive all
+of their keys in one pass of the same algorithm (the seed's words mixed
+once on Python ints, the stream ids as one array) and re-key a single
+Philox bit generator per replication, instead of building one
+``RngStream`` each. A re-key writes the replication's two key words, as
+Python ints, into one state dict per call and assigns it. The replications
+are only ever counted, so no float is formed: each raw 64-bit word is
+compared with an integer threshold that gives the same verdict as the
+stream's uniform against the rate, bit for bit (:func:`_replication_counts`),
+and the words fill blocks of at most 64 rows of one reused buffer.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +52,15 @@ def _check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must lie in [0, 1], got {value}")
     return value
+
+
+def _index(value, name: str) -> int:
+    """``value`` as a Python int, read the way numpy reads a seed
+    (``operator.index``): an integer, never truncated, so ``1.9`` raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -77,8 +94,8 @@ class RngStream:
     """
 
     def __init__(self, seed: int, stream_id: int):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _index(seed, "seed")
+        self.stream_id = _index(stream_id, "stream_id")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {seed}")
         if self.stream_id < 0:
@@ -104,41 +121,43 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash(word: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
-    """One SeedSequence hash step on uint32 words; returns (hashed, next const).
+def _hash(word, const: int, mult: int):
+    """One SeedSequence hash step on a 32-bit word; returns (hashed, next const).
 
-    The constant sequence depends on no data, so it stays a Python int; the
-    words are uint32 arrays, which wrap mod 2**32 like the C code.
+    ``word`` is a Python int or a uint32 array: the mask keeps an int to 32
+    bits, and an array wraps mod 2**32 like the C code. The constant
+    sequence depends on no data, so it stays a Python int.
     """
     nxt = (const * mult) & _MASK32
-    word = (word ^ np.uint32(const)) * np.uint32(nxt)
-    return word ^ (word >> np.uint32(16)), nxt
+    word = (word ^ const) * nxt & _MASK32
+    return word ^ (word >> 16), nxt
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    word = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return word ^ (word >> np.uint32(16))
+def _mix(x, y):
+    word = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+    return word ^ (word >> 16)
 
 
 def _philox_keys(seed: int, first_stream: int, count: int) -> np.ndarray:
     """Philox keys of streams first_stream..first_stream+count-1, shape (count, 2).
 
     Row r equals ``SeedSequence(seed, spawn_key=(first_stream + r,))
-    .generate_state(2, np.uint64)``, computed for every stream at once: each
-    hash step is one array operation, and the seed's words broadcast against
-    the stream ids. Stream ids must be below 2**32 (one spawn-key word).
+    .generate_state(2, np.uint64)``. The seed's words enter the pool first
+    and are mixed on Python ints, once for all streams; only the stream id,
+    the last entropy word, and the output hashes that follow it are uint32
+    arrays over the streams. Stream ids must be below 2**32 (one spawn-key
+    word).
     """
     words = [seed & _MASK32]
     while seed >> 32 * len(words):
         words.append((seed >> 32 * len(words)) & _MASK32)
     # A spawn key pads the seed's words with zeros to the pool size.
     words += [0] * (_POOL_SIZE - len(words))
-    entropy = [np.array([w], dtype=np.uint32) for w in words]
-    entropy.append(np.arange(first_stream, first_stream + count, dtype=np.uint32))
+    words.append(np.arange(first_stream, first_stream + count, dtype=np.uint32))
 
     const = _INIT_A
     pool = []
-    for word in entropy[:_POOL_SIZE]:
+    for word in words[:_POOL_SIZE]:
         word, const = _hash(word, const, _MULT_A)
         pool.append(word)
     for src in range(_POOL_SIZE):
@@ -146,7 +165,7 @@ def _philox_keys(seed: int, first_stream: int, count: int) -> np.ndarray:
             if src != dst:
                 word, const = _hash(pool[src], const, _MULT_A)
                 pool[dst] = _mix(pool[dst], word)
-    for extra in entropy[_POOL_SIZE:]:
+    for extra in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             word, const = _hash(extra, const, _MULT_A)
             pool[dst] = _mix(pool[dst], word)
@@ -156,51 +175,71 @@ def _philox_keys(seed: int, first_stream: int, count: int) -> np.ndarray:
     for word in pool:
         word, const = _hash(word, const, _MULT_B)
         state.append(word)
-    state = np.stack(np.broadcast_arrays(*state), axis=1)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
 
 
-# Rows per block of replication uniforms: memory stays O(64 size) at any count.
+# Rows per block of replication words: memory stays O(64 size) at any count.
 # At size 300, 64 rows count as fast as 256 and keep the peak RSS where a
 # row at a time kept it; 256 rows added about 0.6 MB.
 _BLOCK_ROWS = 64
 
 
-def _replication_uniforms(seed: int, first_stream: int, count: int, size: int):
-    """Yield ``RngStream(seed, first_stream + r).uniforms(size)`` for r < count, in blocks.
+def _replication_counts(seed: int, first_stream: int, count: int, size: int,
+                        rates) -> np.ndarray:
+    """Receptions per step of streams first_stream..first_stream+count-1, per rate.
 
-    Each block is a (b, size) array of consecutive rows, b <= 64, drawn into
-    one reused buffer, so a block is only valid until the next is requested.
+    Returns an int64 array of shape (len(rates), size) whose entry [i, k]
+    counts the r < count with ``RngStream(seed, first_stream + r)
+    .uniforms(size)[k] < rates[i]``, exactly, without forming a float:
+    numpy draws a uniform from Philox as ``(word >> 11) * 2**-53``, and for
+    an integer j, ``j < rate * 2**53`` holds exactly when
+    ``j < ceil(rate * 2**53)``, a product that is exact in binary64 for
+    rates in [0, 1]. So a raw 64-bit word receives exactly when it is below
+    ``ceil(rate * 2**53) << 11``; at rate 1 that limit is 2**64, above every
+    word.
+
     Philox is counter-based, so a stream is fixed by its key alone: all keys
-    come from one vectorized pass (:func:`_philox_keys`), and one generator
-    is re-keyed per row with a zero counter and an empty buffer, where
+    come from one pass (:func:`_philox_keys`), and one bit generator is
+    re-keyed per row with a zero counter and an empty buffer, where
     RngStream would build a SeedSequence, a Philox and a Generator each.
     The re-key assigns the row's two key words, as Python ints, into one
-    state dict built per call.
-    Arguments are checked when the first block is requested.
+    state dict built per call. Rows of raw words are stacked at most 64 at
+    a time into one reused buffer and counted a block at a time.
     """
-    seed, first_stream = int(seed), int(first_stream)
+    seed, first_stream = _index(seed, "seed"), _index(first_stream, "first_stream")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     if first_stream < 0 or first_stream + count > 2**32:
         raise ValidationError(
             f"stream ids must lie in [0, 2**32), got {first_stream}..{first_stream + count - 1}"
         )
-    keys = _philox_keys(seed, first_stream, count).tolist()
+    # None marks rate 1, whose limit 2**64 a uint64 cannot hold
+    limits = [math.ceil(rate * 2**53) << 11 for rate in rates]
+    limits = [None if limit == 2**64 else np.uint64(limit) for limit in limits]
+    counts = np.zeros((len(limits), size), dtype=np.int64)
+    keys = _philox_keys(seed, first_stream, count)
     bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
     # One state dict of Python ints, re-keyed per row: the setter reads each
     # word by index, which is cheaper on a list than on a uint64 array.
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    buffer = np.empty((min(count, _BLOCK_ROWS), size))
+    buffer = np.empty((min(count, _BLOCK_ROWS), size), dtype=np.uint64)
     for lo in range(0, count, _BLOCK_ROWS):
-        block = buffer[:min(_BLOCK_ROWS, count - lo)]
-        for key, row in zip(keys[lo:], block):
+        words = []
+        for key in keys[lo:lo + _BLOCK_ROWS].tolist():
             state["state"]["key"] = key
             bitgen.state = state
-            gen.random(out=row)
-        yield block
+            words.append(bitgen.random_raw(size))
+        block = buffer[:len(words)]
+        np.concatenate(words, out=block.reshape(-1))
+        for received, limit in zip(counts, limits):
+            if limit is None:
+                received += len(block)
+            else:
+                # a block's counts fit int16, whose sum is about three
+                # times as fast as count_nonzero's intp one
+                received += (block < limit).sum(axis=0, dtype=np.int16)
+    return counts
 
 
 def effective_rates(mech: Mechanism, ch: ChannelParams) -> tuple[float, float]:

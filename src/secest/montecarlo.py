@@ -16,8 +16,10 @@ Two levels of fidelity:
   to be simulated; each step applies the update map averaged across the
   replications' draws. That is the averaged-map (bound) recursion: it tends
   to the MARE iterate, not to the mean covariance E[P_k] of the paths. The
-  draws are counted in blocks of at most 64 replications, so memory does
-  not grow with the number of runs, and curves at several rates under one
+  draws are counted on the replications' raw Philox words against exact
+  integer thresholds, which decide each reception as the stream's uniform
+  would, in blocks of at most 64 replications, so the draws' memory does
+  not grow with the number of runs; curves at several rates under one
   seed (both receivers', in ``secest montecarlo``) are counted from one
   pass over them.
 
@@ -58,7 +60,7 @@ from .channel import (
     Mechanism,
     RngStream,
     _check_probability,
-    _replication_uniforms,
+    _replication_counts,
 )
 from .errors import NumericalError, ValidationError
 from .kalman import _BAD_VARIANCE, _float_route, _linear_recursion, filter_errors, riccati_map
@@ -184,7 +186,7 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
         xhat1=xhat[0], xhat2=xhat[1],
         trP1=trP[0], trP2=trP[1],
         err1=err[0], err2=err[1],
-        seed=int(seed), p=mech.p, p1=ch.p1, p2=ch.p2,
+        seed=w_stream.seed, p=mech.p, p1=ch.p1, p2=ch.p2,
     )
 
 
@@ -232,11 +234,7 @@ def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, ru
         _check_probability(rate, "rate")
     effective = [mech.p * rate for rate in rates]
 
-    received = np.zeros((len(rates), T), dtype=np.int64)
-    for block in _replication_uniforms(seed, STREAM_MC_RUN_BASE, runs, T):
-        for row, rate in enumerate(effective):
-            received[row] += np.count_nonzero(block < rate, axis=0)
-    fractions = received / runs
+    fractions = _replication_counts(seed, STREAM_MC_RUN_BASE, runs, T, effective) / runs
 
     rows, n = len(rates), sys.n
     kernel = _float_route(sys)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from secest import (
     effective_rates,
     expected_error_curve,
     riccati_map,
+    simulate_trace,
     solve_S,
     solve_V,
 )
@@ -19,7 +22,8 @@ from secest.channel import (
     STREAM_MECHANISM,
     STREAM_PROCESS_NOISE,
     _BLOCK_ROWS,
-    _replication_uniforms,
+    _philox_keys,
+    _replication_counts,
 )
 
 
@@ -96,19 +100,52 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 3,
                                   2**63 + 11, 2**70 + 3])
 def test_replication_uniforms_match_rng_streams(seed):
-    # The one-pass key derivation must reproduce SeedSequence exactly,
-    # including seeds of two and three 32-bit words, and the blocks must
-    # hold the rows in order: one count below the block size, one that
-    # leaves a one-row last block.
-    for count in (1, _BLOCK_ROWS + 1):
+    """The replication counter decides every reception as the stream's
+    uniform does, exactly: the one-pass keys reproduce SeedSequence for
+    seeds of one to three 32-bit words, the counts cross block edges (65
+    and 129 rows), and the rates include the integer threshold's ties
+    (multiples of 2**-53), the smallest subnormal, the largest float below
+    1, and both ends."""
+    rates = [0.0, 5e-324, 2.0**-53, 3 * 2.0**-53, 0.5, float(np.nextafter(1.0, 0.0)), 1.0]
+    keys = _philox_keys(seed, 5, 2 * _BLOCK_ROWS + 1)
+    for r, key in enumerate(keys):
+        ss = np.random.SeedSequence(seed, spawn_key=(5 + r,))
+        assert np.array_equal(key, ss.generate_state(2, np.uint64))
+    for count in (1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1):
         for size in (0, 1, 7, 300):
-            blocks = [block.copy() for block in _replication_uniforms(seed, 5, count, size)]
-            assert [len(b) for b in blocks] == [min(_BLOCK_ROWS, count - lo)
-                                                for lo in range(0, count, _BLOCK_ROWS)]
-            rows = np.concatenate(blocks)
-            assert rows.shape == (count, size)
-            for r, u in enumerate(rows):
-                assert np.array_equal(u, RngStream(seed, 5 + r).uniforms(size))
+            counts = _replication_counts(seed, 5, count, size, rates)
+            uniforms = np.array([RngStream(seed, 5 + r).uniforms(size)
+                                 for r in range(count)]).reshape(count, size)
+            want = [np.count_nonzero(uniforms < rate, axis=0) for rate in rates]
+            assert counts.dtype == np.int64 and counts.shape == (len(rates), size)
+            assert np.array_equal(counts, want)
+
+
+def test_replication_counts_threshold_ties():
+    # The smallest first word of 50 streams gives the uniform j * 2**-53,
+    # which sits exactly on the threshold of rate j * 2**-53: that rate
+    # must not count it, and rate (j + 1) * 2**-53 must.
+    words = np.array([np.random.Philox(np.random.SeedSequence(0, spawn_key=(5 + r,)))
+                      .random_raw() for r in range(50)], dtype=np.uint64)
+    j = int(words.min() >> np.uint64(11))
+    tie, above = j * 2.0**-53, (j + 1) * 2.0**-53
+    first = np.array([RngStream(0, 5 + r).uniforms(1)[0] for r in range(50)])
+    assert (first < tie).sum() == 0 and (first < above).sum() == 1
+    counts = _replication_counts(0, 5, 50, 1, [tie, above])
+    assert counts.tolist() == [[0], [1]]
+
+
+def test_replication_counts_memory_is_bounded_in_runs():
+    """The draws are counted a block at a time: 20 000 replications of 300
+    steps peak under 2 MB, where their words alone would take 48 MB."""
+    _replication_counts(0, 5, 1, 300, [0.5])
+    tracemalloc.start()
+    try:
+        _replication_counts(0, 5, 20_000, 300, [0.459, 0.306])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_replication_uniforms_validation(scalar_sys):
@@ -117,8 +154,39 @@ def test_replication_uniforms_validation(scalar_sys):
             expected_error_curve(scalar_sys, Mechanism(0.5), 0.5, T, 2, -1)
     # Stream ids of two spawn-key words are outside the one-pass derivation.
     with pytest.raises(ValidationError, match="stream ids"):
-        list(_replication_uniforms(0, 2**32 - 1, 2, 3))
+        _replication_counts(0, 2**32 - 1, 2, 3, [0.5])
     with pytest.raises(ValidationError, match="stream ids"):
-        list(_replication_uniforms(0, -1, 1, 3))
-    ((last,),) = _replication_uniforms(0, 2**32 - 1, 1, 3)
-    assert np.array_equal(last, RngStream(0, 2**32 - 1).uniforms(3))
+        _replication_counts(0, -1, 1, 3, [0.5])
+    with pytest.raises(ValidationError, match="first_stream must be an integer"):
+        _replication_counts(0, 5.0, 1, 3, [0.5])
+    rates = [0.25, 0.5, 0.75]
+    last = RngStream(0, 2**32 - 1).uniforms(3)
+    assert np.array_equal(_replication_counts(0, 2**32 - 1, 1, 3, rates),
+                          [last < rate for rate in rates])
+
+
+@pytest.mark.parametrize("seed", [1.9, 0.5, 2.0, np.float64(3.0), "1", None])
+def test_non_integer_seed_rejected(seed, second_order_sys, channel_96):
+    # Like numpy's SeedSequence, and unlike int(), no float is truncated to
+    # another seed's stream.
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        RngStream(seed, STREAM_MECHANISM)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        simulate_trace(second_order_sys, Mechanism(0.51), channel_96, 5, seed)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        expected_error_curve(second_order_sys, Mechanism(0.51), 0.9, 5, 3, seed)
+    with pytest.raises(ValidationError, match="stream_id must be an integer"):
+        RngStream(0, seed)
+
+
+def test_numpy_integer_seed_accepted(second_order_sys, channel_96):
+    stream = RngStream(np.int64(7), np.uint32(STREAM_MECHANISM))
+    assert type(stream.seed) is int and type(stream.stream_id) is int
+    assert np.array_equal(stream.uniforms(5), RngStream(7, STREAM_MECHANISM).uniforms(5))
+    trace = simulate_trace(second_order_sys, Mechanism(0.51), channel_96, 5, np.int64(7))
+    assert type(trace.seed) is int and trace.seed == 7
+    assert np.array_equal(trace.trP2, simulate_trace(second_order_sys, Mechanism(0.51),
+                                                     channel_96, 5, 7).trP2)
+    curve = expected_error_curve(second_order_sys, Mechanism(0.51), 0.9, 5, 3, np.int64(7))
+    assert np.array_equal(curve.mean_trP, expected_error_curve(
+        second_order_sys, Mechanism(0.51), 0.9, 5, 3, 7).mean_trP)

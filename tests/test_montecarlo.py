@@ -96,9 +96,9 @@ class TestExpectedErrorCurve:
         mech, rates, T, runs, seed = Mechanism(0.8), (0.9, 0.6, 0.45), 120, 150, 17
         singles = [expected_error_curve(sys, mech, rate, T, runs, seed) for rate in rates]
         passes = []
-        draws = montecarlo._replication_uniforms
-        monkeypatch.setattr(montecarlo, "_replication_uniforms",
-                            lambda *a: passes.append(a) or draws(*a))
+        count = montecarlo._replication_counts
+        monkeypatch.setattr(montecarlo, "_replication_counts",
+                            lambda *a: passes.append(a) or count(*a))
         curves = montecarlo._expected_error_curves(sys, mech, rates, T, runs, seed)
         assert len(passes) == 1
         for curve, single in zip(curves, singles):
