@@ -16,17 +16,9 @@ noise and erasure sample while only the withholding probability changes.
 
 A stream's Philox key is numpy's ``SeedSequence(seed,
 spawn_key=(stream_id,))``, and seeds and stream ids are read as numpy reads
-a seed: a float such as ``1.9`` is refused, not truncated to stream 1's
-seed. The Monte Carlo replications keep their streams 5+k, but derive all
-of their keys in one pass of the same algorithm (the seed's words mixed
-once on Python ints, the stream ids as one array) and re-key a single
-Philox bit generator per replication, instead of building one
-``RngStream`` each. A re-key writes the replication's two key words, as
-Python ints, into one state dict per call and assigns it. The replications
-are only ever counted, so no float is formed: each raw 64-bit word is
-compared with an integer threshold that gives the same verdict as the
-stream's uniform against the rate, bit for bit (:func:`_replication_counts`),
-and the words fill blocks of at most 64 rows of one reused buffer.
+a seed, through ``operator.index``. The Monte Carlo replications keep their
+streams 5+k but are counted on raw words against integer thresholds, see
+:func:`_replication_counts`.
 """
 
 from __future__ import annotations

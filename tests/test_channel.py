@@ -101,7 +101,8 @@ def test_different_seeds_differ():
                                   2**63 + 11, 2**70 + 3])
 def test_replication_uniforms_match_rng_streams(seed):
     """The replication counter decides every reception as the stream's
-    uniform does, exactly: the one-pass keys reproduce SeedSequence for
+    uniform does, exactly (the name is the counter's predecessor's, kept so
+    the cases stay comparable across versions): the one-pass keys reproduce SeedSequence for
     seeds of one to three 32-bit words, the counts cross block edges (65
     and 129 rows), and the rates include the integer threshold's ties
     (multiples of 2**-53), the smallest subnormal, the largest float below
@@ -149,6 +150,9 @@ def test_replication_counts_memory_is_bounded_in_runs():
 
 
 def test_replication_uniforms_validation(scalar_sys):
+    """Stream-id and seed checks of the replication counter (named after its
+    predecessor, kept so the cases stay comparable across versions), and the
+    last stream id one word holds, decided exactly."""
     for T in (0, 3):
         with pytest.raises(ValidationError, match="seed must be nonnegative"):
             expected_error_curve(scalar_sys, Mechanism(0.5), 0.5, T, 2, -1)
@@ -159,10 +163,18 @@ def test_replication_uniforms_validation(scalar_sys):
         _replication_counts(0, -1, 1, 3, [0.5])
     with pytest.raises(ValidationError, match="first_stream must be an integer"):
         _replication_counts(0, 5.0, 1, 3, [0.5])
-    rates = [0.25, 0.5, 0.75]
-    last = RngStream(0, 2**32 - 1).uniforms(3)
-    assert np.array_equal(_replication_counts(0, 2**32 - 1, 1, 3, rates),
-                          [last < rate for rate in rates])
+    # Stream 2**32 - 1: its key is SeedSequence's, and each of its draws is
+    # pinned to one multiple of 2**-53. With u = j * 2**-53, rate u counts a
+    # word only if its j' < j, and the next float above u only if j' <= j.
+    top = 2**32 - 1
+    key = np.random.SeedSequence(0, spawn_key=(top,)).generate_state(2, np.uint64)
+    assert np.array_equal(_philox_keys(0, top, 1)[0], key)
+    last = RngStream(0, top).uniforms(3)
+    rates = [*last, *np.nextafter(last, 2.0), 0.25, 0.5, 0.75]
+    counts = _replication_counts(0, top, 1, 3, rates)
+    assert np.array_equal(counts, [last < rate for rate in rates])
+    assert np.diag(counts[:3]).tolist() == [0, 0, 0]
+    assert np.diag(counts[3:6]).tolist() == [1, 1, 1]
 
 
 @pytest.mark.parametrize("seed", [1.9, 0.5, 2.0, np.float64(3.0), "1", None])
