@@ -35,12 +35,11 @@ diagonal in U Y: a floor is one entrywise division, O(n^2), and a ceiling
 step is a measurement update and one entrywise multiply-add. Elsewhere (a
 Jordan block, a strongly non-normal A) a floor is one Cayley-transformed
 ``trsyl``, and a ceiling step a measurement update and one ``trsyl``. On
-both routes the measurement update is a Cholesky-factored Gram update
-W - G^H G, exactly symmetric in real arithmetic: in information form
-(:func:`~secest.kalman._information_update`, from the per-plant output
-noise (C^H R^-1 C)^-1) when C has full column rank with at least two
-outputs and a whitened condition of at most 100, and through C
-(:func:`~secest.kalman._factored_update`) otherwise.
+both routes the measurement update is one Cholesky-factored Gram update
+W - G^H G (:func:`~secest.kalman._factored_update`), exactly symmetric in
+real arithmetic: in information form, from the per-plant output noise
+(C^H R^-1 C)^-1, when C has full column rank with at least two outputs
+and a whitened condition of at most 100, and through C otherwise.
 
 Infinite bounds are represented explicitly by :class:`BoundValue` with
 ``finite=False`` and ``trace=inf``; no numeric sentinel is ever used.
@@ -58,7 +57,7 @@ import scipy.linalg as sla
 
 from .channel import ChannelParams, _check_probability
 from .errors import NumericalError, ValidationError
-from .kalman import Coefficients, _factored_update, _information_update, _sym, riccati_map
+from .kalman import Coefficients, _factored_update, _sym, riccati_map
 from .linmodel import LinearSystem, SchurFactor, _describe_modes, _ModalFactor, prepare_stein
 
 # Width of the final p_upper bisection bracket, on plants with no closed
@@ -416,15 +415,15 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
       N U^H Q U N^H + lam (N T) W_f (N T)^H, whose Hermitian part is the
       next iterate.
 
-    The measurement update is a Cholesky-factored Gram update
-    W_f = W - G^H G. When C has full column rank, m >= n >= 2 and the
-    whitened R^-1/2 C has cond_2 <= 100 (``linmodel._INFO_MAX_COND``), it
-    takes the information form (:func:`~secest.kalman._information_update`):
-    with Rt = (C_s^H R^-1 C_s)^-1, W + Rt = L L^H and G = L^-1 W, with no
-    product with C_s. Otherwise (one output, one state, a rank-deficient or
-    ill-conditioned C) it is :func:`~secest.kalman._factored_update`: with
-    H = C_s W and S = H C_s^H + R = L L^H, G = L^-1 H, or G = H / sqrt(s)
-    for one output.
+    The measurement update is one Cholesky-factored Gram update
+    W_f = W - G^H G with S = L L^H and G = L^-1 H
+    (:func:`~secest.kalman._factored_update`), on arguments picked once per
+    call. When C has full column rank, m >= n >= 2 and the whitened
+    R^-1/2 C has cond_2 <= 100 (``linmodel._INFO_MAX_COND``), it takes the
+    information form, with no product with C_s: H = W and S = W + Rt,
+    Rt = (C_s^H R^-1 C_s)^-1. Otherwise (one output, one state, a
+    rank-deficient or ill-conditioned C) H = C_s W and S = H C_s^H + R, and
+    G = H / sqrt(s) for one output.
 
     The stop rule is read on the iterate: a step max|W_next - W| /
     max|diag W_next| of at most 1e-13 (a PSD iterate's largest entry is on
@@ -483,10 +482,11 @@ def solve_V(p: float, ch: ChannelParams, sys: LinearSystem) -> BoundValue:
                 return _sym(F + L * Zf)
 
         to_schur = modal.to_schur
-    Cs, Rt, W = frame.C, frame.Rt, frame.start
-    prev = math.inf
+    # the information form passes no output matrix and its own output noise
+    Cs, noise = (frame.C, R) if frame.Rt is None else (None, frame.Rt)
+    W, prev = frame.start, math.inf
     for steps in range(1, _V_MAX_ITERS + 1):
-        Wf = _factored_update(W, Cs, R) if Rt is None else _information_update(W, Rt)
+        Wf = _factored_update(W, Cs, noise)
         Wn = stein_step(Wf)
         step = _step_size(Wn, W)
         if (step <= _V_TOL or prev <= step <= _V_FLOOR) and np.isfinite(Wn).all():

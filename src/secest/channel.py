@@ -48,7 +48,8 @@ def _check_probability(value: float, name: str) -> float:
 
 def _index(value, name: str) -> int:
     """``value`` as a Python int, read the way numpy reads a seed
-    (``operator.index``): an integer, never truncated, so ``1.9`` raises."""
+    (``operator.index``): an integer, never truncated, so ``1.9`` raises.
+    Seeds, stream ids, horizons and run counts are read this way."""
     try:
         return operator.index(value)
     except TypeError:

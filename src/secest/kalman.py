@@ -20,19 +20,18 @@ plant itself, or the plant in other coordinates (:class:`Coefficients`).
 The user ceiling (:func:`secest.bounds.solve_V`) steps its Stein split in
 the eigenbasis of the plant's Schur factor, or in the Cayley coordinates
 of its Stein solve where that eigenbasis is ill-conditioned; a step is the
-measurement update alone, in the Cholesky-factored Gram form X - G^H G,
-and one entrywise multiply-add or one triangular Sylvester solve. For an
-output matrix of full column rank with at least two outputs the update
-takes the information form X - X (X + Rt)^-1 X, Rt = (C^H R^-1 C)^-1
-formed once per plant (:func:`_information_update`), which needs no
-product with C; otherwise it goes through C (:func:`_factored_update`).
-It applies
-:func:`riccati_map` at its rate to the iterate wherever its stop rule
-fires, in the coordinates of the Schur factor A = U T U^H, on
-(T, C U, U^H Q U, R) and in that factor's real or complex arithmetic, and
-reports the fixed point's residual. The
-threshold certificate (:func:`secest.bounds.feasibility_check`) applies it
-noise-free on the unstable block, on (T_u, W, 0, 0).
+measurement update alone, in the Cholesky-factored Gram form X - G^H G
+(:func:`_factored_update`), and one entrywise multiply-add or one
+triangular Sylvester solve. The update goes through C, or, for an output
+matrix of full column rank with at least two outputs, takes the
+information form X - X (X + Rt)^-1 X, Rt = (C^H R^-1 C)^-1 formed once
+per plant, which needs no product with C. It applies :func:`riccati_map`
+at its rate to the iterate wherever its stop rule fires, in the
+coordinates of the Schur factor A = U T U^H, on (T, C U, U^H Q U, R) and
+in that factor's real or complex arithmetic, and reports the fixed
+point's residual. The threshold certificate
+(:func:`secest.bounds.feasibility_check`) applies it noise-free on the
+unstable block, on (T_u, W, 0, 0).
 
 :func:`filter_errors` is the one stepped filter: it propagates the
 estimation error and the prediction covariance over whole reception
@@ -104,66 +103,48 @@ _TRSM = {np.dtype(dtype): sla.get_blas_funcs("trsm", dtype=dtype)
          for dtype in (np.float64, np.complex128)}
 
 
-def _factored_update(X: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """The measurement update X - X C^H (C X C^H + R)^(-1) C X, as the Gram
-    update X - G^H G (Bierman 1977; Verhaegen & Van Dooren, IEEE TAC 1986).
+def _factored_update(X: np.ndarray, C: np.ndarray | None, R: np.ndarray) -> np.ndarray:
+    """The measurement update X - H^H S^-1 H as the Gram update X - G^H G
+    (Bierman 1977; Verhaegen & Van Dooren, IEEE TAC 1986).
 
-    With H = C X and the innovation covariance S = H C^H + R = L L^H
-    (LAPACK ``potrf``), G = L^(-1) H by one BLAS ``trsm``; for one output,
-    G = H / sqrt(s). That is about half the flops of a PD solve with n
-    right-hand sides and one more product, and numpy forms G^T G of a real
-    G on one buffer (``syrk``), so on a Hermitian real X the result is
-    exactly symmetric. An innovation covariance that is not positive definite
-    or holds a NaN raises :class:`NumericalError`, as in :func:`_innovation_solve`;
-    an infinite one may pass, as in :func:`_information_update`.
+    Through the output matrix C, H = C X and S = H C^H + R, the innovation
+    covariance. With C None it is the information form of an output matrix
+    of full column rank (Anderson & Moore, Optimal Filtering, 1979): R is
+    then its output noise Rt = (C^H R^-1 C)^-1, formed once per plant,
+    H = X and S = X + Rt, and the update (X^-1 + Rt^-1)^-1 =
+    X - X (X + Rt)^-1 X needs no product with C.
+
+    S^T is S in Fortran order, so ``potrf`` factors it in place as U^H U,
+    with S = L L^H for L = U^T, and G^T = H^T U^-1 by one right-side
+    ``trsm``, in H's buffer when H is a product; for one output,
+    G = H / sqrt(s). numpy forms G^T G of a real G on one buffer (``syrk``),
+    so on a Hermitian real X the result is exactly symmetric. An S that is
+    not positive definite or holds a NaN raises :class:`NumericalError`; an
+    infinite pivot may pass (``potrf`` zeroes the multipliers below it), but
+    X - G^H G keeps X's non-finite entries: a non-finite X never comes back
+    finite.
     """
-    H = np.dot(C, X)
-    S = np.dot(H, C.conj().T) + R
-    if S.shape == (1, 1):
+    if C is None:
+        H, S = X, X + R
+    else:
+        H = np.dot(C, X)
+        S = np.dot(H, C.conj().T) + R
+    if len(S) == 1:
         s = S[0, 0].real
         if not 0.0 < s < math.inf:
             raise NumericalError(_BAD_VARIANCE)
         G = H / math.sqrt(s)
     else:
         # the flags go by position, which f2py parses faster than keywords:
-        # potrf(a, lower=1, clean=0)
-        L, info = _POTRF[S.dtype](S, 1, 0)
-        # a NaN anywhere in S's lower triangle reaches the factor's last pivot
-        if info != 0 or not math.isfinite(L[-1, -1].real):
+        # potrf(a, lower=0, clean=0, overwrite_a=1), U^H U = S^T
+        U, info = _POTRF[S.dtype](S.T, 0, 0, 1)
+        # a NaN anywhere in the upper triangle of S^T reaches the last pivot
+        if info != 0 or not math.isfinite(U[-1, -1].real):
             raise NumericalError("innovation covariance is not finite and positive definite "
                                  f"(potrf info {info})")
-        # G^T = H^T L^-T in H's buffer: trsm(alpha, a, b, side=1, lower=1,
-        # trans_a=1, diag=0, overwrite_b=1)
-        G = _TRSM[S.dtype](1.0, L, H.T, 1, 1, 1, 0, 1).T
-    return X - G.conj().T @ G
-
-
-def _information_update(X: np.ndarray, Rt: np.ndarray) -> np.ndarray:
-    """The measurement update of :func:`_factored_update` for an output
-    matrix C of full column rank, in information form (Anderson & Moore,
-    Optimal Filtering, 1979): with Rt = (C^H R^-1 C)^-1, formed once per
-    plant, the update is (X^-1 + Rt^-1)^-1 = X - X (X + Rt)^-1 X.
-
-    With X + Rt = L L^H and G = L^-1 X it is X - G^H G: one ``potrf``, one
-    ``trsm`` and one ``syrk``, about 2.3 n^3 flops against 6.3 n^3 for the
-    Gram update with m = n outputs, and no product with C. The transpose of
-    X + Rt is the matrix in Fortran order, so ``potrf`` factors it in place
-    as U^H U with L = U^T, and G^T = X^T U^-1 by one ``trsm`` on the right.
-    A real Hermitian X again gives an exactly symmetric result. A sum that
-    is not positive definite or holds a NaN raises :class:`NumericalError`; an
-    infinite pivot may pass (``potrf`` zeroes the multipliers below it), but
-    X - G^H G keeps X's non-finite entries: a non-finite X never comes back finite.
-    """
-    # potrf(a, lower=0, clean=0, overwrite_a=1): U^H U = (X + Rt)^T
-    U, info = _POTRF[X.dtype]((X + Rt).T, 0, 0, 1)
-    # a NaN anywhere in the upper triangle of (X + Rt)^T reaches the last pivot
-    if info != 0 or not math.isfinite(U[-1, -1].real):
-        # X + Rt is C^-1 (C X C^H + R) C^-H for square C: the innovation covariance
-        raise NumericalError("innovation covariance is not finite and positive definite "
-                             f"(potrf info {info})")
-    # G^T = X^T U^-1, X kept: trsm(alpha, a, b, side=1, lower=0, trans_a=0,
-    # diag=0, overwrite_b=0)
-    G = _TRSM[X.dtype](1.0, U, X.T, 1, 0, 0, 0, 0).T
+        # G^T = H^T U^-1, in H's buffer unless H is X: trsm(alpha, a, b,
+        # side=1, lower=0, trans_a=0, diag=0, overwrite_b)
+        G = _TRSM[S.dtype](1.0, U, H.T, 1, 0, 0, 0, C is not None).T
     return X - G.conj().T @ G
 
 

@@ -344,8 +344,8 @@ class _CeilingFrame:
     ``start`` is the Hermitian part of Y^-1 U^H Sigma0 U Y^-H; elsewhere
     ``C`` is C U and ``start`` is U^H Sigma0 U. ``Rt`` is
     (C_s^H R^-1 C_s)^-1 for that C_s = ``C``, the output noise of the
-    information-form update (:func:`secest.kalman._information_update`),
-    or None where the update keeps the Gram form
+    update's information form (:func:`secest.kalman._factored_update`
+    with no output matrix), or None where the update goes through ``C``
     (:func:`_information_noise`). The arrays are read-only.
     """
 

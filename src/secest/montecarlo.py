@@ -60,6 +60,7 @@ from .channel import (
     Mechanism,
     RngStream,
     _check_probability,
+    _index,
     _replication_counts,
 )
 from .errors import NumericalError, ValidationError
@@ -132,6 +133,7 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     stepped in Python. A step whose covariance has overflowed records an
     infinite trace, also where the covariance holds NaN entries.
     """
+    T = _index(T, "T")
     if T < 0:
         raise ValidationError(f"T must be nonnegative, got {T}")
     n, m = sys.n, sys.m
@@ -228,6 +230,7 @@ def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, ru
     rows of one float kernel call, or one after another through
     riccati_map, in the order given, so the first that fails is the one
     named."""
+    T, runs = _index(T, "T"), _index(runs, "runs")
     if T < 0 or runs <= 0:
         raise ValidationError("T must be nonnegative and runs positive")
     for rate in rates:

@@ -27,7 +27,7 @@ from secest import (
     validate_system,
 )
 from secest.bounds import feasibility_check
-from secest.kalman import _factored_update, _information_update
+from secest.kalman import _factored_update
 
 from helpers import circle_case, plus_minus_case
 
@@ -719,14 +719,16 @@ def test_modal_steps_take_a_hermitian_part_only_in_complex_arithmetic(monkeypatc
     no step takes a Hermitian part. On a complex factor every step still
     does. second_order (one output) and the n = 27 plant (cond_2(C) 396,
     past the cut-over) take the Gram form; the n = 8 plant (cond_2(C) 70)
-    and the two complex plants take the information form."""
+    and the two complex plants take the information form, the update with
+    no output matrix."""
     iterates, parts = [], []
-    gram, information, sym = (bounds._factored_update, bounds._information_update,
-                              bounds._sym)
-    monkeypatch.setattr(bounds, "_factored_update",
-                        lambda X, C, R: iterates.append(("gram", X)) or gram(X, C, R))
-    monkeypatch.setattr(bounds, "_information_update",
-                        lambda X, Rt: iterates.append(("information", X)) or information(X, Rt))
+    update, sym = bounds._factored_update, bounds._sym
+
+    def spy(X, C, R):
+        iterates.append(("gram" if C is not None else "information", X))
+        return update(X, C, R)
+
+    monkeypatch.setattr(bounds, "_factored_update", spy)
     monkeypatch.setattr(bounds, "_sym", lambda X: parts.append(X) or sym(X))
     real = [second_order_sys] + [seeded_plant(2700 + n, n, [1.12, 1.05, 1.02], n)
                                  for n in (8, 27)]
@@ -861,7 +863,7 @@ def test_information_form_route_choice(second_order_sys):
             Cs, R = frame.C, sys.R
             ref = np.linalg.inv(Cs.conj().T @ np.linalg.solve(R, Cs))
             assert np.abs(frame.Rt - ref).max() <= 1e-12 * np.abs(ref).max()
-            Xf = _information_update(frame.start, frame.Rt)
+            Xf = _factored_update(frame.start, None, frame.Rt)
             ref = _factored_update(frame.start, Cs, R)
             assert np.abs(Xf - ref).max() <= 1e-13 * np.abs(ref).max()
     # an R that is not positive definite is left to the Gram form, which
@@ -923,22 +925,23 @@ def test_a_non_finite_iterate_never_meets_the_stop_rule(monkeypatch, second_orde
     size reads 0 on every non-finite iterate, as an idamax that skipped
     every NaN could: the rule must take none of them, nor check one by
     riccati_map, and a later update refuses them. second_order steps the
-    Gram form, held-n8 the information form."""
+    Gram form, held-n8 the information form, the update with no output
+    matrix."""
     sys = {"second_order": second_order_sys,
            "held-n8": seeded_plant(1208, 8, [1.12, 1.05, 1.02], 8)}[plant]
-    name = "_factored_update" if sys.m == 1 else "_information_update"
-    update, step, ricc = getattr(bounds, name), bounds._step_size, bounds.riccati_map
+    form = "gram" if sys.m == 1 else "information"
+    update, step, ricc = bounds._factored_update, bounds._step_size, bounds.riccati_map
     calls, checked = [], []
 
-    def overflowing(X, *args):
-        calls.append(1)
-        Xf = update(X, *args)
+    def overflowing(X, C, R):
+        calls.append("gram" if C is not None else "information")
+        Xf = update(X, C, R)
         if len(calls) == 3:
             with np.errstate(over="ignore"):
                 Xf = Xf * 1e308
         return Xf
 
-    monkeypatch.setattr(bounds, name, overflowing)
+    monkeypatch.setattr(bounds, "_factored_update", overflowing)
     monkeypatch.setattr(bounds, "_step_size",
                         lambda Wn, W: step(Wn, W) if np.isfinite(Wn).all() else 0.0)
     monkeypatch.setattr(bounds, "riccati_map",
@@ -946,15 +949,15 @@ def test_a_non_finite_iterate_never_meets_the_stop_rule(monkeypatch, second_orde
     refused = "innovation (co)?variance is not finite"
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=refused):
         solve_V(min(p_upper(sys) + 0.05, 1.0), ChannelParams(1.0, 1.0), sys)
-    assert len(calls) > 3 and checked == []
-    # The helpers themselves: a non-finite iterate raises or comes back
-    # non-finite, never as a finite wrong iterate. potrf takes an infinite
-    # pivot and zeroes the multipliers below it, so an infinite entry can
-    # pass the check once; X - G^H G keeps it.
+    assert len(calls) > 3 and set(calls) == {form} and checked == []
+    # The update itself, in both forms: a non-finite iterate raises or
+    # comes back non-finite, never as a finite wrong iterate. potrf takes
+    # an infinite pivot and zeroes the multipliers below it, so an infinite
+    # entry can pass the check once; X - G^H G keeps it.
     frame = sys._ceiling_frame
     helpers = [lambda X: _factored_update(X, frame.C, sys.R)]
     if frame.Rt is not None:
-        helpers.append(lambda X: _information_update(X, frame.Rt))
+        helpers.append(lambda X: _factored_update(X, None, frame.Rt))
     assert len(helpers) == (1 if sys.m == 1 else 2)
     bad = []
     for j in range(sys.n):

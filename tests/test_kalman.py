@@ -23,8 +23,8 @@ from secest import (
     riccati_map,
     simulate_trace,
 )
-from secest.kalman import (Coefficients, _factored_update, _float_kernel, _gains,
-                           _information_update, _innovation_solve, _linear_recursion,
+from secest.kalman import (_POTRF, _TRSM, Coefficients, _factored_update, _float_kernel,
+                           _gains, _innovation_solve, _linear_recursion,
                            batch_covariance_oracle)
 
 from helpers import complex_mode_plant, left_sum, mirrored, reference_riccati, two_output_plant
@@ -175,7 +175,7 @@ def test_innovation_solve_failures_raise(m):
         if m == 2:
             # C = I: the information form's output noise (C^H R^-1 C)^-1 is R
             with pytest.raises(NumericalError, match="innovation covariance"):
-                _information_update(X, sys.R)
+                _factored_update(X, None, sys.R)
         for gammas in ([True], [[False], [True]]):
             with pytest.raises(NumericalError):
                 filter_errors(sys, gammas, np.zeros(n), 0.0, 0.0)
@@ -234,11 +234,37 @@ def test_information_update_matches_the_gram_form(dtype, n, extra):
     X = 0.5 * (X + X.conj().T)
     C, R = draw(m, n), H @ H.conj().T / m + 0.5 * np.eye(m)
     Rt = np.linalg.inv(C.conj().T @ np.linalg.solve(R, C))
-    Xf, ref = _information_update(X, 0.5 * (Rt + Rt.conj().T)), _factored_update(X, C, R)
+    Xf, ref = _factored_update(X, None, 0.5 * (Rt + Rt.conj().T)), _factored_update(X, C, R)
     assert Xf.dtype == np.dtype(dtype)
     assert np.abs(Xf - ref).max() <= 1e-13 * np.abs(ref).max()
     if dtype is float:
         assert np.array_equal(Xf, Xf.T)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("n", [2, 8, 27])
+def test_information_form_keeps_its_bits(dtype, n):
+    # the information form, C None, runs the operations it ran as a helper
+    # of its own: potrf on (X + Rt)^T in place, one right-side trsm on a
+    # copy of X^T, and X - G^H G; the ceilings that take it keep their bits
+    rng = np.random.default_rng(3400 + n)
+
+    def draw(*shape):
+        z = rng.standard_normal(shape)
+        return z + 1j * rng.standard_normal(shape) if dtype is complex else z
+
+    for _ in range(5):
+        B, D = draw(n, n), draw(n, n)
+        X, Rt = B @ B.conj().T / n + np.eye(n), D @ D.conj().T / n + 0.5 * np.eye(n)
+        X, Rt = 0.5 * (X + X.conj().T), 0.5 * (Rt + Rt.conj().T)
+        U, info = _POTRF[X.dtype]((X + Rt).T, 0, 0, 1)
+        assert info == 0
+        G = _TRSM[X.dtype](1.0, U, X.T, 1, 0, 0, 0, 0).T
+        ref = X - G.conj().T @ G
+        before = X.copy()
+        Xf = _factored_update(X, None, Rt)
+        assert Xf.dtype == np.dtype(dtype)
+        assert np.array_equal(Xf, ref) and np.array_equal(X, before)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

@@ -208,6 +208,19 @@ class TestExpectedErrorCurve:
         assert 0 < first and np.isfinite(curve.mean_trP[:first]).all()
         assert np.isposinf(curve.mean_trP[first:]).all()
 
+    @pytest.mark.parametrize("name, T, runs", [("T", 5.0, 3), ("T", "5", 3),
+                                               ("runs", 5, 2.5), ("runs", 5, 3.0)])
+    def test_non_integer_horizon_or_runs_rejected(self, second_order_sys, name, T, runs):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            expected_error_curve(second_order_sys, Mechanism(0.51), 0.9, T, runs, 7)
+
+    def test_numpy_integer_horizon_and_runs_accepted(self, second_order_sys):
+        curve = expected_error_curve(second_order_sys, Mechanism(0.51), 0.9,
+                                     np.int64(5), np.uint8(3), 7)
+        ref = expected_error_curve(second_order_sys, Mechanism(0.51), 0.9, 5, 3, 7)
+        assert type(curve.runs) is int and curve.runs == 3
+        assert np.array_equal(curve.mean_trP, ref.mean_trP)
+
     def test_validation(self, scalar_sys):
         mech = Mechanism(0.5)
         with pytest.raises(ValidationError):
@@ -335,6 +348,17 @@ class TestSimulateTrace:
     def test_negative_horizon_rejected(self, scalar_sys, channel_96):
         with pytest.raises(ValidationError):
             simulate_trace(scalar_sys, Mechanism(0.5), channel_96, T=-1, seed=0)
+
+    @pytest.mark.parametrize("T", [5.0, 5.5, "5", None])
+    def test_non_integer_horizon_rejected(self, second_order_sys, channel_96, T):
+        # read like seeds, never truncated: not numpy's raw TypeError
+        with pytest.raises(ValidationError, match="T must be an integer"):
+            simulate_trace(second_order_sys, Mechanism(0.51), channel_96, T, 7)
+
+    def test_numpy_integer_horizon_accepted(self, second_order_sys, channel_96):
+        trace = simulate_trace(second_order_sys, Mechanism(0.51), channel_96, np.int64(5), 7)
+        ref = simulate_trace(second_order_sys, Mechanism(0.51), channel_96, 5, 7)
+        assert len(trace) == 6 and np.array_equal(trace.err1, ref.err1)
 
     def test_time_average_error(self, second_order_sys, channel_96):
         tr = simulate_trace(second_order_sys, Mechanism(0.51), channel_96, T=50, seed=8)
