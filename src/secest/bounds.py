@@ -269,12 +269,15 @@ def feasibility_check(lam: float, sys: LinearSystem) -> bool:
     infeasible, and any rate is feasible on a plant without unstable modes.
     When C U[:, :k] has full column rank (scalar plants, square invertible
     C), W is unitary and h(X) = (1 - lam) T_u X T_u^H, so every rate above
-    ``p_lower`` is feasible, also without iterating. The certificate does
-    not read :func:`p_upper`'s closed forms, so it checks them. Where the
-    loop stops without a verdict (a singular or non-finite iterate, or the
-    budget spent), lam is feasible exactly when the gain of an iterate kept
-    at step 1, 2, 4, 8, ... has a Lyapunov witness (:func:`_gain_contracts`);
-    a failed start solve, within roundoff of ``p_lower``, gives False.
+    ``p_lower`` is feasible, also without iterating. That verdict is
+    :func:`p_upper`'s r = k closed form, kept because the loop is left to
+    roundoff there (X grows like margin^-3 on a 3x3 Jordan block, which it
+    reads infeasible at ``p_lower`` + 1e-10). The loop reads no closed
+    form, so it checks the r = 1 one. Where the loop stops without a
+    verdict (a singular or non-finite iterate, or the budget spent), lam is
+    feasible exactly when the gain of an iterate kept at step 1, 2, 4, 8,
+    ... has a Lyapunov witness (:func:`_gain_contracts`); a failed start
+    solve, within roundoff of ``p_lower``, gives False.
     """
     _check_probability(lam, "lam")
     if sys.unseen_modes:

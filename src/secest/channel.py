@@ -18,7 +18,9 @@ A stream's Philox key is numpy's ``SeedSequence(seed,
 spawn_key=(stream_id,))``, and seeds and stream ids are read as numpy reads
 a seed, through ``operator.index``. The Monte Carlo replications keep their
 streams 5+k but are counted on raw words against integer thresholds, see
-:func:`_replication_counts`.
+:func:`_replication_counts`. Their keys start from numpy's own
+``SeedSequence(seed)`` pool; only the stream ids are mixed in here
+(:func:`_philox_keys`).
 """
 
 from __future__ import annotations
@@ -114,20 +116,17 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _hash(word, const: int, mult: int):
-    """One SeedSequence hash step on a 32-bit word; returns (hashed, next const).
-
-    ``word`` is a Python int or a uint32 array: the mask keeps an int to 32
-    bits, and an array wraps mod 2**32 like the C code. The constant
-    sequence depends on no data, so it stays a Python int.
-    """
+def _hash(word: np.ndarray, const: int, mult: int):
+    """One SeedSequence hash step on a uint32 array, which wraps mod 2**32
+    like the C code; returns (hashed, next const). The constant sequence
+    depends on no data, so it stays a Python int."""
     nxt = (const * mult) & _MASK32
-    word = (word ^ const) * nxt & _MASK32
+    word = (word ^ const) * nxt
     return word ^ (word >> 16), nxt
 
 
-def _mix(x, y):
-    word = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    word = x * _MIX_MULT_L - y * _MIX_MULT_R
     return word ^ (word >> 16)
 
 
@@ -135,33 +134,22 @@ def _philox_keys(seed: int, first_stream: int, count: int) -> np.ndarray:
     """Philox keys of streams first_stream..first_stream+count-1, shape (count, 2).
 
     Row r equals ``SeedSequence(seed, spawn_key=(first_stream + r,))
-    .generate_state(2, np.uint64)``. The seed's words enter the pool first
-    and are mixed on Python ints, once for all streams; only the stream id,
-    the last entropy word, and the output hashes that follow it are uint32
-    arrays over the streams. Stream ids must be below 2**32 (one spawn-key
-    word).
+    .generate_state(2, np.uint64)``. That sequence mixes the seed's words
+    into its pool exactly as ``SeedSequence(seed)`` does, so the pool is
+    numpy's; only the stream id, the last entropy word, and the output
+    hashes that follow it are mixed here, as uint32 arrays over the
+    streams. Stream ids must be below 2**32 (one spawn-key word).
     """
-    words = [seed & _MASK32]
-    while seed >> 32 * len(words):
-        words.append((seed >> 32 * len(words)) & _MASK32)
-    # A spawn key pads the seed's words with zeros to the pool size.
-    words += [0] * (_POOL_SIZE - len(words))
-    words.append(np.arange(first_stream, first_stream + count, dtype=np.uint32))
-
-    const = _INIT_A
+    ids = np.arange(first_stream, first_stream + count, dtype=np.uint32)
+    # numpy's pool phase hashes 16 times (each of the first 4 seed words,
+    # then all to all) and 4 times per seed word past the 4th, so the hash
+    # constant resumes at _INIT_A * _MULT_A**(4 * max(4, words)) mod 2**32
+    words = -(-seed.bit_length() // 32)
+    const = _INIT_A * pow(_MULT_A, _POOL_SIZE * max(_POOL_SIZE, words), 2**32) & _MASK32
     pool = []
-    for word in words[:_POOL_SIZE]:
-        word, const = _hash(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                word, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    for extra in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            word, const = _hash(extra, const, _MULT_A)
-            pool[dst] = _mix(pool[dst], word)
+    for word in np.random.SeedSequence(seed).pool[:, None]:
+        hashed, const = _hash(ids, const, _MULT_A)
+        pool.append(_mix(word, hashed))
 
     const = _INIT_B
     state = []

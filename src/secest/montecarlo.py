@@ -312,11 +312,11 @@ def collapse_events(trace: SimulationTrace) -> list:
     misses = 0
     trP2 = trace.trP2
     last = len(trace) - 1
-    for k in range(len(trace)):
-        if trace.gamma2[k]:
+    for k, received in enumerate(trace.gamma2.tolist()):
+        if received:
             if misses >= _COLLAPSE_MIN_MISSES and k < last:
                 stop = min(k + _COLLAPSE_WINDOW, last)
-                events.append((k, float(trP2[k]), float(np.min(trP2[k + 1:stop + 1]))))
+                events.append((k, float(trP2[k]), float(trP2[k + 1:stop + 1].min())))
             misses = 0
         else:
             misses += 1

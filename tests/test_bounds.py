@@ -292,13 +292,14 @@ class TestFeasibility:
 def test_full_column_rank_decides_feasibility_in_closed_form():
     # 3x3 Jordan block at 1.1 with C = I: C U_u has full column rank, so
     # h(X) = (1 - lam) T_u X T_u^H and a rate is feasible iff it exceeds
-    # p_lower. The certificate loop would be left to roundoff here, since
-    # its X grows like margin^-3; decided in closed form, every probe is
-    # feasible, and p_upper is p_lower itself.
+    # p_lower. The certificate loop is left to roundoff here, since its X
+    # grows like margin^-3: without the closed form it reads p_lower + 1e-10
+    # infeasible after its whole budget. Decided in closed form, every probe
+    # is feasible, and p_upper is p_lower itself.
     sys = observed_plant(1.1 * np.eye(3) + np.diag([1.0, 1.0], 1), np.eye(3))
     lo = p_lower(sys)
     assert not feasibility_check(lo, sys)
-    assert all(feasibility_check(lo + d, sys) for d in (1e-12, 1.58e-6, 1e-3))
+    assert all(feasibility_check(lo + d, sys) for d in (1e-12, 1e-10, 1.58e-6, 1e-3))
     assert p_upper(sys) == lo
     assert critical_rates(sys).exact
 
@@ -401,6 +402,26 @@ class TestCriticalRateExactness:
         assert np.linalg.matrix_rank(sys.C @ sys.schur.U[:, :sys.schur.k]) == 1
         assert not feasibility_check(cf - 1e-6, sys)
         assert feasibility_check(cf + 1e-6, sys)
+
+    @pytest.mark.parametrize("plant", [
+        lambda: observed_plant(np.array([[1.2]]), [[1.0]]),
+        lambda: observed_plant(1.1 * rotation(0.7), np.eye(2)),
+        lambda: seeded_plant(9, 2, (1.2, 1.1), 2),
+        lambda: seeded_plant(1208, 8, (1.12, 1.05, 1.02), 8),
+        lambda: seeded_plant(8, 20, (1.12, 1.05), 20),
+    ], ids=["scalar-1.2", "rot-0.7-identity-C", "invertible-C-2", "invertible-C-8",
+            "invertible-C-20"])
+    def test_certificate_brackets_the_full_rank_closed_form(self, plant):
+        # r = k: p_upper is p_lower, and the certificate agrees on either
+        # side of it, at margins the loop decides on its own as well
+        sys = plant()
+        k = sys.schur.k
+        assert np.linalg.matrix_rank(sys.C @ sys.schur.U[:, :k]) == k
+        lo = p_lower(sys)
+        assert p_upper(sys) == lo
+        for d in (1e-6, 1e-3):
+            assert feasibility_check(lo + d, sys)
+            assert not feasibility_check(lo - d, sys)
 
     def test_closed_forms_make_no_probe(self, monkeypatch, scalar_sys, second_order_sys):
         calls, witnessed = [], witness_spy(monkeypatch)

@@ -98,12 +98,15 @@ def test_different_seeds_differ():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 3,
-                                  2**63 + 11, 2**70 + 3])
+                                  2**63 + 11, 2**70 + 3, 2**96 + 11, 2**130 + 3,
+                                  2**200 + 3])
 def test_replication_uniforms_match_rng_streams(seed):
     """The replication counter decides every reception as the stream's
     uniform does, exactly (the name is the counter's predecessor's, kept so
-    the cases stay comparable across versions): the one-pass keys reproduce SeedSequence for
-    seeds of one to three 32-bit words, the counts cross block edges (65
+    the cases stay comparable across versions): the one-pass keys reproduce
+    SeedSequence for seeds of one to seven 32-bit words, past the pool's
+    four, where each further word shifts the hash constant the stream id
+    is mixed with; the counts cross block edges (65
     and 129 rows), and the rates include the integer threshold's ties
     (multiples of 2**-53), the smallest subnormal, the largest float below
     1, and both ends."""

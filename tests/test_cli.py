@@ -522,6 +522,35 @@ class TestCliFailure:
         assert err["error"]["type"] == "ConfigError"
         assert err["error"]["pointer"] == "/M_grid/1"
 
+    @pytest.mark.parametrize("edit, pointer", [
+        (lambda doc: [doc], ""),
+        (lambda doc: dict(doc, system=3), "/system"),
+        (lambda doc: dict(doc, system=dict(doc["system"], A=[])), "/system/A"),
+        (lambda doc: dict(doc, system=dict(doc["system"], A=[[1.2], []])), "/system/A/1"),
+        (lambda doc: dict(doc, system=dict(doc["system"], A=[[1.2, "x"]])), "/system/A/0/1"),
+        # Q stays 1x1 on a two-state plant
+        (lambda doc: dict(doc, system=dict(doc["system"], A=[[1.2, 0.0], [0.0, 1.1]],
+                                           C=[[1.0, 1.0]], Sigma0=[[1.0, 0.0], [0.0, 1.0]])),
+         "/system"),
+        (lambda doc: dict(doc, channel=[0.9, 0.7]), "/channel"),
+        (lambda doc: dict(doc, channel={"p2": 0.7}), "/channel/p1"),
+        (lambda doc: dict(doc, out=3), "/out"),
+    ], ids=["top-level-list", "system-number", "empty-matrix", "empty-row", "string-cell",
+            "noise-size", "channel-list", "missing-p1", "out-number"])
+    def test_malformed_config_points_at_its_field(self, capsys, tmp_path, edit, pointer):
+        code, out, err = run_cli(capsys, "interval", "--config",
+                                 write_cfg(tmp_path, edit(base_doc())))
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["pointer"] == pointer
+
+    def test_sweep_single_point_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--config", SCALAR_CFG, "--m-min", "2",
+                                 "--m-max", "4", "--m-points", "1")
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError" and "pointer" not in err["error"]
+        assert "--m-points >= 2" in err["error"]["message"]
+
     def test_infinite_horizon_is_config_error(self, capsys, tmp_path):
         doc = dict(base_doc(), p=0.5, T=float("inf"))
         code, out, err = run_cli(capsys, "simulate", "--config", write_cfg(tmp_path, doc))

@@ -812,6 +812,24 @@ def test_bad_variance_on_the_float_route():
         filter_errors(zero, [[False], [False]], np.zeros(1), 0.0, 0.0)
 
 
+def test_bad_variance_single_output_on_the_numpy_route():
+    """Six states put a single-output plant on the numpy route, which checks
+    the variances of its receiving rows after the loop. R = -1e6 makes
+    C P C' + R negative at every early step: a row that receives at step 0
+    or 1 raises, alone or stacked, with no warning; rows that never
+    receive do not."""
+    sys = dataclasses.replace(complex_mode_plant(6, 6, 1.1), R=-1e6)
+    assert kalman._float_route(sys) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gammas in ([True, False, False], [False, True, False],
+                       [[False, False, False], [False, True, False]]):
+            with pytest.raises(NumericalError):
+                filter_errors(sys, gammas, np.zeros(6), 0.0, 0.0)
+        for gammas in ([False, False, False], [[False, False, False]] * 2):
+            filter_errors(sys, gammas, np.zeros(6), 0.0, 0.0)
+
+
 @pytest.mark.parametrize("plant", ["two_outputs", "six_state"])
 def test_overflowed_missing_row_on_the_numpy_route(plant):
     """The numpy loop subtracts K (X C')' on receiving rows only, so a row
