@@ -50,7 +50,9 @@ in straight-line Python float code generated for each n
 covariance: the filter's rows with weights gamma(k), and the averaged
 curve's with each step's reception fraction. The kernel records only the
 covariances; the filter reads its gains off them after the loop, in one
-:func:`_gains` call. Each statement mirrors an entry of
+:func:`_gains` call, with X C' and C X C' + r summed as the kernel sums
+them, left to right over entrywise products, so the gains are the
+kernel's whatever C is. Each statement mirrors an entry of
 :func:`riccati_map`'s products, so at n = 1 the kernel gives its bits, and
 from n = 2 they differ only in how the sums round (BLAS fuses
 multiply-adds). On a 2-core Xeon the two-row filter call of a simulated
@@ -343,14 +345,21 @@ def _linear_recursion(F, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     [x(0); ...; x(N)] of every row solve one unit lower triangular system
     with bandwidth kd = 2n - 1, -F(k)[i, j] at band row n + i - j of column
     k n + j, by one LAPACK ``dtbtrs`` call: forward substitution is the
-    recursion. Rows follow each other with zero coupling, so a row's result
-    does not depend on its neighbours.
+    recursion. The band is written through one strided view and the
+    right-hand side [x0; b] into one buffer, which the solve overwrites.
+    Rows follow each other with zero coupling, so a row's result does not
+    depend on its neighbours.
     """
     B, N, n = b.shape
     band = np.zeros((B, N + 1, n, 2 * n))
-    i, j = np.indices((n, n))
-    band[:, :N, j, n + i - j] = -np.asarray(F)
-    rhs = np.concatenate([np.broadcast_to(x0, (B, n))[:, None], b], axis=1)
+    # entry (j, n + i - j) of a step's n x 2n block lies at n + j (2n - 1) + i
+    # of its flat copy: one strided view holds F(k)' at the band's places.
+    # Negating F first and copying is faster than negating into the view.
+    diagonals = band.reshape(B, N + 1, 2 * n * n)[:, :N, n:].reshape(B, N, n, 2 * n - 1)
+    diagonals[..., :n] = np.swapaxes(-np.asarray(F), -1, -2)
+    rhs = np.empty((B, N + 1, n))
+    rhs[:, 0] = x0
+    rhs[:, 1:] = b
     x, _ = _TBTRS(band.reshape(-1, 2 * n).T, rhs.reshape(-1, 1), uplo="L", diag="U",
                   overwrite_b=1)
     return x.reshape(B, N + 1, n)
@@ -375,7 +384,9 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     (:func:`_float_kernel`), which records only the covariances, with the
     numpy loop's bits at n = 1 and its values up to the sums' rounding
     above; the gains are then read off the recorded P(k), k < N, in one
-    :func:`_gains` call. Other plants step all rows at once in numpy,
+    :func:`_gains` call, from X C' and C X C' + r summed left to right over
+    entrywise products as the kernel sums them, and K(k) v(k) is one
+    product per entry. Other plants step all rows at once in numpy,
     forming the gains as they go; a step at which no row receives forms
     none. Given the gains the error recursion is linear,
     e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
@@ -391,7 +402,8 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     misses a step gets an exact zero gain there and keeps its covariance,
     so row b's errors and covariances equal the (N,) call on ``gammas[b]``
     bit for bit, overflow included. ``e0`` has shape (n,), ``w`` must
-    broadcast to (N, n) and ``v`` to (N, m); all rows share them.
+    broadcast to (N, n) and ``v`` to (N, m), and is broadcast only when it
+    lacks that shape; all rows share them.
 
     The recursion is linear, so the same call runs the estimator in absolute
     coordinates: with e0 the prior mean, w = 0 and the measurements y in
@@ -407,11 +419,15 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     e0 = np.asarray(e0, dtype=float).reshape(-1)
     if e0.shape != (n,):
         raise ValidationError(f"e0 must have shape ({n},), got {np.shape(e0)}")
+    w, v = np.asarray(w, dtype=float), np.asarray(v, dtype=float)
     try:
-        w = np.broadcast_to(np.asarray(w, dtype=float), (N, n))
-        v = np.broadcast_to(np.asarray(v, dtype=float), (N, m))[..., None]
+        if w.shape != (N, n):
+            w = np.broadcast_to(w, (N, n))
+        if v.shape != (N, m):
+            v = np.broadcast_to(v, (N, m))
     except ValueError as exc:
         raise ValidationError(f"w and v must cover {N} steps: {exc}") from exc
+    v = v[..., None]
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
     At, Ct = A.T, C.T
     P = np.empty((rows, N + 1, n, n))
@@ -424,8 +440,18 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
         if kernel is not None:
             if kernel(sys, G, P) is not None:
                 raise NumericalError(_BAD_VARIANCE)
-            XC = P[:, :N] @ Ct
-            K = _gains(XC, C @ XC + R, G)
+            # X C' and C X C' + r as the kernel sums them, left to right
+            c = C[0].tolist()
+            Pk = P[:, :N]
+            XC = Pk[..., 0] * c[0]
+            for j in range(1, n):
+                XC += Pk[..., j] * c[j]
+            S = XC[..., 0] * c[0]
+            for i in range(1, n):
+                S += XC[..., i] * c[i]
+            S += R[0, 0]
+            K = _gains(XC[..., None], S[..., None, None], G)
+            Kv = K * v
         else:
             K = np.zeros((rows, N, n, m))
             S = np.empty((rows, N, m, m))
@@ -444,8 +470,8 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
                 variance = S[G][:, 0, 0]
                 if not ((variance > 0.0) & (variance < math.inf)).all():
                     raise NumericalError(_BAD_VARIANCE)
+            Kv = K @ v
     IKC = np.eye(n) - K @ C
-    Kv = K @ v
     e = _linear_recursion(A @ IKC, (A @ Kv)[..., 0] - w, e0)
     E = (IKC @ e[:, :N, :, None] + Kv)[..., 0]
     if single:

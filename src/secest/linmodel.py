@@ -481,6 +481,12 @@ class LinearSystem:
     consistency is enforced here because a dimensionally inconsistent system
     cannot even be represented; value-level requirements (definiteness,
     instability) are reported by :func:`validate_system` instead of raised.
+
+    What depends on the plant alone is formed on first use and kept: the
+    Schur factor, the user ceiling's frame and the Cholesky factors of
+    Sigma0, Q and R that simulated traces draw their noise through
+    (:attr:`noise_factors`). Only a draw needs definiteness, so only the
+    factors raise on a covariance that lacks it.
     """
 
     A: np.ndarray
@@ -535,6 +541,29 @@ class LinearSystem:
         """The user ceiling's coordinates (:class:`_CeilingFrame`), formed on
         the first ceiling and kept, next to the factor's modal basis."""
         return _CeilingFrame(self)
+
+    @cached_property
+    def noise_factors(self) -> tuple:
+        """The lower Cholesky factors (L0, Lq, Lr) of Sigma0, Q and R, formed
+        on first use and kept, read-only: a simulated trace draws
+        x(0) = L0 z, w = Z Lq' and v = Z Lr' from them. A matrix that is not
+        symmetric positive definite has no factor and raises
+        :class:`~secest.errors.ValidationError` naming it. Construction
+        leaves a covariance exactly symmetric or asymmetric beyond roundoff,
+        and the factorization reads only the lower triangle, so symmetry is
+        checked exactly."""
+        factors = []
+        for name, arr in (("Sigma0", self.Sigma0), ("Q", self.Q), ("R", self.R)):
+            try:
+                L = np.linalg.cholesky(arr) if (arr == arr.T).all() else None
+            except np.linalg.LinAlgError:
+                L = None
+            if L is None:
+                raise ValidationError(f"{name} must be symmetric positive definite to "
+                                      "draw noise from it")
+            L.flags.writeable = False
+            factors.append(L)
+        return tuple(factors)
 
     @cached_property
     def unseen_modes(self) -> tuple:

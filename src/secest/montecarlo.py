@@ -131,7 +131,11 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     all steps, and both receivers' filters are one :func:`filter_errors`
     call, whose error recursion is another; only the covariances are
     stepped in Python. A step whose covariance has overflowed records an
-    infinite trace, also where the covariance holds NaN entries.
+    infinite trace, also where the covariance holds NaN entries. The noise
+    is drawn through the plant's Cholesky factors
+    (:attr:`~secest.linmodel.LinearSystem.noise_factors`), so a Sigma0, Q
+    or R that is not symmetric positive definite raises
+    :class:`ValidationError`.
     """
     T = _index(T, "T")
     if T < 0:
@@ -145,10 +149,7 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     link1 = RngStream(seed, STREAM_USER_ERASURE).uniforms(steps)
     link2 = RngStream(seed, STREAM_EAVESDROPPER_ERASURE).uniforms(steps)
 
-    L0 = np.linalg.cholesky(sys.Sigma0)
-    Lq = np.linalg.cholesky(sys.Q)
-    Lr = np.linalg.cholesky(sys.R)
-
+    L0, Lq, Lr = sys.noise_factors
     x0 = L0 @ w_stream.standard_normals(n)
     w = w_stream.standard_normals((steps, n)) @ Lq.T
     v = v_stream.standard_normals((steps, m)) @ Lr.T
@@ -308,16 +309,12 @@ def collapse_events(trace: SimulationTrace) -> list:
     the eavesdropper received following at least 10 consecutive misses;
     ``min_trace_after`` is the smallest trP2 within the 3 steps after k.
     """
-    events = []
-    misses = 0
     trP2 = trace.trP2
     last = len(trace) - 1
-    for k, received in enumerate(trace.gamma2.tolist()):
-        if received:
-            if misses >= _COLLAPSE_MIN_MISSES and k < last:
-                stop = min(k + _COLLAPSE_WINDOW, last)
-                events.append((k, float(trP2[k]), float(trP2[k + 1:stop + 1].min())))
-            misses = 0
-        else:
-            misses += 1
-    return events
+    received = np.flatnonzero(trace.gamma2)
+    # the misses before each reception: the gap to the previous one, or to
+    # k = -1 for the first (np.diff's prepend costs twice as much)
+    misses = received - np.concatenate(([-1], received[:-1])) - 1
+    events = received[(misses >= _COLLAPSE_MIN_MISSES) & (received < last)]
+    return [(k, float(trP2[k]), float(trP2[k + 1:k + 1 + _COLLAPSE_WINDOW].min()))
+            for k in events.tolist()]

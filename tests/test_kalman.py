@@ -937,16 +937,22 @@ def test_float_route_agrees_with_the_numpy_route(n, radius):
             assert _relative_gap(P[r, 1:], batch_covariance_oracle(sys, G[r]), (1, 2)) <= 1e-12
 
 
-@pytest.mark.parametrize("plant", ["scalar", "second_order"])
+@pytest.mark.parametrize("plant", ["scalar", "second_order",
+                                   *((n, radius) for n in (2, 3, 4, 5) for radius in (0.9, 1.15))],
+                         ids=str)
 def test_float_route_errors_from_their_own_covariances(plant):
     """The float route's errors are its reference's (:func:`_float_filter`)
-    bit for bit where X C' rounds alike in every order of summation: at
-    n = 1, and on second_order, whose C = [1, 0] makes each X C' an entry
-    of X. Three rows receiving at rates 0.3, 0.6 and 0.9, N = 300, four
-    seeds."""
-    sys = PLANTS[plant]
-    N, n = 300, sys.n
+    bit for bit: the gains are read off the recorded covariances with
+    X C' and C X C' + r summed left to right, as the kernel sums them, so
+    every C gives the reference's bits, not only a C that makes each X C'
+    an entry of X (second_order's [1, 0]). On scalar, second_order and
+    ``complex_mode_plant(seed, n, radius)`` for n = 2..5 and radius 0.9
+    and 1.15, one plant per seed; three rows receiving at rates 0.3, 0.6
+    and 0.9, N = 300, four seeds."""
+    N = 300
     for seed in range(4):
+        sys = PLANTS[plant] if isinstance(plant, str) else complex_mode_plant(seed, *plant)
+        n = sys.n
         rng = np.random.default_rng(seed)
         G = rng.random((3, N)) < np.array([[0.3], [0.6], [0.9]])
         e0, w, v = rng.standard_normal(n), rng.standard_normal((N, n)), rng.standard_normal((N, 1))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -360,6 +362,20 @@ class TestSimulateTrace:
         ref = simulate_trace(second_order_sys, Mechanism(0.51), channel_96, 5, 7)
         assert len(trace) == 6 and np.array_equal(trace.err1, ref.err1)
 
+    @pytest.mark.parametrize("plant, name, value", [
+        ("scalar_sys", "Q", -1.0),
+        ("scalar_sys", "R", -0.5),
+        ("second_order_sys", "Sigma0", [[1.0, 2.0], [2.0, 1.0]]),
+        ("second_order_sys", "Q", [[1.0, 0.5], [0.0, 1.0]]),
+    ], ids=["Q", "R", "Sigma0", "Q-asymmetric"])
+    def test_indefinite_noise_covariance_rejected(self, request, channel_96, plant, name, value):
+        # the plant holds the matrix; only the draw needs its Cholesky
+        # factor, and names it: not numpy's raw LinAlgError, and not a
+        # factor of the lower triangle of an asymmetric Q
+        sys = dataclasses.replace(request.getfixturevalue(plant), **{name: value})
+        with pytest.raises(ValidationError, match=f"^{name} must be symmetric positive definite"):
+            simulate_trace(sys, Mechanism(0.51), channel_96, 5, 7)
+
     def test_time_average_error(self, second_order_sys, channel_96):
         tr = simulate_trace(second_order_sys, Mechanism(0.51), channel_96, T=50, seed=8)
         assert time_average_error(tr, "user") == pytest.approx(np.mean(tr.err1[1:]))
@@ -406,7 +422,62 @@ class TestPhaseJudgments:
             meets_plateau_criterion(curve)
 
 
+def _collapse_scan(trace):
+    """collapse_events as a scan over the steps that counts the misses:
+    the reference for its events."""
+    events = []
+    misses = 0
+    trP2 = trace.trP2
+    last = len(trace) - 1
+    for k, received in enumerate(trace.gamma2.tolist()):
+        if received:
+            if misses >= 10 and k < last:
+                stop = min(k + 3, last)
+                events.append((k, float(trP2[k]), float(trP2[k + 1:stop + 1].min())))
+            misses = 0
+        else:
+            misses += 1
+    return events
+
+
 class TestCollapseEvents:
+    @staticmethod
+    def _synthetic(sys, ch, gamma2, rng):
+        """A trace with the eavesdropper row ``gamma2`` and random traces."""
+        tr = simulate_trace(sys, Mechanism(1.0), ch, T=len(gamma2) - 1, seed=0)
+        tr.gamma2 = np.asarray(gamma2, dtype=bool)
+        tr.trP2 = rng.uniform(1.0, 100.0, len(gamma2))
+        return tr
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_step_scan_on_random_rows(self, scalar_sys, channel_96, seed):
+        rng = np.random.default_rng(seed)
+        found = 0
+        for rate in (0.02, 0.08, 0.2, 0.5, 0.9):
+            tr = self._synthetic(scalar_sys, channel_96, rng.random(301) < rate, rng)
+            events = collapse_events(tr)
+            assert events == _collapse_scan(tr)
+            assert all(type(k) is int and type(b) is float and type(a) is float
+                       for k, b, a in events)
+            found += len(events)
+        assert found > 0
+
+    @pytest.mark.parametrize("gamma2", [
+        [False] * 10 + [True] * 5,            # leading misses from k = 0: event at 10
+        [False] * 9 + [True] * 5,             # 9 leading misses: none
+        [True] + [False] * 9 + [True] * 5,    # a run of exactly 9: none
+        [True] + [False] * 10 + [True] * 5,   # a run of exactly 10: event at 11
+        [True] + [False] * 10 + [True],       # a reception at the last step: none
+        [True] + [False] * 10 + [True] * 2,   # window clipped to one step
+        [True] + [False] * 10 + [True] * 3,   # window clipped to two steps
+        [True] + [False] * 30 + [True, False, True] + [False] * 12 + [True, True],
+        [False] * 20,                         # all misses
+        [True] * 20,                          # all receptions
+    ])
+    def test_matches_the_step_scan_at_the_edges(self, scalar_sys, channel_96, gamma2):
+        tr = self._synthetic(scalar_sys, channel_96, gamma2, np.random.default_rng(len(gamma2)))
+        assert collapse_events(tr) == _collapse_scan(tr)
+
     def test_seed42_second_order_event(self, second_order_sys, channel_96):
         tr = simulate_trace(second_order_sys, Mechanism(0.51), channel_96,
                             T=200, seed=42)
