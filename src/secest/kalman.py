@@ -36,11 +36,10 @@ unstable block, on (T_u, W, 0, 0).
 :func:`filter_errors` is the one stepped filter: it propagates the
 estimation error and the prediction covariance over whole reception
 sequences, several at once when they share the noise (both receivers of a
-simulated trace). Its covariance step is :func:`riccati_map`'s at
-lam = gamma(k), bit for bit, through the same gain routine. Only the
-covariance is stepped in Python; the gain K(k) depends on P(k) alone, and
-given the gains the error recursion is linear, so it is solved for every
-step at once by one LAPACK banded triangular solve
+simulated trace). Its one step in Python is :func:`riccati_map` on the
+stacked rows at lam = gamma(k); the gains depend on P(k) alone and are
+read off it after the loop, and given them the error recursion is linear,
+solved for every step at once by one LAPACK banded triangular solve
 (:func:`_linear_recursion`, which also carries the simulated state).
 
 On a small single-output plant (m = 1, n <= 5) numpy's per-call overhead,
@@ -73,18 +72,13 @@ import scipy.linalg as sla
 
 from .channel import _check_probability
 from .errors import NumericalError, ValidationError
-from .linmodel import LinearSystem
+from .linmodel import LinearSystem, _sym
 
 _BAD_VARIANCE = "innovation variance is not finite and positive"
 
 # The positive definite solve for each innovation covariance dtype.
 _POSV = {np.dtype(dtype): sla.get_lapack_funcs("posv", dtype=dtype)
          for dtype in (np.float64, np.complex128)}
-
-
-def _sym(X: np.ndarray) -> np.ndarray:
-    """Hermitian part of X; the symmetric part of a real X."""
-    return 0.5 * (X + X.conj().T)
 
 
 def _innovation_solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -160,7 +154,7 @@ class Coefficients(NamedTuple):
     R: np.ndarray
 
 
-def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
+def riccati_map(X, sys: LinearSystem | Coefficients, lam: float | np.ndarray) -> np.ndarray:
     """g_lam(X) = A X A^H + Q - lam A X C^H (C X C^H + R)^(-1) C X A^H, in
     the filter's form: the measurement update weighed by lam, then the
     prediction.
@@ -168,7 +162,9 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
     With the gain K = lam X C^H (C X C^H + R)^(-1) (:func:`_gains`, the
     filter's gain routine) it forms X_f = X - K (X C^H)^H and returns the
     Hermitian part of (A X_f) A^H + Q; at lam = 0, X_f = X. So a step of
-    :func:`filter_errors` is this map at lam = gamma(k), bit for bit.
+    :func:`filter_errors` is this map on its stacked rows (..., n, n) at
+    lam = gamma(k), one weight per row, each its one-matrix call bit for bit;
+    a row of weight zero keeps even an overflowed X, and no warning escapes.
     Requires lam in [0, 1] and X Hermitian PSD-ish; X is read through its
     Hermitian part. (A, C, Q, R) come from ``sys``, the plant or the plant
     in other coordinates, and the arithmetic is that of the arguments: a
@@ -182,10 +178,25 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float) -> np.ndarray:
     more. An innovation covariance that is not finite and positive
     definite raises :class:`NumericalError`.
     """
-    _check_probability(lam, "lam")
     X = np.asarray(X)
-    X = _sym(X if X.dtype == np.complex128 else X.astype(float, copy=False))
+    X = X if X.dtype == np.complex128 else X.astype(float, copy=False)
     A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
+    if X.ndim > 2:
+        lam = np.asarray(lam)
+        if lam.shape != X.shape[:-2] or not all(0.0 <= w <= 1.0 for w in lam.ravel().tolist()):
+            raise ValidationError(f"lam must hold one weight in [0, 1] per row of X, got {lam}")
+        got = (lam != 0.0)[..., None, None]
+        # no warning escapes; a row of weight zero keeps X (0 times inf is NaN)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            X = _sym(X)
+            XC = X @ C.conj().T
+            S = C @ XC + R
+            if S.shape[-1] == 1 and not all(0.0 < s < math.inf for s in S[got].real.flat):
+                raise NumericalError(_BAD_VARIANCE)
+            X = np.where(got, X - _gains(XC, S, lam) @ XC.conj().swapaxes(-1, -2), X)
+            return _sym(A @ X @ A.conj().T + Q)
+    _check_probability(lam, "lam")
+    X = _sym(X)
     if lam != 0.0:
         XC = X @ C.conj().T
         S = C @ XC + R
@@ -207,10 +218,7 @@ def _gains(XC: np.ndarray, S: np.ndarray, lam) -> np.ndarray:
     real part of S, so a weight of one gives XC (1 / s); this route checks
     nothing, and its callers check the variance. For m >= 2 each row of
     nonzero weight is solved by the PD solve, which raises on a bad
-    covariance, and then weighed. On single-output plants with
-    n <= :data:`_FLOAT_MAX_N` the filter steps its covariances on floats
-    and calls it once after the loop, on every recorded covariance at once,
-    to read the gains off them; the curve needs no gain.
+    covariance, and then weighed.
     """
     lam = np.asarray(lam)
     if S.shape[-1] == 1:
@@ -365,6 +373,13 @@ def _linear_recursion(F, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return x.reshape(B, N + 1, n)
 
 
+def _prior(sys: LinearSystem) -> np.ndarray:
+    """Sigma0, if symmetric bit for bit: the routes would read an asymmetric one apart."""
+    if sys.Sigma0.tobytes() != sys.Sigma0.T.tobytes():
+        raise ValidationError("Sigma0 must be symmetric to start a covariance recursion")
+    return sys.Sigma0
+
+
 def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     """Run the intermittent Kalman filter over reception sequences, in error form.
 
@@ -376,19 +391,16 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
         P_f(k) = P(k) - gamma(k) K(k) (X C')',
         e(k+1) = A e_f(k) - w(k),   P(k+1) = sym(A P_f(k) A' + Q),
 
-    from e(0) = e0 and P(0) = Sigma0. The covariance step is
-    :func:`riccati_map`'s, with the same gain routine (:func:`_gains`,
-    weighed by gamma(k)), so P(k+1) = g_gamma(k)(P(k)) bit for bit. Only
-    the covariance is stepped. A single-output plant with
-    n <= :data:`_FLOAT_MAX_N` steps it on Python floats, row by row
-    (:func:`_float_kernel`), which records only the covariances, with the
-    numpy loop's bits at n = 1 and its values up to the sums' rounding
-    above; the gains are then read off the recorded P(k), k < N, in one
-    :func:`_gains` call, from X C' and C X C' + r summed left to right over
-    entrywise products as the kernel sums them, and K(k) v(k) is one
-    product per entry. Other plants step all rows at once in numpy,
-    forming the gains as they go; a step at which no row receives forms
-    none. Given the gains the error recursion is linear,
+    from e(0) = e0 and P(0) = Sigma0, which must be exactly symmetric
+    (:class:`ValidationError` otherwise). Only the covariance is stepped,
+    P(k+1) = riccati_map(P(k), sys, gamma(k)) on all rows at once; a
+    single-output plant with n <= :data:`_FLOAT_MAX_N` steps it on Python
+    floats, row by row (:func:`_float_kernel`), with the map's bits at
+    n = 1 and its values up to the sums' rounding above. The gains are
+    then read off the recorded P(k), k < N, in one :func:`_gains` call, on
+    the float route from X C' and C X C' + r summed left to right over
+    entrywise products as the kernel sums them, with K(k) v(k) one product
+    per entry. Given the gains the error recursion is linear,
     e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
     all steps at once after the loop (one banded triangular solve), and
     e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A
@@ -428,18 +440,21 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     except ValueError as exc:
         raise ValidationError(f"w and v must cover {N} steps: {exc}") from exc
     v = v[..., None]
-    A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
-    At, Ct = A.T, C.T
+    A, C, R = sys.A, sys.C, sys.R
     P = np.empty((rows, N + 1, n, n))
-    P[:, 0] = sys.Sigma0
+    P[:, 0] = _prior(sys)
     kernel = _float_route(sys)
-    # no warning escapes: a bad variance raises where a row receives on it
-    # (an m = 1 one on the numpy route after the loop), and a row that
-    # misses a step on an overflowed covariance gets an exact zero gain
+    if kernel is None:
+        for k in range(N):
+            P[:, k + 1] = riccati_map(P[:, k], sys, G[:, k])
+    elif kernel(sys, G, P) is not None:
+        raise NumericalError(_BAD_VARIANCE)
+    # gains of P(k), k < N: exactly zero where a row missed, even on inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kernel is not None:
-            if kernel(sys, G, P) is not None:
-                raise NumericalError(_BAD_VARIANCE)
+        if kernel is None:
+            XC = P[:, :N] @ C.T
+            S = C @ XC + R
+        else:
             # X C' and C X C' + r as the kernel sums them, left to right
             c = C[0].tolist()
             Pk = P[:, :N]
@@ -450,27 +465,9 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
             for i in range(1, n):
                 S += XC[..., i] * c[i]
             S += R[0, 0]
-            K = _gains(XC[..., None], S[..., None, None], G)
-            Kv = K * v
-        else:
-            K = np.zeros((rows, N, n, m))
-            S = np.empty((rows, N, m, m))
-            for k, (got, some) in enumerate(zip(G.T, G.any(axis=0).tolist())):
-                X = P[:, k]
-                if some:
-                    XC = X @ Ct
-                    S[:, k] = C @ XC + R
-                    K[:, k] = _gains(XC, S[:, k], got)
-                    # a row that missed keeps X: 0 times an overflowed X C' is NaN
-                    X = np.where(got[:, None, None], X - K[:, k] @ XC.transpose(0, 2, 1), X)
-                X = A @ X @ At + Q
-                X += X.transpose(0, 2, 1)
-                np.multiply(X, 0.5, out=P[:, k + 1])
-            if m == 1:
-                variance = S[G][:, 0, 0]
-                if not ((variance > 0.0) & (variance < math.inf)).all():
-                    raise NumericalError(_BAD_VARIANCE)
-            Kv = K @ v
+            XC, S = XC[..., None], S[..., None, None]
+        K = _gains(XC, S, G)
+        Kv = K @ v if kernel is None else K * v
     IKC = np.eye(n) - K @ C
     e = _linear_recursion(A @ IKC, (A @ Kv)[..., 0] - w, e0)
     E = (IKC @ e[:, :N, :, None] + Kv)[..., 0]

@@ -187,12 +187,17 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
+def _sym(X: np.ndarray) -> np.ndarray:
+    """Hermitian part of X, or of each of its stacked (..., n, n) rows."""
+    return 0.5 * (X + X.conj().swapaxes(-1, -2))
+
+
 def _maybe_symmetrize(arr: np.ndarray) -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         return arr
     gap = np.max(np.abs(arr - arr.T))
     if gap <= _SYM_RTOL * (1.0 + np.max(np.abs(arr))):
-        return 0.5 * (arr + arr.T)
+        return _sym(arr)
     return arr
 
 
@@ -330,8 +335,7 @@ class _ModalFactor:
     def to_schur(self, Z: np.ndarray) -> np.ndarray:
         """The Hermitian part of Y Z Y^H: the matrix Z in the Schur factor's
         basis."""
-        X = self.Y @ Z @ self.Y.conj().T
-        return 0.5 * (X + X.conj().T)
+        return _sym(self.Y @ Z @ self.Y.conj().T)
 
 
 class _CeilingFrame:
@@ -361,8 +365,7 @@ class _CeilingFrame:
         if modal is None:
             self.C, self.start = self.CU, start
         else:
-            W = modal.Yinv @ start @ modal.Yinv.conj().T
-            self.C, self.start = self.CU @ modal.Y, 0.5 * (W + W.conj().T)
+            self.C, self.start = self.CU @ modal.Y, _sym(modal.Yinv @ start @ modal.Yinv.conj().T)
             to_frame = modal.Yinv @ to_frame
         self.Rt = _information_noise(sys.C, sys.R, to_frame)
         for X in (self.CU, self.C, self.start, self.Rt):
@@ -389,8 +392,7 @@ def _information_noise(C: np.ndarray, R: np.ndarray, to_frame: np.ndarray) -> np
     if not (s[-1] > 0.0 and s[0] <= _INFO_MAX_COND * s[-1]):
         return None
     B = (to_frame @ Vh.conj().T) / s
-    Rt = B @ B.conj().T
-    return 0.5 * (Rt + Rt.conj().T)
+    return _sym(B @ B.conj().T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,8 +469,7 @@ class SchurFactor:
     def to_plant(self, X: np.ndarray) -> np.ndarray:
         """The symmetric plant-basis matrix sym(Re(U X U^H)) of X given in
         this factor's basis."""
-        S = (self.U @ X @ self.U.conj().T).real
-        return 0.5 * (S + S.T)
+        return _sym((self.U @ X @ self.U.conj().T).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -616,7 +617,7 @@ def is_positive_definite(X) -> bool:
     scale = 1.0 + np.max(np.abs(X))
     if np.max(np.abs(X - X.T)) > _SYM_RTOL * scale:
         return False
-    w = np.linalg.eigvalsh(0.5 * (X + X.T))
+    w = np.linalg.eigvalsh(_sym(X))
     return bool(w[0] > _PD_TOL * max(1.0, abs(float(np.trace(X)))))
 
 

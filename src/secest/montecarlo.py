@@ -64,7 +64,8 @@ from .channel import (
     _replication_counts,
 )
 from .errors import NumericalError, ValidationError
-from .kalman import _BAD_VARIANCE, _float_route, _linear_recursion, filter_errors, riccati_map
+from .kalman import (_BAD_VARIANCE, _float_route, _linear_recursion, _prior, filter_errors,
+                     riccati_map)
 from .linmodel import LinearSystem
 
 # Phase judgments on averaged curves: (k0, k1) windows and the factor
@@ -246,7 +247,7 @@ def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, ru
     try:
         if kernel is not None:
             P = np.empty((rows, T + 1, n, n))
-            P[:, 0] = sys.Sigma0
+            P[:, 0] = _prior(sys)
             failed = kernel(sys, fractions, P)
             if failed is not None:
                 row, k = failed
@@ -255,7 +256,7 @@ def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, ru
         else:
             # an overflowing covariance is reported once, by the variance
             # check, not as raw numpy warnings
-            curves[:, 0] = np.trace(sys.Sigma0)
+            curves[:, 0] = np.trace(_prior(sys))
             with np.errstate(over="ignore", invalid="ignore"):
                 for row, lams in enumerate(fractions.tolist()):
                     P = sys.Sigma0

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import secest.designer
 from secest import (
     ChannelParams,
     LinearSystem,
+    NumericalError,
     ValidationError,
     design_p_star,
     scalar_critical,
@@ -323,3 +325,49 @@ class TestSweepSharesFloors:
             calls.clear()
             sweep_tradeoff(sys, ch, grid)
             assert calls == first
+
+
+class TestDefensiveChecks:
+    """The designer's checks that a correct floor solve never trips (see
+    design_p_star's and sweep_tradeoff's docstrings), each driven by a
+    stand-in for _floor, _bisect or solve_V that breaks what it guards."""
+
+    ch = ChannelParams(0.9, 0.6)
+
+    def test_floor_below_target_at_a_bound_decided_p_star(self, monkeypatch, second_order_sys):
+        # at M = 2 Tr S(1) the last feasible probe is decided by a bound, so
+        # the floor is solved at p* once, after the loop; a floor of M / 2
+        # there contradicts the bound
+        M = 2.0 * solve_S(1.0, self.ch, second_order_sys).trace
+        calls = count_floor_solves(monkeypatch)
+        p_star = design_p_star(second_order_sys, self.ch, M).p_star
+        assert calls[-1] == p_star * self.ch.p2 and calls.count(calls[-1]) == 1
+        floor = secest.designer._floor
+        monkeypatch.setattr(secest.designer, "_floor", lambda sys, rate: (
+            (None, 0.5 * M, None) if rate == p_star * self.ch.p2 else floor(sys, rate)))
+        with pytest.raises(NumericalError, match="floor bound at p"):
+            design_p_star(second_order_sys, self.ch, M)
+
+    def test_rising_p_star(self, monkeypatch, second_order_sys):
+        designs = iter([(0.8, 30.0, 0), (0.9, 20.0, 0)])
+        monkeypatch.setattr(secest.designer, "_bisect", lambda table, M, epsilon: next(designs))
+        with pytest.raises(NumericalError, match=r"p\* rose"):
+            sweep_tradeoff(second_order_sys, self.ch, [10.0, 20.0])
+
+    @pytest.mark.parametrize("traces, message", [
+        ((math.inf, 12.0), "returned finite"), ((12.0, 11.0), "fell"),
+        ((math.inf, math.inf), None), ((12.0, 12.0), None), ((12.0, math.inf), None)])
+    def test_ceiling_along_the_curve(self, monkeypatch, second_order_sys, traces, message):
+        # the designs are the real ones, p* falling with M; only the
+        # ceilings are stand-ins
+        tr1 = solve_S(1.0, self.ch, second_order_sys).trace
+        ceilings = iter(traces)
+        monkeypatch.setattr(secest.designer, "solve_V",
+                            lambda p, ch, sys: SimpleNamespace(trace=next(ceilings)))
+        grid = [2.0 * tr1, 7.0 * tr1]
+        if message is None:
+            curve = sweep_tradeoff(second_order_sys, self.ch, grid)
+            assert tuple(pt.trV for pt in curve.points) == traces
+        else:
+            with pytest.raises(NumericalError, match=message):
+                sweep_tradeoff(second_order_sys, self.ch, grid)

@@ -664,18 +664,21 @@ def test_scalar_filter_is_bit_identical_to_numpy_loop(a, N):
 
 
 def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys):
-    """The numpy loop forms its gains step by step, one _gains call per
-    step at which a row receives; the scalar route steps no gain in numpy
-    and reads all of them off its covariances in one call after the loop."""
+    """The numpy route steps riccati_map once per step, on all rows, which
+    forms that step's gains in one _gains call, and reads the gains off the
+    recorded covariances in one more call after the loop; the scalar route
+    steps no gain in numpy and reads all of them off its covariances in
+    one call after the loop."""
     def refuse(*args):
         raise AssertionError("the float route reached riccati_map")
 
-    calls = []
-    gains = kalman._gains
+    calls, steps = [], []
+    gains, step = kalman._gains, kalman.riccati_map
     G = np.arange(60).reshape(3, 20) % 3 != 0
     monkeypatch.setattr(kalman, "_gains", lambda *args: calls.append(1) or gains(*args))
+    monkeypatch.setattr(kalman, "riccati_map", lambda *args: steps.append(1) or step(*args))
     filter_errors(PLANTS["six_state"], G, np.zeros(6), 0.0, 0.0)
-    assert len(calls) == 20
+    assert len(steps) == 20 and len(calls) == 21
     monkeypatch.setattr(kalman, "riccati_map", refuse)
     for rows in (G, G[0]):
         calls.clear()
@@ -857,6 +860,92 @@ def test_overflowed_missing_row_on_the_numpy_route(plant):
     if plant == "two_outputs":
         # the overflowed row is infinite, with no NaN
         assert np.isinf(P[1]).sum() == 47 and not np.isnan(P).any()
+
+
+@pytest.mark.parametrize("plant", ["two_outputs", "six_state"])
+def test_numpy_route_is_the_stepped_loop(plant):
+    """The numpy route steps riccati_map on its stacked rows and reads the
+    gains off the recorded covariances after the loop; its errors and
+    covariances are the stepped loop's (:func:`_numpy_filter`) bit for bit.
+    ``two_output_plant()`` and ``complex_mode_plant(6, 6, 1.1)``, three rows
+    receiving at rates 0.3, 0.6 and 0.9 over N = 300, four seeds: stacked,
+    one-row stacks and (N,) calls."""
+    sys = two_output_plant() if plant == "two_outputs" else PLANTS["six_state"]
+    assert kalman._float_route(sys) is None
+    N = 300
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        G = rng.random((3, N)) < np.array([[0.3], [0.6], [0.9]])
+        e0 = rng.standard_normal(sys.n)
+        w, v = rng.standard_normal((N, sys.n)), rng.standard_normal((N, sys.m))
+        for rows in (G, G[:1], G[2:]):
+            E, P = filter_errors(sys, rows, e0, w, v)
+            E_ref, P_ref = _numpy_filter(sys, rows, e0, w, v)
+            assert np.array_equal(E, E_ref) and np.array_equal(P, P_ref)
+        E, P = filter_errors(sys, G[1], e0, w, v)
+        E_ref, P_ref = _numpy_filter(sys, G[1:2], e0, w, v)
+        assert np.array_equal(E, E_ref[0]) and np.array_equal(P, P_ref[0])
+
+
+@pytest.mark.parametrize("plant", ["second_order", "m2", "six_state"])
+def test_stacked_riccati_map_rows_are_one_matrix_calls(plant):
+    """riccati_map on stacked operands is its one-matrix call on each row,
+    bit for bit, and raises no warning: boolean weights, as the filter
+    passes them, and fractional ones, on a (4,) and a (2, 2) stack (m = 1
+    and 2). The operands are slightly asymmetric, so each row is read
+    through its symmetric part, as one matrix is. The last one has
+    overflowed (infinite in its first row and column): with weight zero it
+    stays out of the update, where 0 times infinity would make it NaN; with
+    a nonzero weight it raises. A weight
+    outside [0, 1], NaN, or a weight array that is not one per row is
+    rejected."""
+    sys = PLANTS[plant]
+    n = sys.n
+    rng = np.random.default_rng(n + sys.m)
+    B = rng.standard_normal((4, n, n))
+    X = B @ B.transpose(0, 2, 1) + np.eye(n) + 1e-3 * rng.standard_normal((4, n, n))
+    X[3, 0, :] = X[3, :, 0] = np.inf
+    for lam in (np.array([True, False, True, False]), np.array([0.37, 1.0, 0.0, 0.0]),
+                np.array([[0.5, 0.0], [1.0, 0.0]]), np.zeros(4)):
+        stack = X.reshape(lam.shape + (n, n))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = riccati_map(stack, sys, lam)
+        assert got.shape == stack.shape
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in np.ndindex(lam.shape):
+                assert np.array_equal(got[r], riccati_map(stack[r], sys, float(lam[r])),
+                                      equal_nan=True), r
+    assert not np.isfinite(got[3]).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            riccati_map(X, sys, np.array([0.0, 1.0, 0.0, 0.5]))
+    for lam in ([0.5, 1.5, 0.0, 0.0], [-0.1, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 0.0],
+                [1.0, 0.0], 0.5):
+        with pytest.raises(ValidationError, match="lam"):
+            riccati_map(X[:3], sys, np.array(lam)[:3] if np.ndim(lam) else lam)
+
+
+def test_asymmetric_prior_rejected():
+    """A Sigma0 asymmetric beyond roundoff, which LinearSystem keeps as
+    given for validate_system to fail, would start the routes apart:
+    riccati_map reads its symmetric part and the float kernel its upper
+    triangle. filter_errors and expected_error_curve reject it, with a
+    ValidationError naming it, on the float route (C = [1, 0]) and the
+    numpy route (C = I); a Sigma0 asymmetric within roundoff is
+    symmetrized on construction and accepted."""
+    for C in ([[1.0, 0.0]], np.eye(2)):
+        sys = LinearSystem(A=[[1.2, 1.0], [0.0, 1.1]], C=C, Q=np.eye(2), R=np.eye(len(C)),
+                           Sigma0=[[1.0, 0.9], [0.1, 2.0]])
+        assert (kalman._float_route(sys) is None) == (len(C) == 2)
+        with pytest.raises(ValidationError, match="Sigma0"):
+            filter_errors(sys, [True], np.zeros(2), 0.0, 0.0)
+        with pytest.raises(ValidationError, match="Sigma0"):
+            expected_error_curve(sys, Mechanism(0.8), 0.9, T=10, runs=5, seed=1)
+        near = dataclasses.replace(sys, Sigma0=[[1.0, 0.5 + 1e-12], [0.5, 2.0]])
+        filter_errors(near, [True], np.zeros(2), 0.0, 0.0)
+        expected_error_curve(near, Mechanism(0.8), 0.9, T=10, runs=5, seed=1)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
