@@ -16,11 +16,14 @@ noise and erasure sample while only the withholding probability changes.
 
 A stream's Philox key is numpy's ``SeedSequence(seed,
 spawn_key=(stream_id,))``, and seeds and stream ids are read as numpy reads
-a seed, through ``operator.index``. The Monte Carlo replications keep their
-streams 5+k but are counted on raw words against integer thresholds, see
-:func:`_replication_counts`. Their keys start from numpy's own
-``SeedSequence(seed)`` pool; only the stream ids are mixed in here
-(:func:`_philox_keys`).
+a seed, through ``operator.index``. Philox is counter-based, so the key
+alone fixes a stream: one bit generator re-keyed with a zero counter and
+an empty buffer (:func:`_restarts`) replays stream after stream, which is
+how a simulated trace reaches streams 1-4 (:meth:`RngStream._switch`).
+The Monte Carlo replications keep their streams 5+k but are counted on raw
+words against integer thresholds, see :func:`_replication_counts`. Their
+keys start from numpy's own ``SeedSequence(seed)`` pool; only the stream
+ids are mixed in here (:func:`_philox_keys`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -98,6 +102,16 @@ class RngStream:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.Philox(ss))
 
+    def _switch(self, stream_id: int) -> None:
+        """Move to the start of stream ``stream_id`` under the same seed, as
+        ``RngStream(seed, stream_id)`` starts, by re-keying this stream's
+        Philox (:func:`_restarts`) with that stream's key,
+        ``SeedSequence(seed, spawn_key=(stream_id,)).generate_state(2,
+        np.uint64)``: a fraction of the cost of a new stream."""
+        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(stream_id,))
+        next(_restarts(self._gen.bit_generator, [ss.generate_state(2, np.uint64).tolist()]))
+        self.stream_id = stream_id
+
     def uniforms(self, size) -> np.ndarray:
         return self._gen.random(size)
 
@@ -106,6 +120,22 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _restarts(bitgen: np.random.Philox, keys) -> Iterator[np.random.Philox]:
+    """``bitgen`` restarted on each Philox key of ``keys`` in turn, two
+    64-bit words as Python ints: a zero counter and an empty buffer, where
+    a new ``Philox(key=key)`` starts. Philox is counter-based, so the key
+    alone fixes the draws the caller makes before it asks for the next.
+    One state dict, built once, takes each key (building one per key
+    costs twice the setter), and the setter reads each word by index,
+    which is cheaper on a list than on a uint64 array."""
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield bitgen
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
@@ -181,11 +211,10 @@ def _replication_counts(seed: int, first_stream: int, count: int, size: int,
 
     Philox is counter-based, so a stream is fixed by its key alone: all keys
     come from one pass (:func:`_philox_keys`), and one bit generator is
-    re-keyed per row with a zero counter and an empty buffer, where
-    RngStream would build a SeedSequence, a Philox and a Generator each.
-    The re-key assigns the row's two key words, as Python ints, into one
-    state dict built per call. Rows of raw words are stacked at most 64 at
-    a time into one reused buffer and counted a block at a time.
+    re-keyed per row (:func:`_restarts`), where RngStream would build a
+    SeedSequence, a Philox and a Generator each. Rows of raw words are
+    stacked at most 64 at a time into one reused buffer and counted a
+    block at a time.
     """
     seed, first_stream = _index(seed, "seed"), _index(first_stream, "first_stream")
     if seed < 0:
@@ -200,17 +229,10 @@ def _replication_counts(seed: int, first_stream: int, count: int, size: int,
     counts = np.zeros((len(limits), size), dtype=np.int64)
     keys = _philox_keys(seed, first_stream, count)
     bitgen = np.random.Philox(key=0)
-    # One state dict of Python ints, re-keyed per row: the setter reads each
-    # word by index, which is cheaper on a list than on a uint64 array.
-    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     buffer = np.empty((min(count, _BLOCK_ROWS), size), dtype=np.uint64)
     for lo in range(0, count, _BLOCK_ROWS):
-        words = []
-        for key in keys[lo:lo + _BLOCK_ROWS].tolist():
-            state["state"]["key"] = key
-            bitgen.state = state
-            words.append(bitgen.random_raw(size))
+        words = [row.random_raw(size)
+                 for row in _restarts(bitgen, keys[lo:lo + _BLOCK_ROWS].tolist())]
         block = buffer[:len(words)]
         np.concatenate(words, out=block.reshape(-1))
         for received, limit in zip(counts, limits):

@@ -37,10 +37,11 @@ unstable block, on (T_u, W, 0, 0).
 estimation error and the prediction covariance over whole reception
 sequences, several at once when they share the noise (both receivers of a
 simulated trace). Its one step in Python is :func:`riccati_map` on the
-stacked rows at lam = gamma(k); the gains depend on P(k) alone and are
-read off it after the loop, and given them the error recursion is linear,
-solved for every step at once by one LAPACK banded triangular solve
-(:func:`_linear_recursion`, which also carries the simulated state).
+stacked rows at lam = gamma(k) (:func:`_stacked_map`), which hands over
+the gains it forms; the gains depend on P(k) alone, and given them the
+error recursion is linear, solved for every step at once by one LAPACK
+banded triangular solve (:func:`_linear_recursion`, which also carries
+the simulated state).
 
 On a small single-output plant (m = 1, n <= 5) numpy's per-call overhead,
 not the arithmetic, would dominate the covariance recursion, so it steps
@@ -54,7 +55,11 @@ them, left to right over entrywise products, so the gains are the
 kernel's whatever C is. Each statement mirrors an entry of
 :func:`riccati_map`'s products, so at n = 1 the kernel gives its bits, and
 from n = 2 they differ only in how the sums round (BLAS fuses
-multiply-adds). On a 2-core Xeon the two-row filter call of a simulated
+multiply-adds). The route (:func:`_float_route`) runs the kernel built for
+the plant's exact zeros and ones in A and C, without the symmetrization,
+and falls back on the plain kernel wherever that one's bits are not
+certain to be the plain kernel's, so the bits are the plain kernel's
+either way. On a 2-core Xeon the two-row filter call of a simulated
 trace beats numpy up to n = 5 (:data:`_FLOAT_MAX_N`); plants with more
 states or more outputs, and the ceiling and the certificate, stay on numpy.
 :func:`batch_covariance_oracle` is an independent route to the same
@@ -185,16 +190,7 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float | np.ndarray) ->
         lam = np.asarray(lam)
         if lam.shape != X.shape[:-2] or not all(0.0 <= w <= 1.0 for w in lam.ravel().tolist()):
             raise ValidationError(f"lam must hold one weight in [0, 1] per row of X, got {lam}")
-        got = (lam != 0.0)[..., None, None]
-        # no warning escapes; a row of weight zero keeps X (0 times inf is NaN)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            X = _sym(X)
-            XC = X @ C.conj().T
-            S = C @ XC + R
-            if S.shape[-1] == 1 and not all(0.0 < s < math.inf for s in S[got].real.flat):
-                raise NumericalError(_BAD_VARIANCE)
-            X = np.where(got, X - _gains(XC, S, lam) @ XC.conj().swapaxes(-1, -2), X)
-            return _sym(A @ X @ A.conj().T + Q)
+        return _stacked_map(X, sys, lam)[0]
     _check_probability(lam, "lam")
     X = _sym(X)
     if lam != 0.0:
@@ -204,6 +200,26 @@ def riccati_map(X, sys: LinearSystem | Coefficients, lam: float | np.ndarray) ->
             raise NumericalError(_BAD_VARIANCE)
         X = X - _gains(XC, S, lam) @ XC.conj().T
     return _sym(A @ X @ A.conj().T + Q)
+
+
+def _stacked_map(X: np.ndarray, sys: LinearSystem | Coefficients,
+                 lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`riccati_map` on stacked rows X (..., n, n) with one checked
+    weight per row, and the gains K (..., n, m) it formed: a step of the
+    numpy filter route hands them to :func:`filter_errors` as they are. A
+    row of weight zero keeps X (0 times inf is NaN) and gets a zero gain;
+    no warning escapes."""
+    A, C, Q, R = sys.A, sys.C, sys.Q, sys.R
+    got = (lam != 0.0)[..., None, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        X = _sym(X)
+        XC = X @ C.conj().T
+        S = C @ XC + R
+        if S.shape[-1] == 1 and not all(0.0 < s < math.inf for s in S[got].real.flat):
+            raise NumericalError(_BAD_VARIANCE)
+        K = _gains(XC, S, lam)
+        X = np.where(got, X - K @ XC.conj().swapaxes(-1, -2), X)
+        return _sym(A @ X @ A.conj().T + Q), K
 
 
 def _gains(XC: np.ndarray, S: np.ndarray, lam) -> np.ndarray:
@@ -262,19 +278,64 @@ def covariances(sys, G, P):
                 if not 0.0 < s < inf:
                     return row, len(xs) // {nn} - 1
                 {filter_update}
+                {guard}
             {predict}
             {record_state}
         P[row].flat = xs
 '''
 
+# The range on which the folded kernel gives the plain kernel's bits (see
+# _float_route): A and C below 2**250, each receiving step's updated
+# covariance with a sum of squares below 2**1000 (the kernel stops
+# otherwise), every recorded entry below 2**500.
+_FOLD_COEFFICIENT, _FOLD_UPDATE, _FOLD_RECORD = 2.0 ** 250, 2.0 ** 1000, 2.0 ** 500
+
 
 def _float_route(sys: LinearSystem) -> Callable | None:
-    """The float kernel for ``sys``, or None when its recursions step in numpy."""
-    return _float_kernel(sys.n) if sys.m == 1 and sys.n <= _FLOAT_MAX_N else None
+    """The float kernel for ``sys``, or None when its recursions step in numpy.
+
+    The kernel is built for the plant's exact zeros and ones
+    (:func:`_float_kernel` with its A and C), and the plain kernel, with
+    nothing folded, is its fallback: it reruns the call when the folded
+    one stops or fails, or records an entry whose magnitude is not below
+    2**500 (NaN and inf are not below). So every outcome is the plain
+    kernel's: each recorded covariance bit, the failing row and step.
+
+    The range argument: a recorded entry below 2**500 starts each step; a
+    receiving step checks that its updated covariance has a sum of squares
+    below 2**1000, so each of its entries is below 2**500 too; and with
+    n <= 5 and every coefficient of A and C below 2**250, no sum or
+    product in X C', C X C', A X or (A X) A' reaches 2**1024. On that
+    range every value is finite, so 0 times a value is a zero and dropping
+    it changes at most the sign of a zero sum, which the Q and r added
+    last erase (a zero sum plus +0.0 is +0.0); 1 times a value is the
+    value; and x + x does not overflow, so (x + x) * 0.5 is x. A step that
+    leaves the range overflows in the update (the check stops it) or
+    records an entry of 2**500 or more (the fallback reruns it). Outside
+    that range of A and C, for a C of zeros (whose gain 0 times lam / r
+    is NaN when lam / r overflows) and for a Q holding -0.0 (-0.0 plus
+    -0.0 keeps its sign) nothing is folded and the plain kernel runs
+    alone.
+    """
+    if sys.m != 1 or sys.n > _FLOAT_MAX_N:
+        return None
+    plain = _float_kernel(sys.n)
+    coefficients = sys.A.ravel().tolist() + sys.C.ravel().tolist()
+    if (not all(abs(v) < _FOLD_COEFFICIENT for v in coefficients)
+            or not any(sys.C.ravel().tolist())
+            or any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in sys.Q.ravel().tolist())):
+        return plain
+    folded = _float_kernel(sys.n, tuple(v if v in (0.0, 1.0) else None for v in coefficients))
+
+    def covariances(sys, G, P):
+        if folded(sys, G, P) is None and np.abs(P).max(initial=0.0) < _FOLD_RECORD:
+            return None
+        return plain(sys, G, P)
+    return covariances
 
 
 @functools.cache
-def _float_kernel(n: int) -> Callable:
+def _float_kernel(n: int, known: tuple | None = None) -> Callable:
     """:func:`riccati_map` chained over rows of weights, for plants with n
     states and one output, as straight-line Python float code built by
     ``exec``: the covariance loop of :func:`filter_errors` (weights 0 and
@@ -293,6 +354,21 @@ def _float_kernel(n: int) -> Callable:
     overflows. A coefficient of zero still multiplies, so 0 times an
     overflowed entry is NaN, as in numpy.
 
+    With ``known`` None that is the plain kernel. ``known`` a tuple holds,
+    for each coefficient of A (row by row) and then of C, its value where
+    it is exactly 0.0 or 1.0 and None elsewhere, and builds the folded
+    kernel, which holds only on a bounded range (:func:`_float_route`):
+
+    - a product with a coefficient of 1.0 is its operand;
+    - a term with a coefficient of 0.0 is dropped, and so is any
+      statement that leaves unused (a sum left with no term is zero, and
+      its products are dropped in turn);
+    - the symmetrization (x + x) * 0.5 is dropped;
+    - Q and r are still added, so a sum with every term dropped reads
+      them;
+    - a receiving step whose updated covariance has a sum of squares of
+      2**1000 or more (or NaN) stops the kernel, as a bad variance does.
+
     ``covariances(sys, G, P)`` steps each row of weights G from
     P[row, 0], row by row, and fills P with the iterates: it records only
     the covariances. Each step of nonzero weight forms its gain for the
@@ -302,20 +378,53 @@ def _float_kernel(n: int) -> Callable:
     step, leaving that row and later ones unfilled; otherwise it returns
     None.
     """
+    N = range(n)
+    upper = [(i, j) for i in N for j in N if i <= j]
+    fold = known is not None
+    value = dict(zip([f"a{i}_{j}" for i in N for j in N] + [f"c{j}" for j in N], known or ()))
+    zero, used = set(), set()
+
     def x(i, j):
         return f"x{min(i, j)}_{max(i, j)}"
 
-    def total(terms):
-        return " + ".join(terms)
+    def times(left, right):
+        """left * right with a factor of 0.0 or 1.0 folded; None for zero."""
+        if {left, right} & zero or 0.0 in (value.get(left), value.get(right)):
+            return None
+        used.update((left, right))
+        if value.get(left) == 1.0:
+            return right
+        return left if value.get(right) == 1.0 else f"{left} * {right}"
+
+    def total(name, terms, last=None):
+        """``name = `` the terms' sum, left to right, then ``last``; a sum
+        left with no term is zero and no statement."""
+        terms = [term for term in terms if term is not None] + ([last] if last else [])
+        if not terms:
+            zero.add(name)
+            return None
+        return f"{name} = " + " + ".join(terms)
 
     def lines(statements, depth):
-        return ("\n" + "    " * depth).join(statements)
+        return ("\n" + "    " * depth).join(s for s in statements if s is not None)
 
-    N = range(n)
-    upper = [(i, j) for i in N for j in N if i <= j]
-    AX = [f"ax{i}_{j} = " + total(f"a{i}_{l} * {x(l, j)}" for l in N) for i in N for j in N]
-    AXA = [total(f"ax{i}_{l} * a{j}_{l}" for l in N) + f" + q{i}_{j}" for i, j in upper]
-    symmetrize = [f"{x(i, j)} = ({x(i, j)} + {x(i, j)}) * 0.5" for i, j in upper]
+    # built in order of use, then pruned of the temporaries nothing reads
+    AX = {(i, j): total(f"ax{i}_{j}", (times(f"a{i}_{l}", x(l, j)) for l in N))
+          for i in N for j in N}
+    AXA = [total(x(i, j), (times(f"ax{i}_{l}", f"a{j}_{l}") for l in N), f"q{i}_{j}")
+           for i, j in upper]
+    AX = [s for (i, j), s in AX.items() if f"ax{i}_{j}" in used]
+    XC = [total(f"xc{i}", (times(x(i, j), f"c{j}") for j in N)) for i in N]
+    S = total("s", (times(f"c{i}", f"xc{i}") for i in N), "r")
+    gains = [total(f"k{i}", [times(f"xc{i}", "f")]) for i in N]
+    updates = []
+    for i, j in upper:
+        term = times(f"k{i}", f"xc{j}")
+        if term is not None:
+            updates.append(f"{x(i, j)} = {x(i, j)} - {term}")
+    gains = [s for i, s in enumerate(gains) if f"k{i}" in used]
+    symmetrize = [] if fold else [f"{x(i, j)} = ({x(i, j)} + {x(i, j)}) * 0.5" for i, j in upper]
+    squares = " + ".join(f"{x(i, j)} * {x(i, j)}" for i, j in upper)
     fields = dict(
         nn=n * n,
         state=", ".join(x(i, j) for i, j in upper),
@@ -326,15 +435,13 @@ def _float_kernel(n: int) -> Callable:
             "r = sys.R.item()"], 1),
         symmetrize=lines(symmetrize, 2),
         # X C' and C (X C') + R
-        innovation=lines(
-            [f"xc{i} = " + total(f"{x(i, j)} * c{j}" for j in N) for i in N]
-            + ["s = " + total(f"c{i} * xc{i}" for i in N) + " + r"], 4),
+        innovation=lines(XC + [S], 4),
         # K = (X C') (lam / s) and X - K (X C')'
-        filter_update=lines(
-            ["f = lam / s"] + [f"k{i} = xc{i} * f" for i in N]
-            + [f"{x(i, j)} = {x(i, j)} - k{i} * xc{j}" for i, j in upper], 4),
+        filter_update=lines((["f = lam / s"] if "f" in used else []) + gains + updates, 4),
+        guard=(f"if not {squares} < {_FOLD_UPDATE!r}:\n" + "    " * 5
+               + f"return row, len(xs) // {n * n} - 1") if fold else "",
         record_state=lines([f"xs.append({x(i, j)})" for i in N for j in N], 3),
-        predict=lines(AX + [f"{x(i, j)} = {e}" for (i, j), e in zip(upper, AXA)] + symmetrize, 3),
+        predict=lines(AX + AXA + symmetrize, 3),
     )
     namespace = dict(inf=math.inf, UPPER=np.triu_indices(n))
     exec(_FLOAT_SOURCE.format(**fields), namespace)
@@ -393,14 +500,15 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
 
     from e(0) = e0 and P(0) = Sigma0, which must be exactly symmetric
     (:class:`ValidationError` otherwise). Only the covariance is stepped,
-    P(k+1) = riccati_map(P(k), sys, gamma(k)) on all rows at once; a
-    single-output plant with n <= :data:`_FLOAT_MAX_N` steps it on Python
-    floats, row by row (:func:`_float_kernel`), with the map's bits at
-    n = 1 and its values up to the sums' rounding above. The gains are
-    then read off the recorded P(k), k < N, in one :func:`_gains` call, on
-    the float route from X C' and C X C' + r summed left to right over
-    entrywise products as the kernel sums them, with K(k) v(k) one product
-    per entry. Given the gains the error recursion is linear,
+    P(k+1) = riccati_map(P(k), sys, gamma(k)) on all rows at once, whose
+    stacked map (:func:`_stacked_map`) hands over the gains K(k) it formed;
+    a single-output plant with n <= :data:`_FLOAT_MAX_N` steps it on Python
+    floats, row by row (:func:`_float_route`), with the map's bits at
+    n = 1 and its values up to the sums' rounding above, and its gains are
+    then read off the recorded P(k), k < N, in one :func:`_gains` call,
+    from X C' and C X C' + r summed left to right over entrywise products
+    as the kernel sums them, with K(k) v(k) one product per entry. Given
+    the gains the error recursion is linear,
     e(k+1) = A (I - K(k) C) e(k) + A K(k) v(k) - w(k), so it is solved for
     all steps at once after the loop (one banded triangular solve), and
     e_f(k) = (I - K(k) C) e(k) + K(k) v(k) in one batched product. A
@@ -445,17 +553,17 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     P[:, 0] = _prior(sys)
     kernel = _float_route(sys)
     if kernel is None:
+        # each step's gains as the map formed them
+        K = np.empty((rows, N, n, m))
         for k in range(N):
-            P[:, k + 1] = riccati_map(P[:, k], sys, G[:, k])
+            P[:, k + 1], K[:, k] = _stacked_map(P[:, k], sys, G[:, k])
+        Kv = K @ v
     elif kernel(sys, G, P) is not None:
         raise NumericalError(_BAD_VARIANCE)
-    # gains of P(k), k < N: exactly zero where a row missed, even on inf
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if kernel is None:
-            XC = P[:, :N] @ C.T
-            S = C @ XC + R
-        else:
-            # X C' and C X C' + r as the kernel sums them, left to right
+    else:
+        # gains of P(k), k < N: exactly zero where a row missed, even on
+        # inf, from X C' and C X C' + r as the kernel sums them, left to right
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             c = C[0].tolist()
             Pk = P[:, :N]
             XC = Pk[..., 0] * c[0]
@@ -465,9 +573,8 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
             for i in range(1, n):
                 S += XC[..., i] * c[i]
             S += R[0, 0]
-            XC, S = XC[..., None], S[..., None, None]
-        K = _gains(XC, S, G)
-        Kv = K @ v if kernel is None else K * v
+            K = _gains(XC[..., None], S[..., None, None], G)
+            Kv = K * v
     IKC = np.eye(n) - K @ C
     e = _linear_recursion(A @ IKC, (A @ Kv)[..., 0] - w, e0)
     E = (IKC @ e[:, :N, :, None] + Kv)[..., 0]

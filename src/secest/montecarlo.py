@@ -26,7 +26,9 @@ Two levels of fidelity:
 Both recursions take the filter's covariance step, which is
 :func:`~secest.kalman.riccati_map`'s. On a single-output plant with at
 most five states both step in the filter's straight-line Python float
-kernel, generated for its size, which is faster than the matrix products:
+kernel, generated for its size and for the exact zeros and ones of its A
+and C (:func:`~secest.kalman._float_route`, whose bits are the plain
+kernel's), which is faster than the matrix products:
 the trace's two receivers and the curves' rates are its rows. The kernel
 records only the covariances; the filter reads its gains off them, and the
 curve its traces. At n = 1 it gives their bits. From n = 2 the sums round
@@ -124,9 +126,11 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     Stream usage is fixed: the initial state consumes the first n draws of
     the process-noise stream, then each step consumes one row of process
     noise, one row of measurement noise, and one uniform from each of the
-    coin and the two erasure streams. Erasure uniforms are drawn every step
-    whether or not the packet was sent, so reception patterns at different
-    withholding probabilities come from the same underlying sample.
+    coin and the two erasure streams. One generator serves them all, in
+    stream order, re-keyed to the start of each next stream. Erasure
+    uniforms are drawn every step whether or not the packet was sent, so
+    reception patterns at different withholding probabilities come from
+    the same underlying sample.
 
     The state x(k+1) = A x(k) + w(k) is one banded triangular solve over
     all steps, and both receivers' filters are one :func:`filter_errors`
@@ -144,16 +148,18 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     n, m = sys.n, sys.m
     steps = T + 1
 
-    w_stream = RngStream(seed, STREAM_PROCESS_NOISE)
-    v_stream = RngStream(seed, STREAM_MEASUREMENT_NOISE)
-    coin = RngStream(seed, STREAM_MECHANISM).uniforms(steps)
-    link1 = RngStream(seed, STREAM_USER_ERASURE).uniforms(steps)
-    link2 = RngStream(seed, STREAM_EAVESDROPPER_ERASURE).uniforms(steps)
-
+    stream = RngStream(seed, STREAM_PROCESS_NOISE)
     L0, Lq, Lr = sys.noise_factors
-    x0 = L0 @ w_stream.standard_normals(n)
-    w = w_stream.standard_normals((steps, n)) @ Lq.T
-    v = v_stream.standard_normals((steps, m)) @ Lr.T
+    x0 = L0 @ stream.standard_normals(n)
+    w = stream.standard_normals((steps, n)) @ Lq.T
+    stream._switch(STREAM_MEASUREMENT_NOISE)
+    v = stream.standard_normals((steps, m)) @ Lr.T
+    stream._switch(STREAM_MECHANISM)
+    coin = stream.uniforms(steps)
+    stream._switch(STREAM_USER_ERASURE)
+    link1 = stream.uniforms(steps)
+    stream._switch(STREAM_EAVESDROPPER_ERASURE)
+    link2 = stream.uniforms(steps)
 
     sent = coin < mech.p
     gamma1 = sent & (link1 < ch.p1)
@@ -190,7 +196,7 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
         xhat1=xhat[0], xhat2=xhat[1],
         trP1=trP[0], trP2=trP[1],
         err1=err[0], err2=err[1],
-        seed=w_stream.seed, p=mech.p, p1=ch.p1, p2=ch.p2,
+        seed=stream.seed, p=mech.p, p1=ch.p1, p2=ch.p2,
     )
 
 
@@ -211,7 +217,7 @@ def expected_error_curve(sys: LinearSystem, mech: Mechanism, rate: float,
     recursion, :func:`~secest.kalman.riccati_map` chained over the
     fractions. Returns the trace at each step k = 0..T. A single-output
     plant with n <= 5 states steps it in the filter's float kernel
-    (:func:`~secest.kalman._float_kernel`), on one row of fractions, bit
+    (:func:`~secest.kalman._float_route`), on one row of fractions, bit
     for bit as riccati_map at n = 1, and reads the traces off the
     covariances the kernel records, with no gain or variance buffer; other
     plants call riccati_map itself.

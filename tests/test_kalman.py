@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from secest import (
     riccati_map,
     simulate_trace,
 )
+from secest.cli import load_config
 from secest.kalman import (_POTRF, _TRSM, Coefficients, _factored_update, _float_kernel,
                            _gains, _innovation_solve, _linear_recursion,
                            batch_covariance_oracle)
@@ -664,22 +666,23 @@ def test_scalar_filter_is_bit_identical_to_numpy_loop(a, N):
 
 
 def test_scalar_route_never_reaches_the_stacked_gains(monkeypatch, scalar_sys):
-    """The numpy route steps riccati_map once per step, on all rows, which
-    forms that step's gains in one _gains call, and reads the gains off the
-    recorded covariances in one more call after the loop; the scalar route
+    """The numpy route steps riccati_map's stacked map once per step, on all
+    rows, which forms that step's gains in one _gains call and hands them
+    to the filter, so no gain is formed after the loop; the scalar route
     steps no gain in numpy and reads all of them off its covariances in
     one call after the loop."""
     def refuse(*args):
         raise AssertionError("the float route reached riccati_map")
 
     calls, steps = [], []
-    gains, step = kalman._gains, kalman.riccati_map
+    gains, step = kalman._gains, kalman._stacked_map
     G = np.arange(60).reshape(3, 20) % 3 != 0
     monkeypatch.setattr(kalman, "_gains", lambda *args: calls.append(1) or gains(*args))
-    monkeypatch.setattr(kalman, "riccati_map", lambda *args: steps.append(1) or step(*args))
+    monkeypatch.setattr(kalman, "_stacked_map", lambda *args: steps.append(1) or step(*args))
     filter_errors(PLANTS["six_state"], G, np.zeros(6), 0.0, 0.0)
-    assert len(steps) == 20 and len(calls) == 21
+    assert len(steps) == 20 and len(calls) == 20
     monkeypatch.setattr(kalman, "riccati_map", refuse)
+    monkeypatch.setattr(kalman, "_stacked_map", refuse)
     for rows in (G, G[0]):
         calls.clear()
         filter_errors(scalar_sys, rows, np.zeros(1), 0.0, 0.0)
@@ -1064,6 +1067,7 @@ def test_float_route_forms_its_gains_in_one_call(monkeypatch, n, N):
     gains = kalman._gains
     monkeypatch.setattr(kalman, "_gains", lambda *a: calls.append(1) or gains(*a))
     monkeypatch.setattr(kalman, "riccati_map", refuse)
+    monkeypatch.setattr(kalman, "_stacked_map", refuse)
     G = np.arange(3 * N).reshape(3, N) % 3 != 0
     for rows in (G, G[0]):
         calls.clear()
@@ -1096,3 +1100,140 @@ def test_float_route_stacked_rows_equal_single_rows(n):
                           np.append(v, v[:1], axis=0))
     assert not np.isfinite(P[1, -1]).any()
     assert np.isfinite(P[[0, 2]]).all() and np.isfinite(E).all()
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _kernel_outcome(kernel, sys, G):
+    """What a float kernel call on the rows G leaves: its return value (or
+    the exception it raised) and the covariances it recorded, all of P or,
+    when it stopped on a row, the rows before it."""
+    P = np.full((len(G), G.shape[1] + 1, sys.n, sys.n), 7.0)
+    P[:, 0] = sys.Sigma0
+    try:
+        failed = kernel(sys, G, P)
+    except Exception as exc:
+        return type(exc), None
+    return failed, (P if failed is None else P[:failed[0]]).tobytes()
+
+
+def _fold_cases():
+    """(label, plant, rows of weights) on which the folded kernel's route
+    must give the plain kernel's outcome, 695 of them:
+
+    - the three shipped configs, two receivers' reception rows at
+      p = 0.2, 0.51 and 1.0 over 15 seeds, and one pair of fractional
+      rows per p, T = 300;
+    - a = 10 with C = -0.7 and C = 1: a reception, k misses and a
+      reception, k = 0, 2, ..., 198, which runs from a cancelling update
+      (a bad variance) to an overflowed covariance;
+    - upper-triangular, diagonal, zero-column and rotation A (n = 2 and
+      3) times 1, 10, 2**120, 2**249 and 2**251, with C = e_j, a Q with and
+      without off-diagonals and a Sigma0 with zero off-diagonals:
+      receiving at 0.3 and 0.8, never and always, and fractional weights;
+    - an unobservable unstable mode (1.5, C = e_1) run to overflow at
+      T = 2000;
+    - an updated covariance that overflows where only zero coefficients
+      read it (R near -1 against a Sigma0 that is not PSD): the folded
+      kernel's stop at a sum of squares of 2**1000 catches it;
+    - plants the route does not fold: a coefficient of 2**600 whose
+      product overflows where only zeros read it, a C of zeros with an r
+      whose inverse overflows, and a Q holding -0.0 against a Sigma0
+      holding -0.0.
+    """
+    cases = []
+    rng = np.random.default_rng(38)
+    for name in ("scalar.json", "scalar_p1_0.9_p2_0.6.json", "second_order.json"):
+        cfg = load_config(str(CONFIGS / name))
+        sys, rates = cfg.system, np.array([[cfg.channel.p1], [cfg.channel.p2]])
+        for p in (0.2, 0.51, 1.0):
+            for seed in range(15):
+                cases.append((f"{name} p {p}", sys, rng.random((2, 300)) < p * rates))
+            cases.append((f"{name} p {p} fractions", sys,
+                          rng.binomial(50, p * rates, (2, 300)) / 50))
+    for c in (-0.7, 1.0):
+        sys = LinearSystem(A=10.0, C=c, Q=0.8, R=1.3, Sigma0=1.0)
+        for k in range(0, 200, 2):
+            cases.append((f"a = 10, c = {c}, {k} misses", sys, np.array([[1] + [0] * k + [1]])))
+    shapes = {"upper": [[1.2, 1.0], [0.0, 1.1]], "diagonal": [[1.2, 0.0], [0.0, 0.5]],
+              "zero column 0": [[0.0, 1.0], [0.0, 1.1]], "zero column 1": [[1.2, 0.0], [1.0, 0.0]],
+              "rotation": [[0.0, -1.0], [1.0, 0.0]],
+              "upper 3": [[1.2, 1.0, 0.0], [0.0, 1.1, 1.0], [0.0, 0.0, 0.9]],
+              "rotation 3": [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]}
+    for scale in (1.0, 10.0, 2.0 ** 120, 2.0 ** 249, 2.0 ** 251):
+        for shape, A in shapes.items():
+            n = len(A)
+            for j in range(n):
+                for Q, Sigma0 in ((np.eye(n), np.eye(n)),
+                                  (np.full((n, n), 0.25) + 0.75 * np.eye(n), 2.0 * np.eye(n))):
+                    sys = LinearSystem(A=scale * np.array(A), C=np.eye(n)[j:j + 1], Q=Q, R=0.7,
+                                       Sigma0=Sigma0)
+                    label = f"{shape} A x {scale:g}, C = e_{j}"
+                    cases.append((label, sys, np.array([rng.random(300) < 0.3,
+                                                        rng.random(300) < 0.8,
+                                                        np.zeros(300), np.ones(300)])))
+                    cases.append((f"{label}, fractions", sys,
+                                  rng.random((2, 300)) * (rng.random((2, 300)) < 0.6)))
+    for A in ([[1.5, 0.0], [0.0, 0.5]], [[1.5, 1.0], [0.0, 0.5]],
+              [[1.5, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.2]]):
+        n = len(A)
+        sys = LinearSystem(A=A, C=np.eye(n)[1:2], Q=np.eye(n), R=1.0, Sigma0=np.eye(n))
+        for rows in (rng.random((2, 2000)) < 0.5, np.ones((2, 2000)), rng.random((2, 2000))):
+            cases.append((f"unobservable 1.5, n = {n}", sys, rows))
+    for r in (-0.999999, -0.99999999999, -1.0 + 2.0 ** -52):
+        for A in ([[1.2, 0.0], [0.5, 0.0]], [[0.0, 1.0], [0.0, 1.1]]):
+            sys = LinearSystem(A=A, C=[[1.0, 0.0]], Q=np.eye(2), R=r,
+                               Sigma0=[[1.0, 1e150], [1e150, 1.0]])
+            for rows in ([[1, 0, 0]], [[0, 0, 1, 0]], [[1, 0], [0, 1]]):
+                cases.append((f"gain overflow, r = {r}, A = {A}", sys, np.array(rows)))
+    cases.append(("coefficient 2**600", LinearSystem(
+        A=[[0.0, 0.0], [2.0 ** 600, 0.0]], C=[[1.0, 0.0]], Q=np.eye(2), R=1.0,
+        Sigma0=[[0.0, 2.0 ** 450], [2.0 ** 450, 1.0]]), np.zeros((1, 1))))
+    for n in (1, 2):
+        sys = LinearSystem(A=1.2 * np.eye(n), C=np.zeros((1, n)), Q=np.eye(n), R=1e-320,
+                           Sigma0=np.eye(n))
+        cases.append((f"C = 0, n = {n}", sys, np.ones((1, 5))))
+    signed = np.array([[1.0, -0.0], [-0.0, 1.0]])
+    cases.append(("Q and Sigma0 holding -0.0", LinearSystem(
+        A=np.diag([1.2, 0.5]), C=[[1.0, 0.0]], Q=signed, R=1.0, Sigma0=signed), np.zeros((1, 3))))
+    return cases
+
+
+def test_folded_kernel_gives_the_plain_kernels_outcomes():
+    """The route's folded kernel, with the plain kernel as its fallback,
+    leaves what the plain kernel alone leaves, on every case of
+    :func:`_fold_cases`: the same return value (the failing row and step),
+    the same recorded covariance bits, and the same exception if one
+    raises. Most cases fold
+    (shipped configs included); the cases at 2**251, 2**600, C = 0 and
+    -0.0 do not, and the overflow cases fold but fall back."""
+    cases = _fold_cases()
+    folded = [label for label, sys, _ in cases
+              if kalman._float_route(sys) is not _float_kernel(sys.n)]
+    mismatches = [label for label, sys, G in cases
+                  if _kernel_outcome(kalman._float_route(sys), sys, G)
+                  != _kernel_outcome(_float_kernel(sys.n), sys, G)]
+    assert len(cases) >= 400 and len(folded) >= 400
+    assert mismatches == []
+
+
+def test_route_folds_on_its_range():
+    """The route folds the shipped configs' plants, and no plant with a
+    coefficient of A or C of 2**250 or more, a C of zeros or a Q holding
+    -0.0: there the plain kernel runs alone."""
+    for name in ("scalar.json", "second_order.json"):
+        sys = load_config(str(CONFIGS / name)).system
+        assert kalman._float_route(sys) is not _float_kernel(sys.n)
+    plain = {label: sys for label, sys, _ in _fold_cases()
+             if kalman._float_route(sys) is _float_kernel(sys.n)}
+    assert set(plain) == {"coefficient 2**600", "C = 0, n = 1", "C = 0, n = 2",
+                          "Q and Sigma0 holding -0.0",
+                          *(f"{shape} A x {2.0 ** 251:g}, C = e_{j}{suffix}"
+                            for shape in ("upper", "diagonal", "zero column 0", "zero column 1",
+                                          "rotation", "upper 3", "rotation 3")
+                            for j in range(3 if "3" in shape else 2)
+                            for suffix in ("", ", fractions"))}
+    second_order = load_config(str(CONFIGS / "second_order.json")).system
+    assert kalman._float_route(dataclasses.replace(second_order, A=2.0 ** 250 * second_order.A)) \
+        is _float_kernel(2)

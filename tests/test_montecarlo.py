@@ -253,6 +253,28 @@ class TestSimulateTrace:
         assert np.all(lo.gamma1 <= hi.gamma1)
         assert np.all(lo.gamma1 <= lo.sent)
 
+    @pytest.mark.parametrize("seed", [0, 9, 2**40 + 3, 2**160 + 7])
+    def test_each_draw_is_its_streams(self, second_order_sys, channel_96, seed):
+        """One generator, re-keyed, serves streams 0-4, and each draw is the
+        one RngStream(seed, s) makes: the initial state and the process
+        noise from stream 0, the measurement noise from stream 1, the coin
+        and the two links from streams 2, 3 and 4, bit for bit."""
+        sys, T, p = second_order_sys, 50, 0.7
+        tr = simulate_trace(sys, Mechanism(p), channel_96, T=T, seed=seed)
+        L0, Lq, Lr = sys.noise_factors
+        process = RngStream(seed, 0)
+        x0 = L0 @ process.standard_normals(2)
+        w = process.standard_normals((T + 1, 2)) @ Lq.T
+        x = montecarlo._linear_recursion(sys.A, w[None, :T], x0)[0]
+        v = RngStream(seed, 1).standard_normals((T + 1, 1)) @ Lr.T
+        sent = RngStream(seed, 2).uniforms(T + 1) < p
+        assert np.array_equal(tr.x, x)
+        assert np.array_equal(tr.y, (sys.C @ x[:, :, None])[..., 0] + v)
+        assert np.array_equal(tr.sent, sent)
+        assert np.array_equal(tr.gamma1, sent & (RngStream(seed, 3).uniforms(T + 1) < 0.9))
+        assert np.array_equal(tr.gamma2, sent & (RngStream(seed, 4).uniforms(T + 1) < 0.6))
+        assert tr.seed == seed
+
     def test_covariance_matches_batch_oracle(self, second_order_sys, channel_96):
         tr = simulate_trace(second_order_sys, Mechanism(0.6), channel_96, T=40, seed=7)
         covs = batch_covariance_oracle(second_order_sys, tr.gamma1[:40])
