@@ -48,7 +48,9 @@ not the arithmetic, would dominate the covariance recursion, so it steps
 in straight-line Python float code generated for each n
 (:func:`_float_kernel`), over the n(n+1)/2 entries of the symmetric
 covariance: the filter's rows with weights gamma(k), and the averaged
-curve's with each step's reception fraction. The kernel records only the
+curve's with each step's reception fraction. It reads Q off its upper
+triangle, which is Q: :class:`~secest.linmodel.LinearSystem` stores every
+covariance exactly symmetric. The kernel records only the
 covariances; the filter reads its gains off them after the loop, in one
 :func:`_gains` call, with X C' and C X C' + r summed as the kernel sums
 them, left to right over entrywise products, so the gains are the
@@ -308,22 +310,19 @@ def _float_route(sys: LinearSystem) -> Callable | None:
     product in X C', C X C', A X or (A X) A' reaches 2**1024. On that
     range every value is finite, so 0 times a value is a zero and dropping
     it changes at most the sign of a zero sum, which the Q and r added
-    last erase (a zero sum plus +0.0 is +0.0); 1 times a value is the
-    value; and x + x does not overflow, so (x + x) * 0.5 is x. A step that
-    leaves the range overflows in the update (the check stops it) or
-    records an entry of 2**500 or more (the fallback reruns it). Outside
-    that range of A and C, for a C of zeros (whose gain 0 times lam / r
-    is NaN when lam / r overflows) and for a Q holding -0.0 (-0.0 plus
-    -0.0 keeps its sign) nothing is folded and the plain kernel runs
-    alone.
+    last erase (a zero sum plus +0.0 is +0.0, and :class:`LinearSystem`
+    stores no -0.0); 1 times a value is the value; and x + x does not
+    overflow, so (x + x) * 0.5 is x. A step that leaves the range
+    overflows in the update (the check stops it) or records an entry of
+    2**500 or more (the fallback reruns it). Outside that range of A and
+    C, and for a C of zeros (whose gain 0 times lam / r is NaN when
+    lam / r overflows), nothing is folded and the plain kernel runs alone.
     """
     if sys.m != 1 or sys.n > _FLOAT_MAX_N:
         return None
     plain = _float_kernel(sys.n)
     coefficients = sys.A.ravel().tolist() + sys.C.ravel().tolist()
-    if (not all(abs(v) < _FOLD_COEFFICIENT for v in coefficients)
-            or not any(sys.C.ravel().tolist())
-            or any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in sys.Q.ravel().tolist())):
+    if not all(abs(v) < _FOLD_COEFFICIENT for v in coefficients) or not any(coefficients[-sys.n:]):
         return plain
     folded = _float_kernel(sys.n, tuple(v if v in (0.0, 1.0) else None for v in coefficients))
 
@@ -480,13 +479,6 @@ def _linear_recursion(F, b: np.ndarray, x0: np.ndarray) -> np.ndarray:
     return x.reshape(B, N + 1, n)
 
 
-def _prior(sys: LinearSystem) -> np.ndarray:
-    """Sigma0, if symmetric bit for bit: the routes would read an asymmetric one apart."""
-    if sys.Sigma0.tobytes() != sys.Sigma0.T.tobytes():
-        raise ValidationError("Sigma0 must be symmetric to start a covariance recursion")
-    return sys.Sigma0
-
-
 def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     """Run the intermittent Kalman filter over reception sequences, in error form.
 
@@ -498,8 +490,7 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
         P_f(k) = P(k) - gamma(k) K(k) (X C')',
         e(k+1) = A e_f(k) - w(k),   P(k+1) = sym(A P_f(k) A' + Q),
 
-    from e(0) = e0 and P(0) = Sigma0, which must be exactly symmetric
-    (:class:`ValidationError` otherwise). Only the covariance is stepped,
+    from e(0) = e0 and P(0) = Sigma0. Only the covariance is stepped,
     P(k+1) = riccati_map(P(k), sys, gamma(k)) on all rows at once, whose
     stacked map (:func:`_stacked_map`) hands over the gains K(k) it formed;
     a single-output plant with n <= :data:`_FLOAT_MAX_N` steps it on Python
@@ -550,7 +541,7 @@ def filter_errors(sys: LinearSystem, gammas, e0, w, v):
     v = v[..., None]
     A, C, R = sys.A, sys.C, sys.R
     P = np.empty((rows, N + 1, n, n))
-    P[:, 0] = _prior(sys)
+    P[:, 0] = sys.Sigma0
     kernel = _float_route(sys)
     if kernel is None:
         # each step's gains as the map formed them

@@ -113,8 +113,8 @@ import scipy.linalg as sla
 from .errors import NumericalError, ValidationError
 
 # Relative tolerance for accepting and silently symmetrizing a noise matrix
-# that is symmetric up to floating-point noise. Grossly asymmetric inputs are
-# left untouched so validation can reject them.
+# that is symmetric up to floating-point noise. A plant with a grossly
+# asymmetric one cannot be built.
 _SYM_RTOL = 1e-9
 
 # A covariance counts as positive definite when its smallest eigenvalue
@@ -192,13 +192,17 @@ def _sym(X: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.conj().swapaxes(-1, -2))
 
 
-def _maybe_symmetrize(arr: np.ndarray) -> np.ndarray:
+def _as_covariance(value, name: str) -> np.ndarray:
+    """:func:`_as_matrix`, then for a square matrix its symmetric part with
+    each negative zero made positive; one asymmetric beyond _SYM_RTOL
+    raises. A matrix that is not square is left for the shape check."""
+    arr = _as_matrix(value, name)
     if arr.shape[0] != arr.shape[1]:
         return arr
     gap = np.max(np.abs(arr - arr.T))
-    if gap <= _SYM_RTOL * (1.0 + np.max(np.abs(arr))):
-        return _sym(arr)
-    return arr
+    if gap > _SYM_RTOL * (1.0 + np.max(np.abs(arr))):
+        raise ValidationError(f"{name} must be symmetric, got max |{name} - {name}'| = {gap:.6g}")
+    return _sym(arr) + 0.0
 
 
 def cayley_shift(eigs: np.ndarray, shifts=_SHIFTS, floor: float = 0.0) -> complex | float | None:
@@ -476,12 +480,15 @@ class SchurFactor:
 class LinearSystem:
     """Immutable container for the plant matrices.
 
-    Scalars are accepted anywhere and treated as 1x1 matrices. Covariance
-    inputs that are symmetric up to roundoff are symmetrized on construction;
-    anything worse is kept as-is for :func:`validate_system` to flag. Shape
-    consistency is enforced here because a dimensionally inconsistent system
-    cannot even be represented; value-level requirements (definiteness,
-    instability) are reported by :func:`validate_system` instead of raised.
+    Scalars are accepted anywhere and treated as 1x1 matrices. Shape and
+    symmetry are enforced here, because every route reads (A, C, Q, R,
+    Sigma0) as the one plant they describe: a Q, R or Sigma0 that is
+    asymmetric beyond roundoff (max |M - M'| above 1e-9 (1 + max |M|))
+    raises :class:`~secest.errors.ValidationError` naming it, and one
+    within that is replaced by its symmetric part, every negative zero
+    made positive, so each covariance is stored exactly symmetric.
+    Value-level requirements (definiteness, instability) are reported by
+    :func:`validate_system` instead of raised.
 
     What depends on the plant alone is formed on first use and kept: the
     Schur factor, the user ceiling's frame and the Cholesky factors of
@@ -499,9 +506,9 @@ class LinearSystem:
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
         C = _as_matrix(self.C, "C")
-        Q = _maybe_symmetrize(_as_matrix(self.Q, "Q"))
-        R = _maybe_symmetrize(_as_matrix(self.R, "R"))
-        Sigma0 = _maybe_symmetrize(_as_matrix(self.Sigma0, "Sigma0"))
+        Q = _as_covariance(self.Q, "Q")
+        R = _as_covariance(self.R, "R")
+        Sigma0 = _as_covariance(self.Sigma0, "Sigma0")
 
         n = A.shape[0]
         if A.shape != (n, n):
@@ -547,21 +554,18 @@ class LinearSystem:
     def noise_factors(self) -> tuple:
         """The lower Cholesky factors (L0, Lq, Lr) of Sigma0, Q and R, formed
         on first use and kept, read-only: a simulated trace draws
-        x(0) = L0 z, w = Z Lq' and v = Z Lr' from them. A matrix that is not
-        symmetric positive definite has no factor and raises
-        :class:`~secest.errors.ValidationError` naming it. Construction
-        leaves a covariance exactly symmetric or asymmetric beyond roundoff,
-        and the factorization reads only the lower triangle, so symmetry is
-        checked exactly."""
+        x(0) = L0 z, w = Z Lq' and v = Z Lr' from them. Construction stores
+        each covariance exactly symmetric, so the factorization, which reads
+        the lower triangle, reads the whole matrix; one that is not positive
+        definite has no factor and raises
+        :class:`~secest.errors.ValidationError` naming it."""
         factors = []
         for name, arr in (("Sigma0", self.Sigma0), ("Q", self.Q), ("R", self.R)):
             try:
-                L = np.linalg.cholesky(arr) if (arr == arr.T).all() else None
+                L = np.linalg.cholesky(arr)
             except np.linalg.LinAlgError:
-                L = None
-            if L is None:
                 raise ValidationError(f"{name} must be symmetric positive definite to "
-                                      "draw noise from it")
+                                      "draw noise from it") from None
             L.flags.writeable = False
             factors.append(L)
         return tuple(factors)

@@ -66,7 +66,7 @@ from .channel import (
     _replication_counts,
 )
 from .errors import NumericalError, ValidationError
-from .kalman import (_BAD_VARIANCE, _float_route, _linear_recursion, _prior, filter_errors,
+from .kalman import (_BAD_VARIANCE, _float_route, _linear_recursion, filter_errors,
                      riccati_map)
 from .linmodel import LinearSystem
 
@@ -139,8 +139,7 @@ def simulate_trace(sys: LinearSystem, mech: Mechanism, ch: ChannelParams,
     infinite trace, also where the covariance holds NaN entries. The noise
     is drawn through the plant's Cholesky factors
     (:attr:`~secest.linmodel.LinearSystem.noise_factors`), so a Sigma0, Q
-    or R that is not symmetric positive definite raises
-    :class:`ValidationError`.
+    or R that is not positive definite raises :class:`ValidationError`.
     """
     T = _index(T, "T")
     if T < 0:
@@ -253,7 +252,7 @@ def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, ru
     try:
         if kernel is not None:
             P = np.empty((rows, T + 1, n, n))
-            P[:, 0] = _prior(sys)
+            P[:, 0] = sys.Sigma0
             failed = kernel(sys, fractions, P)
             if failed is not None:
                 row, k = failed
@@ -262,7 +261,7 @@ def _expected_error_curves(sys: LinearSystem, mech: Mechanism, rates, T: int, ru
         else:
             # an overflowing covariance is reported once, by the variance
             # check, not as raw numpy warnings
-            curves[:, 0] = np.trace(_prior(sys))
+            curves[:, 0] = np.trace(sys.Sigma0)
             with np.errstate(over="ignore", invalid="ignore"):
                 for row, lams in enumerate(fractions.tolist()):
                     P = sys.Sigma0

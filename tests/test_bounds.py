@@ -281,6 +281,12 @@ class TestFeasibility:
         with pytest.raises(ValidationError):
             feasibility_check(-0.2, scalar_sys)
 
+    def test_no_unstable_mode_is_feasible_at_every_rate(self):
+        sys = LinearSystem(A=[[0.9, 1.0], [0.0, 0.5]], C=[[1.0, 0.0]], Q=np.eye(2), R=1.0,
+                           Sigma0=np.eye(2))
+        assert sys.schur.k == 0
+        assert all(feasibility_check(lam, sys) for lam in (0.0, 0.3, 1.0))
+
     def test_within_roundoff_of_lower_is_decided_or_undecided(self, scalar_sys,
                                                                second_order_sys):
         # one ulp above p_lower the start Stein solve is beyond working

@@ -472,6 +472,19 @@ class TestCliFailure:
         assert code == 1
         assert any("positive definite" in f for f in err["error"]["report"]["failures"])
 
+    def test_asymmetric_noise_is_config_error(self, capsys, tmp_path):
+        # no plant holds an asymmetric covariance, so it is rejected with the
+        # system, before validation
+        doc = base_doc()
+        doc["system"].update(A=[[1.2, 1.0], [0.0, 1.1]], C=[[1.0, 0.0]],
+                             Q=[[1.0, 0.9], [0.1, 2.0]], Sigma0=[[1.0, 0.0], [0.0, 1.0]])
+        code, out, err = run_cli(capsys, "bounds", "--config", write_cfg(tmp_path, doc),
+                                 "--p", "0.9")
+        assert code == 1 and out is None
+        assert err["error"]["type"] == "ConfigError"
+        assert err["error"]["pointer"] == "/system"
+        assert err["error"]["message"] == "/system: Q must be symmetric, got max |Q - Q'| = 0.8"
+
     def test_pointer_surfaces_in_error_json(self, capsys, tmp_path):
         doc = base_doc()
         doc["channel"]["p1"] = 1.5
@@ -532,11 +545,14 @@ class TestCliFailure:
         (lambda doc: dict(doc, system=dict(doc["system"], A=[[1.2, 0.0], [0.0, 1.1]],
                                            C=[[1.0, 1.0]], Sigma0=[[1.0, 0.0], [0.0, 1.0]])),
          "/system"),
+        # R 2x2 for one output
+        (lambda doc: dict(doc, system=dict(doc["system"], R=[[1.0, 0.0], [0.0, 1.0]])),
+         "/system"),
         (lambda doc: dict(doc, channel=[0.9, 0.7]), "/channel"),
         (lambda doc: dict(doc, channel={"p2": 0.7}), "/channel/p1"),
         (lambda doc: dict(doc, out=3), "/out"),
     ], ids=["top-level-list", "system-number", "empty-matrix", "empty-row", "string-cell",
-            "noise-size", "channel-list", "missing-p1", "out-number"])
+            "noise-size", "R-size", "channel-list", "missing-p1", "out-number"])
     def test_malformed_config_points_at_its_field(self, capsys, tmp_path, edit, pointer):
         code, out, err = run_cli(capsys, "interval", "--config",
                                  write_cfg(tmp_path, edit(base_doc())))

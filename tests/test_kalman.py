@@ -931,24 +931,31 @@ def test_stacked_riccati_map_rows_are_one_matrix_calls(plant):
 
 
 def test_asymmetric_prior_rejected():
-    """A Sigma0 asymmetric beyond roundoff, which LinearSystem keeps as
-    given for validate_system to fail, would start the routes apart:
-    riccati_map reads its symmetric part and the float kernel its upper
-    triangle. filter_errors and expected_error_curve reject it, with a
-    ValidationError naming it, on the float route (C = [1, 0]) and the
-    numpy route (C = I); a Sigma0 asymmetric within roundoff is
-    symmetrized on construction and accepted."""
+    """A Q, R or Sigma0 asymmetric beyond roundoff would start the routes
+    apart: riccati_map reads its symmetric part, the float kernel its upper
+    triangle and a Cholesky factor its lower one. No plant holds one:
+    construction and dataclasses.replace raise a ValidationError naming
+    it, for the float route's plant (C = [1, 0]) and the numpy route's
+    (C = I). A matrix asymmetric within roundoff is symmetrized on
+    construction, and filter_errors and expected_error_curve accept it."""
+    bad = [[1.0, 0.9], [0.1, 2.0]]
+    near = {"Q": [[1.0, 0.5 + 1e-12], [0.5, 2.0]], "R": [[1.0, 0.2 + 1e-12], [0.2, 1.0]],
+            "Sigma0": [[1.0, 0.5 + 1e-12], [0.5, 2.0]]}
     for C in ([[1.0, 0.0]], np.eye(2)):
-        sys = LinearSystem(A=[[1.2, 1.0], [0.0, 1.1]], C=C, Q=np.eye(2), R=np.eye(len(C)),
-                           Sigma0=[[1.0, 0.9], [0.1, 2.0]])
+        plant = dict(A=[[1.2, 1.0], [0.0, 1.1]], C=C, Q=np.eye(2), R=np.eye(len(C)),
+                     Sigma0=np.eye(2))
+        sys = LinearSystem(**plant)
         assert (kalman._float_route(sys) is None) == (len(C) == 2)
-        with pytest.raises(ValidationError, match="Sigma0"):
-            filter_errors(sys, [True], np.zeros(2), 0.0, 0.0)
-        with pytest.raises(ValidationError, match="Sigma0"):
-            expected_error_curve(sys, Mechanism(0.8), 0.9, T=10, runs=5, seed=1)
-        near = dataclasses.replace(sys, Sigma0=[[1.0, 0.5 + 1e-12], [0.5, 2.0]])
-        filter_errors(near, [True], np.zeros(2), 0.0, 0.0)
-        expected_error_curve(near, Mechanism(0.8), 0.9, T=10, runs=5, seed=1)
+        for name in ("Q", "R", "Sigma0") if len(C) == 2 else ("Q", "Sigma0"):
+            with pytest.raises(ValidationError, match=f"^{name} must be symmetric, got"):
+                LinearSystem(**dict(plant, **{name: bad}))
+            with pytest.raises(ValidationError, match=f"^{name} must be symmetric, got"):
+                dataclasses.replace(sys, **{name: bad})
+            kept = dataclasses.replace(sys, **{name: near[name]})
+            M = getattr(kept, name)
+            assert np.array_equal(M, M.T)
+            filter_errors(kept, [True], np.zeros(2), 0.0, 0.0)
+            expected_error_curve(kept, Mechanism(0.8), 0.9, T=10, runs=5, seed=1)
 
 
 @pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (3, 2)])
@@ -1118,9 +1125,20 @@ def _kernel_outcome(kernel, sys, G):
     return failed, (P if failed is None else P[:failed[0]]).tobytes()
 
 
+# Plants whose A has a zero last row: in the folded kernel every term of
+# that row of A X is dropped, so the row's sums have no term left.
+ZERO_ROW_PLANTS = {
+    "zero row, n = 2": LinearSystem(A=[[1.2, 1.0], [0.0, 0.0]], C=[[1.0, 0.0]],
+                                    Q=[[1.0, 0.3], [0.3, 0.7]], R=0.5, Sigma0=np.eye(2)),
+    "zero row, n = 3": LinearSystem(A=[[1.2, 1.0, 0.0], [0.0, 1.1, 1.0], [0.0, 0.0, 0.0]],
+                                    C=[[1.0, 0.0, 0.0]], Q=np.eye(3) + 0.2, R=0.5,
+                                    Sigma0=np.eye(3)),
+}
+
+
 def _fold_cases():
     """(label, plant, rows of weights) on which the folded kernel's route
-    must give the plain kernel's outcome, 695 of them:
+    must give the plain kernel's outcome, 699 of them:
 
     - the three shipped configs, two receivers' reception rows at
       p = 0.2, 0.51 and 1.0 over 15 seeds, and one pair of fractional
@@ -1137,10 +1155,14 @@ def _fold_cases():
     - an updated covariance that overflows where only zero coefficients
       read it (R near -1 against a Sigma0 that is not PSD): the folded
       kernel's stop at a sum of squares of 2**1000 catches it;
+    - a Q and a Sigma0 given with -0.0 off-diagonals, which the plant
+      stores as +0.0;
+    - A with a zero last row (:data:`ZERO_ROW_PLANTS`), whose folded
+      kernel has a sum with no term left, with reception and fractional
+      rows;
     - plants the route does not fold: a coefficient of 2**600 whose
-      product overflows where only zeros read it, a C of zeros with an r
-      whose inverse overflows, and a Q holding -0.0 against a Sigma0
-      holding -0.0.
+      product overflows where only zeros read it, and a C of zeros with
+      an r whose inverse overflows.
     """
     cases = []
     rng = np.random.default_rng(38)
@@ -1197,6 +1219,9 @@ def _fold_cases():
     signed = np.array([[1.0, -0.0], [-0.0, 1.0]])
     cases.append(("Q and Sigma0 holding -0.0", LinearSystem(
         A=np.diag([1.2, 0.5]), C=[[1.0, 0.0]], Q=signed, R=1.0, Sigma0=signed), np.zeros((1, 3))))
+    for label, sys in ZERO_ROW_PLANTS.items():
+        cases.append((label, sys, np.array([rng.random(300) < 0.5, np.ones(300)])))
+        cases.append((f"{label}, fractions", sys, rng.random((2, 300))))
     return cases
 
 
@@ -1206,8 +1231,8 @@ def test_folded_kernel_gives_the_plain_kernels_outcomes():
     :func:`_fold_cases`: the same return value (the failing row and step),
     the same recorded covariance bits, and the same exception if one
     raises. Most cases fold
-    (shipped configs included); the cases at 2**251, 2**600, C = 0 and
-    -0.0 do not, and the overflow cases fold but fall back."""
+    (shipped configs included); the cases at 2**251, 2**600 and C = 0 do
+    not, and the overflow cases fold but fall back."""
     cases = _fold_cases()
     folded = [label for label, sys, _ in cases
               if kalman._float_route(sys) is not _float_kernel(sys.n)]
@@ -1218,17 +1243,39 @@ def test_folded_kernel_gives_the_plain_kernels_outcomes():
     assert mismatches == []
 
 
+@pytest.mark.parametrize("label", list(ZERO_ROW_PLANTS))
+def test_zero_row_of_A_folds_to_q(label):
+    """On an A whose last row is zero the route folds, and the folded
+    kernel forms no entry of that row of A X (a sum with every term
+    dropped is no statement): it predicts the last variance as q itself,
+    after receptions and misses alike."""
+    sys = ZERO_ROW_PLANTS[label]
+    n = sys.n
+    assert kalman._float_route(sys) is not _float_kernel(n)
+    known = tuple(v if v in (0.0, 1.0) else None
+                  for v in sys.A.ravel().tolist() + sys.C.ravel().tolist())
+    folded = _float_kernel(n, known)
+    assert not [name for name in folded.__code__.co_varnames if name.startswith(f"ax{n - 1}_")]
+    assert f"ax{n - 2}_{n - 2}" in folded.__code__.co_varnames
+    G = np.array([[1, 0, 1, 1, 0], [0.3, 0.0, 0.9, 0.5, 1.0]])
+    P = np.empty((2, 6, n, n))
+    P[:, 0] = sys.Sigma0
+    assert folded(sys, G, P) is None
+    assert (P[:, 1:, n - 1, n - 1] == sys.Q[n - 1, n - 1]).all()
+
+
 def test_route_folds_on_its_range():
     """The route folds the shipped configs' plants, and no plant with a
-    coefficient of A or C of 2**250 or more, a C of zeros or a Q holding
-    -0.0: there the plain kernel runs alone."""
+    coefficient of A or C of 2**250 or more or a C of zeros: there the
+    plain kernel runs alone. A plant given a Q or Sigma0 holding -0.0
+    stores +0.0 there, and folds."""
     for name in ("scalar.json", "second_order.json"):
         sys = load_config(str(CONFIGS / name)).system
         assert kalman._float_route(sys) is not _float_kernel(sys.n)
-    plain = {label: sys for label, sys, _ in _fold_cases()
+    cases = _fold_cases()
+    plain = {label: sys for label, sys, _ in cases
              if kalman._float_route(sys) is _float_kernel(sys.n)}
     assert set(plain) == {"coefficient 2**600", "C = 0, n = 1", "C = 0, n = 2",
-                          "Q and Sigma0 holding -0.0",
                           *(f"{shape} A x {2.0 ** 251:g}, C = e_{j}{suffix}"
                             for shape in ("upper", "diagonal", "zero column 0", "zero column 1",
                                           "rotation", "upper 3", "rotation 3")
@@ -1237,3 +1284,6 @@ def test_route_folds_on_its_range():
     second_order = load_config(str(CONFIGS / "second_order.json")).system
     assert kalman._float_route(dataclasses.replace(second_order, A=2.0 ** 250 * second_order.A)) \
         is _float_kernel(2)
+    signed = next(sys for label, sys, _ in cases if label == "Q and Sigma0 holding -0.0")
+    for M in (signed.Q, signed.Sigma0):
+        assert np.copysign(1.0, M).tolist() == [[1.0, 1.0], [1.0, 1.0]]

@@ -9,8 +9,11 @@ from secest import (
     LinearSystem,
     NumericalError,
     ValidationError,
+    filter_errors,
     p_lower,
+    riccati_map,
     solve_S,
+    solve_V,
     validate_system,
 )
 from secest.cli import load_config
@@ -84,6 +87,55 @@ class TestLinearSystem:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             LinearSystem(A=np.nan, C=1.0, Q=1.0, R=1.0, Sigma0=1.0)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("R", np.eye(2), "R must be 1x1, got (2, 2)"),
+        ("Sigma0", np.eye(3), "Sigma0 must be 2x2, got (3, 3)"),
+        ("Q", np.ones((2, 3)), "Q must be 2x2, got (2, 3)"),
+    ])
+    def test_covariance_shape_rejected(self, name, value, message):
+        # a Q that is not square is left by the symmetry check for this one
+        plant = dict(A=np.eye(2), C=[[1.0, 0.0]], Q=np.eye(2), R=1.0, Sigma0=np.eye(2))
+        with pytest.raises(ValidationError) as info:
+            LinearSystem(**dict(plant, **{name: value}))
+        assert str(info.value) == message
+
+    def test_asymmetric_covariances_cannot_be_built(self):
+        # Two plants whose routes once read an asymmetric matrix apart: the
+        # float kernel read Q's upper triangle where riccati_map reads
+        # sym(Q), and the ceiling's update and its residual check read
+        # different triangles of R, so solve_V spent its whole step budget.
+        # Neither can be built; their symmetric parts can, and then the
+        # routes agree.
+        A = [[1.2, 1.0], [0.0, 1.1]]
+        Q = np.array([[1.0, 0.9], [0.1, 2.0]])
+        with pytest.raises(ValidationError,
+                           match=r"^Q must be symmetric, got max \|Q - Q'\| = 0.8$"):
+            LinearSystem(A=A, C=[[1.0, 0.0]], Q=Q, R=1.0, Sigma0=np.eye(2))
+        sys = LinearSystem(A=A, C=[[1.0, 0.0]], Q=0.5 * (Q + Q.T), R=1.0, Sigma0=np.eye(2))
+        _, P = filter_errors(sys, [True, False, True], np.zeros(2), 0.0, 0.0)
+        X = np.eye(2)
+        for lam in (1.0, 0.0, 1.0):
+            X = riccati_map(X, sys, lam)
+        np.testing.assert_allclose(P[3], X, rtol=1e-13)
+        np.testing.assert_allclose(X, [[6.4398, 4.3966], [4.3966, 5.5984]], atol=1e-4)
+
+        A, R = [[1.2, 0.3], [0.0, 1.1]], np.array([[1.0, 0.6], [0.0, 1.0]])
+        with pytest.raises(ValidationError,
+                           match=r"^R must be symmetric, got max \|R - R'\| = 0.6$"):
+            LinearSystem(A=A, C=np.eye(2), Q=np.eye(2), R=R, Sigma0=np.eye(2))
+        sys = LinearSystem(A=A, C=np.eye(2), Q=np.eye(2), R=0.5 * (R + R.T), Sigma0=np.eye(2))
+        V = solve_V(1.0, ChannelParams(0.9, 0.6), sys)
+        assert V.trace == pytest.approx(4.490045, abs=1e-6)
+
+    def test_covariances_stored_exactly_symmetric(self):
+        # within roundoff a covariance is replaced by its symmetric part, and
+        # a negative zero by a positive one
+        sys = LinearSystem(A=np.eye(2), C=[[1.0, 0.0]], Q=[[1.0, 0.5 + 1e-12], [0.5, 2.0]],
+                           R=-0.0, Sigma0=[[1.0, -0.0], [-0.0, 1.0]])
+        assert np.array_equal(sys.Q, sys.Q.T) and sys.Q[0, 1] == 0.5 + 0.5e-12
+        for M in (sys.R, sys.Sigma0):
+            assert (np.copysign(1.0, M) == 1.0).all()
 
     def test_matrices_are_read_only(self):
         sys = LinearSystem(A=1.2, C=1.0, Q=1.0, R=1.0, Sigma0=1.0)

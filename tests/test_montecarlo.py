@@ -391,12 +391,19 @@ class TestSimulateTrace:
         ("second_order_sys", "Q", [[1.0, 0.5], [0.0, 1.0]]),
     ], ids=["Q", "R", "Sigma0", "Q-asymmetric"])
     def test_indefinite_noise_covariance_rejected(self, request, channel_96, plant, name, value):
-        # the plant holds the matrix; only the draw needs its Cholesky
-        # factor, and names it: not numpy's raw LinAlgError, and not a
-        # factor of the lower triangle of an asymmetric Q
-        sys = dataclasses.replace(request.getfixturevalue(plant), **{name: value})
-        with pytest.raises(ValidationError, match=f"^{name} must be symmetric positive definite"):
-            simulate_trace(sys, Mechanism(0.51), channel_96, 5, 7)
+        # the plant holds an indefinite matrix; only the draw needs its
+        # Cholesky factor, and names it: not numpy's raw LinAlgError. An
+        # asymmetric one, whose factor would read its lower triangle alone,
+        # no plant holds: replacing it in, like construction, names it
+        base = request.getfixturevalue(plant)
+        if np.array_equal(value, np.transpose(value)):
+            sys = dataclasses.replace(base, **{name: value})
+            with pytest.raises(ValidationError,
+                               match=f"^{name} must be symmetric positive definite"):
+                simulate_trace(sys, Mechanism(0.51), channel_96, 5, 7)
+        else:
+            with pytest.raises(ValidationError, match=f"^{name} must be symmetric, got"):
+                dataclasses.replace(base, **{name: value})
 
     def test_time_average_error(self, second_order_sys, channel_96):
         tr = simulate_trace(second_order_sys, Mechanism(0.51), channel_96, T=50, seed=8)
